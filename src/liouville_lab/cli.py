@@ -26,7 +26,7 @@ class UsageError(ValueError):
 
 
 def _report(command, inputs, verdict, kind, detail=None, tolerances=None,
-            orientation=None, seed=0):
+            orientation=None, *, seed):
     return {
         "schema": SCHEMA,
         "command": command,
@@ -127,6 +127,7 @@ def _cmd_cotame(args, t0):
         verdict, "randomized" if not a0.exact else "exact-pre/numeric-J",
         detail, {"taming_eig": 1e-10, "eps": args.eps},
         "omega(v,w) = v^T A w; taming = sym(AJ) positive definite",
+        seed=args.seed,
     )
     return _emit(rep, args, t0)
 
@@ -156,6 +157,7 @@ def _cmd_pencil_reduce(args, t0):
             "experimental_chains": any(b["chain"] > 1 for b in blocks),
         },
         {"eps": args.eps, "omega0_gate": 1e-9, "omega1_gate": 10 * args.eps},
+        seed=args.seed,
     )
     return _emit(rep, args, t0)
 
@@ -178,6 +180,7 @@ def _cmd_verify_pair(args, t0):
             "witness": _witness_json(cert.witness),
         },
         {}, cert.orientation,
+        seed=args.seed,
     )
     return _emit(rep, args, t0)
 
@@ -202,6 +205,7 @@ def _cmd_verify_contact(args, t0):
             verdict, "exact-sign",
             {"top_coefficient": top, "checked": "liouville-volume"},
             {}, preset.orientation,
+            seed=args.seed,
         )
         return _emit(rep, args, t0)
     cert = liealg.contact_check(g, form)
@@ -210,6 +214,7 @@ def _cmd_verify_contact(args, t0):
         cert.verdict, "exact-sign",
         {"top_coefficient": cert.value, "checked": "contact-volume"},
         {}, cert.orientation,
+        seed=args.seed,
     )
     return _emit(rep, args, t0)
 
@@ -217,13 +222,14 @@ def _cmd_verify_contact(args, t0):
 def _cmd_giroux_torsion(args, t0):
     preset = liealg.preset(args.pair)
     triple = formfam.gt_form(preset, args.k)
-    chk = formfam.contact_grid_check(triple, args.grid, threads=args.threads)
+    chk = formfam.contact_grid_check(triple, args.grid)
     rep = _report(
         "giroux-torsion", {"pair": args.pair, "k": args.k, "grid": args.grid},
         "pass" if chk.passed else "negative", chk.kind,
         {"min_value": chk.min_value, "argmin": chk.argmin,
          "samples": chk.samples},
         {"positivity": "strict"}, chk.orientation,
+        seed=args.seed,
     )
     return _emit(rep, args, t0)
 
@@ -243,6 +249,7 @@ def _cmd_reeb(args, t0):
             "residual_closure": res.residual_closure,
         },
         {"tol": args.tol},
+        seed=args.seed,
     )
     return _emit(rep, args, t0)
 
@@ -255,6 +262,7 @@ def _cmd_lutz_check(args, t0):
         "lutz-check", {"pair": args.pair, "k": args.k, "tau": args.tau},
         "pass" if err <= 1e-8 else "negative", "grid-certified",
         {"max_relative_error": err}, {"identity": 1e-8},
+        seed=args.seed,
     )
     return _emit(rep, args, t0)
 
@@ -269,6 +277,7 @@ def _cmd_cutoff(args, t0):
             "cutoff", {"pair": args.pair, "c": args.c},
             "pass" if top > 0 else "negative", "grid-certified",
             {"min_value": top, "argmin": argmin}, {},
+            seed=args.seed,
         )
         return _emit(rep, args, t0)
     c_star = formfam.min_c_search(preset, psi, grid_n=args.grid)
@@ -279,6 +288,7 @@ def _cmd_cutoff(args, t0):
         "pass" if refined > 0 else "negative", "grid-certified",
         {"c_star": c_star, "refined_min": refined, "argmin": argmin},
         {"bisection": 1e-3},
+        seed=args.seed,
     )
     return _emit(rep, args, t0)
 
@@ -321,6 +331,7 @@ def _cmd_numfield(args, t0):
         "numfield", {"poly": args.poly, "box": args.box},
         verdict, kind, detail,
         {"embedding_check": 1e-6, "hyperplane": 1e-10},
+        seed=args.seed,
     )
     return _emit(rep, args, t0)
 
@@ -343,6 +354,7 @@ def _cmd_geiges(args, t0):
             "traces": iso.traces,
         },
         {"residual": 1e-10}, preset.orientation,
+        seed=args.seed,
     )
     return _emit(rep, args, t0)
 
@@ -388,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--timing", action="store_true",
                         help="include elapsed time (breaks reproducibility)")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, **kw):

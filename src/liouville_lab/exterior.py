@@ -3,9 +3,10 @@
 A form is a sparse sum of coefficient * blade, where a blade is a strictly
 increasing tuple of coframe indices stored as a bitmask (dims up to 16).
 Coefficients live in one of two scalar rings: exact rationals (`Fraction`)
-or float64.  The listed coframe order fixes the orientation: the wedge of
-all covectors in listed order is the positive volume form, and every sign
-reported by `top_coefficient` is relative to that order.
+or float64, where a coefficient may also be an array over a sample axis.
+The listed coframe order fixes the orientation: the wedge of all covectors
+in listed order is the positive volume form, and every sign reported by
+`top_coefficient` is relative to that order.
 """
 
 from __future__ import annotations
@@ -13,44 +14,55 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 MAX_DIM = 16
 
 
 class ScalarRing:
-    """One of the two coefficient rings: exact rationals or float64."""
+    """A coefficient ring; the base class is the exact-rational one."""
 
-    def __init__(self, kind: str, zero_tol):
+    def __init__(self, kind: str):
         self.kind = kind
-        self.zero_tol = zero_tol
 
     @property
     def exact(self) -> bool:
         return self.kind == "exact-rational"
 
     def coerce(self, x):
-        if self.exact:
-            if isinstance(x, float):
-                raise TypeError("float coefficient in exact-rational ring")
-            return Fraction(x)
-        return float(x)
+        if isinstance(x, float):
+            raise TypeError("float coefficient in exact-rational ring")
+        return Fraction(x)
 
     def is_zero(self, x) -> bool:
         return x == 0
-
-    def is_negligible(self, x, scale=1.0) -> bool:
-        if self.exact:
-            return x == 0
-        return abs(x) <= self.zero_tol * max(1.0, scale)
-
-    def sign(self, x) -> int:
-        return (x > 0) - (x < 0)
 
     def __repr__(self):
         return f"ScalarRing({self.kind!r})"
 
 
-EXACT = ScalarRing("exact-rational", None)
-FLOAT64 = ScalarRing("float64", 1e-12)
+class _Float64Ring(ScalarRing):
+    """float64 coefficients: one float, or one float64 array per blade.
+
+    An array holds the coefficient at every point of a sample axis, so the
+    unchanged wedge code evaluates a whole grid in one pass, each element
+    with the same IEEE operations as the scalar path.  A blade is dropped
+    only when its coefficient vanishes at every sample.
+    """
+
+    def coerce(self, x):
+        if isinstance(x, np.ndarray):
+            return x.astype(float, copy=False)
+        return float(x)
+
+    def is_zero(self, x) -> bool:
+        if isinstance(x, np.ndarray):
+            return not x.any()
+        return x == 0
+
+
+EXACT = ScalarRing("exact-rational")
+FLOAT64 = _Float64Ring("float64")
 
 
 @dataclass(frozen=True)

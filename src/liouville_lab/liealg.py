@@ -390,10 +390,6 @@ def _pair_value_float(g, a_plus, a_minus, x):
     return gamma.wedge(omega.power(n - 1)).top_coefficient()
 
 
-def _to_exactable(a):
-    return a
-
-
 def _classify_failure(p):
     # negative if p <= 0 on all of [0,1]; otherwise mixed signs
     neg, _ = _poly.positive_on_01(_poly.neg(p))
@@ -840,16 +836,3 @@ def preset(key: str) -> Preset:
             raise ValueError("sol preset takes 4 integers a,b,c,d")
         return sol_from_sl2([[vals[0], vals[1]], [vals[2], vals[3]]])
     raise ValueError(f"unknown preset {key!r}")
-
-
-def product_pair_fixture(g: LieAlgebra, a_plus: Form, a_minus: Form):
-    """Uncertified fixture for the pair extension a± + e^t a on a product.
-
-    Exposed for experimentation only: returns closures evaluating the
-    extended forms at a parameter t on the coframe (dt,) + g x g2 is not
-    constructed here -- callers get the scaled summands and assemble their
-    own parameter-dependent form.  No certificate is produced.
-    """
-    def at(t: float):
-        return (a_plus.to_float(), a_minus.to_float(), math.exp(t))
-    return at

@@ -188,6 +188,22 @@ def test_seed_is_recorded(capture):
     assert json.loads(out)["detail"]["seeds"] == [7]
 
 
+def test_every_command_reports_its_seed(capture):
+    base = ["giroux-torsion", "--pair", "sol:2,1,1,1", "--grid", "64",
+            "--json"]
+    code, out = capture(base + ["--seed", "5"])
+    assert code == 0
+    assert json.loads(out)["seed"] == 5
+    _, default = capture(base)
+    _, zero = capture(base + ["--seed", "0"])
+    assert json.loads(default)["seed"] == 0 and default == zero
+
+
+def test_threads_flag_is_gone(capture):
+    assert run(["giroux-torsion", "--pair", "sol:2,1,1,1",
+                "--threads", "2"]) == 2
+
+
 def test_usage_errors_exit_2(capture):
     assert run(["not-a-command"]) == 2
     assert run(["verify-pair"]) == 2                   # missing flag

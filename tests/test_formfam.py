@@ -150,13 +150,6 @@ def test_contact_grid_check_sol():
     assert chk.passed and chk.min_value > 0
 
 
-def test_contact_grid_check_threads_deterministic():
-    triple = ff.gt_form(SOL, 1)
-    a = ff.contact_grid_check(triple, 128, threads=1)
-    b = ff.contact_grid_check(triple, 128, threads=4)
-    assert a.min_value == b.min_value and a.argmin == b.argmin
-
-
 def test_degenerate_triple_fails():
     with pytest.raises(ValueError, match="invalid"):
         ff.ProfileTriple(ff.const(0.0), ff.const(0.0), ff.const(1.0),
