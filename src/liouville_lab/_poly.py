@@ -1,15 +1,17 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""Exact polynomials and exact linear algebra over the rationals.
 
 Polynomials are lists of Fractions in ascending order, trimmed so the last
-entry is nonzero (the zero polynomial is the empty list).  This module backs
-every Sturm-style positivity certificate in the package; nothing here is
-allowed to touch floating point.
+entry is nonzero (the zero polynomial is the empty list).  Matrices are
+lists of rows.  This module holds the package's one exact path: polynomial
+arithmetic, Sturm chains, root counting and isolation, rational roots,
+determinants and the matrix product.  It backs every Sturm-style positivity
+certificate; nothing here is allowed to touch floating point.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from math import gcd as _int_gcd
 
 Q = Fraction
 
@@ -153,12 +155,6 @@ def variations_at_pos_inf(chain) -> int:
     return sign_variations([_sign(c[-1]) for c in chain])
 
 
-def variations_at_neg_inf(chain) -> int:
-    return sign_variations(
-        [_sign(c[-1]) * (-1 if degree(c) % 2 else 1) for c in chain]
-    )
-
-
 def count_roots(p, a, b, chain=None) -> int:
     """Number of distinct real roots of p in (a, b]."""
     if chain is None:
@@ -243,6 +239,46 @@ def root_bound(p) -> Fraction:
     return b
 
 
+def rational_roots(p):
+    """(root, multiplicity) pairs of the rational roots of p, ascending.
+
+    Every rational root is k/lead for the leading coefficient lead of
+    `content_cleared(p)`.  Sturm bisection narrows each real root to an
+    interval (a, b] of width at most 1/(2 lead), which holds at most one
+    such point, and that point is tested exactly.
+    """
+    if degree(p) < 1:
+        return []
+    lead = abs(content_cleared(p)[-1])
+    chain = sturm_chain(p)
+    bound = root_bound(chain[0])
+    width = Q(1, 2 * lead)
+    found = []
+    todo = [(-bound, variations_at(chain, -bound),
+             bound, variations_at(chain, bound))]
+    while todo:
+        a, va, b, vb = todo.pop()
+        if va == vb:
+            continue
+        if va - vb == 1 and b - a <= width:
+            r = Q(math.floor(b * lead), lead)
+            if r > a and evaluate(p, r) == 0:
+                found.append(r)
+            continue
+        m = (a + b) / 2
+        vm = variations_at(chain, m)
+        todo += [(a, va, m, vm), (m, vm, b, vb)]
+    roots = []
+    for r in sorted(found):
+        mult = 0
+        q = list(p)
+        while evaluate(q, r) == 0:
+            q = divmod_poly(q, poly([-r, 1]))[0]
+            mult += 1
+        roots.append((r, mult))
+    return roots
+
+
 def int_det(rows) -> int:
     """Exact determinant of an integer matrix (fraction-free Bareiss)."""
     m = [list(map(int, r)) for r in rows]
@@ -294,17 +330,24 @@ def frac_det(rows) -> Fraction:
     return det
 
 
+def mat_mul(a, b):
+    """Exact product of two square matrices of the same size."""
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
 def content_cleared(p) -> list[int]:
     """Integer coefficient list with the common denominator cleared."""
     if not p:
         return []
     den = 1
     for c in p:
-        den = den * c.denominator // _int_gcd(den, c.denominator)
+        den = den * c.denominator // math.gcd(den, c.denominator)
     ints = [int(c * den) for c in p]
     g = 0
     for c in ints:
-        g = _int_gcd(g, abs(c))
+        g = math.gcd(g, abs(c))
     if g > 1:
         ints = [c // g for c in ints]
     return ints

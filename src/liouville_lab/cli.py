@@ -9,6 +9,7 @@ included when --timing is passed, since they are not reproducible).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -388,7 +389,9 @@ def _cmd_suite(args, t0):
     return _emit(rep, args, t0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as is."""
     ap = argparse.ArgumentParser(
         prog="liouville-lab",
         description="certificates for contact forms, Liouville pairs, "

@@ -90,9 +90,6 @@ class Coframe:
     def index(self, name: str) -> int:
         return self.names.index(name)
 
-    def extend(self, prefix_names) -> "Coframe":
-        return Coframe(tuple(prefix_names) + self.names)
-
 
 def blade_mask(indices) -> int:
     mask = 0
@@ -262,6 +259,11 @@ class Form:
         mask = blade_mask(blade if not isinstance(blade, int) else mask_blade(blade))
         zero = Fraction(0) if self.ring.exact else 0.0
         return self.terms.get(mask, zero)
+
+    def shifted(self, coframe: Coframe, offset: int) -> "Form":
+        """The same form on `coframe`, covector i moved to slot i + offset."""
+        terms = {m << offset: c for m, c in self.terms.items()}
+        return Form(coframe, self.degree, terms, self.ring)
 
     def to_float(self) -> "Form":
         if not self.ring.exact:

@@ -25,7 +25,7 @@ from itertools import repeat
 import numpy as np
 
 from . import _poly
-from .exterior import (EXACT, FLOAT64, Coframe, Form, VectorElem,
+from .exterior import (FLOAT64, Coframe, Form, VectorElem,
                        blade_mask, interior_product, mask_blade)
 from .liealg import LieAlgebra, Preset
 
@@ -316,7 +316,7 @@ class ParamForm:
     Parameter and static covectors are closed; algebra covectors carry the
     Chevalley-Eilenberg differential.  d() = dp1 ^ d/dp1 (+ dp2 ^ d/dp2)
     plus the constant-coefficient differential of each blade, the latter
-    precomputed through the exterior engine.
+    taken from `LieAlgebra.ce_differential`.
     """
 
     def __init__(self, params, static, algebra, degree, terms):
@@ -327,7 +327,6 @@ class ParamForm:
         self.coframe = Coframe(self.params + self.static + tuple(alg_names))
         self.degree = degree
         self.terms = dict(terms)
-        self._dblade_cache = {}
 
     @property
     def nparams(self) -> int:
@@ -341,18 +340,22 @@ class ParamForm:
         return ParamForm(self.params, self.static, self.algebra, degree, terms)
 
     def add_term(self, blade_names, coeff: ParamCoeff):
-        mask = 0
-        for name in blade_names:
-            mask |= 1 << self.coframe.index(name)
-        self.terms[mask] = self.terms[mask].plus(coeff) if mask in self.terms \
-            else coeff
+        mask = blade_mask(self.coframe.index(name) for name in blade_names)
+        _merge(self.terms, mask, coeff)
+
+    def add_form(self, form: Form, f: ProfileFn, g: ProfileFn | None = None):
+        """Add f(p1) g(p2) form, the form's covectors in the algebra slots."""
+        g = const(1.0) if g is None else g
+        for m, c in form.terms.items():
+            _merge(self.terms, m << self.offset,
+                   ParamCoeff([(f * float(c), g)]))
 
     def plus(self, other: "ParamForm") -> "ParamForm":
         if other.coframe != self.coframe or other.degree != self.degree:
             raise ValueError("param form mismatch")
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms[m].plus(c) if m in terms else c
+            _merge(terms, m, c)
         return self.copy_with(self.degree, terms)
 
     def at(self, u, v=0.0) -> Form:
@@ -367,56 +370,37 @@ class ParamForm:
             vals = {m: np.broadcast_to(x, shape) for m, x in vals.items()}
         return Form(self.coframe, self.degree, vals, FLOAT64)
 
-    def _slot_d1(self, i):
-        """d of the i-th basis covector as a float Form on the full coframe."""
-        if self.algebra is None or i < self.offset:
-            return None
-        base = self.algebra._d1()[i - self.offset]
-        if base.is_zero():
-            return None
-        terms = {m << self.offset: float(c) for m, c in base.terms.items()}
-        return Form(self.coframe, 2, terms, FLOAT64)
-
     def _dblade(self, mask):
-        """Constant part of d(blade): dict mask -> float coefficient."""
-        if mask in self._dblade_cache:
-            return self._dblade_cache[mask]
-        cf = self.coframe
-        idxs = mask_blade(mask)
-        k = len(idxs)
-        acc = {}
-        for pos, i in enumerate(idxs):
-            di = self._slot_d1(i)
-            if di is None:
-                continue
-            before = Form(cf, pos, {blade_mask(idxs[:pos]): 1.0}, FLOAT64)
-            after = Form(cf, k - pos - 1, {blade_mask(idxs[pos + 1:]): 1.0},
-                         FLOAT64)
-            piece = before.wedge(di).wedge(after)
-            sign = -1.0 if pos % 2 else 1.0
-            for m, c in piece.terms.items():
-                acc[m] = acc.get(m, 0.0) + sign * c
-        acc = {m: c for m, c in acc.items() if c != 0.0}
-        self._dblade_cache[mask] = acc
-        return acc
+        """Constant part of d(blade): dict mask -> float coefficient.
+
+        Parameter and static covectors are closed and listed before the
+        algebra, so d(P ^ A) = (-1)^|P| P ^ dA for the part P of the blade
+        below the algebra slots and its algebra part A.
+        """
+        if self.algebra is None:
+            return {}
+        off = self.offset
+        low = mask & ((1 << off) - 1)
+        high = mask >> off
+        unit = Form(self.algebra.coframe(), high.bit_count(), {high: 1})
+        sign = -1 if low.bit_count() % 2 else 1
+        return {m << off | low: float(sign * c) for m, c in
+                self.algebra.ce_differential(unit).terms.items()}
 
     def d(self) -> "ParamForm":
         if self.degree >= self.coframe.dim:
             return self.copy_with(self.coframe.dim, {})
         out = {}
-
-        def add(mask, coeff):
-            out[mask] = out[mask].plus(coeff) if mask in out else coeff
-
         for mask, coeff in self.terms.items():
             if not mask & 1:
-                add(mask | 1, coeff.d1_coeff())  # dp1 lands in slot 0: sign +
+                # dp1 lands in slot 0: sign +
+                _merge(out, mask | 1, coeff.d1_coeff())
             if self.nparams == 2 and not mask & 2:
                 sign = -1.0 if mask & 1 else 1.0
                 dc = coeff.d2_coeff()
-                add(mask | 2, dc if sign > 0 else dc.scaled(-1.0))
+                _merge(out, mask | 2, dc if sign > 0 else dc.scaled(-1.0))
             for m, c in self._dblade(mask).items():
-                add(m, coeff.scaled(c))
+                _merge(out, m, coeff.scaled(c))
         return self.copy_with(self.degree + 1, out)
 
     def d_squared_sup(self, samples) -> float:
@@ -425,6 +409,11 @@ class ParamForm:
         dd = self.d().d().at(u, v)
         return max((float(np.abs(c).max()) for c in dd.terms.values()),
                    default=0.0)
+
+
+def _merge(terms, mask, coeff: ParamCoeff):
+    """Add coeff to terms[mask], after the terms already there."""
+    terms[mask] = terms[mask].plus(coeff) if mask in terms else coeff
 
 
 # -- pairs as plain data -------------------------------------------------------
@@ -481,15 +470,9 @@ class ProfileTriple:
     def to_param_form(self) -> ParamForm:
         g = self.pair.algebra
         pf = ParamForm(("ds", "dt"), (), g, 1, {})
-        off = pf.offset
-        for m, c in self.pair.alpha_plus.terms.items():
-            pf.terms[m << off] = ParamCoeff([(self.f * float(c), const(1.0))])
-        for m, c in self.pair.alpha_minus.terms.items():
-            key = m << off
-            add = ParamCoeff([(self.g * float(c), const(1.0))])
-            pf.terms[key] = pf.terms[key].plus(add) if key in pf.terms else add
-        key = 1 << 1  # dt
-        pf.terms[key] = ParamCoeff([(self.h, const(1.0))])
+        pf.add_form(self.pair.alpha_plus, self.f)
+        pf.add_form(self.pair.alpha_minus, self.g)
+        pf.add_term(("dt",), ParamCoeff.of(self.h))
         return pf
 
     def lambda_at(self, s) -> Form:
@@ -763,18 +746,13 @@ def lutz_family_check(pair, k: int, tau: float, psi: ProfileFn | None = None,
     scale = ProfileFn(lambda s: 1.0 - tau * psi(s),
                       lambda s: -tau * psi.deriv(s),
                       f"(1-{tau}psi)", knots=psi.knots, check=False)
-    lam_tau = ParamForm(lam_k.params, lam_k.static, lam_k.algebra, 1, {})
-    for m, c in lam_k.terms.items():
-        lam_tau.terms[m] = ParamCoeff(
-            [(scale * f, g) for f, g in c.terms]
-        )
-    ds_term = ParamCoeff([(ProfileFn(lambda s: tau * psi(s),
-                                     lambda s: tau * psi.deriv(s),
-                                     "tau psi", knots=psi.knots, check=False),
-                           const(1.0))])
-    key = 1  # ds
-    lam_tau.terms[key] = lam_tau.terms[key].plus(ds_term) \
-        if key in lam_tau.terms else ds_term
+    lam_tau = lam_k.copy_with(1, {
+        m: ParamCoeff([(scale * f, g) for f, g in c.terms])
+        for m, c in lam_k.terms.items()
+    })
+    lam_tau.add_term(("ds",), ParamCoeff.of(
+        ProfileFn(lambda s: tau * psi(s), lambda s: tau * psi.deriv(s),
+                  "tau psi", knots=psi.knots, check=False)))
     dim = lam_k.coframe.dim
     npow = (dim + 1) // 2
     s = np.array(_grid_points((-eps, eps), grid_n))
@@ -811,10 +789,10 @@ def xi_nondegenerate(pair, c_plus: float, c_minus: float, b: float,
         raise ValueError("need C+ and C- nonnegative, not both zero")
     g = pair.algebra
     cf = Coframe(("dt",) + g.names)
-    ap = _shift_to(pair.alpha_plus, cf, 1)
-    am = _shift_to(pair.alpha_minus, cf, 1)
-    dap = _shift_to(g.ce_differential(pair.alpha_plus), cf, 1)
-    dam = _shift_to(g.ce_differential(pair.alpha_minus), cf, 1)
+    ap = pair.alpha_plus.shifted(cf, 1).to_float()
+    am = pair.alpha_minus.shifted(cf, 1).to_float()
+    dap = g.ce_differential(pair.alpha_plus).shifted(cf, 1).to_float()
+    dam = g.ce_differential(pair.alpha_minus).shifted(cf, 1).to_float()
     dt = Form.covector(cf, 0, ring=FLOAT64)
     omega_bundle = c_plus * dap + c_minus * dam
     gamma = c_plus * ap + (-c_minus) * am
@@ -825,11 +803,6 @@ def xi_nondegenerate(pair, c_plus: float, c_minus: float, b: float,
         .top_coefficient()
     err = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
     return XiResult(err, lhs, lhs != 0.0)
-
-
-def _shift_to(a: Form, cf: Coframe, offset: int) -> Form:
-    terms = {m << offset: float(c) for m, c in a.terms.items()}
-    return Form(cf, a.degree, terms, FLOAT64)
 
 
 # -- linear contact-product models --------------------------------------------------
@@ -854,17 +827,14 @@ def linear_model_pair_check(g: LieAlgebra, alpha: Form, mu: float, nu: float,
     if not nu > mu:
         raise ValueError("need nu > mu")
     from .liealg import contact_check
-    if contact_check(g, alpha if alpha.ring.exact else alpha).verdict \
-            != "positive":
+    if contact_check(g, alpha).verdict != "positive":
         raise ValueError("base form must be positive contact")
     q = (g.dim - 1) // 2
     a_prof = exp_fn(1.0) + exp_fn(-1.0)
     b_prof = exp_fn(1.0) - exp_fn(-1.0)
     pf = ParamForm(("ds", "dt"), ("dθ",), g, 1, {})
-    off = pf.offset
-    for m, c in alpha.terms.items():
-        pf.terms[m << off] = ParamCoeff([(a_prof * float(c), exp_fn(nu))])
-    pf.terms[1 << 2] = ParamCoeff([(b_prof, exp_fn(mu))])  # dtheta slot
+    pf.add_form(alpha, a_prof, exp_fn(nu))
+    pf.add_term(("dθ",), ParamCoeff.of(b_prof, exp_fn(mu)))
     dpf = pf.d()
     alpha_dalpha = alpha.to_float().wedge(
         g.ce_differential(alpha.to_float()).power(q)
@@ -963,10 +933,10 @@ def sol_weak_filling_ray_fixture(eps) -> WeakFillingCertificate:
     g = preset.algebra
     # boundary orientation of the face: dθ before ds makes the ray positive
     cf = Coframe(("dθ", "ds") + g.names)
-    ap = _shift_exact(preset.alpha_plus, cf, 2)
-    am = _shift_exact(preset.alpha_minus, cf, 2)
-    dap = _shift_exact(g.ce_differential(preset.alpha_plus), cf, 2)
-    dam = _shift_exact(g.ce_differential(preset.alpha_minus), cf, 2)
+    ap = preset.alpha_plus.shifted(cf, 2)
+    am = preset.alpha_minus.shifted(cf, 2)
+    dap = g.ce_differential(preset.alpha_plus).shifted(cf, 2)
+    dam = g.ce_differential(preset.alpha_minus).shifted(cf, 2)
     ds = Form.covector(cf, 1)
     dtheta = Form.covector(cf, 0)
     tstar = Form.covector(cf, 2 + g.coframe().index("T*"))
@@ -977,11 +947,6 @@ def sol_weak_filling_ray_fixture(eps) -> WeakFillingCertificate:
     omega_closed = dtheta.wedge(tstar) + xstar.wedge(ystar)
     omega = eps * omega_closed + dalpha
     return weak_domination_ray_check(alpha, omega, dalpha)
-
-
-def _shift_exact(a: Form, cf: Coframe, offset: int) -> Form:
-    terms = {m << offset: c for m, c in a.terms.items()}
-    return Form(cf, a.degree, terms, EXACT)
 
 
 # -- the suspension weak-filling fixture --------------------------------------------
@@ -1011,8 +976,8 @@ def sol_weak_filling_fixture(eps: float, grid_n: int = 128,
     g = preset.algebra
     # exact check of w ^ da± = 0 on the theta-extended frame
     cf = Coframe(("dθ",) + g.names)
-    dap = _shift_exact(g.ce_differential(preset.alpha_plus), cf, 1)
-    dam = _shift_exact(g.ce_differential(preset.alpha_minus), cf, 1)
+    dap = g.ce_differential(preset.alpha_plus).shifted(cf, 1)
+    dam = g.ce_differential(preset.alpha_minus).shifted(cf, 1)
     dtheta = Form.covector(cf, 0)
     tstar = Form.covector(cf, 1 + g.coframe().index("T*"))
     xstar = Form.covector(cf, 1 + g.coframe().index("X*"))
@@ -1022,19 +987,11 @@ def sol_weak_filling_fixture(eps: float, grid_n: int = 128,
     minus_zero = omega_closed.wedge(dam).is_zero()
     # beta = e^s a+ + e^-s a- + sigma dθ as a two-parameter form
     pf = ParamForm(("ds", "dσ"), ("dθ",), g, 1, {})
-    off = pf.offset
-    for m, cc in preset.alpha_plus.terms.items():
-        pf.terms[m << off] = ParamCoeff([(exp_fn(1.0) * float(cc), const(1.0))])
-    for m, cc in preset.alpha_minus.terms.items():
-        key = m << off
-        add = ParamCoeff([(exp_fn(-1.0) * float(cc), const(1.0))])
-        pf.terms[key] = pf.terms[key].plus(add) if key in pf.terms else add
-    pf.terms[1 << 2] = ParamCoeff([(const(1.0), linear(1.0))])  # sigma dθ
+    pf.add_form(preset.alpha_plus, exp_fn(1.0))
+    pf.add_form(preset.alpha_minus, exp_fn(-1.0))
+    pf.add_term(("dθ",), ParamCoeff.of(1.0, linear(1.0)))  # sigma dθ
     dbeta = pf.d()
-    omega_shift = Form(
-        dbeta.coframe, 2,
-        {m << 2: float(cc) for m, cc in omega_closed.terms.items()}, FLOAT64,
-    )
+    omega_shift = omega_closed.shifted(dbeta.coframe, 2).to_float()
     p = dbeta.coframe.dim // 2
     s, sigma = (x.ravel() for x in np.meshgrid(
         np.linspace(-c, c, grid_n), np.linspace(-1.0, 1.0, grid_n),
@@ -1057,15 +1014,9 @@ def cutoff_liouville(pair, c: float, psi: ProfileFn) -> ParamForm:
         raise ValueError("psi must vanish on (-inf,0] and equal 1 on [1,inf)")
     g = pair.algebra
     pf = ParamForm(("ds",), (), g, 1, {})
-    off = pf.offset
-    plus_prof = psi.precompose_affine(1.0, c) * exp_fn(1.0)
-    minus_prof = psi.precompose_affine(-1.0, c) * exp_fn(-1.0)
-    for m, cc in pair.alpha_plus.terms.items():
-        pf.terms[m << off] = ParamCoeff([(plus_prof * float(cc), const(1.0))])
-    for m, cc in pair.alpha_minus.terms.items():
-        key = m << off
-        add = ParamCoeff([(minus_prof * float(cc), const(1.0))])
-        pf.terms[key] = pf.terms[key].plus(add) if key in pf.terms else add
+    pf.add_form(pair.alpha_plus, psi.precompose_affine(1.0, c) * exp_fn(1.0))
+    pf.add_form(pair.alpha_minus,
+                psi.precompose_affine(-1.0, c) * exp_fn(-1.0))
     return pf
 
 
@@ -1152,13 +1103,8 @@ def beta_grid_check(pair, s_range=(-10.0, 10.0), grid_n: int = 256):
     pair = _as_pair(pair)
     g = pair.algebra
     pf = ParamForm(("ds",), (), g, 1, {})
-    off = pf.offset
-    for m, cc in pair.alpha_plus.terms.items():
-        pf.terms[m << off] = ParamCoeff([(exp_fn(1.0) * float(cc), const(1.0))])
-    for m, cc in pair.alpha_minus.terms.items():
-        key = m << off
-        add = ParamCoeff([(exp_fn(-1.0) * float(cc), const(1.0))])
-        pf.terms[key] = pf.terms[key].plus(add) if key in pf.terms else add
+    pf.add_form(pair.alpha_plus, exp_fn(1.0))
+    pf.add_form(pair.alpha_minus, exp_fn(-1.0))
     return _min_top_power(pf, np.linspace(s_range[0], s_range[1], grid_n + 1))
 
 
@@ -1199,14 +1145,11 @@ def product_pair_fixture(pair, alpha2_algebra: LieAlgebra, alpha2: Form):
     g1 = pair.algebra
     merged = _merge_algebras(g1, alpha2_algebra)
     out = []
+    alpha2 = alpha2.shifted(merged.coframe(), g1.dim)
     for base in (pair.alpha_plus, pair.alpha_minus):
         pf = ParamForm(("dt",), (), merged, 1, {})
-        off = pf.offset
-        for m, c in base.terms.items():
-            pf.terms[m << off] = ParamCoeff([(const(float(c)), const(1.0))])
-        for m, c in alpha2.terms.items():
-            key = m << (off + g1.dim)
-            pf.terms[key] = ParamCoeff([(exp_fn(1.0) * float(c), const(1.0))])
+        pf.add_form(base, const(1.0))
+        pf.add_form(alpha2, exp_fn(1.0))
         out.append(pf)
     return tuple(out)
 

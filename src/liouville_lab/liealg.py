@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _poly
-from .exterior import EXACT, Coframe, Form
+from .exterior import EXACT, Coframe, Form, blade_mask, mask_blade
 
 Q = Fraction
 
@@ -132,14 +132,15 @@ class LieAlgebra:
             return Form.zero(cf, self.dim, a.ring)
         out = Form.zero(cf, a.degree + 1, a.ring)
         for mask, c in a.terms.items():
-            idxs = [i for i in range(self.dim) if mask >> i & 1]
+            idxs = mask_blade(mask)
             for pos, i in enumerate(idxs):
                 di = d1[i] if a.ring.exact else d1[i].to_float()
                 if di.is_zero():
                     continue
-                before = Form(cf, pos, {_mask(idxs[:pos]): 1}, a.ring)
+                before = Form(cf, pos, {blade_mask(idxs[:pos]): 1}, a.ring)
                 after_idx = idxs[pos + 1:]
-                after = Form(cf, len(after_idx), {_mask(after_idx): 1}, a.ring)
+                after = Form(cf, len(after_idx), {blade_mask(after_idx): 1},
+                             a.ring)
                 sign = -1 if pos % 2 else 1
                 term = before.wedge(di).wedge(after)
                 out = out + (sign * c) * term
@@ -187,13 +188,6 @@ class LieAlgebra:
         return f"LieAlgebra({', '.join(self.names)})"
 
 
-def _mask(indices):
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
 def permute_form(a: Form, perm) -> Form:
     """Transport a form to the relabeled coframe of `permuted(perm)`."""
     inv = {old: new for new, old in enumerate(perm)}
@@ -201,10 +195,9 @@ def permute_form(a: Form, perm) -> Form:
     cf = Coframe(names)
     terms = {}
     for mask, c in a.terms.items():
-        old_idx = [i for i in range(a.coframe.dim) if mask >> i & 1]
-        new_idx = [inv[i] for i in old_idx]
+        new_idx = [inv[i] for i in mask_blade(mask)]
         sign = _perm_parity_sign(new_idx)
-        terms_key = _mask(new_idx)
+        terms_key = blade_mask(new_idx)
         terms[terms_key] = terms.get(terms_key, 0) + (c if sign > 0 else -c)
     return Form(cf, a.degree, terms, a.ring)
 
@@ -232,7 +225,8 @@ def semidirect_sum(action, base_names, fiber_names) -> LieAlgebra:
             raise ValueError("action matrix size does not match fiber dimension")
     for a in range(len(mats)):
         for b in range(a + 1, len(mats)):
-            if _mat_mul(mats[a], mats[b]) != _mat_mul(mats[b], mats[a]):
+            if (_poly.mat_mul(mats[a], mats[b])
+                    != _poly.mat_mul(mats[b], mats[a])):
                 raise StructureConstantError("action matrices do not commute")
     names = tuple(base_names) + tuple(fiber_names)
     brackets = {}
@@ -242,12 +236,6 @@ def semidirect_sum(action, base_names, fiber_names) -> LieAlgebra:
             if row:
                 brackets[(i, p + j)] = row
     return LieAlgebra(names, brackets)
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
 
 
 def ce_differential(g: LieAlgebra, a: Form) -> Form:
@@ -474,7 +462,7 @@ def geiges_isomorphism(n: int) -> GeigesIsomorphism:
         power = [row[:] for row in a_int]
         for _ in range(1, n):
             traces.append(sum(power[i][i] for i in range(n)))
-            power = _int_mat_mul(power, a_int)
+            power = _poly.mat_mul(power, a_int)
         traces = traces[: n - 1]
     if n == 1:
         eye = np.eye(1)
@@ -509,12 +497,6 @@ def geiges_isomorphism(n: int) -> GeigesIsomorphism:
         Ap = Ap @ A
         residual = max(residual, float(np.max(np.abs(P @ Ap @ Qm - Bp))))
     return GeigesIsomorphism(n, r, s, a_int, B, P, residual, traces)
-
-
-def _int_mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
 
 
 def _block_diag(blocks):
@@ -775,7 +757,7 @@ def geiges(n: int) -> Preset:
     action = []
     for _ in range(n - 1):
         action.append([[Q(x) for x in row] for row in power])
-        power = _int_mat_mul(power, a)
+        power = _poly.mat_mul(power, a)
     base_names = [f"Y{i}*" for i in range(1, n)]
     fiber_names = [f"E{i}*" for i in range(1, n + 1)]
     g = semidirect_sum(action, base_names, fiber_names)

@@ -6,8 +6,9 @@ matrix, which equals the resultant Res(f, g) for monic f); unit discovery
 is a bounded coordinate-box search with exact norm filtering, cross-checked
 for real quadratic fields against a continued-fraction Pell oracle.  The
 log-embedding vectors of the positive units, together with the exponential
-kernel contributions 2*pi*i per complex place and the torsion preimages,
-span the rank n-1 lattice whose monodromy matrices glue the torus bundle.
+kernel contributions 2*pi*i per complex place and, for totally complex
+fields, the torsion preimages, span the rank n-1 lattice whose monodromy
+matrices glue the torus bundle.
 """
 
 from __future__ import annotations
@@ -15,14 +16,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
 from . import _poly, liealg
-
-Q = Fraction
 
 
 class FieldError(ValueError):
@@ -46,7 +44,7 @@ class Poly:
         rational = _poly.poly(cs)
         if _poly.degree(_poly.gcd_poly(rational, _poly.derivative(rational))) > 0:
             raise FieldError("polynomial must be squarefree")
-        if n >= 2 and self._has_rational_root():
+        if n >= 2 and _poly.rational_roots(rational):
             raise FieldError("polynomial has a rational root")
         if n == 4 and self._has_quadratic_factor():
             raise FieldError("degree-4 polynomial splits into two quadratics")
@@ -54,16 +52,6 @@ class Poly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def _has_rational_root(self) -> bool:
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            return True
-        for d in _divisors(abs(c0)):
-            for r in (Q(d), Q(-d)):
-                if _poly.evaluate(_poly.poly(self.coeffs), r) == 0:
-                    return True
-        return False
 
     def _has_quadratic_factor(self) -> bool:
         # f = (X^2 + aX + b)(X^2 + cX + d) over Z: solve coefficientwise
@@ -93,17 +81,13 @@ class Poly:
         return False
 
 
-def _divisors(n: int):
-    out = []
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out += [d, n // d]
-    return sorted(set(out))
-
-
 def _signed_divisors(n: int):
-    ds = _divisors(abs(n))
-    return [d for a in ds for d in (a, -a)]
+    n = abs(n)
+    ds = set()
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            ds |= {d, n // d}
+    return [d for a in sorted(ds) for d in (a, -a)]
 
 
 @dataclass
@@ -260,13 +244,6 @@ def multiply(field: NumberField, x: OrderElement, y: OrderElement) -> OrderEleme
         for i in range(n):
             prod[k - n + i] -= c * field.poly.coeffs[i]
     return OrderElement(tuple(prod[:n]))
-
-
-def power_element(field, x: OrderElement, k: int) -> OrderElement:
-    out = one(field)
-    for _ in range(k):
-        out = multiply(field, out, x)
-    return out
 
 
 def mult_matrix(field: NumberField, x: OrderElement):
@@ -469,26 +446,16 @@ class LatticeData:
     generators: list          # OrderElements matching `monodromy`
     rank: int
 
-    def flattened_basis(self):
-        flat = []
-        for vec in self.gamma_basis:
-            row = []
-            for z in vec:
-                if isinstance(z, complex):
-                    row += [z.real, z.imag]
-                else:
-                    row.append(z)
-            flat.append(row)
-        return flat
-
 
 def gamma_lattice(field: NumberField, gens) -> LatticeData:
     """Preimage lattice of the positive units in the trace-zero hyperplane.
 
     The basis consists of the log vectors of the free positive generators,
-    together with the reduced lattice generated by the torsion preimages and
-    the kernel vectors 2*pi*i per complex place.  Rank must come out to
-    n - 1 exactly (r + s - 1 free part plus s from the kernel/torsion).
+    together with the reduced lattice generated by the kernel vectors
+    2*pi*i per complex place and, for totally complex fields, the torsion
+    preimages: a root of unity other than 1 is a positive unit only when
+    there is no real place.  Rank must come out to n - 1 exactly (r + s - 1
+    free part plus s from the kernel/torsion).
     """
     r, s = field.signature
     n = field.degree
@@ -497,7 +464,10 @@ def gamma_lattice(field: NumberField, gens) -> LatticeData:
     for u in gens:
         basis.append(_full_log_vector(field, u))
     if s:
-        tor_gen, tor_order = _torsion_from_gens(field)
+        tor_gen, tor_order = one(field), 1
+        if r == 0:
+            grp = find_units(field, 1)
+            tor_gen, tor_order = grp.torsion_generator, grp.torsion_order
         imag_rows = []
         if tor_order > 1:
             _, cplx = field.embed(tor_gen)
@@ -510,13 +480,12 @@ def gamma_lattice(field: NumberField, gens) -> LatticeData:
                 ints.append(k)
             imag_rows.append(ints)
             monodromy_gens.append(tor_gen)
-        unit = tor_order if tor_order > 1 else 1
         for j in range(s):
-            imag_rows.append([unit if i == j else 0 for i in range(s)])
+            imag_rows.append([tor_order if i == j else 0 for i in range(s)])
         reduced = _hnf_rows(imag_rows)
         for row in reduced:
             vec = [0.0] * r + [
-                complex(0.0, k * 2 * math.pi / unit) for k in row
+                complex(0.0, k * 2 * math.pi / tor_order) for k in row
             ]
             basis.append(vec)
     # verify trace-zero hyperplane membership and rank
@@ -533,17 +502,6 @@ def gamma_lattice(field: NumberField, gens) -> LatticeData:
         raise ArithmeticError(f"lattice rank {rank} != n - 1 = {n - 1}")
     mats = monodromy_matrices(field, monodromy_gens)
     return LatticeData(basis, mats, monodromy_gens, rank)
-
-
-_TORSION_CACHE: dict = {}
-
-
-def _torsion_from_gens(field):
-    key = field.poly.coeffs
-    if key not in _TORSION_CACHE:
-        grp = find_units(field, 1)
-        _TORSION_CACHE[key] = (grp.torsion_generator, grp.torsion_order)
-    return _TORSION_CACHE[key]
 
 
 def _full_log_vector(field, u):

@@ -173,8 +173,7 @@ def tames(a: SkewForm, j: ComplexStructure, tol: float = 1e-10) -> bool:
         if np.allclose(Jm, np.round(Jm)):
             rows = [[Q(int(round(Jm[r][c]))) for c in range(a.dim)]
                     for r in range(a.dim)]
-            prod = [[sum(a.matrix[r][k] * rows[k][c] for k in range(a.dim))
-                     for c in range(a.dim)] for r in range(a.dim)]
+            prod = _poly.mat_mul(a.matrix, rows)
             sym = [[(prod[r][c] + prod[c][r]) / 2 for c in range(a.dim)]
                    for r in range(a.dim)]
             return _exact_positive_definite(sym)
@@ -298,9 +297,6 @@ class PencilBlocks:
     omega0_residual: float
     omega1_residual: float
 
-    def model_matrices(self):
-        return _model_matrices(self.blocks)
-
 
 def _model_matrices(blocks):
     """(A0_model, A1_model) in the block basis (v's first, then w's)."""
@@ -404,8 +400,6 @@ def simultaneous_reduce(a0: SkewForm, a1: SkewForm, eps: float = 1e-3,
     for _ in range(max_retries + 1):
         try:
             result = _float_reduce(a0, a1, current_eps)
-        except PencilError:
-            raise
         except (ArithmeticError, np.linalg.LinAlgError) as err:
             last_error = err
             current_eps /= 2
@@ -474,7 +468,7 @@ def _generalized_eigenspace(b, lam, mult):
     scale = max(1.0, float(s[0]) if len(s) else 1.0)
     null_mask = s <= 1e-8 * scale
     basis = vh[null_mask].conj().T
-    if basis.shape[1] < (mult if np.iscomplexobj(b) else mult):
+    if basis.shape[1] < mult:
         raise ArithmeticError("generalized eigenspace dimension deficient")
     return basis
 
@@ -630,7 +624,7 @@ def _try_exact_reduce(a0: SkewForm, a1: SkewForm):
     m1 = a1.matrix
     b = _frac_solve_matrix(m0, m1)
     charpoly = _frac_charpoly(b)
-    roots = _rational_roots(charpoly)
+    roots = _poly.rational_roots(charpoly)
     total = sum(m for _, m in roots)
     if total != n:
         return None
@@ -652,10 +646,6 @@ def _try_exact_reduce(a0: SkewForm, a1: SkewForm):
     t0 = [[_frac_bilinear(m0, u, v) for v in basis_cols] for u in basis_cols]
     t1 = [[_frac_bilinear(m1, u, v) for v in basis_cols] for u in basis_cols]
     model0, model1 = _model_matrices(blocks)
-    r0 = max(
-        abs(float(t0[i][j]) - model0[i][j])
-        for i in range(n) for j in range(n)
-    )
     exact0 = all(
         Q(t0[i][j]) == _float_to_frac(model0[i][j])
         for i in range(n) for j in range(n)
@@ -666,7 +656,7 @@ def _try_exact_reduce(a0: SkewForm, a1: SkewForm):
     )
     if not exact0:
         return None
-    return PencilBlocks(blocks, basis, 0.0, 0.0 if exact0 else r0, r1)
+    return PencilBlocks(blocks, basis, 0.0, 0.0, r1)
 
 
 def _float_to_frac(x):
@@ -710,17 +700,11 @@ def _frac_charpoly(b):
     c = Q(1)
     mk = m
     for k in range(1, n + 1):
-        mk = _mat_add_diag(_frac_matmul(b, mk), c)
-        c = -Q(_frac_trace(_frac_matmul(b, mk)), k)
+        mk = _mat_add_diag(_poly.mat_mul(b, mk), c)
+        c = -Q(_frac_trace(_poly.mat_mul(b, mk)), k)
         coeffs.append(c)
     # coeffs are [1, c1, ..., cn] for lambda^n + c1 lambda^{n-1} + ...
     return list(reversed(coeffs))
-
-
-def _frac_matmul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
 
 
 def _mat_add_diag(m, c):
@@ -734,61 +718,26 @@ def _frac_trace(m):
     return sum(m[i][i] for i in range(len(m)))
 
 
-def _rational_roots(p):
-    """(root, multiplicity) pairs of the rational roots of p."""
-    ints = _poly.content_cleared(p)
-    if not ints:
-        return []
-    lead = ints[-1]
-    const = ints[0]
-    if const == 0:
-        return []  # zero eigenvalue: degenerate, rejected upstream
-    candidates = set()
-    for a in _divisors_of(abs(const)):
-        for bq in _divisors_of(abs(lead)):
-            candidates.add(Q(a, bq))
-            candidates.add(Q(-a, bq))
-    roots = []
-    for r in sorted(candidates):
-        if _poly.evaluate(p, r) == 0:
-            m = 0
-            q = list(p)
-            while _poly.evaluate(q, r) == 0:
-                q = _poly.divmod_poly(q, _poly.poly([-r, 1]))[0]
-                m += 1
-            roots.append((r, m))
-    return roots
-
-
-def _divisors_of(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out += [d, n // d]
-        d += 1
-    return sorted(set(out))
-
-
 def _mat_sub_scaled(b, lam):
     n = len(b)
     return [[b[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
 
 
 def _frac_kernel(m):
-    n = len(m)
+    """Exact basis of the null space of m (any number of rows)."""
+    ncols = len(m[0])
     aug = [row[:] for row in m]
-    _frac_rref(aug, n)
+    _frac_rref(aug, ncols)
     pivots = []
     for row in aug:
         for j, x in enumerate(row):
             if x != 0:
                 pivots.append(j)
                 break
-    free = [j for j in range(n) if j not in pivots]
+    free = [j for j in range(ncols) if j not in pivots]
     kernel = []
     for f in free:
-        vec = [Q(0)] * n
+        vec = [Q(0)] * ncols
         vec[f] = Q(1)
         for r, p in enumerate(pivots):
             vec[p] = -aug[r][f]
@@ -801,13 +750,16 @@ def _frac_bilinear(m, u, v):
     return sum(u[i] * m[i][j] * v[j] for i in range(n) for j in range(n))
 
 
+def _frac_combine(coeffs, space):
+    """The vector sum_j coeffs[j] * space[j], exactly."""
+    return [sum(c * s[i] for c, s in zip(coeffs, space))
+            for i in range(len(space[0]))]
+
+
 def _frac_pairing(m0, vs, space, want):
     rows = [[_frac_bilinear(m0, v, s) for s in space] for v in vs]
     rhs = [Q(1) if i == want else Q(0) for i in range(len(vs))]
-    sol = _frac_lstsq_exact(rows, rhs)
-    n = len(space[0])
-    return [sum(sol[j] * space[j][i] for j in range(len(space)))
-            for i in range(n)]
+    return _frac_combine(_frac_lstsq_exact(rows, rhs), space)
 
 
 def _frac_lstsq_exact(rows, rhs):
@@ -830,32 +782,10 @@ def _frac_lstsq_exact(rows, rhs):
 
 
 def _frac_symplectic_complement(m0, extracted, space):
-    out = []
-    for s in space:
-        vals = [_frac_bilinear(m0, v, s) for v in extracted]
-        out.append((s, vals))
-    # Gaussian elimination on the constraint values to find the null combo
-    k = len(space)
-    rows = [[out[j][1][i] for j in range(k)] for i in range(len(extracted))]
-    aug = [row[:] for row in rows]
-    _frac_rref(aug, k)
-    pivots = []
-    for row in aug:
-        for j in range(k):
-            if row[j] != 0:
-                pivots.append(j)
-                break
-    free = [j for j in range(k) if j not in pivots]
-    basis = []
-    n = len(space[0])
-    for f in free:
-        coeffs = [Q(0)] * k
-        coeffs[f] = Q(1)
-        for r, p in enumerate(pivots):
-            coeffs[p] = -aug[r][f]
-        vec = [sum(coeffs[j] * space[j][i] for j in range(k)) for i in range(n)]
-        basis.append(vec)
-    return basis
+    """Vectors of span(space) w0-orthogonal to all extracted vectors."""
+    constraints = [[_frac_bilinear(m0, v, s) for s in space]
+                   for v in extracted]
+    return [_frac_combine(c, space) for c in _frac_kernel(constraints)]
 
 
 # -- cotamed construction ---------------------------------------------------------

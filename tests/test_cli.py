@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -223,3 +224,19 @@ def test_timing_flag_adds_elapsed(capture):
                          "--timing"])
     assert code == 0
     assert "elapsed_ms" in json.loads(out)
+
+
+def test_pencil_reduce_thirteen_digit_eigenvalue(capture):
+    # the rational-root search once enumerated divisors of the constant
+    # term and ran for more than 30 s on this pencil
+    prime = 1000000000039
+    omega1 = json.dumps([[0, str(prime)], [str(-prime), 0]])
+    t0 = time.perf_counter()
+    code, out = capture(["pencil-reduce", "--omega0", "[[0, 1], [-1, 0]]",
+                         "--omega1", omega1, "--json"])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["certificate"] == "exact"
+    assert rep["detail"]["blocks"] == [
+        {"type": "real", "lambda": float(prime), "chain": 1}]

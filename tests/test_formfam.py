@@ -6,7 +6,7 @@ import pytest
 
 from liouville_lab import formfam as ff
 from liouville_lab import liealg
-from liouville_lab.exterior import Form
+from liouville_lab.exterior import FLOAT64, Form, blade_mask, mask_blade
 
 
 S1 = liealg.totally_real(1)
@@ -479,3 +479,89 @@ def test_product_pair_fixture_shapes():
     val = plus.at(0.5)
     assert val.degree == 1
     assert not val.is_zero()
+
+
+# -- d of a blade against the float-wedge construction it replaced ------------
+
+
+def reference_dblade(pf, mask):
+    """d(blade) by the Leibniz rule over float wedges, slot by slot."""
+    cf = pf.coframe
+    idxs = mask_blade(mask)
+    acc = {}
+    for pos, i in enumerate(idxs):
+        if pf.algebra is None or i < pf.offset:
+            continue  # parameter and static covectors are closed
+        base = pf.algebra._d1()[i - pf.offset]
+        if base.is_zero():
+            continue
+        di = Form(cf, 2, {m << pf.offset: float(c)
+                          for m, c in base.terms.items()}, FLOAT64)
+        before = Form(cf, pos, {blade_mask(idxs[:pos]): 1.0}, FLOAT64)
+        after = Form(cf, len(idxs) - pos - 1,
+                     {blade_mask(idxs[pos + 1:]): 1.0}, FLOAT64)
+        sign = -1.0 if pos % 2 else 1.0
+        for m, c in before.wedge(di).wedge(after).terms.items():
+            acc[m] = acc.get(m, 0.0) + sign * c
+    return {m: c for m, c in acc.items() if c != 0.0}
+
+
+def reference_d(pf):
+    """ParamForm.d() term by term, with the reference d of each blade."""
+    out = {}
+
+    def add(mask, coeff):
+        out[mask] = out[mask].plus(coeff) if mask in out else coeff
+
+    for mask, coeff in pf.terms.items():
+        if not mask & 1:
+            add(mask | 1, coeff.d1_coeff())
+        if pf.nparams == 2 and not mask & 2:
+            dc = coeff.d2_coeff()
+            add(mask | 2, dc.scaled(-1.0) if mask & 1 else dc)
+        for m, c in reference_dblade(pf, mask).items():
+            add(m, coeff.scaled(c))
+    return out
+
+
+def family_forms(monkeypatch, key):
+    """Every ParamForm whose d() the family checks take, for one preset."""
+    p = liealg.preset(key)
+    seen = []
+    d = ff.ParamForm.d
+
+    def recording_d(self):
+        seen.append(self)
+        return d(self)
+
+    monkeypatch.setattr(ff.ParamForm, "d", recording_d)
+    ff.contact_grid_check(ff.gt_form(p, 1), 16)
+    ff.lutz_family_check(p, 1, 0.5, grid_n=8)
+    ff.cutoff_positive_on_grid(p, 1.0, ff.cutoff_step("cubic"), 8)
+    ff.beta_grid_check(p, grid_n=8)
+    ff.linear_model_pair_check(p.algebra, p.alpha_plus, -0.5, 0.75, grid_n=4)
+    ff.sol_weak_filling_fixture(0.01, 4)
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("key", [
+    "totreal:1", "totreal:2", "totreal:3", "sol:2,1,1,1", "sol:3,2,1,1",
+    "geiges:2", "geiges:3", "grs1:2,0"])
+def test_d_matches_float_wedge_reference(monkeypatch, key):
+    forms = family_forms(monkeypatch, key)
+    assert len(forms) >= 6
+    u = np.array([-1.3, -0.2, 0.0, 0.4, 1.0, 2.7])
+    v = np.array([0.3, -1.1, 0.0, 0.5, 2.0, -0.6])
+    for pf in forms + [pf.d() for pf in forms]:
+        for mask in pf.terms:
+            got = [(m, c.hex()) for m, c in pf._dblade(mask).items()]
+            want = [(m, c.hex()) for m, c in
+                    reference_dblade(pf, mask).items()]
+            assert got == want
+        d, ref = pf.d().terms, reference_d(pf)
+        assert list(d) == list(ref)
+        for mask, coeff in d.items():
+            np.testing.assert_array_equal(
+                np.asarray(coeff(u, v)).view(np.uint64),
+                np.asarray(ref[mask](u, v)).view(np.uint64))

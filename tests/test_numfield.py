@@ -245,3 +245,18 @@ def test_quartic_mixed_signature_pipeline():
         tr = sum(v for v in vec[:2]) + 2 * sum(
             z.real for z in vec[2:] if isinstance(z, complex))
         assert abs(tr) <= 1e-10
+
+
+def test_complex_cubic_pipeline():
+    # X^3 - X - 1: one real place, so -1 is not a positive unit and only
+    # the 2*pi*i kernel vector joins the free generator; every complex
+    # cubic used to fail with a determinant -1 monodromy
+    field = nf.field_from_poly([-1, -1, 0, 1])
+    assert field.signature == (1, 1)
+    rep = nf.build_liealg_pair(field)
+    assert rep.units.torsion_order == 2
+    assert rep.lattice.rank == 2
+    assert rep.lattice.gamma_basis[-1] == [0.0, complex(0.0, 2 * math.pi)]
+    assert len(rep.lattice.monodromy) == 1
+    import liouville_lab._poly as poly
+    assert poly.int_det(rep.lattice.monodromy[0]) == 1

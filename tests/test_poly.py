@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 
@@ -131,3 +132,67 @@ def test_frac_det_matches_int_det():
 def test_content_cleared():
     assert poly.content_cleared(poly.poly([Q(1, 2), Q(3, 4)])) == [2, 3]
     assert poly.content_cleared([]) == []
+
+
+def divisor_search_roots(p):
+    """The trial-division search `rational_roots` replaced, kept as reference.
+
+    Candidates are ±a/b for divisors a of the constant term and b of the
+    leading coefficient of the cleared integer polynomial; it returns []
+    when 0 is a root, so callers strip factors of x first.
+    """
+    def divisors(n):
+        return sorted({d for k in range(1, math.isqrt(n) + 1) if n % k == 0
+                       for d in (k, n // k)})
+
+    ints = poly.content_cleared(p)
+    if not ints or ints[0] == 0:
+        return []
+    candidates = {Q(s * a, b) for a in divisors(abs(ints[0]))
+                  for b in divisors(abs(ints[-1])) for s in (1, -1)}
+    roots = []
+    for r in sorted(candidates):
+        m, q = 0, list(p)
+        while poly.evaluate(q, r) == 0:
+            q = poly.divmod_poly(q, poly.poly([-r, 1]))[0]
+            m += 1
+        if m:
+            roots.append((r, m))
+    return roots
+
+
+nonzero_rationals = st.builds(Q, st.integers(-12, 12),
+                              st.integers(1, 6)).filter(bool)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    roots=st.lists(nonzero_rationals, max_size=5),
+    zeros=st.integers(min_value=0, max_value=2),
+    quadratic=st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+    scale=st.builds(Q, st.integers(1, 9).map(lambda k: k * (-1) ** k),
+                    st.integers(1, 9)),
+)
+def test_rational_roots_match_divisor_search(roots, zeros, quadratic, scale):
+    # linear factors (b x - a) give non-monic products and rational roots
+    # with denominators, repeated draws repeated roots; a quadratic factor
+    # adds irrational or complex roots, and x^zeros roots at 0
+    p = poly.poly([scale])
+    for r in roots:
+        p = poly.mul(p, poly.poly([-r.numerator, r.denominator]))
+    if quadratic[0] and quadratic[2]:
+        p = poly.mul(p, poly.poly(quadratic))
+    rest = divisor_search_roots(p)
+    if zeros:
+        p = poly.mul(p, poly.pow_(poly.poly([0, 1]), zeros))
+        rest = sorted(rest + [(Q(0), zeros)])
+    assert poly.rational_roots(p) == rest
+    assert sum(m for _, m in rest) >= len(roots) + zeros
+
+
+def test_rational_roots_of_large_prime_roots():
+    for prime in (1000003, 1000000000039):
+        p = poly.pow_(poly.poly([-prime, 1]), 2)
+        assert poly.rational_roots(p) == [(Q(prime), 2)]
+        q = poly.mul(poly.poly([-1, 3 * prime]), poly.poly([2, 0, 1]))
+        assert poly.rational_roots(q) == [(Q(1, 3 * prime), 1)]
