@@ -316,7 +316,7 @@ class ParamForm:
     Parameter and static covectors are closed; algebra covectors carry the
     Chevalley-Eilenberg differential.  d() = dp1 ^ d/dp1 (+ dp2 ^ d/dp2)
     plus the constant-coefficient differential of each blade, the latter
-    taken from `LieAlgebra.ce_differential`.
+    taken exactly from the algebra's d-of-a-blade table.
     """
 
     def __init__(self, params, static, algebra, degree, terms):
@@ -381,11 +381,9 @@ class ParamForm:
             return {}
         off = self.offset
         low = mask & ((1 << off) - 1)
-        high = mask >> off
-        unit = Form(self.algebra.coframe(), high.bit_count(), {high: 1})
         sign = -1 if low.bit_count() % 2 else 1
         return {m << off | low: float(sign * c) for m, c in
-                self.algebra.ce_differential(unit).terms.items()}
+                self.algebra._d_terms({mask >> off: 1}).items()}
 
     def d(self) -> "ParamForm":
         if self.degree >= self.coframe.dim:

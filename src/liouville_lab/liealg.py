@@ -1,11 +1,13 @@
 """Lie algebras by structure constants and exact contact-type certificates.
 
 Structure constants are exact rationals; the Chevalley-Eilenberg rule
-d(e^k) = -sum_{i<j} c^k_{ij} e^i ^ e^j extends to all left-invariant forms
-as an antiderivation.  Certificates (contact sign, Liouville-pair
-positivity over the coefficient simplex, Geiges identities) are computed
-exactly; only the Geiges-group normal-form isomorphism, which involves
-rotation angles, runs in floats.
+d(e^k) = -sum_{i<j} c^k_{ij} e^i ^ e^j, kept as one table, extends to all
+left-invariant forms as an antiderivation: d of a blade is a signed sum
+over its bits.  With antisymmetric brackets d(d(e^k)) = 0 is the Jacobi
+identity, so Jacobi is verified exactly as d^2 = 0.  Certificates
+(contact sign, Liouville-pair positivity over the coefficient simplex,
+Geiges identities) are computed exactly; only the Geiges-group
+normal-form isomorphism, which involves rotation angles, runs in floats.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _poly
-from .exterior import EXACT, Coframe, Form, blade_mask, mask_blade
+from .exterior import EXACT, Coframe, Form, _wedge_sign, blade_mask, mask_blade
 
 Q = Fraction
 
@@ -31,7 +33,7 @@ class LieAlgebra:
 
     brackets[(i, j)] with i < j maps k -> c^k_{ij}, meaning
     [e_i, e_j] = sum_k c^k_{ij} e_k.  Antisymmetry is built into the storage;
-    the Jacobi identity is verified exactly at construction.
+    the Jacobi identity is verified exactly at construction, as d^2 = 0.
     """
 
     def __init__(self, names, brackets, check=True):
@@ -41,12 +43,18 @@ class LieAlgebra:
         for (i, j), row in brackets.items():
             if not 0 <= i < j < self.dim:
                 raise StructureConstantError("bracket indices must satisfy i < j")
+            if not all(0 <= k < self.dim for k in row):
+                raise StructureConstantError("bracket value index out of range")
             row = {k: Q(v) for k, v in row.items() if v != 0}
             if row:
                 clean[(i, j)] = row
         self.brackets = clean
-        self._d1_cache = None
-        if check and not self.jacobi_check():
+        # d(e^k) = -sum_{i<j} c^k_{ij} e^i ^ e^j as (mask, coeff) pairs
+        self._d1 = [[] for _ in range(self.dim)]
+        for (i, j), row in clean.items():
+            for k, c in row.items():
+                self._d1[k].append(((1 << i) | (1 << j), -c))
+        if check and not self.d_squared_check():
             raise StructureConstantError("Jacobi identity fails")
 
     @classmethod
@@ -81,80 +89,62 @@ class LieAlgebra:
             for i in range(n)
         ]
 
-    def jacobi_check(self) -> bool:
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    for l in range(n):
-                        s = Q(0)
-                        for m in range(n):
-                            s += self.structure_constant(i, j, m) * \
-                                self.structure_constant(m, k, l)
-                            s += self.structure_constant(j, k, m) * \
-                                self.structure_constant(m, i, l)
-                            s += self.structure_constant(k, i, m) * \
-                                self.structure_constant(m, j, l)
-                        if s != 0:
-                            return False
-        return True
-
     def coframe(self) -> Coframe:
         return Coframe(self.names)
 
-    def _d1(self):
-        if self._d1_cache is None:
-            cf = self.coframe()
-            if self.dim < 2:
-                self._d1_cache = [Form.zero(cf, self.dim, EXACT)]
-                return self._d1_cache
-            d1 = []
-            for k in range(self.dim):
-                terms = {}
-                for (i, j), row in self.brackets.items():
-                    c = row.get(k)
-                    if c:
-                        terms[(1 << i) | (1 << j)] = -c
-                d1.append(Form(cf, 2, terms, EXACT))
-            self._d1_cache = d1
-        return self._d1_cache
+    def _d_blade(self, mask):
+        """d of the unit blade e^mask as a signed sum over its bits.
+
+        The (mask, coeff) pairs come unmerged, bit by bit in increasing
+        order: the term (m, c) of d(e^i) lands on rest | m, where rest is
+        the blade without bit i, with the sign (-1)^pos of i's position
+        times that of rest ^ m (a 2-form commutes with every form).
+        """
+        out = []
+        sign = 1
+        bits = mask
+        while bits:
+            low = bits & -bits
+            rest = mask ^ low
+            for m, c in self._d1[low.bit_length() - 1]:
+                if not m & rest:
+                    s = sign * _wedge_sign(rest, m)
+                    out.append((rest | m, c if s > 0 else -c))
+            sign = -sign
+            bits ^= low
+        return out
+
+    def _d_terms(self, terms, ring=EXACT):
+        """d of the form with blade coefficients `terms` (mask -> coeff).
+
+        The linear extension of `_d_blade`, summed pair by pair in `ring`;
+        a blade whose sum cancels is dropped and re-enters at the end.
+        """
+        out = {}
+        for mask, c in terms.items():
+            for m, dc in self._d_blade(mask):
+                term = c * ring.coerce(dc)
+                if ring.is_zero(term):
+                    continue
+                total = out.get(m, 0) + term
+                if ring.is_zero(total):
+                    del out[m]
+                else:
+                    out[m] = total
+        return out
 
     def ce_differential(self, a: Form) -> Form:
         """Chevalley-Eilenberg exterior derivative of a left-invariant form."""
-        if a.coframe != self.coframe():
-            raise ValueError("form coframe does not match algebra")
         cf = self.coframe()
-        d1 = self._d1()
-        if a.degree == 0:
-            return Form.zero(cf, min(1, self.dim), a.ring)
-        if a.degree == self.dim:
-            # top forms have zero differential; keep top degree for bookkeeping
-            return Form.zero(cf, self.dim, a.ring)
-        out = Form.zero(cf, a.degree + 1, a.ring)
-        for mask, c in a.terms.items():
-            idxs = mask_blade(mask)
-            for pos, i in enumerate(idxs):
-                di = d1[i] if a.ring.exact else d1[i].to_float()
-                if di.is_zero():
-                    continue
-                before = Form(cf, pos, {blade_mask(idxs[:pos]): 1}, a.ring)
-                after_idx = idxs[pos + 1:]
-                after = Form(cf, len(after_idx), {blade_mask(after_idx): 1},
-                             a.ring)
-                sign = -1 if pos % 2 else 1
-                term = before.wedge(di).wedge(after)
-                out = out + (sign * c) * term
-        return out
+        if a.coframe != cf:
+            raise ValueError("form coframe does not match algebra")
+        # top forms have zero differential; keep top degree for bookkeeping
+        degree = min(a.degree + 1, self.dim)
+        return Form(cf, degree, self._d_terms(a.terms, a.ring), a.ring)
 
     def d_squared_check(self) -> bool:
-        cf = self.coframe()
-        for k in range(self.dim):
-            if self.dim < 3:
-                return True
-            dd = self.ce_differential(self._d1()[k])
-            if not dd.is_zero():
-                return False
-        return True
+        """d(d(e^k)) = 0 for every k: the Jacobi identity, exactly."""
+        return not any(self._d_terms(dict(dk)) for dk in self._d1)
 
     def permuted(self, perm):
         """Relabel basis: new index p carries old index perm[p]."""
@@ -236,18 +226,6 @@ def semidirect_sum(action, base_names, fiber_names) -> LieAlgebra:
             if row:
                 brackets[(i, p + j)] = row
     return LieAlgebra(names, brackets)
-
-
-def ce_differential(g: LieAlgebra, a: Form) -> Form:
-    return g.ce_differential(a)
-
-
-def jacobi_check(g: LieAlgebra) -> bool:
-    return g.jacobi_check()
-
-
-def d_squared_check(g: LieAlgebra) -> bool:
-    return g.d_squared_check()
 
 
 # -- certificates --------------------------------------------------------------

@@ -8,7 +8,8 @@ for real quadratic fields against a continued-fraction Pell oracle.  The
 log-embedding vectors of the positive units, together with the exponential
 kernel contributions 2*pi*i per complex place and, for totally complex
 fields, the torsion preimages, span the rank n-1 lattice whose monodromy
-matrices glue the torus bundle.
+matrices glue the torus bundle.  The torsion comes from the same box
+search as the free units.
 """
 
 from __future__ import annotations
@@ -46,48 +47,37 @@ class Poly:
             raise FieldError("polynomial must be squarefree")
         if n >= 2 and _poly.rational_roots(rational):
             raise FieldError("polynomial has a rational root")
-        if n == 4 and self._has_quadratic_factor():
+        if n == 4 and self._has_quadratic_factor(cs):
             raise FieldError("degree-4 polynomial splits into two quadratics")
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def _has_quadratic_factor(self) -> bool:
-        # f = (X^2 + aX + b)(X^2 + cX + d) over Z: solve coefficientwise
-        f0, f1, f2, f3 = self.coeffs[0], self.coeffs[1], self.coeffs[2], self.coeffs[3]
-        if f0 == 0:
-            return True
-        for b in _signed_divisors(f0):
-            if f0 % b:
+    @staticmethod
+    def _has_quadratic_factor(coeffs) -> bool:
+        """Whether X^4 + aX^3 + bX^2 + cX + d = (X^2 + pX + q)(X^2 + rX + s).
+
+        q + s is then an integer root t of the resolvent cubic
+        y^3 - b y^2 + (ac - 4d) y - (a^2 d - 4bd + c^2), and q, s and p, r
+        are the roots of z^2 - t z + d and z^2 - a z + (b - t); a root t
+        gives a factorization when both discriminants are squares and one
+        pairing meets ps + qr = c (Kappe-Warren, Amer. Math. Monthly 1989).
+        """
+        d, c, b, a, _ = coeffs
+        cubic = _poly.poly([4 * b * d - a * a * d - c * c, a * c - 4 * d,
+                            -b, 1])
+        for t, _ in _poly.rational_roots(cubic):
+            t = int(t)  # a rational root of a monic integer cubic
+            discs = (t * t - 4 * d, a * a - 4 * (b - t))
+            if min(discs) < 0 or any(math.isqrt(x) ** 2 != x for x in discs):
                 continue
-            d = f0 // b
-            s = f3                       # a + c
-            m = f2 - b - d               # a * c
-            disc = s * s - 4 * m
-            if disc < 0:
-                continue
-            rt = math.isqrt(disc)
-            if rt * rt != disc:
-                continue
-            for a in ((s + rt) // 2, (s - rt) // 2):
-                if (s + rt) % 2 and a == (s + rt) // 2:
-                    continue
-                if (s - rt) % 2 and a == (s - rt) // 2:
-                    continue
-                c = s - a
-                if a * d + b * c == f1:
-                    return True
+            qs, pr = map(math.isqrt, discs)
+            q, s = (t + qs) // 2, (t - qs) // 2
+            p, r = (a + pr) // 2, (a - pr) // 2
+            if p * s + q * r == c or r * s + q * p == c:
+                return True
         return False
-
-
-def _signed_divisors(n: int):
-    n = abs(n)
-    ds = set()
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            ds |= {d, n // d}
-    return [d for a in sorted(ds) for d in (a, -a)]
 
 
 @dataclass
@@ -447,15 +437,16 @@ class LatticeData:
     rank: int
 
 
-def gamma_lattice(field: NumberField, gens) -> LatticeData:
+def gamma_lattice(field: NumberField, gens, units: UnitGroup) -> LatticeData:
     """Preimage lattice of the positive units in the trace-zero hyperplane.
 
     The basis consists of the log vectors of the free positive generators,
     together with the reduced lattice generated by the kernel vectors
     2*pi*i per complex place and, for totally complex fields, the torsion
-    preimages: a root of unity other than 1 is a positive unit only when
-    there is no real place.  Rank must come out to n - 1 exactly (r + s - 1
-    free part plus s from the kernel/torsion).
+    preimages of the torsion generator of `units`: a root of unity other
+    than 1 is a positive unit only when there is no real place.  Rank must
+    come out to n - 1 exactly (r + s - 1 free part plus s from the
+    kernel/torsion).
     """
     r, s = field.signature
     n = field.degree
@@ -466,8 +457,7 @@ def gamma_lattice(field: NumberField, gens) -> LatticeData:
     if s:
         tor_gen, tor_order = one(field), 1
         if r == 0:
-            grp = find_units(field, 1)
-            tor_gen, tor_order = grp.torsion_generator, grp.torsion_order
+            tor_gen, tor_order = units.torsion_generator, units.torsion_order
         imag_rows = []
         if tor_order > 1:
             _, cplx = field.embed(tor_gen)
@@ -698,7 +688,7 @@ def build_liealg_pair(field: NumberField, box_bound: int | None = None) -> PairR
         box_bound = _default_box(field)
     units = find_units(field, box_bound)
     pos = positive_units(units, field)
-    lattice = gamma_lattice(field, pos)
+    lattice = gamma_lattice(field, pos, units)
     preset = None
     cert = None
     if field.is_totally_real:

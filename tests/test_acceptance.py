@@ -22,7 +22,7 @@ def test_criterion_01_sqrt2_pipeline():
     field = numfield.field_from_poly([-2, 0, 1])
     grp = numfield.find_units(field, 40)
     pos = numfield.positive_units(grp, field)
-    lat = numfield.gamma_lattice(field, pos)
+    lat = numfield.gamma_lattice(field, pos, grp)
     elapsed = time.perf_counter() - t0
     assert pos[0].coords == (3, 2)
     assert lat.monodromy == [[[3, 4], [2, 3]]]
@@ -39,7 +39,7 @@ def test_criterion_02_gauss_pipeline():
     field = numfield.field_from_poly([1, 0, 1])
     grp = numfield.find_units(field, 1)
     pos = numfield.positive_units(grp, field)
-    lat = numfield.gamma_lattice(field, pos)
+    lat = numfield.gamma_lattice(field, pos, grp)
     elapsed = time.perf_counter() - t0
     assert grp.rank == 0
     assert sorted(u.coords for u in grp.torsion) == [

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -180,6 +181,68 @@ def test_reports_are_byte_identical(capture):
     _, out1 = capture(args)
     _, out2 = capture(args)
     assert out1 == out2
+
+
+# sha256 of default --json reports of exact commands, pinned before the
+# d-of-a-blade table replaced the unit-Form construction of d; the geiges
+# command is left out because its residual comes from a float eigensolver
+GOLDEN_REPORTS = [
+    ("verify-pair totreal:1",
+     "b2acd25baffaffd791681dab01f1e26e275812ca70eb657b99e76c57509d74ef"),
+    ("verify-pair totreal:2",
+     "7ca032488c76aff10202a2c027ad1053abd544447cf3b807f5b3798d81796a4f"),
+    ("verify-pair totreal:3",
+     "6cd629cffb1e289b3534354a7e4c5d8b1165b9b44613308d8831e634c5262839"),
+    ("verify-pair totreal:4",
+     "ea4999fcddde81fdf3088b6835c27a169787d526d7e076e7bb8206f93fe8bc94"),
+    ("verify-pair totreal:5",
+     "81d642208ac473ff20689f1db3f779da5ef665c0a8d39b0f72022b7d80f48fca"),
+    ("verify-pair grs1:2,0",
+     "02bbddc78a668cf7bd311fc85a6c3dcb550799e3b5351574dc0301e7bcbb0bdc"),
+    ("verify-pair grs1:3,0",
+     "d9d18b9d5c21e598daa5e4c4b08268b59bd9d40ec5fe230dafd797ee476683bd"),
+    ("verify-pair grs1:4,0",
+     "5494405060bfb1891d721e2ecac383962d70500aea87ce0ee17b008a0169b231"),
+    ("verify-pair geiges:3",
+     "281e95b5e60485a7b04786a80a4f02231243e5aef683a851bc1da93b8e01b7da"),
+    ("verify-pair geiges:4",
+     "b977842c19c44685140751735ec90c3aeb26b3b98409e264031b6b17939dabe8"),
+    ("verify-pair geiges:5",
+     "1d5833b275e7adaae6567d01be71e4161edd4e6dd8cf2e439fb6d2d7303757cb"),
+    ("verify-pair sol:2,1,1,1",
+     "94fe360dab3a99a0a2b5ad486797a7abaca296ae8401e6b54d2142e540272e03"),
+    ("verify-pair sol:3,2,1,1",
+     "d569dd90026d1bbf58604d04766530d6661bbe61110a56dc914c55b3d248b4a1"),
+    ("verify-contact totreal:3 alpha_plus",
+     "6d670c2e4d38bb4316898c61dfecb45daa49068279dd37c7fb40ce89ce469c61"),
+    ("verify-contact aff_c liouville",
+     "199f2c0a95f48bc089c002d01c4f2d663e8513908bf901ed6d5a9ceab0252f1c"),
+]
+
+
+@pytest.mark.parametrize("case, digest", GOLDEN_REPORTS)
+def test_exact_reports_match_golden_bytes(capture, case, digest):
+    command, preset, *form = case.split()
+    argv = [command, "--preset", preset, "--json"]
+    code, out = capture(argv + (["--form", *form] if form else []))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_numfield_torsion_from_the_main_unit_search(capture):
+    # X^4 + 3 is totally complex and its free unit -2 - 2X - X^2 lies
+    # outside |coords| <= 1; a second torsion search in that box once
+    # ended in "unit rank 0 below Dirichlet rank 1"
+    from liouville_lab._poly import int_det
+
+    code, out = capture(["numfield", "--poly", "3,0,0,0,1", "--box", "2",
+                         "--monodromy", "--json"])
+    assert code == 0
+    detail = json.loads(out)["detail"]
+    assert detail["units"]["rank"] == 1
+    assert detail["units"]["torsion_order"] == 2
+    assert detail["lattice_rank"] == 3
+    assert all(int_det(m) == 1 for m in detail["monodromy"])
 
 
 def test_seed_is_recorded(capture):

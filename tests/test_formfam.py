@@ -492,11 +492,14 @@ def reference_dblade(pf, mask):
     for pos, i in enumerate(idxs):
         if pf.algebra is None or i < pf.offset:
             continue  # parameter and static covectors are closed
-        base = pf.algebra._d1()[i - pf.offset]
-        if base.is_zero():
+        k = i - pf.offset
+        # d(e^k) = -sum_{a<b} c^k_ab e^a ^ e^b, straight from the brackets
+        base = {(1 << a) | (1 << b): -row[k]
+                for (a, b), row in pf.algebra.brackets.items() if k in row}
+        if not base:
             continue
         di = Form(cf, 2, {m << pf.offset: float(c)
-                          for m, c in base.terms.items()}, FLOAT64)
+                          for m, c in base.items()}, FLOAT64)
         before = Form(cf, pos, {blade_mask(idxs[:pos]): 1.0}, FLOAT64)
         after = Form(cf, len(idxs) - pos - 1,
                      {blade_mask(idxs[pos + 1:]): 1.0}, FLOAT64)

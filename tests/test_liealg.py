@@ -2,9 +2,57 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liouville_lab import liealg
-from liouville_lab.exterior import Form
+from liouville_lab.exterior import EXACT, FLOAT64, Form, blade_mask, mask_blade
+
+
+def dense_jacobi(g):
+    """The dense O(n^5) Jacobi loop over structure constants, kept as a
+    reference for `d_squared_check`."""
+    n = g.dim
+    c = g.structure_constant
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(n):
+                    s = Q(0)
+                    for m in range(n):
+                        s += c(i, j, m) * c(m, k, l)
+                        s += c(j, k, m) * c(m, i, l)
+                        s += c(k, i, m) * c(m, j, l)
+                    if s != 0:
+                        return False
+    return True
+
+
+def wedge_ce_differential(g, a):
+    """d by unit Forms and two wedges per blade position, kept as a
+    reference for `LieAlgebra.ce_differential`."""
+    cf = g.coframe()
+    if a.degree == 0:
+        return Form.zero(cf, min(1, g.dim), a.ring)
+    if a.degree == g.dim:
+        return Form.zero(cf, g.dim, a.ring)
+    d1 = [Form(cf, 2, {(1 << i) | (1 << j): -row[k]
+                       for (i, j), row in g.brackets.items() if k in row})
+          for k in range(g.dim)]
+    out = Form.zero(cf, a.degree + 1, a.ring)
+    for mask, c in a.terms.items():
+        idxs = mask_blade(mask)
+        for pos, i in enumerate(idxs):
+            di = d1[i] if a.ring.exact else d1[i].to_float()
+            if di.is_zero():
+                continue
+            before = Form(cf, pos, {blade_mask(idxs[:pos]): 1}, a.ring)
+            after_idx = idxs[pos + 1:]
+            after = Form(cf, len(after_idx), {blade_mask(after_idx): 1},
+                         a.ring)
+            sign = -1 if pos % 2 else 1
+            out = out + (sign * c) * before.wedge(di).wedge(after)
+    return out
 
 
 def test_aff_c_structure_equations():
@@ -52,6 +100,15 @@ def test_broken_jacobi_rejected():
         liealg.LieAlgebra(("a", "b", "c"), brackets)
 
 
+def test_bracket_indices_out_of_range_rejected():
+    names = ("a", "b")
+    with pytest.raises(liealg.StructureConstantError, match="i < j"):
+        liealg.LieAlgebra(names, {(1, 0): {0: 1}})
+    for k in (2, -1):
+        with pytest.raises(liealg.StructureConstantError, match="range"):
+            liealg.LieAlgebra(names, {(0, 1): {k: 1}})
+
+
 PRESET_KEYS = [
     "aff_r", "aff_c", "grs:1,1", "grs1:1,0", "grs1:2,0", "grs1:3,0",
     "grs1:2,1", "grs1:0,1", "totreal:1", "totreal:2", "totreal:3",
@@ -63,13 +120,96 @@ PRESET_KEYS = [
 @pytest.mark.parametrize("key", PRESET_KEYS)
 def test_presets_satisfy_jacobi_and_d_squared(key):
     p = liealg.preset(key)
-    assert p.algebra.jacobi_check()
+    assert dense_jacobi(p.algebra)
     assert p.algebra.d_squared_check()
 
 
 def test_abelian_is_trivially_ok():
     g = liealg.LieAlgebra(tuple(f"e{i}" for i in range(4)), {})
-    assert g.jacobi_check() and g.d_squared_check()
+    assert dense_jacobi(g) and g.d_squared_check()
+
+
+def test_jacobi_wrappers_are_gone():
+    assert not hasattr(liealg.LieAlgebra, "jacobi_check")
+    for name in ("jacobi_check", "d_squared_check", "ce_differential"):
+        assert not hasattr(liealg, name)
+
+
+# -- the d-of-a-blade kernel against the references it replaced ---------------
+
+COEFFS = [-2, -1, 1, 2, Q(1, 2), Q(-3, 2), Q(1, 3), Q(-2, 5)]
+
+
+@st.composite
+def bracket_tables(draw):
+    """(dim, brackets): random sparse tables, or semidirect sums of
+    commuting diagonal matrices, which satisfy Jacobi."""
+    n = draw(st.integers(1, 7))
+    if n >= 2 and draw(st.booleans()):
+        p = draw(st.integers(1, n - 1))
+        brackets = {}
+        for i in range(p):
+            for j in range(p, n):
+                lam = draw(st.sampled_from([0] + COEFFS))
+                if lam:
+                    brackets[(i, j)] = {j: lam}
+        return n, brackets
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = {}
+    for pair in draw(st.lists(st.sampled_from(pairs), max_size=6,
+                              unique=True)) if pairs else []:
+        ks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2,
+                           unique=True))
+        brackets[pair] = {k: draw(st.sampled_from(COEFFS)) for k in ks}
+    return n, brackets
+
+
+def _algebra(table):
+    n, brackets = table
+    return liealg.LieAlgebra(tuple(f"e{i}" for i in range(n)), brackets,
+                             check=False)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(bracket_tables())
+def test_d_squared_check_matches_dense_jacobi(table):
+    g = _algebra(table)
+    ok = dense_jacobi(g)
+    assert g.d_squared_check() == ok
+    if ok:
+        liealg.LieAlgebra(g.names, g.brackets)
+    else:
+        with pytest.raises(liealg.StructureConstantError, match="Jacobi"):
+            liealg.LieAlgebra(g.names, g.brackets)
+
+
+FLOATS = [1.0, -1.0, 2.0, 0.1, -0.7, 1 / 3, 1e-3, -2.5e5, 3.0000000000000004]
+
+
+@st.composite
+def forms_on(draw, g, ring):
+    degree = draw(st.integers(0, g.dim))
+    blades = [m for m in range(1 << g.dim) if m.bit_count() == degree]
+    masks = draw(st.lists(st.sampled_from(blades), min_size=1, max_size=6,
+                          unique=True))
+    coeff = st.sampled_from(COEFFS if ring is EXACT else FLOATS)
+    return Form(g.coframe(), degree, {m: draw(coeff) for m in masks}, ring)
+
+
+def _terms(a):
+    if a.ring.exact:
+        return list(a.terms.items())
+    return [(m, c.hex()) for m, c in a.terms.items()]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data(), bracket_tables(), st.sampled_from([EXACT, FLOAT64]))
+def test_ce_differential_matches_wedge_construction(data, table, ring):
+    g = _algebra(table)
+    a = data.draw(forms_on(g, ring))
+    got, want = g.ce_differential(a), wedge_ce_differential(g, a)
+    assert got.degree == want.degree and got.ring is want.ring
+    assert _terms(got) == _terms(want)
 
 
 def test_semidirect_zero_action_is_abelian():

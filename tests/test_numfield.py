@@ -1,6 +1,9 @@
 import math
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liouville_lab import numfield as nf
 
@@ -113,7 +116,7 @@ def test_pell_oracle_agrees_with_box_search():
 def test_gamma_lattice_sqrt2():
     grp = nf.find_units(SQRT2, 40)
     pos = nf.positive_units(grp, SQRT2)
-    lat = nf.gamma_lattice(SQRT2, pos)
+    lat = nf.gamma_lattice(SQRT2, pos, grp)
     assert lat.rank == 1
     vec = lat.gamma_basis[0]
     assert abs(vec[0] - math.log(3 + 2 * math.sqrt(2))) <= 1e-10
@@ -124,7 +127,7 @@ def test_gamma_lattice_sqrt2():
 def test_gamma_lattice_gauss():
     grp = nf.find_units(GAUSS, 1)
     pos = nf.positive_units(grp, GAUSS)
-    lat = nf.gamma_lattice(GAUSS, pos)
+    lat = nf.gamma_lattice(GAUSS, pos, grp)
     assert lat.rank == 1
     vec = lat.gamma_basis[0]
     assert abs(vec[0] - complex(0, math.pi / 2)) <= 1e-10
@@ -132,7 +135,7 @@ def test_gamma_lattice_gauss():
 
 
 def test_gamma_lattice_rational_is_trivial():
-    lat = nf.gamma_lattice(RAT, [])
+    lat = nf.gamma_lattice(RAT, [], nf.find_units(RAT, 1))
     assert lat.rank == 0
     assert lat.gamma_basis == []
 
@@ -260,3 +263,68 @@ def test_complex_cubic_pipeline():
     assert len(rep.lattice.monodromy) == 1
     import liouville_lab._poly as poly
     assert poly.int_det(rep.lattice.monodromy[0]) == 1
+
+
+# -- the resolvent-cubic split test against the divisor search it replaced -----
+
+
+def divisor_split(coeffs):
+    """(X^2 + aX + b)(X^2 + cX + d) by trial division of f(0) != 0, the
+    search `Poly._has_quadratic_factor` replaced, kept as a reference."""
+    f0, f1, f2, f3 = coeffs[:4]
+    n = abs(f0)
+    divisors = {d for k in range(1, math.isqrt(n) + 1) if n % k == 0
+                for d in (k, n // k)}
+    for b in [d for a in sorted(divisors) for d in (a, -a)]:
+        d = f0 // b
+        s = f3                       # a + c
+        m = f2 - b - d               # a * c
+        disc = s * s - 4 * m
+        if disc < 0:
+            continue
+        rt = math.isqrt(disc)
+        if rt * rt != disc:
+            continue
+        for a in ((s + rt) // 2, (s - rt) // 2):
+            if (s + rt) % 2 and a == (s + rt) // 2:
+                continue
+            if (s - rt) % 2 and a == (s - rt) // 2:
+                continue
+            if a * d + b * (s - a) == f1:
+                return True
+    return False
+
+
+small = st.integers(-30, 30)
+
+
+@st.composite
+def quartics(draw):
+    """(ascending coefficients, split by construction) with f(0) != 0."""
+    if draw(st.booleans()):
+        p, r = draw(small), draw(small)
+        q, s = (draw(small.filter(bool)) for _ in range(2))
+        return (q * s, p * s + q * r, q + s + p * r, p + r, 1), True
+    a, b, c = draw(small), draw(small), draw(small)
+    d = draw(st.integers(-3000, 3000).filter(bool))
+    return (d, c, b, a, 1), None
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(quartics())
+def test_resolvent_split_matches_divisor_search(case):
+    coeffs, split = case
+    got = nf.Poly._has_quadratic_factor(coeffs)
+    assert got == divisor_split(coeffs)
+    if split:
+        assert got
+
+
+def test_split_test_on_large_constant_term_is_fast():
+    # trial division of f(0) ran for more than a minute here
+    t0 = time.perf_counter()
+    assert nf.Poly((10 ** 18 + 3, 0, 0, 0, 1)).degree == 4
+    assert time.perf_counter() - t0 < 1.0
+    q = 10 ** 9 + 7
+    with pytest.raises(nf.FieldError, match="two quadratics"):
+        nf.Poly((q * (q + 2), 0, 2 * q + 2, 0, 1))  # (X^2+q)(X^2+q+2)

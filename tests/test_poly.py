@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as Q
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -196,3 +197,36 @@ def test_rational_roots_of_large_prime_roots():
         assert poly.rational_roots(p) == [(Q(prime), 2)]
         q = poly.mul(poly.poly([-1, 3 * prime]), poly.poly([2, 0, 1]))
         assert poly.rational_roots(q) == [(Q(1, 3 * prime), 1)]
+
+
+# real roots on the grid k/4, endpoints on the grid 1/8 + k/4: every root is
+# at least 1/8 from every endpoint and 1/4 from every other root
+grid_roots = st.lists(st.integers(-32, 32), max_size=5, unique=True)
+endpoints = st.integers(-36, 36).map(lambda k: Q(2 * k + 1, 8))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    roots=grid_roots,
+    complex_pairs=st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)),
+                           max_size=2),
+    lead=st.sampled_from([Q(1), Q(-2), Q(3, 5)]),
+    a=endpoints, b=endpoints,
+)
+def test_sturm_counts_match_numpy_roots(roots, complex_pairs, lead, a, b):
+    # complex factors (x - u)^2 + v^2 keep |Im| >= 1, so numpy's real
+    # roots are exactly those with a tiny imaginary part
+    p = poly.poly([lead])
+    for k in roots:
+        p = poly.mul(p, poly.poly([Q(-k, 4), 1]))
+    for u, v in complex_pairs:
+        p = poly.mul(p, poly.poly([u * u + v * v, -2 * u, 1]))
+    a, b = min(a, b), max(a, b)
+    if poly.degree(p) < 1:
+        return
+    found = np.roots([float(c) for c in reversed(p)])
+    real = sorted(z.real for z in found if abs(z.imag) < 1e-6)
+    assert len(real) == len(roots)
+    inside = sum(1 for x in real if a < x < b)
+    assert poly.count_roots(p, a, b) == inside
+    assert poly.count_roots_above(p, a) == sum(1 for x in real if x > a)
