@@ -206,18 +206,14 @@ def semidirect_sum(action, base_names, fiber_names) -> LieAlgebra:
     """Abelian base acting on an abelian fiber: [a_i, v] = A_i v.
 
     `action` is one matrix per base generator; the matrices must commute
-    exactly or the construction raises.
+    exactly or the construction raises.  For this bracket the Jacobi
+    identity, checked by the constructor as d^2 = 0, says exactly that.
     """
     mats = [[[Q(x) for x in row] for row in m] for m in action]
     p, q = len(base_names), len(fiber_names)
     for m in mats:
         if len(m) != q or any(len(r) != q for r in m):
             raise ValueError("action matrix size does not match fiber dimension")
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            if (_poly.mat_mul(mats[a], mats[b])
-                    != _poly.mat_mul(mats[b], mats[a])):
-                raise StructureConstantError("action matrices do not commute")
     names = tuple(base_names) + tuple(fiber_names)
     brackets = {}
     for i, m in enumerate(mats):
@@ -225,7 +221,10 @@ def semidirect_sum(action, base_names, fiber_names) -> LieAlgebra:
             row = {p + k: m[k][j] for k in range(q) if m[k][j] != 0}
             if row:
                 brackets[(i, p + j)] = row
-    return LieAlgebra(names, brackets)
+    try:
+        return LieAlgebra(names, brackets)
+    except StructureConstantError as exc:
+        raise StructureConstantError("action matrices do not commute") from exc
 
 
 # -- certificates --------------------------------------------------------------

@@ -3,13 +3,14 @@
 The working order is Z[X]/(f) for a monic integer polynomial f of degree at
 most 4.  Norms are exact integers (determinant of the multiplication
 matrix, which equals the resultant Res(f, g) for monic f); unit discovery
-is a bounded coordinate-box search with exact norm filtering, cross-checked
-for real quadratic fields against a continued-fraction Pell oracle.  The
-log-embedding vectors of the positive units, together with the exponential
-kernel contributions 2*pi*i per complex place and, for totally complex
-fields, the torsion preimages, span the rank n-1 lattice whose monodromy
-matrices glue the torus bundle.  The torsion comes from the same box
-search as the free units.
+is a bounded coordinate-box search whose norm filter is one exact batched
+determinant per slice of the box (int64 within an overflow bound, Python
+ints beyond it), cross-checked for real quadratic fields against a
+continued-fraction Pell oracle.  The log-embedding vectors of the positive
+units, together with the exponential kernel contributions 2*pi*i per
+complex place and, for totally complex fields, the torsion preimages, span
+the rank n-1 lattice whose monodromy matrices glue the torus bundle.  The
+torsion comes from the same box search as the free units.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -263,28 +263,21 @@ def norm(field: NumberField, x: OrderElement) -> int:
 
 
 def invert_unit(field: NumberField, u: OrderElement) -> OrderElement:
-    """Inverse of a unit (|norm| = 1) via the adjugate, exactly."""
+    """Inverse of a unit (|norm| = 1) via the adjugate, exactly.
+
+    u^-1 is column 0 of M(u)^-1 = det * adj(M(u)), whose entry i is
+    (-1)^i times the minor of M(u) without row 0 and column i.
+    """
     m = mult_matrix(field, u)
     det = _poly.int_det(m)
     if det not in (1, -1):
         raise ValueError("element is not a unit")
-    n = field.degree
-    inv = _int_matrix_inverse_unimodular(m, det)
-    return OrderElement(tuple(inv[i][0] for i in range(n)))
-
-
-def _int_matrix_inverse_unimodular(m, det):
-    n = len(m)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [m[a][b] for b in range(n) if b != j]
-                for a in range(n) if a != i
-            ]
-            cof = _poly.int_det(minor) if n > 1 else 1
-            adj[j][i] = (-1) ** (i + j) * cof
-    return [[x * det for x in row] for row in adj]  # det in {1,-1}
+    if field.degree == 1:
+        return OrderElement((det,))
+    return OrderElement(tuple(
+        (-1) ** i * det * _poly.int_det([row[:i] + row[i + 1:] for row in m[1:]])
+        for i in range(field.degree)
+    ))
 
 
 def log_vector(field: NumberField, u: OrderElement):
@@ -315,13 +308,7 @@ def find_units(field: NumberField, box_bound: int) -> UnitGroup:
     if (2 * box_bound + 1) ** n > 10 ** 6:
         raise ValueError("box too large: more than 10^6 candidates")
     r, s = field.signature
-    units = []
-    for coords in product(range(-box_bound, box_bound + 1), repeat=n):
-        if all(c == 0 for c in coords):
-            continue
-        u = OrderElement(coords)
-        if _poly.int_det(mult_matrix(field, u)) in (1, -1):
-            units.append(u)
+    units = _box_units(field, box_bound)
     torsion, free_candidates = [], []
     for u in units:
         lv = log_vector(field, u)
@@ -342,6 +329,64 @@ def find_units(field: NumberField, box_bound: int) -> UnitGroup:
             "increase box_bound"
         )
     return UnitGroup(torsion, tor_gen, tor_order, free, len(free))
+
+
+_BOX_SLICE = 8192  # candidates per batched determinant
+
+
+def _box_units(field, box_bound):
+    """Elements with |c_i| <= box_bound and exact norm +-1, in product order.
+
+    M(u) = sum_k c_k M(X^k), so each slice of the box, taken in the order of
+    `itertools.product`, is one einsum over the basis matrices and one
+    batched cofactor determinant, on the dtype `_search_dtype` allows.  The
+    zero vector has determinant 0 and never passes.
+    """
+    n = field.degree
+    basis = [mult_matrix(field, OrderElement([int(i == k) for i in range(n)]))
+             for k in range(n)]
+    dtype = _search_dtype(basis, box_bound)
+    basis = np.array(basis, dtype=dtype)
+    side = max(0, 2 * box_bound + 1)
+    total = side ** n
+    hits = []
+    for start in range(0, total, _BOX_SLICE):
+        flat = np.arange(start, min(start + _BOX_SLICE, total))
+        coords = np.stack(np.unravel_index(flat, (side,) * n), axis=-1)
+        coords = (coords - box_bound).astype(dtype)
+        det = _cofactor_det(np.einsum("ck,kij->cij", coords, basis))
+        hits.extend(OrderElement(c) for c in coords[np.abs(det) == 1])
+    return hits
+
+
+def _search_dtype(basis, box_bound):
+    """int64 when no determinant over the box can overflow, else object.
+
+    Entries are at most box_bound * sum_k |M(X^k)_ij|, so every term and
+    partial sum of the cofactor expansion is at most n! * prod_i max_j of
+    that bound; int64 is exact while this stays below 2^62.
+    """
+    n = len(basis)
+    bound = math.factorial(n)
+    for i in range(n):
+        bound *= max(box_bound * sum(abs(m[i][j]) for m in basis)
+                     for j in range(n))
+    return np.int64 if bound < 2 ** 62 else object
+
+
+def _cofactor_det(m):
+    """Determinants of a stack of k x k matrices by Laplace expansion.
+
+    Exact on int64 within the caller's bound and on Python ints (k <= 4).
+    """
+    k = m.shape[-1]
+    if k == 1:
+        return m[..., 0, 0]
+    det = 0
+    for j in range(k):
+        term = m[..., 0, j] * _cofactor_det(np.delete(m[..., 1:, :], j, axis=-1))
+        det = det - term if j % 2 else det + term
+    return det
 
 
 def _is_root_of_unity(field, u) -> bool:
@@ -386,12 +431,11 @@ def _greedy_rank_filter(field, candidates, rank_target):
 
 
 def _residual_norm(basis, v):
+    """Distance from v to the span of the vectors in `basis`."""
     v = np.array(v, dtype=float)
-    for b in basis:
-        b = np.array(b, dtype=float)
-        nb = np.dot(b, b)
-        if nb > 0:
-            v = v - (np.dot(v, b) / nb) * b
+    if basis:
+        a = np.array(basis, dtype=float).T
+        v = v - a @ np.linalg.lstsq(a, v, rcond=None)[0]
     return float(np.linalg.norm(v))
 
 

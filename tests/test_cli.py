@@ -245,6 +245,22 @@ def test_numfield_torsion_from_the_main_unit_search(capture):
     assert all(int_det(m) == 1 for m in detail["monodromy"])
 
 
+@pytest.mark.parametrize("poly", ["2,0,-4,0,1", "4,0,-6,0,1", "3,0,-6,0,1"])
+def test_numfield_rank_filter_takes_the_span(capture, poly):
+    # totally real quartics whose shortest units have dependent logs: a
+    # filter that projected onto each chosen log in turn kept a third
+    # generator of log rank 2 and the lattice check raised ArithmeticError
+    from liouville_lab._poly import int_det
+
+    code, out = capture(["numfield", "--poly", poly, "--monodromy", "--json"])
+    assert code == 0
+    detail = json.loads(out)["detail"]
+    assert detail["units"]["rank"] == 3
+    assert detail["lattice_rank"] == 3
+    assert len(detail["monodromy"]) == 3
+    assert all(int_det(m) == 1 for m in detail["monodromy"])
+
+
 def test_seed_is_recorded(capture):
     code, out = capture(["suite", "--name", "interpolation", "--trials", "5",
                          "--seed", "7", "--json"])

@@ -1,10 +1,13 @@
 import math
 import time
+from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from liouville_lab import _poly
 from liouville_lab import numfield as nf
 
 
@@ -222,6 +225,9 @@ def test_unit_inverse_is_exact():
     assert nf.multiply(SQRT2, u, inv).is_one()
     with pytest.raises(ValueError, match="unit"):
         nf.invert_unit(SQRT2, nf.OrderElement((2, 0)))
+    for field in (RAT, CUBIC, nf.field_from_poly([-1, 0, -3, 0, 1])):
+        for u in nf._box_units(field, 2):
+            assert nf.multiply(field, u, nf.invert_unit(field, u)).is_one()
 
 
 def test_discriminants():
@@ -328,3 +334,136 @@ def test_split_test_on_large_constant_term_is_fast():
     q = 10 ** 9 + 7
     with pytest.raises(nf.FieldError, match="two quadratics"):
         nf.Poly((q * (q + 2), 0, 2 * q + 2, 0, 1))  # (X^2+q)(X^2+q+2)
+
+
+# -- batched unit search ----------------------------------------------------------
+
+
+def reference_box_units(field, box_bound):
+    """The per-candidate search: one Python mult matrix and int_det each."""
+    units = []
+    for coords in product(range(-box_bound, box_bound + 1),
+                          repeat=field.degree):
+        if all(c == 0 for c in coords):
+            continue
+        u = nf.OrderElement(coords)
+        if _poly.int_det(nf.mult_matrix(field, u)) in (1, -1):
+            units.append(u)
+    return units
+
+
+def reference_find_units(field, units):
+    """`find_units` on the units of the per-candidate search."""
+    r, s = field.signature
+    torsion, free_candidates = [], []
+    for u in units:
+        size = math.sqrt(sum(v * v for v in nf.log_vector(field, u)))
+        if size <= 1e-9 and nf._is_root_of_unity(field, u):
+            torsion.append(u)
+        else:
+            free_candidates.append((size, u))
+    tor_gen, tor_order = nf._torsion_generator(field, torsion)
+    free = nf._greedy_rank_filter(field, free_candidates, r + s - 1)
+    if len(free) < r + s - 1:
+        raise ValueError("increase box_bound")
+    return nf.UnitGroup(torsion, tor_gen, tor_order, free, len(free))
+
+
+def search_dtype(field, box_bound):
+    n = field.degree
+    basis = [nf.mult_matrix(field, nf.OrderElement([int(i == k) for i in range(n)]))
+             for k in range(n)]
+    return nf._search_dtype(basis, box_bound)
+
+
+def assert_same_search(field, box_bound):
+    got = [u.coords for u in nf._box_units(field, box_bound)]
+    assert all(type(c) is int for coords in got for c in coords)
+    units = reference_box_units(field, box_bound)
+    assert got == [u.coords for u in units]
+    try:
+        want = reference_find_units(field, units)
+    except ValueError:
+        with pytest.raises(ValueError, match="increase box_bound"):
+            nf.find_units(field, box_bound)
+        return
+    grp = nf.find_units(field, box_bound)
+    assert grp.torsion == want.torsion
+    assert grp.free_generators == want.free_generators
+    assert grp.torsion_order == want.torsion_order
+    assert grp.rank == want.rank
+
+
+@st.composite
+def monic_fields(draw):
+    n = draw(st.integers(1, 4))
+    coeffs = [draw(st.integers(-9, 9)) for _ in range(n)] + [1]
+    try:
+        return nf.field_from_poly(coeffs)
+    except nf.FieldError:
+        assume(False)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(monic_fields(), st.integers(1, 4))
+def test_batched_unit_search_matches_per_candidate_loop(field, box_bound):
+    assert_same_search(field, box_bound)
+
+
+def test_batched_unit_search_whole_quartic_box():
+    # x^4 - 3x^2 - 1 at its default box: 83,521 candidates, every unit in order
+    field = nf.field_from_poly([-1, 0, -3, 0, 1])
+    assert search_dtype(field, 8) is np.int64
+    assert_same_search(field, 8)
+
+
+@pytest.mark.parametrize("coeffs", [[-1, 1], [5, 1]])
+def test_batched_unit_search_degree_one(coeffs):
+    field = nf.field_from_poly(coeffs)
+    for box_bound in (0, 1, 4):
+        assert_same_search(field, box_bound)
+    assert [u.coords for u in nf._box_units(field, 3)] == [(-1,), (1,)]
+
+
+def test_batched_unit_search_object_path():
+    # the overflow bound passes 2^62, so the box runs on Python ints
+    field = nf.field_from_poly([7, -900, 13, -17, 1])
+    assert search_dtype(field, 1) is np.int64
+    assert search_dtype(field, 2) is object
+    assert_same_search(field, 2)
+
+
+def test_cofactor_det_is_exact_on_python_ints():
+    rng = np.random.default_rng(7)
+    for k in range(1, 5):
+        mats = [[[int(x) * 10 ** 15 + int(y) for x, y in zip(rx, ry)]
+                 for rx, ry in zip(*rng.integers(-99, 99, (2, k, k)))]
+                for _ in range(20)]
+        got = nf._cofactor_det(np.array(mats, dtype=object))
+        assert list(got) == [_poly.int_det(m) for m in mats]
+
+
+@st.composite
+def totally_real_quartics(draw):
+    coeffs = [draw(st.integers(-3, 3)), draw(st.integers(-5, 5)),
+              draw(st.integers(-12, -2)), draw(st.integers(-3, 3)), 1]
+    try:
+        field = nf.field_from_poly(coeffs)
+    except nf.FieldError:
+        assume(False)
+    assume(field.is_totally_real)
+    return field
+
+
+@settings(derandomize=True, max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(totally_real_quartics())
+def test_free_generators_are_independent(field):
+    try:
+        grp = nf.find_units(field, 4)
+    except ValueError:
+        assume(False)
+    logs = np.array([nf.log_vector(field, u) for u in grp.free_generators])
+    assert grp.rank == 3
+    assert np.linalg.matrix_rank(logs, tol=1e-8) == grp.rank
