@@ -125,34 +125,43 @@ class ComplexStructure:
 
 
 def pfaffian(a: SkewForm) -> Fraction:
-    """Exact recursive-expansion Pfaffian of a rational skew form."""
+    """Exact Pfaffian of a rational skew form, by skew elimination."""
     if not a.exact:
         raise ValueError("exact Pfaffian requires a rational skew form")
-    value = _pf_rows(a.matrix)
+    value = _pf_elim(a.matrix)
     det = _poly.frac_det(a.matrix)
     if value * value != det:
         raise ArithmeticError("Pfaffian square differs from determinant")
     return value
 
 
-def _pf_rows(rows) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Q(1)
-    if n % 2:
-        return Q(0)
-    if n == 2:
-        return rows[0][1]
-    total = Q(0)
-    sign = 1
-    for j in range(1, n):
-        c = rows[0][j]
-        if c != 0:
-            keep = [k for k in range(1, n) if k != j]
-            sub = [[rows[a][b] for b in keep] for a in keep]
-            total += sign * c * _pf_rows(sub)
-        sign = -sign
-    return total
+def _pf_elim(rows) -> Fraction:
+    """Pfaffian by skew elimination, O(n^3): swap a nonzero a[k][j] into
+    column k+1 (a transposition flips the sign), then clear rows and columns
+    k, k+1 by a unimodular congruence, leaving p (+) A' with Pf = p Pf(A')."""
+    a = [row[:] for row in rows]
+    n = len(a)
+    pf = Q(1)
+    for k in range(0, n, 2):
+        piv = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+        if piv is None:
+            return Q(0)
+        if piv != k + 1:
+            a[k + 1], a[piv] = a[piv], a[k + 1]
+            for row in a:
+                row[k + 1], row[piv] = row[piv], row[k + 1]
+            pf = -pf
+        p = a[k][k + 1]
+        pf *= p
+        rk, rk1 = a[k], a[k + 1]
+        for i in range(k + 2, n):
+            ci, di = rk1[i] / p, rk[i] / p
+            if ci == 0 and di == 0:
+                continue
+            row = a[i]
+            for j in range(k + 2, n):
+                row[j] += rk[j] * ci - rk1[j] * di
+    return pf
 
 
 def is_nondegenerate(a: SkewForm) -> bool:
@@ -234,10 +243,7 @@ def segment_nondegenerate(a0: SkewForm, a1: SkewForm,
     Decided by the spectrum of B = A0^{-1} A1 (no negative real eigenvalue);
     cross-validated by sampling the determinant along the segment.
     """
-    b = pencil_endomorphism(a0, a1)
-    if not is_nondegenerate(a1):
-        raise ValueError("omega_1 is degenerate")
-    verdict = not _has_negative_real_eigenvalue(b)
+    verdict = ray_nondegenerate(a0, a1)
     if cross_validate:
         m0, m1 = a0.to_array(), a1.to_array()
         t = np.linspace(0.0, 1.0, samples)
@@ -253,10 +259,17 @@ def segment_nondegenerate(a0: SkewForm, a1: SkewForm,
 
 
 def ray_nondegenerate(a0: SkewForm, a1: SkewForm) -> bool:
-    """Whether w0 + t w1 stays symplectic for all t >= 0."""
+    """Whether w0 + t w1 stays symplectic for all t >= 0.
+
+    Rational pencils are decided exactly: B is invertible, so this is a Sturm
+    count of zero roots of its charpoly in (-root_bound, 0).
+    """
     b = pencil_endomorphism(a0, a1)
     if not is_nondegenerate(a1):
         raise ValueError("omega_1 is degenerate")
+    if a0.exact and a1.exact:
+        charpoly = _frac_charpoly(_frac_solve_matrix(a0.matrix, a1.matrix))
+        return _poly.count_roots(charpoly, -_poly.root_bound(charpoly), 0) == 0
     return not _has_negative_real_eigenvalue(b)
 
 
@@ -569,7 +582,7 @@ def _extract_complex_chains(b, m0, lam, space, eps):
         # conj(w_j)^T m0 u = 0 (the pairings not killed by eigenvalue
         # orthogonality); the helper conjugates its inputs internally
         constraints = [np.conj(v) for v in vs] + list(ws)
-        space = _complex_complement(m0, constraints, space)
+        space = _symplectic_complement(m0, constraints, space)
     return blocks, columns
 
 
@@ -597,16 +610,9 @@ def _solve_pairing_complex(m0, vs, conj_space, want_index):
 
 
 def _symplectic_complement(m0, extracted, space):
-    """Vectors of span(space) w0-orthogonal to all extracted vectors."""
-    cons = np.array([v @ m0 @ space for v in extracted])
-    _, s, vh = np.linalg.svd(cons)
-    rank = int(np.sum(s > 1e-10 * max(1.0, s[0] if len(s) else 1.0)))
-    null = vh[rank:].conj().T
-    return space @ null
-
-
-def _complex_complement(m0, constraint_vecs, space):
-    cons = np.array([np.conj(v) @ m0 @ space for v in constraint_vecs])
+    """Vectors u of span(space) with conj(v)^T m0 u = 0 for every extracted v
+    (for real vectors: w0-orthogonal to all of them)."""
+    cons = np.array([np.conj(v) @ m0 @ space for v in extracted])
     _, s, vh = np.linalg.svd(cons)
     rank = int(np.sum(s > 1e-10 * max(1.0, s[0] if len(s) else 1.0)))
     null = vh[rank:].conj().T
@@ -617,50 +623,62 @@ def _try_exact_reduce(a0: SkewForm, a1: SkewForm):
     """Exact reduction for rational pencils with rational, semisimple spectrum.
 
     Returns None when the spectrum is not rational or the endomorphism is
-    not diagonalizable; callers fall back to the float path.
+    not diagonalizable; callers fall back to the float path.  Each pairing
+    u^T M v dots the row u^T M, formed once per vector, with v, so every
+    step is O(n^3) Fraction operations.
     """
     n = a0.dim
     m0 = a0.matrix
     m1 = a1.matrix
     b = _frac_solve_matrix(m0, m1)
-    charpoly = _frac_charpoly(b)
-    roots = _poly.rational_roots(charpoly)
-    total = sum(m for _, m in roots)
-    if total != n:
+    roots = _poly.rational_roots(_frac_charpoly(b))
+    if sum(m for _, m in roots) != n:
         return None
     columns = []
     blocks = []
     for lam, mult in sorted(roots, key=lambda t: -t[0]):
-        kernel = _frac_kernel(_mat_sub_scaled(b, lam))
-        if len(kernel) != mult:
+        space = _frac_kernel(_mat_sub_scaled(b, lam))
+        if len(space) != mult:
             return None  # nontrivial Jordan structure: use floats
-        space = kernel
         while space:
+            # w0 is the first vector of the space that pairs with v0,
+            # scaled to w0(v0, w0) = 1; the rest is the w0-complement of both
             v0 = space[0]
-            w0 = _frac_pairing(m0, [v0], space, 0)
+            v_row = _frac_row(v0, m0)
+            pairs = [_dot(v_row, s) for s in space]
+            at = next((j for j, x in enumerate(pairs) if x != 0), None)
+            if at is None:
+                raise ArithmeticError("inconsistent pairing system")
+            w0 = [x / pairs[at] for x in space[at]]
             columns += [v0, w0]
             blocks.append(RealBlock(lam, 1))
-            space = _frac_symplectic_complement(m0, [v0, w0], space)
-    basis_cols = columns
-    basis = np.array([[float(x) for x in col] for col in zip(*basis_cols)])
-    t0 = [[_frac_bilinear(m0, u, v) for v in basis_cols] for u in basis_cols]
-    t1 = [[_frac_bilinear(m1, u, v) for v in basis_cols] for u in basis_cols]
+            w_row = _frac_row(w0, m0)
+            constraints = [pairs, [_dot(w_row, s) for s in space]]
+            space = [_frac_combine(c, space) for c in _frac_kernel(constraints)]
+    basis = np.array([[float(x) for x in col] for col in zip(*columns)])
     model0, model1 = _model_matrices(blocks)
+    rows0 = [_frac_row(u, m0) for u in columns]
     exact0 = all(
-        Q(t0[i][j]) == _float_to_frac(model0[i][j])
-        for i in range(n) for j in range(n)
-    )
-    r1 = max(
-        abs(float(t1[i][j]) - model1[i][j])
+        _dot(rows0[i], columns[j]) == model0[i][j]
         for i in range(n) for j in range(n)
     )
     if not exact0:
         return None
+    rows1 = [_frac_row(u, m1) for u in columns]
+    r1 = max(
+        abs(float(_dot(rows1[i], columns[j])) - model1[i][j])
+        for i in range(n) for j in range(n)
+    )
     return PencilBlocks(blocks, basis, 0.0, 0.0, r1)
 
 
-def _float_to_frac(x):
-    return Q(x).limit_denominator(10 ** 12)
+def _frac_row(u, m):
+    """The row vector u^T M, exactly."""
+    return [_dot(u, col) for col in zip(*m)]
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
 
 
 def _frac_solve_matrix(m0, m1):
@@ -693,29 +711,44 @@ def _frac_rref(aug, ncols_left):
 
 
 def _frac_charpoly(b):
-    """Characteristic polynomial via Faddeev-LeVerrier, exact."""
-    n = len(b)
-    coeffs = [Q(1)]
-    m = [[Q(0)] * n for _ in range(n)]
-    c = Q(1)
-    mk = m
-    for k in range(1, n + 1):
-        mk = _mat_add_diag(_poly.mat_mul(b, mk), c)
-        c = -Q(_frac_trace(_poly.mat_mul(b, mk)), k)
-        coeffs.append(c)
-    # coeffs are [1, c1, ..., cn] for lambda^n + c1 lambda^{n-1} + ...
-    return list(reversed(coeffs))
+    """Characteristic polynomial det(x - b), ascending, exact, in O(n^3).
 
-
-def _mat_add_diag(m, c):
-    out = [row[:] for row in m]
-    for i in range(len(m)):
-        out[i][i] += c
-    return out
-
-
-def _frac_trace(m):
-    return sum(m[i][i] for i in range(len(m)))
+    Similarities (row i -= u row m, column m += u column i, after a swap that
+    puts a nonzero pivot at h[m][m-1]) make b upper Hessenberg; det(x - H)
+    follows the recurrence of Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.2.9.
+    """
+    h = [row[:] for row in b]
+    n = len(h)
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1] != 0), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[m], h[piv] = h[piv], h[m]
+            for row in h:
+                row[m], row[piv] = row[piv], row[m]
+        t = h[m][m - 1]
+        for i in range(m + 1, n):
+            u = h[i][m - 1] / t
+            if u == 0:
+                continue
+            h[i] = h[i][:m - 1] + [x - u * y for x, y in
+                                   zip(h[i][m - 1:], h[m][m - 1:])]
+            for row in h:
+                row[m] += u * row[i]
+    polys = [[Q(1)]]
+    for m in range(1, n + 1):
+        p = _poly.mul([-h[m - 1][m - 1], Q(1)], polys[m - 1])
+        t = Q(1)
+        for i in range(1, m):
+            t *= h[m - i][m - i - 1]
+            if t == 0:
+                break
+            p = _poly.sub(p, _poly.scale(polys[m - i - 1],
+                                         t * h[m - i - 1][m - 1]))
+        polys.append(p)
+    return polys[n]
 
 
 def _mat_sub_scaled(b, lam):
@@ -745,47 +778,10 @@ def _frac_kernel(m):
     return kernel
 
 
-def _frac_bilinear(m, u, v):
-    n = len(m)
-    return sum(u[i] * m[i][j] * v[j] for i in range(n) for j in range(n))
-
-
 def _frac_combine(coeffs, space):
     """The vector sum_j coeffs[j] * space[j], exactly."""
     return [sum(c * s[i] for c, s in zip(coeffs, space))
             for i in range(len(space[0]))]
-
-
-def _frac_pairing(m0, vs, space, want):
-    rows = [[_frac_bilinear(m0, v, s) for s in space] for v in vs]
-    rhs = [Q(1) if i == want else Q(0) for i in range(len(vs))]
-    return _frac_combine(_frac_lstsq_exact(rows, rhs), space)
-
-
-def _frac_lstsq_exact(rows, rhs):
-    ncols = len(rows[0])
-    aug = [row[:] + [r] for row, r in zip(rows, rhs)]
-    _frac_rref(aug, ncols)
-    sol = [Q(0)] * ncols
-    for row in aug:
-        piv = None
-        for j in range(ncols):
-            if row[j] != 0:
-                piv = j
-                break
-        if piv is None:
-            if row[-1] != 0:
-                raise ArithmeticError("inconsistent pairing system")
-            continue
-        sol[piv] = row[-1]
-    return sol
-
-
-def _frac_symplectic_complement(m0, extracted, space):
-    """Vectors of span(space) w0-orthogonal to all extracted vectors."""
-    constraints = [[_frac_bilinear(m0, v, s) for s in space]
-                   for v in extracted]
-    return [_frac_combine(c, space) for c in _frac_kernel(constraints)]
 
 
 # -- cotamed construction ---------------------------------------------------------
@@ -798,7 +794,9 @@ def construct_cotamed(a0: SkewForm, a1: SkewForm, eps: float = 1e-3,
     Real blocks (eigenvalues are positive under the existence hypothesis)
     get the standard rotation per (v_j, w_j) pair; complex blocks get the
     phase structure J_phi with phi = pi - psi/2, psi = arg(mu + i nu).  The
-    result is verified against both forms; epsilon is halved on failure.
+    result is verified against both forms; epsilon is halved on failure.  An
+    exact reduction (eps 0) does not depend on epsilon, so its failure is
+    final after one attempt.
     """
     if not cotamed_exists(a0, a1):
         raise CotamedExistenceError("pencil admits no cotamed structure")
@@ -815,11 +813,12 @@ def construct_cotamed(a0: SkewForm, a1: SkewForm, eps: float = 1e-3,
             cand = ComplexStructure(j)
         except ValueError as err:
             last = err
-            current_eps /= 2
-            continue
-        if tames(a0, cand) and tames(a1, cand):
-            return cand
-        last = ArithmeticError("blockwise J failed a taming verification")
+        else:
+            if tames(a0, cand) and tames(a1, cand):
+                return cand
+            last = ArithmeticError("blockwise J failed a taming verification")
+        if reduction.eps == 0.0:
+            break
         current_eps /= 2
     raise RetryExhaustedError(
         f"cotamed construction failed after retries "

@@ -1,9 +1,15 @@
 import hashlib
 import json
+import random
 import time
+from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from liouville_lab import _poly
+from liouville_lab import symplin as sl
 from liouville_lab.cli import run
 
 
@@ -227,6 +233,132 @@ def test_exact_reports_match_golden_bytes(capture, case, digest):
     code, out = capture(argv + (["--form", *form] if form else []))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def grouped_model(real, complex_pairs=()):
+    """Exact model pair in the grouped layout: one (v, w) pair per real
+    eigenvalue, then (v1, v2, w1, w2) per complex pair (mu, nu)."""
+    size = 2 * len(real) + 4 * len(complex_pairs)
+    a0 = [[Q(0)] * size for _ in range(size)]
+    a1 = [[Q(0)] * size for _ in range(size)]
+    at = 0
+    for lam in real:
+        a0[at][at + 1], a0[at + 1][at] = Q(1), Q(-1)
+        a1[at][at + 1], a1[at + 1][at] = Q(lam), -Q(lam)
+        at += 2
+    for mu, nu in complex_pairs:
+        rot = ((mu, nu), (-nu, mu))
+        for i in range(2):
+            a0[at + i][at + 2 + i], a0[at + 2 + i][at + i] = Q(1), Q(-1)
+            for j in range(2):
+                a1[at + i][at + 2 + j] = Q(rot[i][j])
+                a1[at + 2 + j][at + i] = -Q(rot[i][j])
+        at += 4
+    return a0, a1
+
+
+def congruence(p, m):
+    """P^T M P, exactly."""
+    n = len(p)
+    mp = [[sum(m[i][k] * p[k][j] for k in range(n)) for j in range(n)]
+          for i in range(n)]
+    return [[sum(p[k][i] * mp[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def rational_pencil(seed, real, complex_pairs=()):
+    """Inline JSON of an integer congruence of the grouped model pair."""
+    a0, a1 = grouped_model(real, complex_pairs)
+    rng = random.Random(seed)
+    while True:
+        p = [[rng.randint(-2, 2) for _ in a0] for _ in a0]
+        if _poly.frac_det(p) != 0:
+            break
+    return [json.dumps([[str(x) for x in row] for row in congruence(p, m)])
+            for m in (a0, a1)]
+
+
+# sha256 of default --json reports of pencil-reduce and cotame, pinned
+# before the exact pencil path moved to Hessenberg charpolys, row-vector
+# congruences and the elimination Pfaffian; the matrices are passed inline
+# so that no temporary path enters the report
+PENCILS = {
+    "real4": rational_pencil(1, [Q(1, 2), 3]),
+    "real6": rational_pencil(2, [2, 2, Q(1, 3)]),
+    "real8": rational_pencil(3, [Q(1, 2), 3, Q(5, 3), Q(7, 4)]),
+    "complex4": rational_pencil(4, [], [(Q(1, 2), Q(3, 2))]),
+    "negative4": rational_pencil(5, [-2, 3]),
+    "prime": ["[[0, 1], [-1, 0]]",
+              "[[0, 1000000000039], [-1000000000039, 0]]"],
+}
+GOLDEN_PENCIL_REPORTS = [
+    ("pencil-reduce real4", 0,
+     "462ec48c4e3e85ae9429d136cd3000e2b0fdbb13d3bbe5a8c543da0810fda93d"),
+    ("cotame real4", 0,
+     "2880c2a82d9af5467dfa1a4af4a76f0ca11be215a8c28367ba094c686d272b20"),
+    ("pencil-reduce real6", 0,
+     "3c0761ddee649340b0a364798ec5be1265858fb6c49129cf12d3b131641ba66c"),
+    ("cotame real6", 0,
+     "0d46a2f026b9a76297e98794081ac3bec39e8bc3a651f673252aed265080d878"),
+    ("pencil-reduce real8", 0,
+     "ddc8eefb9df90c49c63326f18ebd3a746fb2210a6a78152639c7bc132390ba53"),
+    ("cotame real8", 0,
+     "c811f047eb122c88d9ca8796c1bc8325b318661723cac2438093a5beb42ece0c"),
+    ("pencil-reduce complex4", 0,
+     "cac7612bcbef801ad2b9422bffa54990f8ee12aede60d1751a6282f1359798f6"),
+    ("cotame complex4", 0,
+     "04c8e0c59cd47508e2e223fe92be8c373922419992fb39feeaf65cf560404f82"),
+    ("pencil-reduce negative4", 0,
+     "495b5b51e67ba274baac2afc32118452230acbbeb12a5c0eea6cccc8ed0a3b3c"),
+    ("cotame negative4", 1,
+     "0663f6a04bbda85be99c79f328f93aa4a4cac17bf8c7e37fa6553af3ef6e7bc2"),
+    ("pencil-reduce prime", 0,
+     "6c13ff6071edb344e349cb21759277a4b6edaaa07131a071059a52cd15fe8bc5"),
+    ("cotame prime", 0,
+     "9c76ae30173a4b0dfe8147beffe534981bce331b93ae8945e724e54bc8f4f31e"),
+]
+
+
+@pytest.mark.parametrize("case, exit_code, digest", GOLDEN_PENCIL_REPORTS)
+def test_pencil_reports_match_golden_bytes(capture, case, exit_code, digest):
+    command, name = case.split()
+    o0, o1 = PENCILS[name]
+    code, out = capture([command, "--omega0", o0, "--omega1", o1, "--json"])
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+RATIONAL_EIGENVALUES = [Q(1, 2), Q(2, 3), Q(1), Q(5, 4), Q(2), Q(7, 3),
+                        Q(3), Q(-1, 2), Q(-2)]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_reduce_then_reassemble_round_trip(data):
+    # rational pencils with rational spectrum (repeats allowed) take the
+    # exact path; its basis entries are rationals of small denominator, so
+    # the exact basis is recovered from the reported floats and transports
+    # w0 onto the block model exactly and w1 within omega1_residual
+    real = data.draw(st.lists(st.sampled_from(RATIONAL_EIGENVALUES),
+                              min_size=1, max_size=4))
+    n = 2 * len(real)
+    p = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n,
+                                    max_size=n), min_size=n, max_size=n))
+    assume(_poly.frac_det(p) != 0)
+    m0, m1 = grouped_model(real)
+    a0, a1 = sl.SkewForm(congruence(p, m0)), sl.SkewForm(congruence(p, m1))
+    red = sl.simultaneous_reduce(a0, a1)
+    assert red.eps == 0.0 and red.omega0_residual == 0.0
+    assert sorted(b.eigenvalue for b in red.blocks) == sorted(real)
+    basis = [[Q(float(x)).limit_denominator(10 ** 6) for x in row]
+             for row in red.basis]
+    assert all(float(x) == y for row, frow in zip(basis, red.basis)
+               for x, y in zip(row, frow))
+    model0, model1 = grouped_model([b.eigenvalue for b in red.blocks])
+    assert congruence(basis, a0.matrix) == model0
+    t1 = congruence(basis, a1.matrix)
+    assert max(abs(float(x - y)) for r, s in zip(t1, model1)
+               for x, y in zip(r, s)) <= red.omega1_residual
 
 
 def test_numfield_torsion_from_the_main_unit_search(capture):

@@ -3,7 +3,10 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from liouville_lab import _poly
 from liouville_lab import symplin as sl
 
 
@@ -360,3 +363,218 @@ def test_cocompatible_suite_small():
 def test_equivalence_suite_small():
     rep = sl.appendix_equivalence_suite(30, dims=(4, 6), seed=0)
     assert rep.mismatches == 0
+
+
+# -- exact pencil kernels against their former implementations ---------------------
+
+
+def faddeev_leverrier_charpoly(b):
+    """Reference charpoly (ascending): n exact matrix products, O(n^4)."""
+    n = len(b)
+    coeffs = [Q(1)]
+    mk = [[Q(0)] * n for _ in range(n)]
+    c = Q(1)
+    for k in range(1, n + 1):
+        mk = _poly.mat_mul(b, mk)
+        for i in range(n):
+            mk[i][i] += c
+        bm = _poly.mat_mul(b, mk)
+        c = -Q(sum(bm[i][i] for i in range(n)), k)
+        coeffs.append(c)
+    return list(reversed(coeffs))
+
+
+def pfaffian_by_expansion(rows):
+    """Reference Pfaffian: expansion along the first row, (n-1)!! leaves."""
+    n = len(rows)
+    if n == 0:
+        return Q(1)
+    total = Q(0)
+    sign = 1
+    for j in range(1, n):
+        c = rows[0][j]
+        if c != 0:
+            keep = [k for k in range(1, n) if k != j]
+            sub = [[rows[a][b] for b in keep] for a in keep]
+            total += sign * c * pfaffian_by_expansion(sub)
+        sign = -sign
+    return total
+
+
+RATIONAL = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
+
+
+def sparse_entries(data):
+    """Entry strategy whose share of zeros is drawn first (none to most)."""
+    zeros = data.draw(st.integers(0, 4))
+    return st.one_of(*[st.just(Q(0))] * zeros, RATIONAL)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.data())
+def test_hessenberg_charpoly_matches_faddeev_leverrier(data):
+    n = data.draw(st.integers(1, 12))
+    entry = sparse_entries(data)
+    b = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    assert sl._frac_charpoly(b) == faddeev_leverrier_charpoly(b)
+
+
+@pytest.mark.parametrize("b", [
+    [[1, 2, 3], [0, 4, 5], [6, 7, 8]],            # subdiagonal pivot swap
+    [[1, 2, 3], [0, 4, 5], [0, 7, 8]],            # zero column: skipped
+    [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]],
+    [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+    [[5]],
+])
+def test_hessenberg_charpoly_swap_and_skip(b):
+    b = [[Q(x) for x in row] for row in b]
+    assert sl._frac_charpoly(b) == faddeev_leverrier_charpoly(b)
+
+
+def skew_from_upper(n, upper):
+    rows = [[Q(0)] * n for _ in range(n)]
+    at = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j], rows[j][i] = upper[at], -upper[at]
+            at += 1
+    return rows
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_elimination_pfaffian_matches_expansion(data):
+    n = data.draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
+    entry = sparse_entries(data)
+    rows = skew_from_upper(n, data.draw(st.lists(
+        entry, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
+    if data.draw(st.booleans()):
+        rows = skew_from_upper(n, [Q(0)] * (n - 1) + [
+            rows[i][j] for i in range(1, n) for j in range(i + 1, n)])
+    pf = sl._pf_elim(rows)
+    assert pf * pf == _poly.frac_det(rows)
+    if n <= 8:
+        assert pf == pfaffian_by_expansion(rows)
+
+
+@pytest.mark.parametrize("upper, expected", [
+    ([0, 0, 0, 0, 0, 5], 0),       # zero first row
+    ([0, 3, 0, 0, 2, 0], -6),      # a[0][1] = 0: swap 1 <-> 2, sign flips
+    ([0, 0, 7, 1, 0, 0], 7),       # pivot in the last column
+    ([1, 0, 0, 0, 0, 1], 1),
+])
+def test_elimination_pfaffian_pivots(upper, expected):
+    rows = skew_from_upper(4, [Q(x) for x in upper])
+    assert sl._pf_elim(rows) == expected == pfaffian_by_expansion(rows)
+    assert sl.pfaffian(sl.SkewForm(rows)) == expected
+
+
+# -- one exact reduction per cotamed construction ------------------------------------
+
+
+def congruent_rational_pencil(real, p):
+    """(P^T A0 P, P^T A1 P) for the exact model pair of real eigenvalues."""
+    n = 2 * len(real)
+    a0 = [[Q(0)] * n for _ in range(n)]
+    a1 = [[Q(0)] * n for _ in range(n)]
+    for k, lam in enumerate(real):
+        a0[2 * k][2 * k + 1], a0[2 * k + 1][2 * k] = Q(1), Q(-1)
+        a1[2 * k][2 * k + 1], a1[2 * k + 1][2 * k] = Q(lam), -Q(lam)
+
+    def cong(m):
+        mp = _poly.mat_mul(m, p)
+        pt = [list(col) for col in zip(*p)]
+        return _poly.mat_mul(pt, mp)
+
+    return sl.SkewForm(cong(a0)), sl.SkewForm(cong(a1))
+
+
+P4 = [[Q(x) for x in row] for row in
+      [[1, 2, 0, -1], [0, 1, 3, 1], [2, 0, 1, 1], [1, -1, 0, 2]]]
+
+# an ill-conditioned rational pencil (eigenvalues 8/3, 4, 4/3): its exact
+# basis has cond ~2.4e4 and the float J built from it misses J^2 = -I
+ILL_CONDITIONED_O0 = [
+    [0, 6, -2, 8, 21, 3], [-6, 0, -1, 7, 6, 2], [2, 1, 0, 7, -11, 2],
+    [-8, -7, -7, 0, 17, 4], [-21, -6, 11, -17, 0, 12],
+    [-3, -2, -2, -4, -12, 0]]
+ILL_CONDITIONED_O1 = [
+    ["0", "24", "-88/3", "136/3", "48", "64/3"],
+    ["-24", "0", "4/3", "12", "28", "28/3"],
+    ["88/3", "-4/3", "0", "76/3", "-52/3", "-40/3"],
+    ["-136/3", "-12", "-76/3", "0", "136/3", "100/3"],
+    ["-48", "-28", "52/3", "-136/3", "0", "68/3"],
+    ["-64/3", "-28/3", "40/3", "-100/3", "-68/3", "0"]]
+
+
+@pytest.fixture
+def exact_reductions(monkeypatch):
+    calls = []
+    real = sl._try_exact_reduce
+
+    def counted(a0, a1):
+        calls.append((a0, a1))
+        return real(a0, a1)
+
+    monkeypatch.setattr(sl, "_try_exact_reduce", counted)
+    return calls
+
+
+def test_cotamed_reduces_an_exact_pencil_once(exact_reductions):
+    a0, a1 = congruent_rational_pencil([Q(1, 2), 3], P4)
+    j = sl.construct_cotamed(a0, a1)
+    assert sl.tames(a0, j) and sl.tames(a1, j)
+    assert len(exact_reductions) == 1
+
+
+def test_ill_conditioned_exact_pencil_fails_after_one_reduction(
+        exact_reductions):
+    a0 = sl.SkewForm([[Q(x) for x in row] for row in ILL_CONDITIONED_O0])
+    a1 = sl.SkewForm([[Q(x) for x in row] for row in ILL_CONDITIONED_O1])
+    with pytest.raises(sl.RetryExhaustedError) as err:
+        sl.construct_cotamed(a0, a1)
+    assert str(err.value) == (
+        "cotamed construction failed after retries (cond(A0)=1.07e+01, "
+        "cond(A1)=1.24e+01): matrix does not square to -identity")
+    assert len(exact_reductions) == 1
+
+
+def test_float_pencil_keeps_its_eps_retries(monkeypatch, exact_reductions):
+    # with every taming check failing, a float pencil is reduced once per
+    # eps halving and an exact one only once
+    seen = []
+    reduce = sl.simultaneous_reduce
+
+    def recorded(a0, a1, eps=1e-3, max_retries=6):
+        seen.append(eps)
+        return reduce(a0, a1, eps, max_retries)
+
+    monkeypatch.setattr(sl, "simultaneous_reduce", recorded)
+    monkeypatch.setattr(sl, "tames", lambda a, j, tol=1e-10: False)
+    a0, a1 = congruent_rational_pencil([Q(1, 2), 3], P4)
+    fa0, fa1 = sl.SkewForm(a0.to_array()), sl.SkewForm(a1.to_array())
+    with pytest.raises(sl.RetryExhaustedError, match="taming verification"):
+        sl.construct_cotamed(fa0, fa1)
+    assert seen == [1e-3 / 2 ** k for k in range(7)]
+    assert exact_reductions == []
+    seen.clear()
+    with pytest.raises(sl.RetryExhaustedError, match="taming verification"):
+        sl.construct_cotamed(a0, a1)
+    assert seen == [1e-3]
+    assert len(exact_reductions) == 1
+
+
+# -- exact existence on rational pencils ---------------------------------------------
+
+
+def test_exact_existence_near_a_zero_eigenvalue():
+    # B has the double eigenvalue -1e-10: float eigvals splits it into a
+    # pair with imaginary parts ~1e-16, above the 1e-8 relative tolerance,
+    # so only the Sturm count on the exact charpoly finds it
+    a0, a1 = congruent_rational_pencil([Q(-1, 10 ** 10), 1], P4)
+    assert not sl.ray_nondegenerate(a0, a1)
+    assert not sl.cotamed_exists(a0, a1)
+    with pytest.raises(sl.CotamedExistenceError):
+        sl.construct_cotamed(a0, a1)
+    a0, a1 = congruent_rational_pencil([Q(1, 10 ** 10), 1], P4)
+    assert sl.cotamed_exists(a0, a1)
