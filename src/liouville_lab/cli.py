@@ -112,17 +112,21 @@ def _int_list(text):
 def _cmd_cotame(args, t0):
     a0 = _skew(args.omega0)
     a1 = _skew(args.omega1)
-    exists = symplin.cotamed_exists(a0, a1)
-    detail = {"cotamed_exists": exists}
-    verdict = "negative"
-    if exists:
+    # construct_cotamed decides existence and returns only a J both forms tame
+    try:
         j = symplin.construct_cotamed(a0, a1, eps=args.eps)
-        ok = symplin.tames(a0, j) and symplin.tames(a1, j)
-        detail["J"] = j.matrix.tolist()
-        detail["taming_margins"] = [
-            symplin.taming_margin(a0, j), symplin.taming_margin(a1, j),
-        ]
-        verdict = "pass" if ok else "negative"
+    except symplin.CotamedExistenceError:
+        detail = {"cotamed_exists": False}
+        verdict = "negative"
+    else:
+        detail = {
+            "cotamed_exists": True,
+            "J": j.matrix.tolist(),
+            "taming_margins": [
+                symplin.taming_margin(a0, j), symplin.taming_margin(a1, j),
+            ],
+        }
+        verdict = "pass"
     rep = _report(
         "cotame", {"omega0": args.omega0, "omega1": args.omega1},
         verdict, "randomized" if not a0.exact else "exact-pre/numeric-J",

@@ -477,7 +477,7 @@ class ProfileTriple:
         return self.to_param_form().at(s)
 
 
-def gt_form(pair, k: int, check_pair: bool = True) -> ProfileTriple:
+def gt_form(pair, k: int) -> ProfileTriple:
     """The Giroux-torsion family (1+cos)/2 a+ + (1-cos)/2 a- + sin s dt.
 
     Domain [0, 2 k pi].  Emits a warning (not an error) when the input pair
@@ -487,7 +487,7 @@ def gt_form(pair, k: int, check_pair: bool = True) -> ProfileTriple:
         raise ValueError("k >= 1 required")
     src = pair
     pair = _as_pair(pair)
-    if check_pair and isinstance(src, Preset) and src.alpha_plus.ring.exact:
+    if isinstance(src, Preset) and src.alpha_plus.ring.exact:
         from .liealg import liouville_pair_check
         cert = liouville_pair_check(src.algebra, src.alpha_plus,
                                     src.alpha_minus)

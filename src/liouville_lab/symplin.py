@@ -3,10 +3,14 @@
 Conventions, stated in every report: a skew form acts as w(v, w) = v^T A w,
 taming means the symmetrized matrix (A J - J^T A)/2 is positive definite,
 and the pencil endomorphism is B = A0^{-1} A1.  The block reduction follows
-the chain construction of the generalized-eigenspace proof: real-eigenvalue
-chains v_j = eps^{-j} (B - lam)^j v_0 paired with w-chains normalized by
-w0(v_k, w_k) = 1, and complex chains realified as sqrt(2) (Re, -Im), which
-orients each 4x4 block to the printed (mu, nu) model.
+the chain construction of the generalized-eigenspace proof, one path for
+both kinds of block: chains v_j = eps^{-j} (B - lam)^j v_0 paired with
+w-chains normalized by w0(v_k, w_k) = 1.  A real lam is the case where every
+conjugation is the identity; a complex chain lives in C^n and is realified
+as sqrt(2) (Re, -Im), which orients each 4x4 block to the printed (mu, nu)
+model.  Each block states the d x d unit of w1 and of J (d = 1 for a real
+eigenvalue, d = 2 for a conjugate pair) from which the model pair and the
+blockwise J are assembled.
 """
 
 from __future__ import annotations
@@ -228,8 +232,9 @@ def pencil_endomorphism(a0: SkewForm, a1: SkewForm) -> np.ndarray:
     return b
 
 
-def _has_negative_real_eigenvalue(b: np.ndarray, rel_tol: float = 1e-8) -> bool:
-    for lam in np.linalg.eigvals(b):
+def _has_negative_real_eigenvalue(vals, rel_tol: float = 1e-8) -> bool:
+    """Whether some eigenvalue in vals is real (to rel_tol) and negative."""
+    for lam in vals:
         if lam.real < 0 and abs(lam.imag) <= rel_tol * abs(lam.real):
             return True
     return False
@@ -270,7 +275,7 @@ def ray_nondegenerate(a0: SkewForm, a1: SkewForm) -> bool:
     if a0.exact and a1.exact:
         charpoly = _frac_charpoly(_frac_solve_matrix(a0.matrix, a1.matrix))
         return _poly.count_roots(charpoly, -_poly.root_bound(charpoly), 0) == 0
-    return not _has_negative_real_eigenvalue(b)
+    return not _has_negative_real_eigenvalue(np.linalg.eigvals(b))
 
 
 def cotamed_exists(a0: SkewForm, a1: SkewForm) -> bool:
@@ -290,6 +295,20 @@ class RealBlock:
     def size(self) -> int:
         return 2 * self.chain_length
 
+    @property
+    def omega1_unit(self) -> np.ndarray:
+        return np.array([[float(self.eigenvalue)]])
+
+    @property
+    def j_unit(self) -> np.ndarray:
+        # J v = w, J w = -v per (v_i, w_i) pair tames both the standard and
+        # the lambda-scaled standard form when lambda > 0
+        if self.eigenvalue <= 0:
+            raise ArithmeticError(
+                "real block with nonpositive eigenvalue cannot be tamed"
+            )
+        return np.array([[-1.0]])
+
 
 @dataclass
 class ComplexBlock:
@@ -301,6 +320,19 @@ class ComplexBlock:
     def size(self) -> int:
         return 4 * self.chain_length
 
+    @property
+    def omega1_unit(self) -> np.ndarray:
+        return np.array([[self.mu, self.nu], [-self.nu, self.mu]])
+
+    @property
+    def j_unit(self) -> np.ndarray:
+        # the phase structure J_phi, phi = pi - psi/2, psi = arg(mu + i nu)
+        phi = math.pi - math.atan2(self.nu, self.mu) / 2
+        return np.array([
+            [math.cos(phi), -math.sin(phi)],
+            [math.sin(phi), math.cos(phi)],
+        ])
+
 
 @dataclass
 class PencilBlocks:
@@ -311,59 +343,39 @@ class PencilBlocks:
     omega1_residual: float
 
 
-def _model_matrices(blocks):
-    """(A0_model, A1_model) in the block basis (v's first, then w's)."""
+def _model_matrices(blocks, eps=0.0):
+    """(A0_model, A1_model) in the block basis (v's first, then w's).
+
+    A block of chain length m with a d x d unit U of w1 has v_0..v_(m-1),
+    then w_0..w_(m-1), each d columns wide: w0(v_i, w_i) = I_d and
+    w1(v_i, w_i) = U.  A nonzero eps adds the chain couplings
+    w1(v_i, w_(i+1)) = eps I_d, the exact target of the transport.
+    """
     size = sum(b.size for b in blocks)
     a0 = np.zeros((size, size))
     a1 = np.zeros((size, size))
     at = 0
     for b in blocks:
-        if isinstance(b, RealBlock):
-            m = b.chain_length
-            lam_blk = float(b.eigenvalue) * np.eye(m)
-            eye = np.eye(m)
-            a0[at:at + m, at + m:at + 2 * m] = eye
-            a0[at + m:at + 2 * m, at:at + m] = -eye
-            a1[at:at + m, at + m:at + 2 * m] = lam_blk
-            a1[at + m:at + 2 * m, at:at + m] = -lam_blk.T
-            at += 2 * m
+        unit = b.omega1_unit
+        d, m = len(unit), b.chain_length
+        big = d * m
+        if d == 1:
+            # lam * eye(m), not a placed unit: its zeros carry the sign of lam
+            lam_blk = unit[0, 0] * np.eye(m)
         else:
-            m = b.chain_length
-            rot = np.array([[b.mu, b.nu], [-b.nu, b.mu]])
-            eye2 = np.eye(2)
-            big = 2 * m
             lam_blk = np.zeros((big, big))
-            id_blk = np.zeros((big, big))
-            for i in range(m):
-                lam_blk[2 * i:2 * i + 2, 2 * i:2 * i + 2] = rot
-                id_blk[2 * i:2 * i + 2, 2 * i:2 * i + 2] = eye2
-            a0[at:at + big, at + big:at + 2 * big] = id_blk
-            a0[at + big:at + 2 * big, at:at + big] = -id_blk
-            a1[at:at + big, at + big:at + 2 * big] = lam_blk
-            a1[at + big:at + 2 * big, at:at + big] = -lam_blk.T
-            at += 2 * big
-    return a0, a1
-
-
-def _model_with_chain_eps(blocks, eps):
-    """Block matrices including the eps chain couplings (the exact target)."""
-    a0, a1 = _model_matrices(blocks)
-    at = 0
-    for b in blocks:
-        if isinstance(b, RealBlock):
-            m = b.chain_length
-            for i in range(m - 1):
-                a1[at + i, at + m + i + 1] += eps
-                a1[at + m + i + 1, at + i] -= eps
-            at += 2 * m
-        else:
-            m = b.chain_length
-            big = 2 * m
-            for i in range(m - 1):
-                for d in range(2):
-                    a1[at + 2 * i + d, at + big + 2 * (i + 1) + d] += eps
-                    a1[at + big + 2 * (i + 1) + d, at + 2 * i + d] -= eps
-            at += 2 * big
+            for i in range(0, big, d):
+                lam_blk[i:i + d, i:i + d] = unit
+        v, w = slice(at, at + big), slice(at + big, at + 2 * big)
+        a0[v, w] = np.eye(big)
+        a0[w, v] = -np.eye(big)
+        a1[v, w] = lam_blk
+        a1[w, v] = -lam_blk.T
+        if eps:
+            for i in range(at, at + big - d):
+                a1[i, big + d + i] += eps
+                a1[big + d + i, i] -= eps
+        at += 2 * big
     return a0, a1
 
 
@@ -440,11 +452,11 @@ def _float_reduce(a0: SkewForm, a1: SkewForm, eps: float) -> PencilBlocks:
         if lam.imag < -1e-8 * scale:
             continue  # conjugate partner of a complex cluster handled above
         if abs(lam.imag) <= 1e-8 * scale:
-            space = _generalized_eigenspace(b, lam.real, mult)
-            vblocks, vcols = _extract_real_chains(b, m0, lam.real, space, eps)
+            lam, bl = lam.real, b
         else:
-            space = _generalized_eigenspace(b.astype(complex), lam, mult)
-            vblocks, vcols = _extract_complex_chains(b, m0, lam, space, eps)
+            bl = b.astype(complex)
+        space = _generalized_eigenspace(bl, lam, mult)
+        vblocks, vcols = _extract_chains(bl, m0, lam, space, eps)
         blocks += vblocks
         columns += vcols
     basis = np.column_stack(columns)
@@ -462,7 +474,7 @@ def _float_reduce(a0: SkewForm, a1: SkewForm, eps: float) -> PencilBlocks:
         basis = basis @ (np.eye(n) + delta)
     t0 = basis.T @ m0 @ basis
     t1 = basis.T @ a1.to_array() @ basis
-    _, model1_eps = _model_with_chain_eps(blocks, eps)
+    _, model1_eps = _model_matrices(blocks, eps)
     r0 = float(np.max(np.abs(t0 - model0)))
     r1_exact = float(np.max(np.abs(t1 - model1_eps)))
     r1_model = float(np.max(np.abs(t1 - model1)))
@@ -508,28 +520,46 @@ def _nilpotency_index(nmat, space):
     return k, rk
 
 
-def _extract_real_chains(b, m0, lam, space, eps):
-    """Chains within one real generalized eigenspace, with w-duals."""
+def _extract_chains(b, m0, lam, space, eps):
+    """Chains within one generalized eigenspace, with w-duals.
+
+    A real lam comes with real b and space, and every conjugation below is
+    the identity.  For a complex lam (one of a conjugate pair) the w-chain
+    lives in the conjugate eigenspace and pairs sesquilinearly; both chains
+    are realified as (sqrt 2 Re, -sqrt 2 Im), where the minus orients the
+    block so the transported w1 matches the printed (mu, nu) model exactly.
+    """
     blocks, columns = [], []
     n = b.shape[0]
-    space = np.real(space)
     nmat = b - lam * np.eye(n)
+    nmat_conj = b - lam.conjugate() * np.eye(n)
     while space.shape[1] > 0:
         k, rk = _nilpotency_index(nmat, space)
         j0 = int(np.argmax(np.linalg.norm(rk, axis=0)))
-        v0 = space[:, j0]
-        vs = [v0]
+        vs = [space[:, j0]]
         for _ in range(k):
             vs.append(nmat @ vs[-1] / eps)
-        wk = _solve_pairing(m0, vs, space, want_index=k)
-        ws = [wk]
+        ws = [_solve_pairing(m0, vs, space.conj(), want_index=k)]
         for _ in range(k):
-            ws.insert(0, nmat @ ws[0] / eps)
+            ws.insert(0, nmat_conj @ ws[0] / eps)
         vs, ws = _balance_chain(vs, ws)
-        columns += vs + ws
-        blocks.append(RealBlock(lam, k + 1))
-        space = _symplectic_complement(m0, vs + ws, space)
+        if np.iscomplexobj(space):
+            columns += _realify(vs) + _realify(ws)
+            blocks.append(ComplexBlock(lam.real, lam.imag, k + 1))
+        else:
+            columns += vs + ws
+            blocks.append(RealBlock(lam, k + 1))
+        # the remaining u must satisfy conj(v_j)^T m0 u = 0 for the pairings
+        # that eigenvalue orthogonality does not kill: v_j and conj(w_j)
+        space = _symplectic_complement(
+            m0, [v.conj() for v in vs] + ws, space)
     return blocks, columns
+
+
+def _realify(vectors):
+    """(sqrt 2 Re v, -sqrt 2 Im v) for each vector, in order."""
+    return [col for v in vectors
+            for col in (math.sqrt(2) * np.real(v), -math.sqrt(2) * np.imag(v))]
 
 
 def _balance_chain(vs, ws):
@@ -546,67 +576,16 @@ def _balance_chain(vs, ws):
     return [c * v for v in vs], [w / c for w in ws]
 
 
-def _extract_complex_chains(b, m0, lam, space, eps):
-    """Chains for a conjugate pair; returns realified columns."""
-    blocks, columns = [], []
-    n = b.shape[0]
-    bc = b.astype(complex)
-    nmat = bc - lam * np.eye(n)
-    nmat_conj = bc - np.conj(lam) * np.eye(n)
-    while space.shape[1] > 0:
-        k, rk = _nilpotency_index(nmat, space)
-        j0 = int(np.argmax(np.linalg.norm(rk, axis=0)))
-        v0 = space[:, j0]
-        vs = [v0]
-        for _ in range(k):
-            vs.append(nmat @ vs[-1] / eps)
-        # w-chain lives in the conjugate eigenspace; pair sesquilinearly
-        conj_space = np.conj(space)
-        wk = _solve_pairing_complex(m0, vs, conj_space, want_index=k)
-        ws = [wk]
-        for _ in range(k):
-            ws.insert(0, nmat_conj @ ws[0] / eps)
-        vs, ws = _balance_chain(vs, ws)
-        # realify as (sqrt 2 Re, -sqrt 2 Im); the minus orients the block so
-        # the transported w1 matches the printed (mu, nu) model exactly
-        vcols, wcols = [], []
-        for v in vs:
-            vcols.append(math.sqrt(2) * np.real(v))
-            vcols.append(-math.sqrt(2) * np.imag(v))
-        for w in ws:
-            wcols.append(math.sqrt(2) * np.real(w))
-            wcols.append(-math.sqrt(2) * np.imag(w))
-        columns += vcols + wcols
-        blocks.append(ComplexBlock(lam.real, lam.imag, k + 1))
-        # remaining u in E_lam must satisfy v_j^T m0 u = 0 and
-        # conj(w_j)^T m0 u = 0 (the pairings not killed by eigenvalue
-        # orthogonality); the helper conjugates its inputs internally
-        constraints = [np.conj(v) for v in vs] + list(ws)
-        space = _symplectic_complement(m0, constraints, space)
-    return blocks, columns
-
-
 def _solve_pairing(m0, vs, space, want_index):
-    """w in span(space) with w0(v_j, w) = delta_{j, want_index}."""
-    a = np.array([v @ m0 @ space for v in vs])
-    rhs = np.zeros(len(vs))
-    rhs[want_index] = 1.0
-    sol, residual, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    w = space @ sol
-    if np.max(np.abs(a @ sol - rhs)) > 1e-8:
-        raise ArithmeticError("pairing system inconsistent")
-    return w
-
-
-def _solve_pairing_complex(m0, vs, conj_space, want_index):
-    a = np.array([np.conj(v) @ m0 @ conj_space for v in vs])
-    rhs = np.zeros(len(vs), dtype=complex)
+    """w in span(space) with conj(v_j)^T m0 w = delta_{j, want_index}; the
+    right-hand side takes the system's dtype, so real chains stay real."""
+    a = np.array([v.conj() @ m0 @ space for v in vs])
+    rhs = np.zeros(len(vs), dtype=a.dtype)
     rhs[want_index] = 1.0
     sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    w = conj_space @ sol
     if np.max(np.abs(a @ sol - rhs)) > 1e-8:
         raise ArithmeticError("pairing system inconsistent")
-    return w
+    return space @ sol
 
 
 def _symplectic_complement(m0, extracted, space):
@@ -828,37 +807,19 @@ def construct_cotamed(a0: SkewForm, a1: SkewForm, eps: float = 1e-3,
 
 
 def _blockwise_j(blocks) -> np.ndarray:
+    """J in the block basis: each block's d x d unit U of J at every
+    (v_i, w_i) position and -U^T at (w_i, v_i)."""
     size = sum(b.size for b in blocks)
     j = np.zeros((size, size))
     at = 0
     for b in blocks:
-        if isinstance(b, RealBlock):
-            if b.eigenvalue <= 0:
-                raise ArithmeticError(
-                    "real block with nonpositive eigenvalue cannot be tamed"
-                )
-            m = b.chain_length
-            # per (v_i, w_i) pair: J v = w, J w = -v  (tames both standard
-            # and lambda-scaled standard forms when lambda > 0)
-            for i in range(m):
-                j[at + m + i, at + i] = 1.0
-                j[at + i, at + m + i] = -1.0
-            at += 2 * m
-        else:
-            psi = math.atan2(b.nu, b.mu)
-            phi = math.pi - psi / 2
-            rot = np.array([
-                [math.cos(phi), -math.sin(phi)],
-                [math.sin(phi), math.cos(phi)],
-            ])
-            m = b.chain_length
-            big = 2 * m
-            for i in range(m):
-                j[at + 2 * i:at + 2 * i + 2,
-                  at + big + 2 * i:at + big + 2 * i + 2] = rot
-                j[at + big + 2 * i:at + big + 2 * i + 2,
-                  at + 2 * i:at + 2 * i + 2] = -rot.T
-            at += 2 * big
+        unit = b.j_unit
+        d = len(unit)
+        big = d * b.chain_length
+        for i in range(at, at + big, d):
+            j[i:i + d, big + i:big + i + d] = unit
+            j[big + i:big + i + d, i:i + d] = -unit.T
+        at += 2 * big
     return j
 
 
@@ -1038,14 +999,15 @@ class SuiteReport:
 
 def appendix_equivalence_suite(trials: int, dims=(4, 6, 8, 10),
                                seed: int = 0) -> SuiteReport:
-    """Randomized three-way equivalence check of the existence criteria.
+    """Randomized check of the existence criterion and the construction.
 
-    For each random nondegenerate pair: segment and ray nondegeneracy agree
-    with the spectral test and obey the sign law (real eigenvalues positive
-    when the segment survives); when existence holds, construct_cotamed
-    must succeed with both tamings verified; when it fails, the negative
-    eigenvalue's predicted degeneracy parameter t0 = 1/(1 - lam) must make
-    the pencil member singular (smallest singular value collapses), and the
+    For each random nondegenerate pair, B = A0^{-1} A1 and its eigenvalues
+    are computed once.  When no eigenvalue is negative real (the spectral
+    test, which float ray and segment nondegeneracy share), the sign law
+    must hold (every real eigenvalue positive) and construct_cotamed must
+    succeed with both tamings verified.  Otherwise the negative eigenvalue's
+    predicted degeneracy parameter t0 = 1/(1 - lam) must make the pencil
+    member singular (smallest singular value collapses), and the
     construction must refuse.
     """
     mismatches = 0
@@ -1057,16 +1019,10 @@ def appendix_equivalence_suite(trials: int, dims=(4, 6, 8, 10),
         for trial in range(trials):
             rng = np.random.default_rng(seed + 7919 * dim + trial)
             a0, a1 = random_nondegenerate_pair(rng, dim)
-            b = pencil_endomorphism(a0, a1)
-            spectral = not _has_negative_real_eigenvalue(b)
-            seg = segment_nondegenerate(a0, a1, cross_validate=False)
-            ray = ray_nondegenerate(a0, a1)
-            if seg != spectral or ray != spectral:
-                bad += 1
-                continue
-            if spectral:
+            vals = np.linalg.eigvals(pencil_endomorphism(a0, a1))
+            if not _has_negative_real_eigenvalue(vals):
                 real_eigs = [
-                    lam.real for lam in np.linalg.eigvals(b)
+                    lam.real for lam in vals
                     if abs(lam.imag) <= 1e-8 * max(1.0, abs(lam.real))
                 ]
                 if any(lr <= 0 for lr in real_eigs):
@@ -1087,7 +1043,7 @@ def appendix_equivalence_suite(trials: int, dims=(4, 6, 8, 10),
                     bad += 1
             else:
                 neg = min(
-                    lam.real for lam in np.linalg.eigvals(b)
+                    lam.real for lam in vals
                     if lam.real < 0
                     and abs(lam.imag) <= 1e-8 * abs(lam.real)
                 )

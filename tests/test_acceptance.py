@@ -127,8 +127,8 @@ def test_criterion_06_appendix_equivalence_suite():
     assert rep.trials == 4000
     assert rep.mismatches == 0
     assert elapsed < 60.0
-    _report(6, f"three-way equivalence over 4000 random pencils, zero "
-               f"mismatches, ill-conditioned reported: "
+    _report(6, f"sign law, construction and refusal over 4000 random "
+               f"pencils, zero mismatches, ill-conditioned reported: "
                f"{rep.detail['ill_conditioned_reported']} ({elapsed:.1f} s)")
 
 
@@ -156,7 +156,7 @@ def test_criterion_08_pencil_reduction_fixtures():
          symplin.ComplexBlock(0.25, -0.75, 1)],           # dim 8 mixed
     ]
     for blocks in fixtures:
-        a0m, a1m = symplin._model_with_chain_eps(blocks, eps)
+        a0m, a1m = symplin._model_matrices(blocks, eps)
         n = a0m.shape[0]
         p0 = rng.standard_normal((n, n))
         while abs(np.linalg.det(p0)) < 0.2:

@@ -145,7 +145,7 @@ def test_cutoff_fixed_constant(capture):
 def test_pencil_reduce_flags_chains(capture, tmp_path):
     import numpy as np
     from liouville_lab import symplin as sl
-    a0m, a1m = sl._model_with_chain_eps([sl.RealBlock(2.0, 2)], 1e-3)
+    a0m, a1m = sl._model_matrices([sl.RealBlock(2.0, 2)], 1e-3)
     rng = np.random.default_rng(1)
     p = rng.standard_normal((4, 4))
     p0 = tmp_path / "c0.json"
@@ -278,6 +278,36 @@ def rational_pencil(seed, real, complex_pairs=()):
             for m in (a0, a1)]
 
 
+def float_pencil(seed, blocks):
+    """Inline JSON of a float congruence P^T M P of a grouped model pair, P
+    standard normal from the seed; ("real", lam, m) is a chain of length m
+    with couplings w1(v_i, w_(i+1)) = 1e-3 (the default eps), and
+    ("complex", mu, nu) one 4x4 block."""
+    import numpy as np
+    size = sum(2 * b[2] if b[0] == "real" else 4 for b in blocks)
+    a0 = np.zeros((size, size))
+    a1 = np.zeros((size, size))
+    at = 0
+    for kind, x, y in blocks:
+        if kind == "real":
+            for i in range(y):
+                a0[at + i, at + y + i] = 1.0
+                a1[at + i, at + y + i] = x
+                if i + 1 < y:
+                    a1[at + i, at + y + i + 1] = 1e-3
+            at += 2 * y
+        else:
+            a0[at:at + 2, at + 2:at + 4] = np.eye(2)
+            a1[at:at + 2, at + 2:at + 4] = [[x, y], [-y, x]]
+            at += 4
+    p = np.random.default_rng(seed).standard_normal((size, size))
+    out = []
+    for m in (a0, a1):
+        m = p.T @ (m - m.T) @ p
+        out.append(json.dumps(((m - m.T) / 2).tolist()))
+    return out
+
+
 # sha256 of default --json reports of pencil-reduce and cotame, pinned
 # before the exact pencil path moved to Hessenberg charpolys, row-vector
 # congruences and the elimination Pfaffian; the matrices are passed inline
@@ -290,6 +320,17 @@ PENCILS = {
     "negative4": rational_pencil(5, [-2, 3]),
     "prime": ["[[0, 1], [-1, 0]]",
               "[[0, 1000000000039], [-1000000000039, 0]]"],
+    # float pencils, pinned before real and complex blocks shared one
+    # chain extractor, pairing solve, model builder and J builder
+    "float-real6": float_pencil(1, [("real", 0.5, 1), ("real", 1.5, 1),
+                                    ("real", 3.0, 1)]),
+    "float-complex8": float_pencil(2, [("real", 2.0, 1),
+                                       ("complex", -0.5, 1.25),
+                                       ("complex", 1.0, 0.75)]),
+    "float-chain4": float_pencil(3, [("real", 2.0, 2)]),
+    "float-mixed8": float_pencil(4, [("real", 3.0, 2),
+                                     ("complex", -1.0, 1.5)]),
+    "float-negative4": float_pencil(5, [("real", -2.0, 1), ("real", 3.0, 1)]),
 }
 GOLDEN_PENCIL_REPORTS = [
     ("pencil-reduce real4", 0,
@@ -316,14 +357,40 @@ GOLDEN_PENCIL_REPORTS = [
      "6c13ff6071edb344e349cb21759277a4b6edaaa07131a071059a52cd15fe8bc5"),
     ("cotame prime", 0,
      "9c76ae30173a4b0dfe8147beffe534981bce331b93ae8945e724e54bc8f4f31e"),
+    ("pencil-reduce float-real6", 0,
+     "86c95ec5778a68c206dc2159f1c8d766801170a76893e0868b58f74f3832fa07"),
+    ("cotame float-real6", 0,
+     "b7e85322174a82c8abb1d4e62fea9ad8075c311ba5bffecc49cb30be02d98a44"),
+    ("pencil-reduce float-complex8", 0,
+     "de4326addf7076d1e5fd21579870ab68225650c974d21177475b4f8073871941"),
+    ("cotame float-complex8", 0,
+     "511a76472976ecb2f8967ffe11c9390f31a94874ffed78d6569a0ad83d8a0a43"),
+    ("pencil-reduce float-chain4", 0,
+     "0e3162891e695b2891f5be4632b123fad668275f13f4b378cf1b2e21ed176243"),
+    ("cotame float-chain4", 0,
+     "9bfbe731ee980eb2a2c304999560500c9a4c0eb1d38ef47f1b8a6b5711695d7a"),
+    ("pencil-reduce float-mixed8", 0,
+     "e075589e876f44b337842222c1139f7510b9eddbff57558cbe6cf15c8efca984"),
+    ("cotame float-mixed8", 0,
+     "b0b532966806a0f32d520ae729153b1f20fde9c003f20618f0e458d3b22b8040"),
+    ("pencil-reduce float-negative4", 0,
+     "f20f65e1c99f90cbc8c6bd764bf73453a72e1b33609d33a79fe29641c5da1f91"),
+    ("cotame float-negative4", 1,
+     "065f5a93b903c3c4215b4d416317a3a21d5d2946af5979ad2e7bb463ca0ca511"),
+    ("suite appendix-equivalence", 0,
+     "d088b03d82957a94c11750d2e55b857ad48cade934f91e80325da666d4c73589"),
 ]
 
 
 @pytest.mark.parametrize("case, exit_code, digest", GOLDEN_PENCIL_REPORTS)
 def test_pencil_reports_match_golden_bytes(capture, case, exit_code, digest):
     command, name = case.split()
-    o0, o1 = PENCILS[name]
-    code, out = capture([command, "--omega0", o0, "--omega1", o1, "--json"])
+    if command == "suite":
+        argv = [command, "--name", name, "--dims", "4,6,8,10"]
+    else:
+        o0, o1 = PENCILS[name]
+        argv = [command, "--omega0", o0, "--omega1", o1]
+    code, out = capture(argv + ["--json"])
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -179,7 +179,7 @@ def test_reduce_recovers_jordan_chain():
     rng = np.random.default_rng(7)
     eps = 1e-3
     blocks = [sl.RealBlock(2.0, 2)]
-    a0m, a1m = sl._model_with_chain_eps(blocks, eps)
+    a0m, a1m = sl._model_matrices(blocks, eps)
     p0 = rng.standard_normal((4, 4))
     a0 = sl.SkewForm(p0.T @ a0m @ p0)
     a1 = sl.SkewForm(p0.T @ a1m @ p0)
@@ -196,7 +196,7 @@ def test_reduce_mixed_dim8():
     rng = np.random.default_rng(11)
     eps = 1e-3
     blocks = [sl.RealBlock(3.0, 2), sl.ComplexBlock(-1.0, 1.5, 1)]
-    a0m, a1m = sl._model_with_chain_eps(blocks, eps)
+    a0m, a1m = sl._model_matrices(blocks, eps)
     p0 = rng.standard_normal((8, 8))
     a0 = sl.SkewForm(p0.T @ a0m @ p0)
     a1 = sl.SkewForm(p0.T @ a1m @ p0)
@@ -578,3 +578,123 @@ def test_exact_existence_near_a_zero_eigenvalue():
         sl.construct_cotamed(a0, a1)
     a0, a1 = congruent_rational_pencil([Q(1, 10 ** 10), 1], P4)
     assert sl.cotamed_exists(a0, a1)
+
+
+# -- block builders against their former per-kind implementations ------------------
+
+
+def per_kind_model(blocks):
+    """Reference: the model pair with one branch per block kind."""
+    size = sum(b.size for b in blocks)
+    a0 = np.zeros((size, size))
+    a1 = np.zeros((size, size))
+    at = 0
+    for b in blocks:
+        m = b.chain_length
+        if isinstance(b, sl.RealBlock):
+            lam_blk = float(b.eigenvalue) * np.eye(m)
+            eye = np.eye(m)
+            a0[at:at + m, at + m:at + 2 * m] = eye
+            a0[at + m:at + 2 * m, at:at + m] = -eye
+            a1[at:at + m, at + m:at + 2 * m] = lam_blk
+            a1[at + m:at + 2 * m, at:at + m] = -lam_blk.T
+            at += 2 * m
+        else:
+            rot = np.array([[b.mu, b.nu], [-b.nu, b.mu]])
+            big = 2 * m
+            lam_blk = np.zeros((big, big))
+            id_blk = np.zeros((big, big))
+            for i in range(m):
+                lam_blk[2 * i:2 * i + 2, 2 * i:2 * i + 2] = rot
+                id_blk[2 * i:2 * i + 2, 2 * i:2 * i + 2] = np.eye(2)
+            a0[at:at + big, at + big:at + 2 * big] = id_blk
+            a0[at + big:at + 2 * big, at:at + big] = -id_blk
+            a1[at:at + big, at + big:at + 2 * big] = lam_blk
+            a1[at + big:at + 2 * big, at:at + big] = -lam_blk.T
+            at += 2 * big
+    return a0, a1
+
+
+def per_kind_model_with_chain_eps(blocks, eps):
+    """Reference: the model pair plus the eps chain couplings, per kind."""
+    a0, a1 = per_kind_model(blocks)
+    at = 0
+    for b in blocks:
+        m = b.chain_length
+        if isinstance(b, sl.RealBlock):
+            for i in range(m - 1):
+                a1[at + i, at + m + i + 1] += eps
+                a1[at + m + i + 1, at + i] -= eps
+            at += 2 * m
+        else:
+            big = 2 * m
+            for i in range(m - 1):
+                for d in range(2):
+                    a1[at + 2 * i + d, at + big + 2 * (i + 1) + d] += eps
+                    a1[at + big + 2 * (i + 1) + d, at + 2 * i + d] -= eps
+            at += 2 * big
+    return a0, a1
+
+
+def per_kind_j(blocks):
+    """Reference: the blockwise J with one branch per block kind."""
+    size = sum(b.size for b in blocks)
+    j = np.zeros((size, size))
+    at = 0
+    for b in blocks:
+        m = b.chain_length
+        if isinstance(b, sl.RealBlock):
+            if b.eigenvalue <= 0:
+                raise ArithmeticError(
+                    "real block with nonpositive eigenvalue cannot be tamed"
+                )
+            for i in range(m):
+                j[at + m + i, at + i] = 1.0
+                j[at + i, at + m + i] = -1.0
+            at += 2 * m
+        else:
+            phi = math.pi - math.atan2(b.nu, b.mu) / 2
+            rot = np.array([
+                [math.cos(phi), -math.sin(phi)],
+                [math.sin(phi), math.cos(phi)],
+            ])
+            big = 2 * m
+            for i in range(m):
+                j[at + 2 * i:at + 2 * i + 2,
+                  at + big + 2 * i:at + big + 2 * i + 2] = rot
+                j[at + big + 2 * i:at + big + 2 * i + 2,
+                  at + 2 * i:at + 2 * i + 2] = -rot.T
+            at += 2 * big
+    return j
+
+
+def same_bits(x, y):
+    return (x.shape == y.shape and np.array_equal(x, y)
+            and np.array_equal(np.signbit(x), np.signbit(y)))
+
+
+_entry = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+_blocks = st.lists(st.one_of(
+    st.builds(sl.RealBlock,
+              st.one_of(_entry, st.sampled_from([Q(1, 3), Q(-5, 2), Q(0)])),
+              st.integers(1, 3)),
+    st.builds(sl.ComplexBlock, _entry, _entry, st.integers(1, 3)),
+), min_size=1, max_size=4)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_blocks, st.one_of(st.just(0.0), st.floats(1e-6, 1.0)))
+def test_block_builders_match_per_kind_references(blocks, eps):
+    # one builder for both kinds, fed each block's d x d units, gives every
+    # entry of the former per-kind builders, the sign of each zero included
+    ref = per_kind_model_with_chain_eps(blocks, eps) if eps else \
+        per_kind_model(blocks)
+    for got, want in zip(sl._model_matrices(blocks, eps), ref):
+        assert same_bits(got, want)
+    try:
+        want = per_kind_j(blocks)
+    except ArithmeticError as err:
+        with pytest.raises(ArithmeticError, match=str(err)):
+            sl._blockwise_j(blocks)
+    else:
+        assert same_bits(sl._blockwise_j(blocks), want)
