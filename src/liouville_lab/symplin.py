@@ -359,13 +359,9 @@ def _model_matrices(blocks, eps=0.0):
         unit = b.omega1_unit
         d, m = len(unit), b.chain_length
         big = d * m
-        if d == 1:
-            # lam * eye(m), not a placed unit: its zeros carry the sign of lam
-            lam_blk = unit[0, 0] * np.eye(m)
-        else:
-            lam_blk = np.zeros((big, big))
-            for i in range(0, big, d):
-                lam_blk[i:i + d, i:i + d] = unit
+        lam_blk = np.zeros((big, big))
+        for i in range(0, big, d):
+            lam_blk[i:i + d, i:i + d] = unit
         v, w = slice(at, at + big), slice(at + big, at + 2 * big)
         a0[v, w] = np.eye(big)
         a0[w, v] = -np.eye(big)
@@ -452,6 +448,7 @@ def _float_reduce(a0: SkewForm, a1: SkewForm, eps: float) -> PencilBlocks:
         if lam.imag < -1e-8 * scale:
             continue  # conjugate partner of a complex cluster handled above
         if abs(lam.imag) <= 1e-8 * scale:
+            # the block kind is decided here: a real lam keeps b real
             lam, bl = lam.real, b
         else:
             bl = b.astype(complex)
@@ -523,16 +520,18 @@ def _nilpotency_index(nmat, space):
 def _extract_chains(b, m0, lam, space, eps):
     """Chains within one generalized eigenspace, with w-duals.
 
-    A real lam comes with real b and space, and every conjugation below is
-    the identity.  For a complex lam (one of a conjugate pair) the w-chain
-    lives in the conjugate eigenspace and pairs sesquilinearly; both chains
-    are realified as (sqrt 2 Re, -sqrt 2 Im), where the minus orients the
-    block so the transported w1 matches the printed (mu, nu) model exactly.
+    The caller passes a real lam with real b and space, and then every
+    conjugation below is the identity.  A complex lam (one of a conjugate
+    pair) has its w-chain in the conjugate eigenspace, pairing
+    sesquilinearly; both chains are realified as (sqrt 2 Re, -sqrt 2 Im),
+    where the minus orients the block so the transported w1 matches the
+    printed (mu, nu) model exactly.
     """
+    pair = isinstance(lam, complex)
     blocks, columns = [], []
     n = b.shape[0]
     nmat = b - lam * np.eye(n)
-    nmat_conj = b - lam.conjugate() * np.eye(n)
+    nmat_conj = b - lam.conjugate() * np.eye(n) if pair else nmat
     while space.shape[1] > 0:
         k, rk = _nilpotency_index(nmat, space)
         j0 = int(np.argmax(np.linalg.norm(rk, axis=0)))
@@ -543,7 +542,7 @@ def _extract_chains(b, m0, lam, space, eps):
         for _ in range(k):
             ws.insert(0, nmat_conj @ ws[0] / eps)
         vs, ws = _balance_chain(vs, ws)
-        if np.iscomplexobj(space):
+        if pair:
             columns += _realify(vs) + _realify(ws)
             blocks.append(ComplexBlock(lam.real, lam.imag, k + 1))
         else:
