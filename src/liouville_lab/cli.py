@@ -224,9 +224,15 @@ def _cmd_verify_contact(args, t0):
     return _emit(rep, args, t0)
 
 
+@functools.cache
+def _torsion_family(pair, k):
+    """The torsion family of a preset pair, built and checked once per
+    process; `reeb_field` and `contact_grid_check` only read it."""
+    return formfam.gt_form(liealg.preset(pair), k)
+
+
 def _cmd_giroux_torsion(args, t0):
-    preset = liealg.preset(args.pair)
-    triple = formfam.gt_form(preset, args.k)
+    triple = _torsion_family(args.pair, args.k)
     chk = formfam.contact_grid_check(triple, args.grid)
     rep = _report(
         "giroux-torsion", {"pair": args.pair, "k": args.k, "grid": args.grid},
@@ -240,8 +246,7 @@ def _cmd_giroux_torsion(args, t0):
 
 
 def _cmd_reeb(args, t0):
-    preset = liealg.preset(args.pair)
-    triple = formfam.gt_form(preset, args.k)
+    triple = _torsion_family(args.pair, args.k)
     res = formfam.reeb_field(triple, args.s, tol=args.tol)
     rep = _report(
         "reeb", {"pair": args.pair, "k": args.k, "s": args.s},

@@ -2,7 +2,9 @@
 
 Forms here live on a coframe (dp1[, dp2], static closed directions, algebra
 coframe) with coefficients built from a small profile library whose
-derivatives are validated against finite differences at construction.
+derivatives are validated against finite differences at construction; the
+library constructors are cached, so each distinct profile is built and
+checked once per process and callers share it (profiles are never mutated).
 Evaluation at parameter values hands everything to the exterior engine, so
 a grid verdict is a statement about sampled top coefficients in a declared
 coframe order, nothing more; reports label such verdicts "grid-certified",
@@ -17,6 +19,7 @@ scalar evaluation gives (see `_grid_tops`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,14 +84,27 @@ def _unit_step(s, inside, high):
     return inside(s)
 
 
+def _sample(fn, s):
+    """fn at every point of the array s, as an array of the shape of s.
+
+    One call on the whole array where fn takes arrays, as the library
+    profiles do (a constant may come back as a scalar); a caller's
+    scalar-only function, such as math.sin, is called point by point.
+    """
+    try:
+        return np.broadcast_to(fn(s), s.shape)
+    except (TypeError, ValueError):
+        return np.array([fn(x) for x in s.tolist()], dtype=float)
+
+
 class ProfileFn:
     """Scalar profile with an analytic derivative, closed under arithmetic.
 
     It takes a float or, element by element, a float64 array of samples.
 
     The derivative is checked against central finite differences on 64
-    seeded sample points at construction (knots of piecewise profiles are
-    excluded from the sampling).
+    seeded sample points at construction, evaluated as one array (knots of
+    piecewise profiles are excluded from the sampling).
     """
 
     def __init__(self, fn, dfn, label="f", domain=(-3.0, 3.0), knots=(),
@@ -104,22 +120,23 @@ class ProfileFn:
     def _validate(self):
         rng = np.random.default_rng(1234)
         a, b = self.domain
-        count = 0
-        for _ in range(6 * _FD_POINTS):
-            if count >= _FD_POINTS:
-                break
-            s = float(rng.uniform(a, b))
-            if any(abs(s - k) < 10 * _FD_STEP for k in self.knots):
-                continue
-            count += 1
-            fd = (self.fn(s + _FD_STEP) - self.fn(s - _FD_STEP)) / (2 * _FD_STEP)
-            dv = self.dfn(s)
-            scale = max(1.0, abs(dv), abs(fd))
-            if abs(fd - dv) > _FD_TOL * scale:
-                raise ProfileError(
-                    f"derivative of {self.label} fails the FD check at s={s}:"
-                    f" analytic {dv} vs central difference {fd}"
-                )
+        draws = rng.uniform(a, b, 6 * _FD_POINTS)
+        near_knot = np.zeros(draws.shape, bool)
+        for k in self.knots:
+            near_knot |= np.abs(draws - k) < 10 * _FD_STEP
+        s = draws[~near_knot][:_FD_POINTS]
+        fd = (_sample(self.fn, s + _FD_STEP)
+              - _sample(self.fn, s - _FD_STEP)) / (2 * _FD_STEP)
+        dv = _sample(self.dfn, s)
+        scale = np.maximum(np.maximum(1.0, np.abs(dv)), np.abs(fd))
+        bad = np.flatnonzero(np.abs(fd - dv) > _FD_TOL * scale)
+        if bad.size:
+            i = bad[0]
+            raise ProfileError(
+                f"derivative of {self.label} fails the FD check at"
+                f" s={float(s[i])}: analytic {float(dv[i])} vs central"
+                f" difference {float(fd[i])}"
+            )
 
     def __call__(self, s):
         return self.fn(s)
@@ -192,11 +209,13 @@ def const(c) -> ProfileFn:
     return ProfileFn(lambda s: c, lambda s: 0.0, f"{c}", check=False)
 
 
+@functools.cache
 def linear(a, b=0.0) -> ProfileFn:
     a, b = float(a), float(b)
     return ProfileFn(lambda s: a * s + b, lambda s: a, f"{a}s+{b}")
 
 
+@functools.cache
 def exp_fn(a=1.0, b=0.0) -> ProfileFn:
     a, b = float(a), float(b)
     return ProfileFn(
@@ -206,6 +225,7 @@ def exp_fn(a=1.0, b=0.0) -> ProfileFn:
     )
 
 
+@functools.cache
 def sin_fn(a=1.0, b=0.0) -> ProfileFn:
     a, b = float(a), float(b)
     return ProfileFn(
@@ -215,6 +235,7 @@ def sin_fn(a=1.0, b=0.0) -> ProfileFn:
     )
 
 
+@functools.cache
 def cos_fn(a=1.0, b=0.0) -> ProfileFn:
     a, b = float(a), float(b)
     return ProfileFn(
@@ -224,6 +245,7 @@ def cos_fn(a=1.0, b=0.0) -> ProfileFn:
     )
 
 
+@functools.cache
 def smoothstep5() -> ProfileFn:
     """Quintic smoothstep x^3 (10 - 15x + 6x^2) clamped to [0, 1]; C^2."""
     def fn(s):
@@ -237,6 +259,7 @@ def smoothstep5() -> ProfileFn:
     return ProfileFn(fn, dfn, "S5", knots=(0.0, 1.0))
 
 
+@functools.cache
 def smoothstep3() -> ProfileFn:
     """Cubic smoothstep 3x^2 - 2x^3 clamped; the second cutoff choice (C^1)."""
     def fn(s):
@@ -253,6 +276,7 @@ def cutoff_step(kind="quintic") -> ProfileFn:
     return smoothstep5() if kind == "quintic" else smoothstep3()
 
 
+@functools.cache
 def plateau_bump(eps=1.0, kind="quintic") -> ProfileFn:
     """Bump that is 1 exactly on [eps/3, 2eps/3] and 0 outside [0, eps]."""
     step = cutoff_step(kind)
@@ -457,13 +481,14 @@ class ProfileTriple:
 
     def __post_init__(self):
         s0, s1 = self.interval
-        for i in range(257):
-            s = s0 + (s1 - s0) * i / 256
-            fv, gv = self.f(s), self.g(s)
-            if fv < -1e-12 or gv < -1e-12 or (abs(fv) < 1e-12 and abs(gv) < 1e-12):
-                raise ValueError(
-                    f"profile triple invalid at s={s}: f={fv}, g={gv}"
-                )
+        s = s0 + (s1 - s0) * np.arange(257.0) / 256
+        fv, gv = _sample(self.f, s), _sample(self.g, s)
+        bad = np.flatnonzero((fv < -1e-12) | (gv < -1e-12)
+                             | ((abs(fv) < 1e-12) & (abs(gv) < 1e-12)))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"profile triple invalid at s={float(s[i])}:"
+                             f" f={float(fv[i])}, g={float(gv[i])}")
 
     def to_param_form(self) -> ParamForm:
         g = self.pair.algebra

@@ -518,3 +518,135 @@ def test_pencil_reduce_thirteen_digit_eigenvalue(capture):
     assert rep["certificate"] == "exact"
     assert rep["detail"]["blocks"] == [
         {"type": "real", "lambda": float(prime), "chain": 1}]
+
+
+# sha256 of reports of the families commands, default and --json, pinned
+# before the library profiles and the torsion family were cached per
+# process; each runs twice, so the second run reads the caches
+GOLDEN_FAMILY_REPORTS = [
+    ("reeb --s 1.5707963 @ sol:2,1,1,1",
+     "21ba65a6f807358fbf03b32ce774c08884e160e9d18c17b16e80ee0f475ee6e5"),
+    ("reeb --s 1.5707963 --json @ sol:2,1,1,1",
+     "701e0b9ce78a266943bf2cdf88c1db64281a16483a464f0309c107e1d7d16a68"),
+    ("reeb --k 2 --s -2.25 @ sol:2,1,1,1",
+     "eef707f61ffa0e2c0ac6f76af5db35def97561913d3f35f4c6e8cce37e2f657a"),
+    ("reeb --k 2 --s -2.25 --json @ sol:2,1,1,1",
+     "ee39b1fc65a40b960005bf08934e65a9f5241813ef27609675b26e277d8e3de2"),
+    ("giroux-torsion --k 2 --grid 256 @ sol:2,1,1,1",
+     "4802dc5712b4a60d39424cf287fad9f6c462ba1b815b9906cbdc0f6dd19e4dd4"),
+    ("giroux-torsion --k 2 --grid 256 --json @ sol:2,1,1,1",
+     "b1fd7a527f8ad9bc8c672184293dc5ef08b95640d458cc85d29207c89b38bdd4"),
+    ("lutz-check --k 2 --tau 0.375 --grid 128 @ sol:2,1,1,1",
+     "f63ec026cf74d5cd842b6731a204bbdfb66b5e22d706b81ff21706597b98e628"),
+    ("lutz-check --k 2 --tau 0.375 --grid 128 --json @ sol:2,1,1,1",
+     "d08b7aeadb16c4a5cdf02fca9931d9cefea7cc6a6cb87cfd66fbf40134dd2560"),
+    ("cutoff --grid 64 @ sol:2,1,1,1",
+     "d9ad2f44e76cca33c2e9625ccf122764a03eb96abbb04da381950a2691ed7e68"),
+    ("cutoff --grid 64 --json @ sol:2,1,1,1",
+     "865fdc2aaa8b4999f3242bfe86a0541e5a6d427ac7e271751285baa0551e7bd7"),
+    ("cutoff --profile cubic --grid 64 @ sol:2,1,1,1",
+     "5d26e6279c92ac9a04bcc32a715cf8ee98602d345341c4d1586fed096270be59"),
+    ("cutoff --profile cubic --grid 64 --json @ sol:2,1,1,1",
+     "5cb8236a46acd55772913eed6a20df9273525b0e1c87e28ffbf7bf25e085366c"),
+    ("reeb --s 1.5707963 @ totreal:2",
+     "21ba65a6f807358fbf03b32ce774c08884e160e9d18c17b16e80ee0f475ee6e5"),
+    ("reeb --s 1.5707963 --json @ totreal:2",
+     "6590f30c7a1f117477a4dc6ac4fc8306638d5e45b0570c7869cf38f2f85916bf"),
+    ("reeb --k 2 --s -2.25 @ totreal:2",
+     "eef707f61ffa0e2c0ac6f76af5db35def97561913d3f35f4c6e8cce37e2f657a"),
+    ("reeb --k 2 --s -2.25 --json @ totreal:2",
+     "3e444d7ad82eeff350743204ed21a7c6b8d85a6b57f204437fee2f76e6f5e507"),
+    ("giroux-torsion --k 2 --grid 256 @ totreal:2",
+     "780333b3dff910249a220948b0c8440b29af7fda0c02903cc9af66d2b73789d5"),
+    ("giroux-torsion --k 2 --grid 256 --json @ totreal:2",
+     "d59c3386265fd9c3cfff17dd52116b2ccff954dc7fb2ed9c0d624d5427a3b781"),
+    ("lutz-check --k 2 --tau 0.375 --grid 128 @ totreal:2",
+     "f63ec026cf74d5cd842b6731a204bbdfb66b5e22d706b81ff21706597b98e628"),
+    ("lutz-check --k 2 --tau 0.375 --grid 128 --json @ totreal:2",
+     "5f82574892e74e42400a106c9dbb224b55d8b29b00c56202acf384cd5b673317"),
+    ("cutoff --grid 64 @ totreal:2",
+     "d9ad2f44e76cca33c2e9625ccf122764a03eb96abbb04da381950a2691ed7e68"),
+    ("cutoff --grid 64 --json @ totreal:2",
+     "017a2c44da6169224962d991b20f4e27a03fc846dcea83bd4d4eeb39d37d8b8e"),
+    ("cutoff --profile cubic --grid 64 @ totreal:2",
+     "5d26e6279c92ac9a04bcc32a715cf8ee98602d345341c4d1586fed096270be59"),
+    ("cutoff --profile cubic --grid 64 --json @ totreal:2",
+     "61fc28b5e3a8db706e050d862249cae540fd55d300d651fc7d45b45a01dcf6b1"),
+    ("reeb --s 1.5707963 @ totreal:3",
+     "e15cfb216ec9af0dd7f94ea17eee532c980764b28ecf735cf76862de204655fc"),
+    ("reeb --s 1.5707963 --json @ totreal:3",
+     "f2c5d8c3b54935868e5031165152b2b5ce0c7fec0dd5ea559149e1b7fce859be"),
+    ("reeb --k 2 --s -2.25 @ totreal:3",
+     "e5fcdfc508228983e68b0cc09474f65b255946f2b18fb1654835ee9575e1660f"),
+    ("reeb --k 2 --s -2.25 --json @ totreal:3",
+     "c988ffcdf5e297273ef0194b0c9f53426d1e776b777c81f6361d3bf8b3a77d02"),
+    ("giroux-torsion --k 2 --grid 256 @ totreal:3",
+     "cd156acbd999d82de32cfd9b6ba41d22389539c0ab356aa9f00be580699c962a"),
+    ("giroux-torsion --k 2 --grid 256 --json @ totreal:3",
+     "ba3d8f220746d4a5c1df0cc9bdc4e3416e4ec6bf6559b323f2bbfffc24443984"),
+    ("lutz-check --k 2 --tau 0.375 --grid 128 @ totreal:3",
+     "bdffbb7d4049cded052a6dd03e0d169c0a3aa47d00cf850f45e83e3c612ae19c"),
+    ("lutz-check --k 2 --tau 0.375 --grid 128 --json @ totreal:3",
+     "a0980b3b31fd98e5c3279fd1c4b8eeb3c843c0a18868900d809f20abb3df3255"),
+    ("cutoff --grid 64 @ totreal:3",
+     "95a231cb0773c1c7fe01a4b93d45e99c218796cb24b04ee8b5e087790f6c30e0"),
+    ("cutoff --grid 64 --json @ totreal:3",
+     "977f77faa7a3ace730a24bc05a094aff9ba8e405d9b46e9ef30688a7ba3bdbd1"),
+    ("cutoff --profile cubic --grid 64 @ totreal:3",
+     "444f3dbb7c82ad7e218e73b4c1889e84195a3c3ad1c179661d73df92093a1a78"),
+    ("cutoff --profile cubic --grid 64 --json @ totreal:3",
+     "d05c916bf71e2dc3be4fa3396fea380b5cd5655098ae620fde896c6b2088ae32"),
+    ("reeb --s 1.5707963 @ geiges:2",
+     "e3d43ed4ce4dacd7159c73ee807259ac7fada9fe1147f6add87e8b356e3d2448"),
+    ("reeb --s 1.5707963 --json @ geiges:2",
+     "f3c56c8cb8e261bb3324e4143a115e2d641b07660eee7e9159bb0c34b002813c"),
+    ("reeb --k 2 --s -2.25 @ geiges:2",
+     "572b0db48d4a5859917a29b3426d23af5f9d71c1f6aa5acd058e74f47a34c686"),
+    ("reeb --k 2 --s -2.25 --json @ geiges:2",
+     "52ff0743754da22c7921dface25d1faeb2a07be341ab7249bb95cc17b79348a7"),
+    ("giroux-torsion --k 2 --grid 256 @ geiges:2",
+     "259a5c560e99fd189d56caaaa833fc9390e970bbe3737addb7f2f802ed276054"),
+    ("giroux-torsion --k 2 --grid 256 --json @ geiges:2",
+     "7f62e7d2508ec4be6fd2c4e2a49e76556f94bdcf85b7cc83edba79839ada127e"),
+    ("lutz-check --k 2 --tau 0.375 --grid 128 @ geiges:2",
+     "1f4d56c19be968df99ba02e9c84351e72d1f33767d871b0abc982e70c4b816f5"),
+    ("lutz-check --k 2 --tau 0.375 --grid 128 --json @ geiges:2",
+     "92a20ea1beaed18e27ba88576a5f97d2fd96e72868fe68d8453906f63f2b43d0"),
+    ("cutoff --grid 64 @ geiges:2",
+     "a681679fb1e9ed5c1de2dc24be609a41bc138f4e3d4b51b64b204f81e495d01a"),
+    ("cutoff --grid 64 --json @ geiges:2",
+     "293f0af10fc6cda55a0a0487cd9f5838e4f2d49f7a45b3ff022b210f044c853c"),
+    ("cutoff --profile cubic --grid 64 @ geiges:2",
+     "ac2d7c5cbb72dd461f414104b1457657d83c7d0c7a8fa6bc00a7f07f53634ede"),
+    ("cutoff --profile cubic --grid 64 --json @ geiges:2",
+     "7fbe2aa1fa594889e8a95ecaf2b166c28d7d35df64e2f3485c2b610cf842c7cb"),
+]
+
+
+@pytest.mark.parametrize("case, digest", GOLDEN_FAMILY_REPORTS)
+def test_family_reports_match_golden_bytes(capture, case, digest):
+    argv, pair = case.split(" @ ")
+    command, *rest = argv.split()
+    for _ in range(2):
+        code, out = capture([command, "--pair", pair, *rest])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `suite --name cocompatible --trials 2000 --json`, pinned while
+# the suite still ran trial by trial
+GOLDEN_COCOMPATIBLE_REPORTS = [
+    (0, "4fa809380dff081b9a56a7e755a9ab10e9febbec3254069bf8917f2beb68c997"),
+    (331, "3bab69fa95d96e91a2c1c170e88ba4d180b9c8d19730b41f6e4c6a68062720ec"),
+    (600, "dc0f46b1d4d029e8185e60c00411bb7439ed38794d8900118421bb3820e7edbf"),
+    (12345,
+     "76dd9ea1eee3d80c98a47855cf6008212599cd24e0f93bd69e2cd5304053b490"),
+]
+
+
+@pytest.mark.parametrize("seed, digest", GOLDEN_COCOMPATIBLE_REPORTS)
+def test_cocompatible_reports_match_golden_bytes(capture, seed, digest):
+    code, out = capture(["suite", "--name", "cocompatible", "--trials",
+                         "2000", "--seed", str(seed), "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

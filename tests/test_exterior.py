@@ -169,6 +169,37 @@ def test_wedge_graded_anticommutativity_and_associativity(da, db, dc, seed):
         assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    dim=st.integers(min_value=1, max_value=9),
+    data=st.data(),
+)
+def test_wedge_graded_commutativity_exact_and_float(dim, data):
+    # a ^ b = (-1)^(pq) b ^ a for random sparse forms of any degrees; the
+    # coefficients are dyadic, so the float wedge is exact and must give the
+    # exact wedge's values in both orders
+    p = data.draw(st.integers(min_value=0, max_value=dim), label="p")
+    q = data.draw(st.integers(min_value=0, max_value=dim - p), label="q")
+    seed = data.draw(st.integers(min_value=0, max_value=10 ** 6), label="seed")
+    rng = random.Random(seed)
+    cf = Coframe(tuple(f"e{i}" for i in range(dim)))
+
+    def dyadic_form(degree):
+        blades = {}
+        for _ in range(rng.randint(1, 4)):
+            blade = tuple(sorted(rng.sample(range(dim), degree)))
+            blades[blade] = Q(rng.randint(-8, 8), 2 ** rng.randint(0, 3))
+        return Form.from_blades(cf, degree, blades)
+
+    a, b = dyadic_form(p), dyadic_form(q)
+    sign = -1 if (p * q) % 2 else 1
+    ab = a.wedge(b)
+    assert ab == sign * b.wedge(a)
+    fa, fb = a.to_float(), b.to_float()
+    assert fa.wedge(fb).terms == ab.to_float().terms
+    assert (sign * fb.wedge(fa)).terms == ab.to_float().terms
+
+
 def test_top_coefficient_examples():
     assert Form.volume(CF4).top_coefficient() == 1
     cf2 = Coframe(("dx", "dy"))

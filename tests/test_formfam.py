@@ -19,6 +19,72 @@ def test_profile_fd_validation_catches_wrong_derivative():
         ff.ProfileFn(math.sin, math.sin, "bad")
 
 
+def test_caller_profile_reports_its_first_failing_point():
+    # the 64 sample points are checked as one array; the message names the
+    # first failing point in draw order, with the values of the scalar path
+    msg = ("derivative of bad fails the FD check at s=0.6592248565350447: "
+           "analytic 1.384372198723594 vs central difference "
+           "1.3184497130641626")
+    for _ in range(2):
+        with pytest.raises(ff.ProfileError, match=f"^{msg}$"):
+            ff.ProfileFn(
+                lambda s: ff._unit_step(s, lambda x: x * x, 1.0),
+                lambda s: ff._unit_step(s, lambda x: 2.1 * x, 0.0),
+                "bad", knots=(0.0, 1.0))
+
+
+def test_profile_check_skips_knots():
+    # a kink exactly at the first seeded sample point fails the check
+    # unless that point is declared a knot
+    k = float(np.random.default_rng(1234).uniform(-3.0, 3.0))
+
+    def ramp(s):
+        return np.maximum(s - k, 0.0)
+
+    def dramp(s):
+        return np.where(s > k, 1.0, 0.0)
+
+    with pytest.raises(ff.ProfileError, match=f"at s={k}:"):
+        ff.ProfileFn(ramp, dramp, "ramp")
+    ff.ProfileFn(ramp, dramp, "ramp", knots=(k,))
+
+
+def test_cached_constructor_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(ff.ProfileError, match="sin\\(300.0s"):
+            ff.sin_fn(300.0)
+        with pytest.raises(OverflowError):
+            ff.exp_fn(250.0)
+
+
+LIBRARY_CONSTRUCTORS = [
+    (ff.linear, (2.5, -1.0)), (ff.exp_fn, (0.75, 0.5)),
+    (ff.sin_fn, (1.5, 0.25)), (ff.cos_fn, (1.5, 0.25)),
+    (ff.smoothstep5, ()), (ff.smoothstep3, ()),
+    (ff.plateau_bump, (0.5, "cubic")),
+]
+
+
+def test_library_constructors_check_once_per_process(monkeypatch):
+    checked = []
+    validate = ff.ProfileFn._validate
+
+    def counting(self):
+        checked.append(self.label)
+        validate(self)
+
+    monkeypatch.setattr(ff.ProfileFn, "_validate", counting)
+    for ctor, args in LIBRARY_CONSTRUCTORS:
+        ctor.cache_clear()
+    for ctor, args in LIBRARY_CONSTRUCTORS:
+        first = ctor(*args)
+        assert ctor(*args) is first
+    # one check per constructor and argument tuple; plateau_bump's cubic
+    # step is the cached smoothstep3
+    assert checked == ["2.5s+-1.0", "exp(0.75s+0.5)", "sin(1.5s+0.25)",
+                       "cos(1.5s+0.25)", "S5", "S3", "plateau[cubic]"]
+
+
 def test_profile_library_and_arithmetic():
     f = ff.exp_fn(2.0, 1.0)
     assert abs(f(0.3) - math.exp(1.6)) < 1e-12

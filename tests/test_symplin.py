@@ -360,6 +360,81 @@ def test_cocompatible_suite_small():
     assert rep.detail["wedge_top"] == "0"
 
 
+def reference_expm(m):
+    """The per-matrix scaling-and-squaring exponential the suite once ran."""
+    norm = np.linalg.norm(m, 1)
+    k = max(0, int(math.ceil(math.log2(max(norm, 1e-16)))) + 1)
+    small = m / (2 ** k)
+    out = np.eye(m.shape[0])
+    term = np.eye(m.shape[0])
+    for i in range(1, 20):
+        term = term @ small / i
+        out = out + term
+    for _ in range(k):
+        out = out @ out
+    return out
+
+
+def reference_cocompatible_trials(trials, seed):
+    """The suite trial by trial: (vmin, survived) per trial."""
+    a0, a1 = sl.remark_pair()
+    m0, m1 = a0.to_array(), a1.to_array()
+    j_std = sl.compatible_j(a0)
+    vmins, survived = [], []
+    for trial in range(trials):
+        rng = np.random.default_rng(seed + trial)
+        c = rng.standard_normal((4, 4))
+        ham = np.linalg.solve(m0, (c + c.T) / 2)
+        s = reference_expm(ham * 0.5)
+        j = sl.ComplexStructure(s @ j_std.matrix @ np.linalg.inv(s))
+        m = m1 @ j.matrix
+        vals, vecs = np.linalg.eigh((m + m.T) / 2)
+        v = vecs[:, 0]
+        vmins.append(float(vals[0]))
+        survived.append(vals[0] > 0
+                        or not float(v @ m1 @ (j.matrix @ v)) <= 1e-12)
+    return np.array(vmins), np.array(survived, dtype=bool)
+
+
+@pytest.mark.parametrize("seed", [0, 331, 600, 12345])
+def test_stacked_cocompatible_trials_match_per_trial(seed):
+    a0, a1 = sl.remark_pair()
+    vmin, survived = sl._cocompatible_trials(a0, a1, 2000, seed)
+    ref_vmin, ref_survived = reference_cocompatible_trials(2000, seed)
+    assert np.array_equal(vmin, ref_vmin)
+    assert np.array_equal(vmin.view(np.int64), ref_vmin.view(np.int64))
+    assert np.array_equal(survived, ref_survived)
+    rep = sl.cocompatible_counterexample_suite(2000, seed)
+    assert rep.worst_margin == max(ref_vmin.tolist())
+    assert rep.mismatches == int(ref_survived.sum()) == 0
+
+
+def test_stacked_expm_matches_per_matrix():
+    # scales spread over several scaling exponents k, including k = 0
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((60, 4, 4)) * np.geomspace(1e-3, 40, 60)[:, None,
+                                                                      None]
+    out = sl._expm(m)
+    ref = np.array([reference_expm(x) for x in m])
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+    assert sl._expm(np.empty((0, 4, 4))).shape == (0, 4, 4)
+
+
+def test_cocompatible_suite_without_trials():
+    rep = sl.cocompatible_counterexample_suite(0, seed=3)
+    assert (rep.trials, rep.mismatches, rep.worst_margin) == (0, 0, -math.inf)
+
+
+def test_stacked_square_gate():
+    j = np.array([sl.compatible_j(sl.standard_omega(4)).matrix] * 3)
+    sl._require_square_minus_identity(j)
+    j[1, 0, 0] += 1e-9
+    with pytest.raises(ValueError, match="does not square to -identity"):
+        sl._require_square_minus_identity(j)
+    with pytest.raises(ValueError, match="does not square to -identity"):
+        sl.ComplexStructure(j[1])
+
+
 def test_equivalence_suite_small():
     rep = sl.appendix_equivalence_suite(30, dims=(4, 6), seed=0)
     assert rep.mismatches == 0
