@@ -361,7 +361,8 @@ def test_cocompatible_suite_small():
 
 
 def reference_expm(m):
-    """The per-matrix scaling-and-squaring exponential the suite once ran."""
+    """Per-matrix scaling-and-squaring exponential, the reference of the
+    stacked `_expm`."""
     norm = np.linalg.norm(m, 1)
     k = max(0, int(math.ceil(math.log2(max(norm, 1e-16)))) + 1)
     small = m / (2 ** k)
