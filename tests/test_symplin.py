@@ -400,7 +400,7 @@ def reference_cocompatible_trials(trials, seed):
 @pytest.mark.parametrize("seed", [0, 331, 600, 12345])
 def test_stacked_cocompatible_trials_match_per_trial(seed):
     a0, a1 = sl.remark_pair()
-    vmin, survived = sl._cocompatible_trials(a0, a1, 2000, seed)
+    vmin, survived = sl._cocompatible_trials(a0, a1, range(seed, seed + 2000))
     ref_vmin, ref_survived = reference_cocompatible_trials(2000, seed)
     assert np.array_equal(vmin, ref_vmin)
     assert np.array_equal(vmin.view(np.int64), ref_vmin.view(np.int64))
@@ -424,6 +424,24 @@ def test_stacked_expm_matches_per_matrix():
 def test_cocompatible_suite_without_trials():
     rep = sl.cocompatible_counterexample_suite(0, seed=3)
     assert (rep.trials, rep.mismatches, rep.worst_margin) == (0, 0, -math.inf)
+
+
+def test_cocompatible_suite_in_several_stacks(monkeypatch):
+    whole = sl.cocompatible_counterexample_suite(100, seed=5)
+    ref_vmin, _ = reference_cocompatible_trials(100, 5)
+    assert whole.worst_margin == max(ref_vmin.tolist())
+    stacks = []
+    trials = sl._cocompatible_trials
+
+    def recording(a0, a1, seeds):
+        stacks.append(seeds)
+        return trials(a0, a1, seeds)
+
+    monkeypatch.setattr(sl, "_TRIAL_STACK", 7)
+    monkeypatch.setattr(sl, "_cocompatible_trials", recording)
+    assert sl.cocompatible_counterexample_suite(100, seed=5) == whole
+    assert [s for seeds in stacks for s in seeds] == list(range(5, 105))
+    assert max(len(seeds) for seeds in stacks) == 7
 
 
 def test_stacked_square_gate():
