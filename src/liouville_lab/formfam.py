@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import functools
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -52,18 +54,53 @@ _FD_TOL = 1e-6
 _FD_POINTS = 64
 
 
+# the `_libm` array results of the open `_libm_scope`; None outside one
+_libm_memo = ContextVar("libm_memo", default=None)
+
+
+@contextmanager
+def _libm_scope():
+    """Share `_libm` array results until the outermost scope closes.
+
+    The composite profiles of one form apply the same leaf to the same
+    sample array many times (each term of a pair form has its own wrapper,
+    and the product rule evaluates both factors); within the scope each is
+    computed once.  A nested scope shares the table of the outer one.
+    """
+    if _libm_memo.get() is not None:
+        yield
+        return
+    token = _libm_memo.set({})
+    try:
+        yield
+    finally:
+        _libm_memo.reset(token)
+
+
 def _libm(fn, x, *args):
     """fn(x, *args), applied element by element when x is an array.
 
     Each element goes through the same scalar call (libm exp/sin/cos, float
     pow), so a batched sample carries exactly the bits of the scalar path;
     numpy's vectorized exp and power round differently on a few percent of
-    inputs.
+    inputs.  Inside `_libm_scope` an array result is keyed on the input
+    bits and shared, read-only: the same call on the same bits gives the
+    same bits.
     """
-    if isinstance(x, np.ndarray):
-        vals = map(fn, x.tolist(), *(repeat(a) for a in args))
-        return np.fromiter(vals, float, x.size).reshape(x.shape)
-    return fn(x, *args)
+    if not isinstance(x, np.ndarray):
+        return fn(x, *args)
+    memo = _libm_memo.get()
+    if memo is not None:
+        key = (fn, args, x.dtype.str, x.shape, x.tobytes())
+        out = memo.get(key)
+        if out is not None:
+            return out
+    vals = map(fn, x.tolist(), *(repeat(a) for a in args))
+    out = np.fromiter(vals, float, x.size).reshape(x.shape)
+    if memo is not None:
+        out.flags.writeable = False
+        memo[key] = out
+    return out
 
 
 def _split(s, at, left, right):
@@ -198,6 +235,29 @@ class ProfileFn:
         )
 
 
+def _profile_cache(ctor):
+    """functools.cache for a library constructor, keyed by the sign of zero.
+
+    0.0 and -0.0 compare and hash equal, but the profiles they build differ
+    in their labels and in the signs of zero values, so each argument is
+    keyed together with the sign of a zero.
+    """
+    def signed(a):
+        return a, math.copysign(1.0, a) if a == 0 else None
+
+    @functools.cache
+    def build(args, kwargs):
+        return ctor(*(a for a, _ in args), **{k: a for k, (a, _) in kwargs})
+
+    @functools.wraps(ctor)
+    def cached(*args, **kwargs):
+        return build(tuple(map(signed, args)),
+                     tuple((k, signed(a)) for k, a in kwargs.items()))
+
+    cached.cache_clear = build.cache_clear
+    return cached
+
+
 def as_profile(x) -> ProfileFn:
     if isinstance(x, ProfileFn):
         return x
@@ -209,13 +269,13 @@ def const(c) -> ProfileFn:
     return ProfileFn(lambda s: c, lambda s: 0.0, f"{c}", check=False)
 
 
-@functools.cache
+@_profile_cache
 def linear(a, b=0.0) -> ProfileFn:
     a, b = float(a), float(b)
     return ProfileFn(lambda s: a * s + b, lambda s: a, f"{a}s+{b}")
 
 
-@functools.cache
+@_profile_cache
 def exp_fn(a=1.0, b=0.0) -> ProfileFn:
     a, b = float(a), float(b)
     return ProfileFn(
@@ -225,7 +285,7 @@ def exp_fn(a=1.0, b=0.0) -> ProfileFn:
     )
 
 
-@functools.cache
+@_profile_cache
 def sin_fn(a=1.0, b=0.0) -> ProfileFn:
     a, b = float(a), float(b)
     return ProfileFn(
@@ -235,7 +295,7 @@ def sin_fn(a=1.0, b=0.0) -> ProfileFn:
     )
 
 
-@functools.cache
+@_profile_cache
 def cos_fn(a=1.0, b=0.0) -> ProfileFn:
     a, b = float(a), float(b)
     return ProfileFn(
@@ -245,7 +305,7 @@ def cos_fn(a=1.0, b=0.0) -> ProfileFn:
     )
 
 
-@functools.cache
+@_profile_cache
 def smoothstep5() -> ProfileFn:
     """Quintic smoothstep x^3 (10 - 15x + 6x^2) clamped to [0, 1]; C^2."""
     def fn(s):
@@ -259,7 +319,7 @@ def smoothstep5() -> ProfileFn:
     return ProfileFn(fn, dfn, "S5", knots=(0.0, 1.0))
 
 
-@functools.cache
+@_profile_cache
 def smoothstep3() -> ProfileFn:
     """Cubic smoothstep 3x^2 - 2x^3 clamped; the second cutoff choice (C^1)."""
     def fn(s):
@@ -276,7 +336,7 @@ def cutoff_step(kind="quintic") -> ProfileFn:
     return smoothstep5() if kind == "quintic" else smoothstep3()
 
 
-@functools.cache
+@_profile_cache
 def plateau_bump(eps=1.0, kind="quintic") -> ProfileFn:
     """Bump that is 1 exactly on [eps/3, 2eps/3] and 0 outside [0, eps]."""
     step = cutoff_step(kind)
@@ -386,9 +446,11 @@ class ParamForm:
         """The form at (u, v); for arrays of sample points, at all of them.
 
         With arrays every coefficient is a float64 array over the samples,
-        element for element the value the scalar call gives.
+        element for element the value the scalar call gives; each libm
+        profile is computed once per sample array (`_libm_scope`).
         """
-        vals = {m: c(u, v) for m, c in self.terms.items()}
+        with _libm_scope():
+            vals = {m: c(u, v) for m, c in self.terms.items()}
         shape = np.broadcast_shapes(np.shape(u), np.shape(v))
         if shape:
             vals = {m: np.broadcast_to(x, shape) for m, x in vals.items()}
@@ -540,16 +602,20 @@ class GridCheck:
 
 
 def _grid_points(interval, grid_n):
+    """The sorted distinct points s0 + (s1 - s0) i / grid_n, the endpoints
+    and the multiples of pi/2 inside, as one float64 array.
+
+    Of points that compare equal (0.0 and -0.0) the first listed is kept.
+    """
     s0, s1 = interval
-    pts = {s0 + (s1 - s0) * i / max(grid_n, 1) for i in range(grid_n + 1)}
-    pts.add(s0)
-    pts.add(s1)
+    pts = [s0 + (s1 - s0) * np.arange(grid_n + 1) / max(grid_n, 1), [s0, s1]]
     # all multiples of pi/2 inside: the critical angles of the trig profiles
     j = math.ceil(s0 / (math.pi / 2))
     while j * math.pi / 2 <= s1 + 1e-12:
-        pts.add(j * math.pi / 2)
+        pts.append([j * math.pi / 2])
         j += 1
-    return sorted(pts)
+    pts = np.concatenate(pts)
+    return pts[np.unique(pts, return_index=True)[1]]
 
 
 def _grid_tops(build, forms, n):
@@ -571,10 +637,13 @@ def _grid_tops(build, forms, n):
     if not zero.any():
         out[:] = build(*forms).top_coefficient()
         return out + 0.0
-    _, group = np.unique(zero, axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    for g in range(group.max() + 1):
-        idx = np.flatnonzero(group == g)
+    # a stable sort on the packed rows lists each group's samples in
+    # ascending order; a group ends where the next row differs
+    key = np.packbits(zero, axis=1)
+    order = np.lexsort(key.T)
+    key = key[order]
+    ends = np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + 1
+    for idx in np.split(order, ends):
         sub = [Form(f.coframe, f.degree,
                     {m: np.broadcast_to(c, (n,))[idx]
                      for m, c in f.terms.items()}, FLOAT64)
@@ -617,14 +686,11 @@ def contact_grid_check(obj, grid_n: int = 1024) -> GridCheck:
     if dim % 2 == 0:
         raise ValueError("contact check needs odd total dimension")
     npow = (dim - 1) // 2
-    pts = _grid_points(interval, grid_n)
-    if not pts:
-        raise ValueError("empty grid")
-    s = np.array(pts)
+    s = _grid_points(interval, grid_n)
     values = _grid_tops(lambda lam, dlam: lam.wedge(dlam.power(npow)),
-                   [pf.at(s), pf.d().at(s)], len(pts))
+                   [pf.at(s), pf.d().at(s)], len(s))
     min_value, argmin = _grid_min(values, s)
-    return GridCheck(min_value, argmin, min_value > 0, len(pts),
+    return GridCheck(min_value, argmin, min_value > 0, len(s),
                      "volume = " + "∧".join(pf.coframe.names))
 
 
@@ -778,7 +844,7 @@ def lutz_family_check(pair, k: int, tau: float, psi: ProfileFn | None = None,
                   "tau psi", knots=psi.knots, check=False)))
     dim = lam_k.coframe.dim
     npow = (dim + 1) // 2
-    s = np.array(_grid_points((-eps, eps), grid_n))
+    s = _grid_points((-eps, eps), grid_n)
 
     def top(lam):
         return _grid_tops(lambda a, da: a.wedge(da.power(npow - 1)),

@@ -85,6 +85,30 @@ def test_library_constructors_check_once_per_process(monkeypatch):
                        "cos(1.5s+0.25)", "S5", "S3", "plateau[cubic]"]
 
 
+@pytest.mark.parametrize("ctor,plus,minus", [
+    (ff.exp_fn, (0.0,), (-0.0,)), (ff.linear, (1.0, 0.0), (1.0, -0.0)),
+    (ff.sin_fn, (0.0, 0.5), (-0.0, 0.5)), (ff.cos_fn, (1.0, 0.0), (1.0, -0.0)),
+    (ff.exp_fn, (1.0, 0.0), (1.0, -0.0)),
+])
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_cached_constructors_keep_the_sign_of_zero(ctor, plus, minus, order):
+    s = np.array([-1.5, 0.0, 0.75, 2.0])
+
+    def bits(x):
+        return np.broadcast_to(np.float64(x), s.shape).view(np.uint64).tolist()
+
+    def profile_bits(f):
+        return f.label, bits(f(s)), bits(f.deriv(s)), bits(f.deriv(0.75))
+
+    ctor.cache_clear()
+    args = (plus, minus)
+    got = {i: ctor(*args[i]) for i in order}
+    for i in order:
+        assert profile_bits(got[i]) == profile_bits(ctor.__wrapped__(*args[i]))
+        assert ctor(*args[i]) is got[i]
+    assert got[0] is not got[1]
+
+
 def test_profile_library_and_arithmetic():
     f = ff.exp_fn(2.0, 1.0)
     assert abs(f(0.3) - math.exp(1.6)) < 1e-12

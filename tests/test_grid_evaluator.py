@@ -1,0 +1,235 @@
+"""The float grid evaluator: the libm memo of `ParamForm.at`, the packed
+grouping of `_grid_tops` and the array grid of `_grid_points`.
+
+Each is checked against a per-sample or set-based reference, bit for bit.
+"""
+
+import math
+import types
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liouville_lab import formfam as ff
+from liouville_lab import liealg
+from liouville_lab.exterior import FLOAT64, Coframe, Form
+
+SAMPLES = [0.0, -0.0, 1 / 3, 0.5, 2 / 3, 1.0, -1.0, math.pi / 2, math.pi,
+           -math.pi, 2 * math.pi, 2.75, -3.5]
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+# -- the per-call libm memo -------------------------------------------------------
+
+
+def _shared_leaf(draw):
+    """A library leaf, used again below through products and affine maps."""
+    a = draw(st.sampled_from([1.0, -1.0, 0.5, 2.0]))
+    b = draw(st.sampled_from([0.0, 0.25]))
+    return draw(st.sampled_from([
+        ff.exp_fn(a / 2, b), ff.sin_fn(a, b), ff.cos_fn(a, b),
+        0.5 * (ff.cos_fn() + 1.0), ff.smoothstep5().precompose_affine(a, b),
+        ff.plateau_bump(1.0, "quintic"), ff.lutz_twist_profile(1, 1.0),
+    ]))
+
+
+def _use(draw, leaf):
+    """leaf again: scaled, precomposed (the identity map among others),
+    squared or multiplied by another library profile."""
+    kind = draw(st.sampled_from(["scaled", "affine", "square", "product"]))
+    c = draw(st.sampled_from([1.0, -0.75, 2.5]))
+    if kind == "scaled":
+        return leaf * c
+    if kind == "affine":
+        a = draw(st.sampled_from([1.0, -1.0, 0.5]))
+        b = draw(st.sampled_from([0.0, 0.5]))
+        return leaf.precompose_affine(a, b) * c
+    if kind == "square":
+        return leaf * leaf * c
+    return leaf * _shared_leaf(draw) + c
+
+
+@st.composite
+def shared_leaf_forms(draw):
+    g = liealg.preset(draw(st.sampled_from(
+        ["totreal:1", "sol:2,1,1,1", "geiges:2"]))).algebra
+    nparams = draw(st.sampled_from([1, 2]))
+    pf = ff.ParamForm(("du", "dv")[:nparams], (), g, 1, {})
+    leaf = _shared_leaf(draw)
+    for i in range(pf.coframe.dim):
+        terms = [(_use(draw, leaf),
+                  _use(draw, leaf) if nparams == 2 else ff.const(1.0))
+                 for _ in range(draw(st.integers(1, 3)))]
+        pf.terms[1 << i] = ff.ParamCoeff(terms)
+    return pf
+
+
+def assert_at_matches_per_sample(pf, u, v):
+    """Each coefficient of pf.at(u, v) against its scalar call per sample."""
+    form = pf.at(u, v)
+    pts = list(zip(u.tolist(), np.broadcast_to(v, u.shape).tolist()))
+    for m, coeff in pf.terms.items():
+        scalar = [coeff(x, y) for x, y in pts]
+        if m in form.terms:
+            np.testing.assert_array_equal(bits(form.terms[m]), bits(scalar))
+        else:
+            assert not any(scalar)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(pf=shared_leaf_forms(),
+       extra=st.lists(st.floats(-4.0, 8.0, allow_nan=False), max_size=8),
+       v=st.sampled_from([0.0, -0.3, 1.0, math.pi]))
+def test_shared_leaf_forms_match_scalar_evaluation(pf, extra, v):
+    u = np.array(SAMPLES + extra)
+    vs = np.resize(np.array([v, 0.5, -1.0]), u.shape)
+    assert_at_matches_per_sample(pf, u, vs if pf.nparams == 2 else 0.0)
+    assert_at_matches_per_sample(pf.d(), u, vs if pf.nparams == 2 else 0.0)
+
+
+def test_each_leaf_is_computed_once_per_at_call(monkeypatch):
+    calls = []
+
+    def counting_exp(x):
+        calls.append(x)
+        return math.exp(x)
+
+    monkeypatch.setattr(ff, "math", types.SimpleNamespace(
+        **{**vars(math), "exp": counting_exp}))
+    pf = ff.ParamForm(("ds",), (), liealg.preset("sol:2,1,1,1").algebra,
+                      1, {})
+    for i in (1, 2, 3):
+        pf.terms[1 << i] = ff.ParamCoeff.of(ff.exp_fn(1.0) * float(i))
+    s = np.linspace(-1.0, 1.0, 7)
+    for form in (pf, pf.d()):
+        calls.clear()
+        form.at(s)
+        assert len(calls) == s.size
+    # outside a call there is no memo: each evaluation runs again
+    calls.clear()
+    ff.exp_fn(1.0)(s)
+    ff.exp_fn(1.0)(s)
+    assert len(calls) == 2 * s.size
+
+
+def test_memo_arrays_are_read_only_and_the_scope_closes():
+    x = np.linspace(0.0, 1.0, 5)
+    with ff._libm_scope():
+        first = ff._libm(math.sin, x)
+        with ff._libm_scope():
+            assert ff._libm(math.sin, x.copy()) is first
+        assert ff._libm(math.sin, x) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        # same value, other bits: -0.0 is its own key
+        assert bits(ff._libm(math.sin, -x)[0]) != bits(first[0])
+        # the extra arguments are part of the key
+        assert ff._libm(pow, x + 2, 3)[0] == 8.0
+        assert ff._libm(pow, x + 2, 2)[0] == 4.0
+    assert ff._libm_memo.get() is None
+    fresh = ff._libm(math.sin, x)
+    assert fresh is not ff._libm(math.sin, x) and fresh.flags.writeable
+
+    pf = ff.ParamForm(("ds",), (), liealg.preset("totreal:1").algebra, 1, {})
+    pf.terms[2] = ff.ParamCoeff.of(ff.exp_fn(1.0))
+    pf.at(x)
+    assert ff._libm_memo.get() is None
+    pf.terms[4] = ff.ParamCoeff.of(ff.ProfileFn(
+        lambda s: 1 / 0, lambda s: 0.0, check=False))
+    with pytest.raises(ZeroDivisionError):
+        pf.at(x)
+    assert ff._libm_memo.get() is None
+
+
+# -- grouping by the packed zero pattern ---------------------------------------------
+
+
+def test_grid_tops_groups_wide_zero_patterns():
+    # 81 coefficient columns, so each packed row spans 11 bytes; patterns 0
+    # and 1 differ only in column 70, past the first 8 bytes
+    cf = Coframe(tuple(f"e{i}" for i in range(9)))
+    rng = np.random.default_rng(15)
+    n = 48
+    one = [1 << i for i in range(9)]
+    two = [1 << i | 1 << j for i in range(9) for j in range(i + 1, 9)]
+    ncols = len(one) + 2 * len(two)
+    pool = rng.random((6, ncols)) < 0.3
+    pool[1] = pool[0]
+    pool[1, 70] = not pool[0, 70]
+    pool[5] = False
+    pattern = rng.integers(0, len(pool), n)
+    pattern[:3] = (0, 1, 5)   # pattern 5 keeps every column nonzero
+    vals = rng.normal(size=(n, ncols))
+    vals[pool[pattern]] = 0.0
+    blades = [one, two, two]
+    cols = np.split(np.arange(ncols), np.cumsum([len(b) for b in blades])[:-1])
+    forms = [Form(cf, deg, {m: vals[:, c] for m, c in zip(b, idx)}, FLOAT64)
+             for deg, b, idx in zip((1, 2, 2), blades, cols)]
+
+    def build(a, w, z):
+        return a.wedge(w.power(2)).wedge(z.power(2))
+
+    got = ff._grid_tops(build, forms, n)
+    want = [build(*[Form(f.coframe, f.degree,
+                         {m: float(c[i]) for m, c in f.terms.items()},
+                         FLOAT64) for f in forms]).top_coefficient() + 0.0
+            for i in range(n)]
+    assert sum(len(f.terms) for f in forms) == ncols
+    np.testing.assert_array_equal(bits(got), bits(want))
+
+    # each pass sees exactly the blades its samples keep: a group mixing
+    # two patterns would keep a blade that vanishes at one of its samples
+    def blades_kept(*fs):
+        shape = np.broadcast_shapes(
+            *(np.shape(c) for f in fs for c in f.terms.values()))
+        count = float(sum(len(f.terms) for f in fs))
+        return Form.volume(cf, np.full(shape, count), FLOAT64)
+
+    np.testing.assert_array_equal(ff._grid_tops(blades_kept, forms, n),
+                                  (vals != 0).sum(axis=1))
+
+
+# -- the grid points --------------------------------------------------------------
+
+
+def set_grid_points(interval, grid_n):
+    """The set-based builder the array grid replaced."""
+    s0, s1 = interval
+    pts = {s0 + (s1 - s0) * i / max(grid_n, 1) for i in range(grid_n + 1)}
+    pts.add(s0)
+    pts.add(s1)
+    j = math.ceil(s0 / (math.pi / 2))
+    while j * math.pi / 2 <= s1 + 1e-12:
+        pts.add(j * math.pi / 2)
+        j += 1
+    return sorted(pts)
+
+
+@pytest.mark.parametrize("interval,grid_n", [
+    ((0.0, 2 * math.pi), 1024), ((0.0, 6 * math.pi), 8192),
+    ((0.0, 4 * math.pi), 2048), ((-1.0, 1.0), 512), ((-1.0, 1.0), 256),
+    ((-0.3, 0.3), 7), ((0.0, 2 * math.pi), 0), ((0.0, 2 * math.pi), 1),
+    ((-0.0, 3.0), 5), ((-2.0, -0.0), 4), ((-math.pi, math.pi), 3),
+    ((1.0, 1.0), 4), ((-1e-3, 1e-3), 100),
+])
+def test_grid_points_match_set_builder(interval, grid_n):
+    got = ff._grid_points(interval, grid_n)
+    want = set_grid_points(interval, grid_n)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(bits(got), bits(want))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(a=st.floats(-20.0, 20.0), width=st.floats(0.0, 40.0),
+       grid_n=st.integers(0, 3000))
+def test_grid_points_match_set_builder_on_random_intervals(a, width, grid_n):
+    interval = (a, a + width)
+    np.testing.assert_array_equal(
+        bits(ff._grid_points(interval, grid_n)),
+        bits(set_grid_points(interval, grid_n)))
