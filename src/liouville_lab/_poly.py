@@ -3,9 +3,10 @@
 Polynomials are lists of Fractions in ascending order, trimmed so the last
 entry is nonzero (the zero polynomial is the empty list).  Matrices are
 lists of rows.  This module holds the package's one exact path: polynomial
-arithmetic, Sturm chains, root counting and isolation, rational roots,
-determinants and the matrix product.  It backs every Sturm-style positivity
-certificate; nothing here is allowed to touch floating point.
+arithmetic, Sturm chains, root counting and isolation, rational roots, the
+matrix product and one fraction-free elimination on integer rows, behind
+every exact determinant, solve and null space.  It backs every Sturm-style
+positivity certificate; nothing here is allowed to touch floating point.
 """
 
 from __future__ import annotations
@@ -279,55 +280,94 @@ def rational_roots(p):
     return roots
 
 
-def int_det(rows) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    m = [list(map(int, r)) for r in rows]
+def _eliminate(m, ncols):
+    """Fraction-free Gauss-Jordan elimination of integer rows in place, with
+    pivots in the first ncols columns (Bareiss, Math. Comp. 22, 1968).
+
+    Returns the pivot columns, the sign of the row swaps and the last pivot
+    d: the rows divided by d are the reduced row echelon form, and a square
+    m of full rank has determinant sign * d.
+    """
+    pivots = []
+    sign = d = 1
+    for c in range(ncols):
+        k = len(pivots)
+        r = next((i for i in range(k, len(m)) if m[i][c]), None)
+        if r is None:
+            continue
+        if r != k:
+            m[k], m[r] = m[r], m[k]
+            sign = -sign
+        top = m[k]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[c]
+                m[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
+        pivots.append(c)
+        d = p
+    return pivots, sign, d
+
+
+def _int_rows(rows):
+    """Each rational row times the lcm of its denominators, as Python ints,
+    and the product of those multipliers."""
+    out, scale = [], 1
+    for row in rows:
+        row = [Q(x) for x in row]
+        lcm = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (lcm // x.denominator) for x in row])
+        scale *= lcm
+    return out, scale
+
+
+def _det(m) -> int:
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("square matrix required")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
+    pivots, sign, d = _eliminate(m, n)
+    return sign * d if len(pivots) == n else 0
+
+
+def int_det(rows) -> int:
+    """Exact determinant of an integer matrix."""
+    return _det([list(map(int, r)) for r in rows])
 
 
 def frac_det(rows) -> Fraction:
-    """Exact determinant of a rational matrix (Gaussian elimination)."""
-    m = [[Q(x) for x in r] for r in rows]
-    n = len(m)
-    det = Q(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Q(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if f == 0:
-                continue
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
-    return det
+    """Exact determinant of a rational matrix, on integer-scaled rows."""
+    m, scale = _int_rows(rows)
+    return Q(_det(m), scale)
+
+
+def solve(a, b):
+    """The exact X with a X = b for a square a, as rows; None when a is
+    singular.  Scaling a row of [a | b] to integers leaves X unchanged."""
+    n = len(a)
+    if any(len(r) != n for r in a):
+        raise ValueError("square matrix required")
+    m, _ = _int_rows([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    pivots, _, d = _eliminate(m, n)
+    if len(pivots) < n:
+        return None
+    return [[Q(x, d) for x in row[n:]] for row in m]
+
+
+def kernel(rows):
+    """Exact null-space basis of a nonempty list of rows: per free column f
+    of the RREF, 1 at f, 0 at the other free columns and minus the reduced
+    entries of column f at the pivot columns."""
+    m, _ = _int_rows(rows)
+    ncols = len(m[0])
+    pivots, _, d = _eliminate(m, ncols)
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        vec = [Q(0)] * ncols
+        vec[f] = Q(1)
+        for row, p in zip(m, pivots):
+            vec[p] = Q(-row[f], d)
+        basis.append(vec)
+    return basis
 
 
 def mat_mul(a, b):

@@ -2,8 +2,7 @@
 
 Exit codes: 0 = verdict passes, 1 = mathematical verdict negative,
 2 = input or usage error.  With --json the report is a single JSON object
-on stdout (byte-identical for identical inputs and seed; timings are only
-included when --timing is passed, since they are not reproducible).
+on stdout, byte-identical for identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -41,10 +39,7 @@ def _report(command, inputs, verdict, kind, detail=None, tolerances=None,
     }
 
 
-def _emit(report, args, t0):
-    if getattr(args, "timing", False):
-        report = dict(report)
-        report["elapsed_ms"] = round(1000 * (time.perf_counter() - t0), 3)
+def _emit(report, args):
     if args.json:
         print(json.dumps(report, sort_keys=True, default=_json_default))
     else:
@@ -109,7 +104,7 @@ def _int_list(text):
 # -- subcommands -------------------------------------------------------------
 
 
-def _cmd_cotame(args, t0):
+def _cmd_cotame(args):
     a0 = _skew(args.omega0)
     a1 = _skew(args.omega1)
     # construct_cotamed decides existence and returns only a J both forms tame
@@ -134,10 +129,10 @@ def _cmd_cotame(args, t0):
         "omega(v,w) = v^T A w; taming = sym(AJ) positive definite",
         seed=args.seed,
     )
-    return _emit(rep, args, t0)
+    return _emit(rep, args)
 
 
-def _cmd_pencil_reduce(args, t0):
+def _cmd_pencil_reduce(args):
     a0 = _skew(args.omega0)
     a1 = _skew(args.omega1)
     red = symplin.simultaneous_reduce(a0, a1, eps=args.eps)
@@ -164,10 +159,10 @@ def _cmd_pencil_reduce(args, t0):
         {"eps": args.eps, "omega0_gate": 1e-9, "omega1_gate": 10 * args.eps},
         seed=args.seed,
     )
-    return _emit(rep, args, t0)
+    return _emit(rep, args)
 
 
-def _cmd_verify_pair(args, t0):
+def _cmd_verify_pair(args):
     preset = liealg.preset(args.preset)
     if preset.alpha_plus is None:
         raise UsageError(f"preset {args.preset} has no Liouville pair")
@@ -187,10 +182,10 @@ def _cmd_verify_pair(args, t0):
         {}, cert.orientation,
         seed=args.seed,
     )
-    return _emit(rep, args, t0)
+    return _emit(rep, args)
 
 
-def _cmd_verify_contact(args, t0):
+def _cmd_verify_contact(args):
     preset = liealg.preset(args.preset)
     form = {
         "alpha_plus": preset.alpha_plus,
@@ -212,7 +207,7 @@ def _cmd_verify_contact(args, t0):
             {}, preset.orientation,
             seed=args.seed,
         )
-        return _emit(rep, args, t0)
+        return _emit(rep, args)
     cert = liealg.contact_check(g, form)
     rep = _report(
         "verify-contact", {"preset": args.preset, "form": args.form},
@@ -221,7 +216,7 @@ def _cmd_verify_contact(args, t0):
         {}, cert.orientation,
         seed=args.seed,
     )
-    return _emit(rep, args, t0)
+    return _emit(rep, args)
 
 
 @functools.cache
@@ -231,7 +226,7 @@ def _torsion_family(pair, k):
     return formfam.gt_form(liealg.preset(pair), k)
 
 
-def _cmd_giroux_torsion(args, t0):
+def _cmd_giroux_torsion(args):
     triple = _torsion_family(args.pair, args.k)
     chk = formfam.contact_grid_check(triple, args.grid)
     rep = _report(
@@ -242,10 +237,10 @@ def _cmd_giroux_torsion(args, t0):
         {"positivity": "strict"}, chk.orientation,
         seed=args.seed,
     )
-    return _emit(rep, args, t0)
+    return _emit(rep, args)
 
 
-def _cmd_reeb(args, t0):
+def _cmd_reeb(args):
     triple = _torsion_family(args.pair, args.k)
     res = formfam.reeb_field(triple, args.s, tol=args.tol)
     rep = _report(
@@ -261,10 +256,10 @@ def _cmd_reeb(args, t0):
         {"tol": args.tol},
         seed=args.seed,
     )
-    return _emit(rep, args, t0)
+    return _emit(rep, args)
 
 
-def _cmd_lutz_check(args, t0):
+def _cmd_lutz_check(args):
     preset = liealg.preset(args.pair)
     err = formfam.lutz_family_check(preset, args.k, args.tau,
                                     grid_n=args.grid)
@@ -274,10 +269,10 @@ def _cmd_lutz_check(args, t0):
         {"max_relative_error": err}, {"identity": 1e-8},
         seed=args.seed,
     )
-    return _emit(rep, args, t0)
+    return _emit(rep, args)
 
 
-def _cmd_cutoff(args, t0):
+def _cmd_cutoff(args):
     preset = liealg.preset(args.pair)
     psi = formfam.cutoff_step(args.profile)
     if args.c is not None:
@@ -289,7 +284,7 @@ def _cmd_cutoff(args, t0):
             {"min_value": top, "argmin": argmin}, {},
             seed=args.seed,
         )
-        return _emit(rep, args, t0)
+        return _emit(rep, args)
     c_star = formfam.min_c_search(preset, psi, grid_n=args.grid)
     refined, argmin = formfam.cutoff_positive_on_grid(
         formfam.PairData.from_preset(preset), c_star, psi, 4 * args.grid)
@@ -300,10 +295,10 @@ def _cmd_cutoff(args, t0):
         {"bisection": 1e-3},
         seed=args.seed,
     )
-    return _emit(rep, args, t0)
+    return _emit(rep, args)
 
 
-def _cmd_numfield(args, t0):
+def _cmd_numfield(args):
     field = numfield.field_from_poly(_int_list(args.poly))
     report = numfield.build_liealg_pair(field, box_bound=args.box)
     r, s = field.signature
@@ -343,10 +338,10 @@ def _cmd_numfield(args, t0):
         {"embedding_check": 1e-6, "hyperplane": 1e-10},
         seed=args.seed,
     )
-    return _emit(rep, args, t0)
+    return _emit(rep, args)
 
 
-def _cmd_geiges(args, t0):
+def _cmd_geiges(args):
     n = args.n
     preset = liealg.geiges(n)
     pair_ok = liealg.geiges_pair_check(
@@ -366,10 +361,10 @@ def _cmd_geiges(args, t0):
         {"residual": 1e-10}, preset.orientation,
         seed=args.seed,
     )
-    return _emit(rep, args, t0)
+    return _emit(rep, args)
 
 
-def _cmd_suite(args, t0):
+def _cmd_suite(args):
     name = args.name
     if name == "appendix-equivalence":
         rep_data = symplin.appendix_equivalence_suite(
@@ -395,7 +390,7 @@ def _cmd_suite(args, t0):
         },
         seed=args.seed,
     )
-    return _emit(rep, args, t0)
+    return _emit(rep, args)
 
 
 @functools.cache
@@ -409,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="JSON report on stdout")
-    common.add_argument("--timing", action="store_true",
-                        help="include elapsed time (breaks reproducibility)")
     common.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -519,9 +512,8 @@ def run(argv) -> int:
         args = parser.parse_args(_merge_negative_lists(list(argv)))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    t0 = time.perf_counter()
     try:
-        return args.fn(args, t0)
+        return args.fn(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2

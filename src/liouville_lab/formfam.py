@@ -111,9 +111,13 @@ def _split(s, at, left, right):
 
 
 def _unit_step(s, inside, high):
-    """0 for s <= 0, high for s >= 1 and inside(s) in between."""
+    """0 for s <= 0, high for s >= 1 and inside(s) in between; an array
+    runs inside only on the samples in between, NaN among them."""
     if isinstance(s, np.ndarray):
-        return np.where(s <= 0.0, 0.0, np.where(s >= 1.0, high, inside(s)))
+        out = np.where(s <= 0.0, 0.0, high)
+        mid = ~((s <= 0.0) | (s >= 1.0))
+        out[mid] = inside(s[mid])
+        return out
     if s <= 0.0:
         return 0.0
     if s >= 1.0:

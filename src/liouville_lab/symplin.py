@@ -27,6 +27,8 @@ from .exterior import EXACT, Coframe, Form
 Q = Fraction
 
 MAX_PENCIL_DIM = 12
+MAX_RETRIES = 6  # eps halvings of the reduction and of the construction
+SEGMENT_SAMPLES = 10 ** 4  # determinants sampled by segment_nondegenerate
 
 
 class PencilError(ValueError):
@@ -222,17 +224,37 @@ def _exact_positive_definite(sym) -> bool:
 
 def pencil_endomorphism(a0: SkewForm, a1: SkewForm) -> np.ndarray:
     """B = A0^{-1} A1; verified w0-symmetric (A0 B is antisymmetric)."""
-    if a0.dim != a1.dim:
-        raise ValueError("dimension mismatch")
     if not is_nondegenerate(a0):
         raise ValueError("omega_0 is degenerate")
-    m0 = a0.to_array()
-    m1 = a1.to_array()
+    return _float_endomorphism(a0.to_array(), a1.to_array())
+
+
+def _float_endomorphism(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """The float solve of pencil_endomorphism, for a w0 known nondegenerate."""
+    if m0.shape != m1.shape:
+        raise ValueError("dimension mismatch")
     b = np.linalg.solve(m0, m1)
     check = m0 @ b
     if np.max(np.abs(check + check.T)) > 1e-9 * max(1.0, np.max(np.abs(check))):
         raise ArithmeticError("pencil endomorphism lost w0-symmetry")
     return b
+
+
+def _exact_pencil(a0: SkewForm, a1: SkewForm):
+    """(B, det(x - B)) of a rational pencil, B = A0^{-1} A1 exactly.
+
+    A degenerate w0 leaves the solve without a full set of pivots, and a
+    degenerate w1 makes B singular, so the charpoly's constant term is 0.
+    """
+    if a0.dim != a1.dim:
+        raise ValueError("dimension mismatch")
+    b = _poly.solve(a0.matrix, a1.matrix)
+    if b is None:
+        raise ValueError("omega_0 is degenerate")
+    charpoly = _frac_charpoly(b)
+    if charpoly[0] == 0:
+        raise ValueError("omega_1 is degenerate")
+    return b, charpoly
 
 
 def _has_negative_real_eigenvalue(vals, rel_tol: float = 1e-8) -> bool:
@@ -244,8 +266,7 @@ def _has_negative_real_eigenvalue(vals, rel_tol: float = 1e-8) -> bool:
 
 
 def segment_nondegenerate(a0: SkewForm, a1: SkewForm,
-                          cross_validate: bool = True,
-                          samples: int = 10 ** 4) -> bool:
+                          cross_validate: bool = True) -> bool:
     """Whether (1-t) w0 + t w1 stays symplectic on [0, 1].
 
     Decided by the spectrum of B = A0^{-1} A1 (no negative real eigenvalue);
@@ -254,7 +275,7 @@ def segment_nondegenerate(a0: SkewForm, a1: SkewForm,
     verdict = ray_nondegenerate(a0, a1)
     if cross_validate:
         m0, m1 = a0.to_array(), a1.to_array()
-        t = np.linspace(0.0, 1.0, samples)
+        t = np.linspace(0.0, 1.0, SEGMENT_SAMPLES)
         mats = (1 - t)[:, None, None] * m0 + t[:, None, None] * m1
         dets = np.linalg.det(mats)
         scale = max(abs(dets[0]), abs(dets[-1]))
@@ -272,12 +293,12 @@ def ray_nondegenerate(a0: SkewForm, a1: SkewForm) -> bool:
     Rational pencils are decided exactly: B is invertible, so this is a Sturm
     count of zero roots of its charpoly in (-root_bound, 0).
     """
+    if a0.exact and a1.exact:
+        _, charpoly = _exact_pencil(a0, a1)
+        return _poly.count_roots(charpoly, -_poly.root_bound(charpoly), 0) == 0
     b = pencil_endomorphism(a0, a1)
     if not is_nondegenerate(a1):
         raise ValueError("omega_1 is degenerate")
-    if a0.exact and a1.exact:
-        charpoly = _frac_charpoly(_frac_solve_matrix(a0.matrix, a1.matrix))
-        return _poly.count_roots(charpoly, -_poly.root_bound(charpoly), 0) == 0
     return not _has_negative_real_eigenvalue(np.linalg.eigvals(b))
 
 
@@ -403,8 +424,8 @@ def _cluster_eigenvalues(vals, rel_tol=1e-7):
     return [(complex(c[0]), len(c[1])) for c in clusters]
 
 
-def simultaneous_reduce(a0: SkewForm, a1: SkewForm, eps: float = 1e-3,
-                        max_retries: int = 6) -> PencilBlocks:
+def simultaneous_reduce(a0: SkewForm, a1: SkewForm,
+                        eps: float = 1e-3) -> PencilBlocks:
     """Simultaneous block reduction of two symplectic forms.
 
     Returns a basis in which w0 is exactly standard blockwise and w1 is
@@ -412,16 +433,15 @@ def simultaneous_reduce(a0: SkewForm, a1: SkewForm, eps: float = 1e-3,
     complex (mu, nu) pairs.  Rational inputs whose endomorphism has rational
     spectrum and is diagonalizable take an exact path.
     """
-    if not (is_nondegenerate(a0) and is_nondegenerate(a1)):
-        raise ValueError("both forms must be nondegenerate")
-    exact = a0.exact and a1.exact
-    if exact:
+    if a0.exact and a1.exact:
         got = _try_exact_reduce(a0, a1)
         if got is not None:
             return got
+    elif not (is_nondegenerate(a0) and is_nondegenerate(a1)):
+        raise ValueError("both forms must be nondegenerate")
     current_eps = eps
     last_error = None
-    for _ in range(max_retries + 1):
+    for _ in range(MAX_RETRIES + 1):
         try:
             result = _float_reduce(a0, a1, current_eps)
         except (ArithmeticError, np.linalg.LinAlgError) as err:
@@ -439,7 +459,7 @@ def simultaneous_reduce(a0: SkewForm, a1: SkewForm, eps: float = 1e-3,
 
 def _float_reduce(a0: SkewForm, a1: SkewForm, eps: float) -> PencilBlocks:
     m0 = a0.to_array()
-    b = pencil_endomorphism(a0, a1)
+    b = _float_endomorphism(m0, a1.to_array())
     n = b.shape[0]
     vals = np.linalg.eigvals(b)
     clusters = _cluster_eigenvalues(vals)
@@ -606,19 +626,22 @@ def _try_exact_reduce(a0: SkewForm, a1: SkewForm):
     Returns None when the spectrum is not rational or the endomorphism is
     not diagonalizable; callers fall back to the float path.  Each pairing
     u^T M v dots the row u^T M, formed once per vector, with v, so every
-    step is O(n^3) Fraction operations.
+    step is O(n^3) Fraction operations.  A degenerate form raises the
+    ValueError of _exact_pencil.
     """
     n = a0.dim
     m0 = a0.matrix
     m1 = a1.matrix
-    b = _frac_solve_matrix(m0, m1)
-    roots = _poly.rational_roots(_frac_charpoly(b))
+    b, charpoly = _exact_pencil(a0, a1)
+    roots = _poly.rational_roots(charpoly)
     if sum(m for _, m in roots) != n:
         return None
     columns = []
     blocks = []
     for lam, mult in sorted(roots, key=lambda t: -t[0]):
-        space = _frac_kernel(_mat_sub_scaled(b, lam))
+        space = _poly.kernel([[x - lam if i == j else x
+                               for j, x in enumerate(row)]
+                              for i, row in enumerate(b)])
         if len(space) != mult:
             return None  # nontrivial Jordan structure: use floats
         while space:
@@ -635,7 +658,7 @@ def _try_exact_reduce(a0: SkewForm, a1: SkewForm):
             blocks.append(RealBlock(lam, 1))
             w_row = _frac_row(w0, m0)
             constraints = [pairs, [_dot(w_row, s) for s in space]]
-            space = [_frac_combine(c, space) for c in _frac_kernel(constraints)]
+            space = [_frac_row(c, space) for c in _poly.kernel(constraints)]
     basis = np.array([[float(x) for x in col] for col in zip(*columns)])
     model0, model1 = _model_matrices(blocks)
     rows0 = [_frac_row(u, m0) for u in columns]
@@ -654,41 +677,12 @@ def _try_exact_reduce(a0: SkewForm, a1: SkewForm):
 
 
 def _frac_row(u, m):
-    """The row vector u^T M, exactly."""
+    """The row vector u^T M, exactly (sum_j u_j M[j])."""
     return [_dot(u, col) for col in zip(*m)]
 
 
 def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
-
-
-def _frac_solve_matrix(m0, m1):
-    n = len(m0)
-    aug = [[m0[i][j] for j in range(n)] + [m1[i][j] for j in range(n)]
-           for i in range(n)]
-    _frac_rref(aug, n)
-    return [[aug[i][n + j] for j in range(n)] for i in range(n)]
-
-
-def _frac_rref(aug, ncols_left):
-    n = len(aug)
-    row = 0
-    for col in range(ncols_left):
-        piv = None
-        for r in range(row, n):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        row += 1
 
 
 def _frac_charpoly(b):
@@ -732,44 +726,11 @@ def _frac_charpoly(b):
     return polys[n]
 
 
-def _mat_sub_scaled(b, lam):
-    n = len(b)
-    return [[b[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def _frac_kernel(m):
-    """Exact basis of the null space of m (any number of rows)."""
-    ncols = len(m[0])
-    aug = [row[:] for row in m]
-    _frac_rref(aug, ncols)
-    pivots = []
-    for row in aug:
-        for j, x in enumerate(row):
-            if x != 0:
-                pivots.append(j)
-                break
-    free = [j for j in range(ncols) if j not in pivots]
-    kernel = []
-    for f in free:
-        vec = [Q(0)] * ncols
-        vec[f] = Q(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -aug[r][f]
-        kernel.append(vec)
-    return kernel
-
-
-def _frac_combine(coeffs, space):
-    """The vector sum_j coeffs[j] * space[j], exactly."""
-    return [sum(c * s[i] for c, s in zip(coeffs, space))
-            for i in range(len(space[0]))]
-
-
 # -- cotamed construction ---------------------------------------------------------
 
 
-def construct_cotamed(a0: SkewForm, a1: SkewForm, eps: float = 1e-3,
-                      max_retries: int = 6) -> ComplexStructure:
+def construct_cotamed(a0: SkewForm, a1: SkewForm,
+                      eps: float = 1e-3) -> ComplexStructure:
     """Build J tamed by both forms via blockwise normal-form structures.
 
     Real blocks (eigenvalues are positive under the existence hypothesis)
@@ -783,7 +744,7 @@ def construct_cotamed(a0: SkewForm, a1: SkewForm, eps: float = 1e-3,
         raise CotamedExistenceError("pencil admits no cotamed structure")
     current_eps = eps
     last = None
-    for _ in range(max_retries + 1):
+    for _ in range(MAX_RETRIES + 1):
         reduction = simultaneous_reduce(a0, a1, current_eps)
         jblocks = _blockwise_j(reduction.blocks)
         basis = reduction.basis

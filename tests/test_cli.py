@@ -497,11 +497,28 @@ def test_human_readable_output(capture):
     assert "verdict: positive" in out
 
 
-def test_timing_flag_adds_elapsed(capture):
-    code, out = capture(["verify-pair", "--preset", "totreal:2", "--json",
-                         "--timing"])
-    assert code == 0
-    assert "elapsed_ms" in json.loads(out)
+def test_timing_flag_is_a_usage_error(capsys):
+    # reports carry no elapsed time, so there is no flag to ask for one
+    assert run(["verify-pair", "--preset", "totreal:2", "--json",
+                "--timing"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+# rank 2: a degenerate rational form of the remark pair's dimension
+SINGULAR_4 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("command", ["cotame", "pencil-reduce"])
+@pytest.mark.parametrize("which", [0, 1])
+def test_degenerate_rational_pencil_is_an_input_error(capsys, command, which):
+    forms = [REMARK_O0, REMARK_O1]
+    forms[which] = SINGULAR_4
+    code = run([command, "--omega0", json.dumps(forms[0]),
+                "--omega1", json.dumps(forms[1]), "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"input error: omega_{which} is degenerate\n"
 
 
 def test_pencil_reduce_thirteen_digit_eigenvalue(capture):

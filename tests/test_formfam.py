@@ -129,6 +129,22 @@ def test_smoothsteps_are_cutoffs():
         assert 0 < psi(0.5) < 1
 
 
+def test_unit_step_evaluates_inside_only_between():
+    seen = []
+
+    def inside(x):
+        seen.append(x.copy() if isinstance(x, np.ndarray) else x)
+        return x * x * (3 - 2 * x)
+
+    s = np.array([-1.0, 0.0, 0.25, math.nan, 1.0, 2.0, 0.75])
+    got = ff._unit_step(s, inside, 1.0)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], [0.25, math.nan, 0.75], equal_nan=True)
+    scalar = [ff._unit_step(x, inside, 1.0) for x in s.tolist()]
+    assert np.array_equal(got, scalar, equal_nan=True)
+    assert np.isnan(got[3])
+
+
 def test_plateau_bump_shape():
     psi = ff.plateau_bump(1.0)
     assert psi(-0.1) == 0.0 and psi(1.1) == 0.0

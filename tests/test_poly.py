@@ -1,8 +1,10 @@
+import itertools
 import math
 import random
 from fractions import Fraction as Q
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,6 +130,152 @@ def test_frac_det_matches_int_det():
     for _ in range(10):
         rows = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
         assert poly.frac_det(rows) == poly.int_det(rows)
+
+
+# -- the fraction-free elimination against Fraction references -----------------
+
+
+def reference_rref(aug, ncols_left):
+    """Gauss-Jordan elimination on Fractions, in place, pivoting in the
+    first ncols_left columns (the elimination symplin used before the
+    fraction-free kernel)."""
+    n = len(aug)
+    row = 0
+    for col in range(ncols_left):
+        piv = None
+        for r in range(row, n):
+            if aug[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        aug[row], aug[piv] = aug[piv], aug[row]
+        inv = 1 / aug[row][col]
+        aug[row] = [x * inv for x in aug[row]]
+        for r in range(n):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
+        row += 1
+
+
+def reference_kernel(m):
+    """Null-space basis from the Fraction RREF, one vector per free column."""
+    ncols = len(m[0])
+    aug = [[Q(x) for x in row] for row in m]
+    reference_rref(aug, ncols)
+    pivots = []
+    for row in aug:
+        for j, x in enumerate(row):
+            if x != 0:
+                pivots.append(j)
+                break
+    kernel = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        vec = [Q(0)] * ncols
+        vec[f] = Q(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -aug[r][f]
+        kernel.append(vec)
+    return kernel
+
+
+def reference_solve(a, b):
+    """X with a X = b from the Fraction RREF of [a | b]; None when singular."""
+    n = len(a)
+    aug = [[Q(x) for x in ra] + [Q(x) for x in rb] for ra, rb in zip(a, b)]
+    reference_rref(aug, n)
+    if any(aug[i][i] != 1 for i in range(n)):
+        return None
+    return [row[n:] for row in aug]
+
+
+def leibniz_det(rows):
+    """Sum over permutations of sign * product of entries."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+RATIONAL = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Matrices of 1-6 rows and 1-7 columns, some rows zero or
+    combinations of earlier rows, so rank deficiency is common."""
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 7))
+    entry = st.one_of(*[st.just(Q(0))] * draw(st.integers(0, 2)), RATIONAL)
+    rows = []
+    for i in range(nrows):
+        kind = draw(st.sampled_from(["entries"] * 4 + ["zero", "combination"]))
+        if kind == "zero":
+            rows.append([Q(0)] * ncols)
+        elif kind == "combination" and i:
+            coeffs = draw(st.lists(RATIONAL, min_size=i, max_size=i))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows))
+                         for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rational_matrices(), st.lists(RATIONAL, min_size=6, max_size=6))
+def test_elimination_matches_fraction_references(rows, rhs):
+    basis = poly.kernel(rows)
+    assert basis == reference_kernel(rows)
+    assert all(sum(x * v for x, v in zip(row, vec)) == 0
+               for row in rows for vec in basis)
+    k = min(len(rows), len(rows[0]))
+    square = [row[:k] for row in rows[:k]]
+    det = leibniz_det(square)
+    assert poly.frac_det(square) == det
+    den = math.lcm(*(x.denominator for row in square for x in row))
+    ints = [[int(x * den) for x in row] for row in square]
+    assert poly.int_det(ints) == leibniz_det(ints) == det * den ** k
+    b = [[c, c * row[0]] for c, row in zip(rhs, square)]
+    x = poly.solve(square, b)
+    assert x == reference_solve(square, b)
+    assert (x is None) == (det == 0)
+    if x is not None:
+        assert [[sum(a * x[m][j] for m, a in enumerate(row)) for j in range(2)]
+                for row in square] == b
+
+
+@pytest.mark.parametrize("rows, det, kernel", [
+    ([[5]], 5, []),
+    ([[0]], 0, [[1]]),
+    ([[0, 0], [0, 0]], 0, [[1, 0], [0, 1]]),
+    ([[0, 2], [3, 0]], -6, []),                 # a row swap flips the sign
+    ([[1, 2], [2, 4]], 0, [[-2, 1]]),
+    ([[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(1, 6)]], 0, [[Q(-2, 3), 1]]),
+])
+def test_elimination_small_cases(rows, det, kernel):
+    rows = [[Q(x) for x in row] for row in rows]
+    assert poly.frac_det(rows) == det
+    assert poly.kernel(rows) == kernel
+    x = poly.solve(rows, [[1] for _ in rows])
+    assert (x is None) == (det == 0)
+
+
+def test_elimination_of_rectangular_rows():
+    # two rows, four columns: the free columns 2 and 3 span the kernel
+    rows = [[1, 0, 2, -1], [0, 3, 0, 6]]
+    assert poly.kernel(rows) == [[-2, 0, 1, 0], [1, -2, 0, 1]]
+    assert poly.kernel([[0, 0, 0]]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(ValueError, match="square"):
+        poly.int_det(rows)
+    with pytest.raises(ValueError, match="square"):
+        poly.solve(rows, [[1], [1]])
 
 
 def test_content_cleared():

@@ -639,9 +639,9 @@ def test_float_pencil_keeps_its_eps_retries(monkeypatch, exact_reductions):
     seen = []
     reduce = sl.simultaneous_reduce
 
-    def recorded(a0, a1, eps=1e-3, max_retries=6):
+    def recorded(a0, a1, eps=1e-3):
         seen.append(eps)
-        return reduce(a0, a1, eps, max_retries)
+        return reduce(a0, a1, eps)
 
     monkeypatch.setattr(sl, "simultaneous_reduce", recorded)
     monkeypatch.setattr(sl, "tames", lambda a, j, tol=1e-10: False)
@@ -656,6 +656,34 @@ def test_float_pencil_keeps_its_eps_retries(monkeypatch, exact_reductions):
         sl.construct_cotamed(a0, a1)
     assert seen == [1e-3]
     assert len(exact_reductions) == 1
+
+
+def test_rational_pencil_needs_no_pfaffian_and_no_float_solve(monkeypatch):
+    # the exact solve and charpoly decide existence and nondegeneracy
+    def forbidden(*args):
+        raise AssertionError("called on a rational pencil")
+
+    monkeypatch.setattr(sl, "pfaffian", forbidden)
+    monkeypatch.setattr(sl, "pencil_endomorphism", forbidden)
+    a0, a1 = congruent_rational_pencil([Q(1, 2), 3], P4)
+    j = sl.construct_cotamed(a0, a1)
+    assert sl.tames(a0, j) and sl.tames(a1, j)
+    assert sl.simultaneous_reduce(a0, a1).eps == 0.0
+
+
+def test_exact_pencil_names_the_degenerate_form():
+    a0, a1 = congruent_rational_pencil([Q(1, 2), 3], P4)
+    b, charpoly = sl._exact_pencil(a0, a1)
+    assert _poly.mat_mul(a0.matrix, b) == a1.matrix
+    assert charpoly == faddeev_leverrier_charpoly(b)
+    zero = sl.SkewForm([[Q(0)] * 4 for _ in range(4)])
+    for pair, message in (((zero, a1), "omega_0"), ((a0, zero), "omega_1")):
+        with pytest.raises(ValueError, match=f"{message} is degenerate"):
+            sl._exact_pencil(*pair)
+        with pytest.raises(ValueError, match=f"{message} is degenerate"):
+            sl.simultaneous_reduce(*pair)
+        with pytest.raises(ValueError, match=f"{message} is degenerate"):
+            sl.cotamed_exists(*pair)
 
 
 # -- exact existence on rational pencils ---------------------------------------------
