@@ -314,7 +314,7 @@ def find_units(field: NumberField, box_bound: int) -> UnitGroup:
         lv = log_vector(field, u)
         size = math.sqrt(sum(v * v for v in lv))
         if size <= 1e-9:
-            if _is_root_of_unity(field, u):
+            if _element_order(field, u):
                 torsion.append(u)
             else:  # pragma: no cover - log-null non-torsion cannot happen
                 free_candidates.append((size, u))
@@ -389,22 +389,14 @@ def _cofactor_det(m):
     return det
 
 
-def _is_root_of_unity(field, u) -> bool:
-    p = one(field)
-    for _ in range(12):
-        p = multiply(field, p, u)
-        if p.is_one():
-            return True
-    return False
-
-
 def _element_order(field, u) -> int:
+    """The order m <= 12 of u in the unit group, or 0 if u has none."""
     p = one(field)
     for m in range(1, 13):
         p = multiply(field, p, u)
         if p.is_one():
             return m
-    raise ValueError("torsion order exceeds 12")
+    return 0
 
 
 def _torsion_generator(field, torsion):

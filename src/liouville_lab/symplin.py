@@ -11,12 +11,18 @@ as sqrt(2) (Re, -Im), which orients each 4x4 block to the printed (mu, nu)
 model.  Each block states the d x d unit of w1 and of J (d = 1 for a real
 eigenvalue, d = 2 for a conjugate pair) from which the model pair and the
 blockwise J are assembled.
+
+Each pencil command, and each appendix-equivalence trial, analyses its
+pencil once (_analyse): both forms' nondegeneracy, B and its spectrum (the
+exact charpoly of a rational pencil, the float eigenvalues otherwise).
+Existence, every eps retry of the reduction and the construction read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -195,19 +201,20 @@ def tames(a: SkewForm, j: ComplexStructure, tol: float = 1e-10) -> bool:
             sym = [[(prod[r][c] + prod[c][r]) / 2 for c in range(a.dim)]
                    for r in range(a.dim)]
             return _exact_positive_definite(sym)
-    arr = a.to_array()
-    m = arr @ j.matrix
-    s = (m + m.T) / 2
-    eig = np.linalg.eigvalsh(s)
+    s, eig = _taming_spectrum(a.to_array(), j.matrix)
     scale = max(1.0, float(np.max(np.abs(s))))
     return bool(eig[0] > tol * scale)
 
 
 def taming_margin(a: SkewForm, j: ComplexStructure) -> float:
-    arr = a.to_array()
-    m = arr @ j.matrix
+    return float(_taming_spectrum(a.to_array(), j.matrix)[1][0])
+
+
+def _taming_spectrum(arr: np.ndarray, jm: np.ndarray):
+    """sym(A J) = (A J + (A J)^T) / 2 and its ascending eigenvalues."""
+    m = arr @ jm
     s = (m + m.T) / 2
-    return float(np.linalg.eigvalsh(s)[0])
+    return s, np.linalg.eigvalsh(s)
 
 
 def _exact_positive_definite(sym) -> bool:
@@ -240,21 +247,62 @@ def _float_endomorphism(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
     return b
 
 
-def _exact_pencil(a0: SkewForm, a1: SkewForm):
-    """(B, det(x - B)) of a rational pencil, B = A0^{-1} A1 exactly.
+@dataclass
+class _Pencil:
+    """One analysis of a pencil with both forms nondegenerate.
 
-    A degenerate w0 leaves the solve without a full set of pivots, and a
-    degenerate w1 makes B singular, so the charpoly's constant term is 0.
+    For a rational pencil b is B = A0^{-1} A1 exactly (rows of Fractions)
+    and spectrum its ascending charpoly det(x - B); otherwise b is the float
+    B and spectrum its np.linalg.eigvals.  Neither depends on eps.
     """
-    if a0.dim != a1.dim:
-        raise ValueError("dimension mismatch")
-    b = _poly.solve(a0.matrix, a1.matrix)
-    if b is None:
-        raise ValueError("omega_0 is degenerate")
-    charpoly = _frac_charpoly(b)
-    if charpoly[0] == 0:
-        raise ValueError("omega_1 is degenerate")
-    return b, charpoly
+
+    a0: SkewForm
+    a1: SkewForm
+    b: object
+    spectrum: object
+
+    @property
+    def exact(self) -> bool:
+        return self.a0.exact and self.a1.exact
+
+    def ray_nondegenerate(self) -> bool:
+        if self.exact:
+            charpoly = self.spectrum
+            return _poly.count_roots(
+                charpoly, -_poly.root_bound(charpoly), 0) == 0
+        return not _has_negative_real_eigenvalue(self.spectrum)
+
+    @cached_property
+    def floated(self) -> _Pencil:
+        """The float record of a rational pencil, for the float reduction of
+        a spectrum that is not rational and semisimple; the exact analysis
+        has already decided nondegeneracy."""
+        b = _float_endomorphism(self.a0.to_array(), self.a1.to_array())
+        return _Pencil(self.a0, self.a1, b, np.linalg.eigvals(b))
+
+
+def _analyse(a0: SkewForm, a1: SkewForm) -> _Pencil:
+    """The one analysis of a pencil; raises "omega_k is degenerate".
+
+    On a rational pencil a degenerate w0 leaves the exact solve without a
+    full set of pivots, and a degenerate w1 makes B singular, so the
+    charpoly's constant term is 0; no Pfaffian is needed.
+    """
+    if a0.exact and a1.exact:
+        if a0.dim != a1.dim:
+            raise ValueError("dimension mismatch")
+        b = _poly.solve(a0.matrix, a1.matrix)
+        if b is None:
+            raise ValueError("omega_0 is degenerate")
+        charpoly = _frac_charpoly(b)
+        if charpoly[0] == 0:
+            raise ValueError("omega_1 is degenerate")
+        return _Pencil(a0, a1, b, charpoly)
+    for k, a in enumerate((a0, a1)):
+        if not is_nondegenerate(a):
+            raise ValueError(f"omega_{k} is degenerate")
+    b = _float_endomorphism(a0.to_array(), a1.to_array())
+    return _Pencil(a0, a1, b, np.linalg.eigvals(b))
 
 
 def _has_negative_real_eigenvalue(vals, rel_tol: float = 1e-8) -> bool:
@@ -265,46 +313,32 @@ def _has_negative_real_eigenvalue(vals, rel_tol: float = 1e-8) -> bool:
     return False
 
 
-def segment_nondegenerate(a0: SkewForm, a1: SkewForm,
-                          cross_validate: bool = True) -> bool:
+def segment_nondegenerate(a0: SkewForm, a1: SkewForm) -> bool:
     """Whether (1-t) w0 + t w1 stays symplectic on [0, 1].
 
     Decided by the spectrum of B = A0^{-1} A1 (no negative real eigenvalue);
     cross-validated by sampling the determinant along the segment.
     """
-    verdict = ray_nondegenerate(a0, a1)
-    if cross_validate:
-        m0, m1 = a0.to_array(), a1.to_array()
-        t = np.linspace(0.0, 1.0, SEGMENT_SAMPLES)
-        mats = (1 - t)[:, None, None] * m0 + t[:, None, None] * m1
-        dets = np.linalg.det(mats)
-        scale = max(abs(dets[0]), abs(dets[-1]))
-        sampled = bool(np.min(np.abs(dets)) > 1e-9 * scale)
-        if verdict and not sampled:
-            # a sampled near-zero overrules a borderline spectral verdict;
-            # the converse does not (degeneracies can fall between samples)
-            verdict = False
-    return verdict
+    if not ray_nondegenerate(a0, a1):
+        return False
+    m0, m1 = a0.to_array(), a1.to_array()
+    t = np.linspace(0.0, 1.0, SEGMENT_SAMPLES)
+    mats = (1 - t)[:, None, None] * m0 + t[:, None, None] * m1
+    dets = np.linalg.det(mats)
+    scale = max(abs(dets[0]), abs(dets[-1]))
+    # a sampled near-zero overrules a borderline spectral verdict; the
+    # converse does not (degeneracies can fall between samples)
+    return bool(np.min(np.abs(dets)) > 1e-9 * scale)
 
 
 def ray_nondegenerate(a0: SkewForm, a1: SkewForm) -> bool:
-    """Whether w0 + t w1 stays symplectic for all t >= 0.
+    """Whether w0 + t w1 stays symplectic for all t >= 0; by the paper's
+    criterion also whether some J is tamed by both forms.
 
     Rational pencils are decided exactly: B is invertible, so this is a Sturm
     count of zero roots of its charpoly in (-root_bound, 0).
     """
-    if a0.exact and a1.exact:
-        _, charpoly = _exact_pencil(a0, a1)
-        return _poly.count_roots(charpoly, -_poly.root_bound(charpoly), 0) == 0
-    b = pencil_endomorphism(a0, a1)
-    if not is_nondegenerate(a1):
-        raise ValueError("omega_1 is degenerate")
-    return not _has_negative_real_eigenvalue(np.linalg.eigvals(b))
-
-
-def cotamed_exists(a0: SkewForm, a1: SkewForm) -> bool:
-    """Whether some J is tamed by both forms (same spectral criterion)."""
-    return ray_nondegenerate(a0, a1)
+    return _analyse(a0, a1).ray_nondegenerate()
 
 
 # -- simultaneous reduction -------------------------------------------------------
@@ -433,17 +467,22 @@ def simultaneous_reduce(a0: SkewForm, a1: SkewForm,
     complex (mu, nu) pairs.  Rational inputs whose endomorphism has rational
     spectrum and is diagonalizable take an exact path.
     """
-    if a0.exact and a1.exact:
-        got = _try_exact_reduce(a0, a1)
+    return _reduce(_analyse(a0, a1), eps)
+
+
+def _reduce(p: _Pencil, eps: float) -> PencilBlocks:
+    """simultaneous_reduce of an analysed pencil: the exact path, else the
+    float reduction, halving eps on failure with the same B and spectrum."""
+    if p.exact:
+        got = _try_exact_reduce(p)
         if got is not None:
             return got
-    elif not (is_nondegenerate(a0) and is_nondegenerate(a1)):
-        raise ValueError("both forms must be nondegenerate")
+        p = p.floated
     current_eps = eps
     last_error = None
     for _ in range(MAX_RETRIES + 1):
         try:
-            result = _float_reduce(a0, a1, current_eps)
+            result = _float_reduce(p, current_eps)
         except (ArithmeticError, np.linalg.LinAlgError) as err:
             last_error = err
             current_eps /= 2
@@ -457,11 +496,10 @@ def simultaneous_reduce(a0: SkewForm, a1: SkewForm,
     raise RetryExhaustedError(f"reduction failed after retries: {last_error}")
 
 
-def _float_reduce(a0: SkewForm, a1: SkewForm, eps: float) -> PencilBlocks:
-    m0 = a0.to_array()
-    b = _float_endomorphism(m0, a1.to_array())
+def _float_reduce(p: _Pencil, eps: float) -> PencilBlocks:
+    m0 = p.a0.to_array()
+    b, vals = p.b, p.spectrum
     n = b.shape[0]
-    vals = np.linalg.eigvals(b)
     clusters = _cluster_eigenvalues(vals)
     blocks = []
     columns = []
@@ -493,7 +531,7 @@ def _float_reduce(a0: SkewForm, a1: SkewForm, eps: float) -> PencilBlocks:
         delta = -0.5 * np.linalg.solve(model0, err)
         basis = basis @ (np.eye(n) + delta)
     t0 = basis.T @ m0 @ basis
-    t1 = basis.T @ a1.to_array() @ basis
+    t1 = basis.T @ p.a1.to_array() @ basis
     _, model1_eps = _model_matrices(blocks, eps)
     r0 = float(np.max(np.abs(t0 - model0)))
     r1_exact = float(np.max(np.abs(t1 - model1_eps)))
@@ -620,20 +658,18 @@ def _symplectic_complement(m0, extracted, space):
     return space @ null
 
 
-def _try_exact_reduce(a0: SkewForm, a1: SkewForm):
+def _try_exact_reduce(p: _Pencil):
     """Exact reduction for rational pencils with rational, semisimple spectrum.
 
     Returns None when the spectrum is not rational or the endomorphism is
     not diagonalizable; callers fall back to the float path.  Each pairing
     u^T M v dots the row u^T M, formed once per vector, with v, so every
-    step is O(n^3) Fraction operations.  A degenerate form raises the
-    ValueError of _exact_pencil.
+    step is O(n^3) Fraction operations.
     """
-    n = a0.dim
-    m0 = a0.matrix
-    m1 = a1.matrix
-    b, charpoly = _exact_pencil(a0, a1)
-    roots = _poly.rational_roots(charpoly)
+    n = p.a0.dim
+    m0 = p.a0.matrix
+    m1 = p.a1.matrix
+    roots = _poly.rational_roots(p.spectrum)
     if sum(m for _, m in roots) != n:
         return None
     columns = []
@@ -641,7 +677,7 @@ def _try_exact_reduce(a0: SkewForm, a1: SkewForm):
     for lam, mult in sorted(roots, key=lambda t: -t[0]):
         space = _poly.kernel([[x - lam if i == j else x
                                for j, x in enumerate(row)]
-                              for i, row in enumerate(b)])
+                              for i, row in enumerate(p.b)])
         if len(space) != mult:
             return None  # nontrivial Jordan structure: use floats
         while space:
@@ -740,12 +776,17 @@ def construct_cotamed(a0: SkewForm, a1: SkewForm,
     exact reduction (eps 0) does not depend on epsilon, so its failure is
     final after one attempt.
     """
-    if not cotamed_exists(a0, a1):
+    return _construct(_analyse(a0, a1), eps)
+
+
+def _construct(p: _Pencil, eps: float) -> ComplexStructure:
+    """construct_cotamed of an analysed pencil."""
+    if not p.ray_nondegenerate():
         raise CotamedExistenceError("pencil admits no cotamed structure")
     current_eps = eps
     last = None
     for _ in range(MAX_RETRIES + 1):
-        reduction = simultaneous_reduce(a0, a1, current_eps)
+        reduction = _reduce(p, current_eps)
         jblocks = _blockwise_j(reduction.blocks)
         basis = reduction.basis
         # the conjugated structure squares to -I exactly in exact
@@ -756,7 +797,7 @@ def construct_cotamed(a0: SkewForm, a1: SkewForm,
         except ValueError as err:
             last = err
         else:
-            if tames(a0, cand) and tames(a1, cand):
+            if tames(p.a0, cand) and tames(p.a1, cand):
                 return cand
             last = ArithmeticError("blockwise J failed a taming verification")
         if reduction.eps == 0.0:
@@ -764,8 +805,8 @@ def construct_cotamed(a0: SkewForm, a1: SkewForm,
         current_eps /= 2
     raise RetryExhaustedError(
         f"cotamed construction failed after retries "
-        f"(cond(A0)={np.linalg.cond(a0.to_array()):.2e}, "
-        f"cond(A1)={np.linalg.cond(a1.to_array()):.2e}): {last}"
+        f"(cond(A0)={np.linalg.cond(p.a0.to_array()):.2e}, "
+        f"cond(A1)={np.linalg.cond(p.a1.to_array()):.2e}): {last}"
     )
 
 
@@ -880,9 +921,8 @@ def taming_threshold(omega: SkewForm, d: SkewForm, j: ComplexStructure,
         raise ValueError("direction form must tame J")
 
     def margin(t):
-        m = (omega.to_array() + t * d.to_array()) @ j.matrix
-        s = (m + m.T) / 2
-        return float(np.linalg.eigvalsh(s)[0])
+        arr = omega.to_array() + t * d.to_array()
+        return float(_taming_spectrum(arr, j.matrix)[1][0])
 
     if margin(0.0) > 0:
         return 0.0
@@ -965,10 +1005,11 @@ def appendix_equivalence_suite(trials: int, dims=(4, 6, 8, 10),
     """Randomized check of the existence criterion and the construction.
 
     For each random nondegenerate pair, B = A0^{-1} A1 and its eigenvalues
-    are computed once.  When no eigenvalue is negative real (the spectral
-    test, which float ray and segment nondegeneracy share), the sign law
-    must hold (every real eigenvalue positive) and construct_cotamed must
-    succeed with both tamings verified.  Otherwise the negative eigenvalue's
+    are computed once, by _analyse, and the construction reads the same
+    record.  When no eigenvalue is negative real (the spectral test, which
+    float ray and segment nondegeneracy share), the sign law must hold
+    (every real eigenvalue positive) and the construction must succeed with
+    both tamings verified.  Otherwise the negative eigenvalue's
     predicted degeneracy parameter t0 = 1/(1 - lam) must make the pencil
     member singular (smallest singular value collapses), and the
     construction must refuse.
@@ -982,7 +1023,8 @@ def appendix_equivalence_suite(trials: int, dims=(4, 6, 8, 10),
         for trial in range(trials):
             rng = np.random.default_rng(seed + 7919 * dim + trial)
             a0, a1 = random_nondegenerate_pair(rng, dim)
-            vals = np.linalg.eigvals(pencil_endomorphism(a0, a1))
+            pencil = _analyse(a0, a1)
+            vals = pencil.spectrum
             if not _has_negative_real_eigenvalue(vals):
                 real_eigs = [
                     lam.real for lam in vals
@@ -992,7 +1034,7 @@ def appendix_equivalence_suite(trials: int, dims=(4, 6, 8, 10),
                     bad += 1
                     continue
                 try:
-                    j = construct_cotamed(a0, a1)
+                    j = _construct(pencil, 1e-3)
                 except PencilError:
                     # near-degenerate spectrum: reported, not guessed
                     ill_conditioned += 1
@@ -1017,7 +1059,7 @@ def appendix_equivalence_suite(trials: int, dims=(4, 6, 8, 10),
                     bad += 1  # eigenvalue predicted a degeneracy that isn't
                     continue
                 try:
-                    construct_cotamed(a0, a1)
+                    _construct(pencil, 1e-3)
                     bad += 1  # should have refused
                 except CotamedExistenceError:
                     pass

@@ -504,15 +504,19 @@ def test_timing_flag_is_a_usage_error(capsys):
     assert capsys.readouterr().out == ""
 
 
-# rank 2: a degenerate rational form of the remark pair's dimension
+# rank 2: a degenerate form of the remark pair's dimension
 SINGULAR_4 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
 
 
+@pytest.mark.parametrize("kind", [int, float], ids=["rational", "float"])
 @pytest.mark.parametrize("command", ["cotame", "pencil-reduce"])
 @pytest.mark.parametrize("which", [0, 1])
-def test_degenerate_rational_pencil_is_an_input_error(capsys, command, which):
+def test_degenerate_pencil_is_an_input_error(capsys, command, which, kind):
+    # integer entries make a rational pencil, float entries a float one;
+    # both name the degenerate form
     forms = [REMARK_O0, REMARK_O1]
     forms[which] = SINGULAR_4
+    forms = [[[kind(x) for x in row] for row in m] for m in forms]
     code = run([command, "--omega0", json.dumps(forms[0]),
                 "--omega1", json.dumps(forms[1]), "--json"])
     captured = capsys.readouterr()
@@ -665,5 +669,23 @@ GOLDEN_COCOMPATIBLE_REPORTS = [
 def test_cocompatible_reports_match_golden_bytes(capture, seed, digest):
     code, out = capture(["suite", "--name", "cocompatible", "--trials",
                          "2000", "--seed", str(seed), "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `suite --name appendix-equivalence --trials 100 --dims 4,6,8,10
+# --json` at two bench suite seeds, pinned while the suite, the existence
+# test and the construction each still computed B and its eigenvalues
+GOLDEN_APPENDIX_REPORTS = [
+    (331, "f8471453a0a4a4047ce0140002378a945ecd078d7df01ecaac95ede6872df1a9"),
+    (600, "55ed03574d22df322d5737d82a0406f4c947d6afaa0a196ee6f1c5ec81fe1383"),
+]
+
+
+@pytest.mark.parametrize("seed, digest", GOLDEN_APPENDIX_REPORTS)
+def test_appendix_reports_match_golden_bytes(capture, seed, digest):
+    code, out = capture(["suite", "--name", "appendix-equivalence",
+                         "--trials", "100", "--dims", "4,6,8,10",
+                         "--seed", str(seed), "--json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

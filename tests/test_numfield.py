@@ -358,7 +358,7 @@ def reference_find_units(field, units):
     torsion, free_candidates = [], []
     for u in units:
         size = math.sqrt(sum(v * v for v in nf.log_vector(field, u)))
-        if size <= 1e-9 and nf._is_root_of_unity(field, u):
+        if size <= 1e-9 and nf._element_order(field, u):
             torsion.append(u)
         else:
             free_candidates.append((size, u))

@@ -132,15 +132,15 @@ def test_segment_and_ray_trivials():
     assert sl.ray_nondegenerate(om, two)
     assert not sl.segment_nondegenerate(om, neg)  # degenerate at t = 1/2
     assert not sl.ray_nondegenerate(om, neg)
-    assert sl.cotamed_exists(om, two)
-    assert not sl.cotamed_exists(om, neg)
+    assert sl._analyse(om, two).ray_nondegenerate()
+    assert not sl._analyse(om, neg).ray_nondegenerate()
 
 
 def test_remark_pair_is_cotamed():
     a0, a1 = sl.remark_pair()
     assert sl.pfaffian(a0) != 0 and sl.pfaffian(a1) != 0
     assert a0.to_form().wedge(a1.to_form()).top_coefficient() == 0
-    assert sl.cotamed_exists(a0, a1)
+    assert sl.ray_nondegenerate(a0, a1)
     j = sl.construct_cotamed(a0, a1)
     assert sl.tames(a0, j) and sl.tames(a1, j)
 
@@ -260,7 +260,7 @@ def test_sign_law_on_random_pairs():
     for _ in range(200):
         a0, a1 = sl.random_nondegenerate_pair(rng, 6)
         b = sl.pencil_endomorphism(a0, a1)
-        if sl.segment_nondegenerate(a0, a1, cross_validate=False):
+        if sl.ray_nondegenerate(a0, a1):
             checked += 1
             for lam in np.linalg.eigvals(b):
                 if abs(lam.imag) <= 1e-8 * max(1.0, abs(lam.real)):
@@ -606,9 +606,9 @@ def exact_reductions(monkeypatch):
     calls = []
     real = sl._try_exact_reduce
 
-    def counted(a0, a1):
-        calls.append((a0, a1))
-        return real(a0, a1)
+    def counted(pencil):
+        calls.append(pencil)
+        return real(pencil)
 
     monkeypatch.setattr(sl, "_try_exact_reduce", counted)
     return calls
@@ -637,13 +637,13 @@ def test_float_pencil_keeps_its_eps_retries(monkeypatch, exact_reductions):
     # with every taming check failing, a float pencil is reduced once per
     # eps halving and an exact one only once
     seen = []
-    reduce = sl.simultaneous_reduce
+    reduce = sl._reduce
 
-    def recorded(a0, a1, eps=1e-3):
+    def recorded(pencil, eps):
         seen.append(eps)
-        return reduce(a0, a1, eps)
+        return reduce(pencil, eps)
 
-    monkeypatch.setattr(sl, "simultaneous_reduce", recorded)
+    monkeypatch.setattr(sl, "_reduce", recorded)
     monkeypatch.setattr(sl, "tames", lambda a, j, tol=1e-10: False)
     a0, a1 = congruent_rational_pencil([Q(1, 2), 3], P4)
     fa0, fa1 = sl.SkewForm(a0.to_array()), sl.SkewForm(a1.to_array())
@@ -663,8 +663,9 @@ def test_rational_pencil_needs_no_pfaffian_and_no_float_solve(monkeypatch):
     def forbidden(*args):
         raise AssertionError("called on a rational pencil")
 
-    monkeypatch.setattr(sl, "pfaffian", forbidden)
-    monkeypatch.setattr(sl, "pencil_endomorphism", forbidden)
+    for name in ("pfaffian", "is_nondegenerate", "pencil_endomorphism",
+                 "_float_endomorphism"):
+        monkeypatch.setattr(sl, name, forbidden)
     a0, a1 = congruent_rational_pencil([Q(1, 2), 3], P4)
     j = sl.construct_cotamed(a0, a1)
     assert sl.tames(a0, j) and sl.tames(a1, j)
@@ -673,17 +674,70 @@ def test_rational_pencil_needs_no_pfaffian_and_no_float_solve(monkeypatch):
 
 def test_exact_pencil_names_the_degenerate_form():
     a0, a1 = congruent_rational_pencil([Q(1, 2), 3], P4)
-    b, charpoly = sl._exact_pencil(a0, a1)
-    assert _poly.mat_mul(a0.matrix, b) == a1.matrix
-    assert charpoly == faddeev_leverrier_charpoly(b)
+    pencil = sl._analyse(a0, a1)
+    assert pencil.exact
+    assert _poly.mat_mul(a0.matrix, pencil.b) == a1.matrix
+    assert pencil.spectrum == faddeev_leverrier_charpoly(pencil.b)
     zero = sl.SkewForm([[Q(0)] * 4 for _ in range(4)])
     for pair, message in (((zero, a1), "omega_0"), ((a0, zero), "omega_1")):
-        with pytest.raises(ValueError, match=f"{message} is degenerate"):
-            sl._exact_pencil(*pair)
-        with pytest.raises(ValueError, match=f"{message} is degenerate"):
-            sl.simultaneous_reduce(*pair)
-        with pytest.raises(ValueError, match=f"{message} is degenerate"):
-            sl.cotamed_exists(*pair)
+        for call in (sl._analyse, sl.simultaneous_reduce, sl.ray_nondegenerate,
+                     sl.construct_cotamed):
+            with pytest.raises(ValueError, match=f"{message} is degenerate"):
+                call(*pair)
+
+
+def counted_calls(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_cotame_analyses_its_pencil_once(monkeypatch):
+    # B and its spectrum do not depend on eps: existence, the reduction and
+    # the construction all read one analysis
+    calls = {}
+    counted_calls(monkeypatch, sl, "_float_endomorphism", calls)
+    counted_calls(monkeypatch, sl, "_frac_charpoly", calls)
+    counted_calls(monkeypatch, np.linalg, "eigvals", calls)
+    counted_calls(monkeypatch, np.linalg, "det", calls)
+    a0, a1 = congruent_rational_pencil([Q(1, 2), 3], P4)
+    fa0, fa1 = sl.SkewForm(a0.to_array()), sl.SkewForm(a1.to_array())
+    for argv, want in (
+            ([fa0, fa1], {"_float_endomorphism": 1, "eigvals": 1, "det": 2}),
+            ([a0, a1], {"_frac_charpoly": 1})):
+        calls.clear()
+        j = sl.construct_cotamed(*argv)
+        assert sl.tames(argv[0], j) and sl.tames(argv[1], j)
+        assert calls == want
+
+
+def test_rational_fallback_solves_in_float_once(monkeypatch):
+    # the remark pair's B has no rational eigenvalue, so its exact analysis
+    # gives way to the float reduction; every eps retry of the construction
+    # reuses the one float B and its eigenvalues
+    calls = {}
+    counted_calls(monkeypatch, sl, "_float_endomorphism", calls)
+    counted_calls(monkeypatch, sl, "_frac_charpoly", calls)
+    counted_calls(monkeypatch, np.linalg, "eigvals", calls)
+    counted_calls(monkeypatch, sl, "_reduce", calls)
+    monkeypatch.setattr(sl, "tames", lambda a, j, tol=1e-10: False)
+    with pytest.raises(sl.RetryExhaustedError, match="taming verification"):
+        sl.construct_cotamed(*sl.remark_pair())
+    assert calls == {"_frac_charpoly": 1, "_float_endomorphism": 1,
+                     "eigvals": 1, "_reduce": 7}
+
+
+def test_appendix_suite_analyses_each_trial_once(monkeypatch):
+    calls = {}
+    counted_calls(monkeypatch, np.linalg, "eigvals", calls)
+    counted_calls(monkeypatch, sl, "_float_endomorphism", calls)
+    rep = sl.appendix_equivalence_suite(10, dims=(4, 6), seed=331)
+    assert rep.trials == 20
+    assert calls == {"_float_endomorphism": 20, "eigvals": 20}
 
 
 # -- exact existence on rational pencils ---------------------------------------------
@@ -695,11 +749,11 @@ def test_exact_existence_near_a_zero_eigenvalue():
     # so only the Sturm count on the exact charpoly finds it
     a0, a1 = congruent_rational_pencil([Q(-1, 10 ** 10), 1], P4)
     assert not sl.ray_nondegenerate(a0, a1)
-    assert not sl.cotamed_exists(a0, a1)
+    assert not sl._analyse(a0, a1).ray_nondegenerate()
     with pytest.raises(sl.CotamedExistenceError):
         sl.construct_cotamed(a0, a1)
     a0, a1 = congruent_rational_pencil([Q(1, 10 ** 10), 1], P4)
-    assert sl.cotamed_exists(a0, a1)
+    assert sl.ray_nondegenerate(a0, a1)
 
 
 # -- block builders against their former per-kind implementations ------------------
