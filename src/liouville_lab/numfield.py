@@ -5,12 +5,15 @@ most 4.  Norms are exact integers (determinant of the multiplication
 matrix, which equals the resultant Res(f, g) for monic f); unit discovery
 is a bounded coordinate-box search whose norm filter is one exact batched
 determinant per slice of the box (int64 within an overflow bound, Python
-ints beyond it), cross-checked for real quadratic fields against a
-continued-fraction Pell oracle.  The log-embedding vectors of the positive
-units, together with the exponential kernel contributions 2*pi*i per
-complex place and, for totally complex fields, the torsion preimages, span
-the rank n-1 lattice whose monodromy matrices glue the torus bundle.  The
-torsion comes from the same box search as the free units.
+ints beyond it).  For real quadratic fields a continued-fraction Pell
+oracle (pell_fundamental_unit) gives the fundamental unit independently;
+find_units does not call it, and the tests compare the two.  The
+log-embedding vectors of the positive units, together with the exponential
+kernel contributions 2*pi*i per complex place and, for totally complex
+fields, the torsion preimages, span the rank n-1 lattice whose monodromy
+matrices glue the torus bundle.  The torsion comes from the same box search
+as the free units.  The polynomial discriminant is the norm of f'(theta),
+so it shares the norm's determinant.
 """
 
 from __future__ import annotations
@@ -116,12 +119,16 @@ class NumberField:
         return reals, cplx
 
     def discriminant(self) -> int:
-        """disc(f) = (-1)^{n(n-1)/2} Res(f, f'), exact."""
-        f = _poly.poly(self.poly.coeffs)
-        fp = _poly.derivative(f)
+        """disc(f) = (-1)^{n(n-1)/2} Res(f, f'), exact; for monic f the
+        resultant is the norm of f'(theta), the determinant of its
+        multiplication matrix."""
         n = self.degree
-        res = _resultant_int(self.poly.coeffs, [int(c) for c in fp])
-        return (-1) ** (n * (n - 1) // 2) * res
+        fp = OrderElement(_derivative_coeffs(self.poly.coeffs))
+        return (-1) ** (n * (n - 1) // 2) * _poly.int_det(mult_matrix(self, fp))
+
+
+def _derivative_coeffs(coeffs) -> tuple:
+    return tuple(i * c for i, c in enumerate(coeffs))[1:]
 
 
 def _eval_int_poly(coords, x):
@@ -129,28 +136,6 @@ def _eval_int_poly(coords, x):
     for c in reversed(coords):
         acc = acc * x + c
     return acc
-
-
-def _resultant_int(f_coeffs, g_coeffs) -> int:
-    """Resultant of integer polynomials via the Sylvester determinant."""
-    f = list(f_coeffs)
-    g = list(g_coeffs)
-    n, m = len(f) - 1, len(g) - 1
-    if n < 0 or m < 0:
-        return 0
-    size = n + m
-    rows = []
-    for i in range(m):
-        row = [0] * size
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):
-        row = [0] * size
-        for j, c in enumerate(reversed(g)):
-            row[i + j] = c
-        rows.append(row)
-    return _poly.int_det(rows)
 
 
 def field_from_poly(coeffs) -> NumberField:
@@ -164,13 +149,12 @@ def field_from_poly(coeffs) -> NumberField:
         comp[1:, :-1] = np.eye(n - 1)
         comp[:, -1] = [-c for c in p.coeffs[:-1]]
         roots = [complex(z) for z in np.linalg.eigvals(comp)]
-    fpoly = _poly.poly(p.coeffs)
-    dpoly = _poly.derivative(fpoly)
+    dcoeffs = _derivative_coeffs(p.coeffs)
     polished = []
     for z in roots:
         for _ in range(10):
-            fz = _eval_cpoly(fpoly, z)
-            dz = _eval_cpoly(dpoly, z)
+            fz = _eval_int_poly(p.coeffs, z)
+            dz = _eval_int_poly(dcoeffs, z)
             if dz == 0:
                 break
             z = z - fz / dz
@@ -187,16 +171,9 @@ def field_from_poly(coeffs) -> NumberField:
     if len(reals) + 2 * len(cplx) != n:
         raise FieldError("embedding count does not match degree")
     for z in field.all_embedding_points():
-        if abs(_eval_cpoly(fpoly, z)) > 1e-12 * (1 + abs(z)) ** n:
+        if abs(_eval_int_poly(p.coeffs, z)) > 1e-12 * (1 + abs(z)) ** n:
             raise FieldError("root polishing failed")
     return field
-
-
-def _eval_cpoly(p, z):
-    acc = 0j
-    for c in reversed(p):
-        acc = acc * z + complex(c)
-    return acc
 
 
 @dataclass(frozen=True)

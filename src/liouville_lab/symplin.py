@@ -15,7 +15,12 @@ blockwise J are assembled.
 Each pencil command, and each appendix-equivalence trial, analyses its
 pencil once (_analyse): both forms' nondegeneracy, B and its spectrum (the
 exact charpoly of a rational pencil, the float eigenvalues otherwise).
-Existence, every eps retry of the reduction and the construction read it.
+Existence, the reduction and the construction read it.  The reduction and
+the construction walk one eps schedule (_reductions): the exact reduction
+alone when there is one, else float reductions at eps / 2^k over one
+clustering of the spectrum.  eps scales only the Jordan chains, so a walk
+stops after its first completed reduction without a chain.  The tamed-J
+sampler draws once: every Cayley perturbation of g-norm below 1 is tamed.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .exterior import EXACT, Coframe, Form
 Q = Fraction
 
 MAX_PENCIL_DIM = 12
-MAX_RETRIES = 6  # eps halvings of the reduction and of the construction
+MAX_RETRIES = 6  # eps halvings of the one eps walk
 SEGMENT_SAMPLES = 10 ** 4  # determinants sampled by segment_nondegenerate
 
 
@@ -467,40 +472,51 @@ def simultaneous_reduce(a0: SkewForm, a1: SkewForm,
     complex (mu, nu) pairs.  Rational inputs whose endomorphism has rational
     spectrum and is diagonalizable take an exact path.
     """
-    return _reduce(_analyse(a0, a1), eps)
+    return next(_reductions(_analyse(a0, a1), eps))
 
 
-def _reduce(p: _Pencil, eps: float) -> PencilBlocks:
-    """simultaneous_reduce of an analysed pencil: the exact path, else the
-    float reduction, halving eps on failure with the same B and spectrum."""
+def _reductions(p: _Pencil, eps: float):
+    """The one eps walk: every reduction of p that passes the gates (w0
+    residual <= 1e-9, w1 residual <= 10 eps), in order.
+
+    An exact reduction, when one exists, is the only one.  Otherwise the
+    clusters of the float spectrum are formed once and the float reduction
+    runs at eps / 2^k for k = 0..MAX_RETRIES.  eps scales only the Jordan
+    chains, so the walk ends after any completed reduction with no chain
+    longer than 1.  Raises RetryExhaustedError when no reduction passes.
+    """
     if p.exact:
         got = _try_exact_reduce(p)
         if got is not None:
-            return got
+            yield got
+            return
         p = p.floated
-    current_eps = eps
+    clusters = _cluster_eigenvalues(p.spectrum)
+    passed = False
     last_error = None
-    for _ in range(MAX_RETRIES + 1):
+    for k in range(MAX_RETRIES + 1):
         try:
-            result = _float_reduce(p, current_eps)
+            result = _float_reduce(p, clusters, eps / 2 ** k)
         except (ArithmeticError, np.linalg.LinAlgError) as err:
             last_error = err
-            current_eps /= 2
             continue
         if result.omega0_residual <= 1e-9 and result.omega1_residual <= 10 * eps:
-            return result
-        last_error = ArithmeticError(
-            f"residuals {result.omega0_residual:.2e}/{result.omega1_residual:.2e}"
-        )
-        current_eps /= 2
-    raise RetryExhaustedError(f"reduction failed after retries: {last_error}")
+            passed = True
+            yield result
+        else:
+            last_error = ArithmeticError(
+                f"residuals {result.omega0_residual:.2e}/{result.omega1_residual:.2e}"
+            )
+        if all(b.chain_length == 1 for b in result.blocks):
+            break
+    if not passed:
+        raise RetryExhaustedError(f"reduction failed after retries: {last_error}")
 
 
-def _float_reduce(p: _Pencil, eps: float) -> PencilBlocks:
+def _float_reduce(p: _Pencil, clusters, eps: float) -> PencilBlocks:
     m0 = p.a0.to_array()
     b, vals = p.b, p.spectrum
     n = b.shape[0]
-    clusters = _cluster_eigenvalues(vals)
     blocks = []
     columns = []
     scale = max(1.0, float(np.max(np.abs(vals))))
@@ -772,9 +788,8 @@ def construct_cotamed(a0: SkewForm, a1: SkewForm,
     Real blocks (eigenvalues are positive under the existence hypothesis)
     get the standard rotation per (v_j, w_j) pair; complex blocks get the
     phase structure J_phi with phi = pi - psi/2, psi = arg(mu + i nu).  The
-    result is verified against both forms; epsilon is halved on failure.  An
-    exact reduction (eps 0) does not depend on epsilon, so its failure is
-    final after one attempt.
+    result is verified against both forms, for each reduction of the eps
+    walk in turn (one, unless a Jordan chain makes eps matter).
     """
     return _construct(_analyse(a0, a1), eps)
 
@@ -783,10 +798,8 @@ def _construct(p: _Pencil, eps: float) -> ComplexStructure:
     """construct_cotamed of an analysed pencil."""
     if not p.ray_nondegenerate():
         raise CotamedExistenceError("pencil admits no cotamed structure")
-    current_eps = eps
     last = None
-    for _ in range(MAX_RETRIES + 1):
-        reduction = _reduce(p, current_eps)
+    for reduction in _reductions(p, eps):
         jblocks = _blockwise_j(reduction.blocks)
         basis = reduction.basis
         # the conjugated structure squares to -I exactly in exact
@@ -796,13 +809,10 @@ def _construct(p: _Pencil, eps: float) -> ComplexStructure:
             cand = ComplexStructure(j)
         except ValueError as err:
             last = err
-        else:
-            if tames(p.a0, cand) and tames(p.a1, cand):
-                return cand
-            last = ArithmeticError("blockwise J failed a taming verification")
-        if reduction.eps == 0.0:
-            break
-        current_eps /= 2
+            continue
+        if tames(p.a0, cand) and tames(p.a1, cand):
+            return cand
+        last = ArithmeticError("blockwise J failed a taming verification")
     raise RetryExhaustedError(
         f"cotamed construction failed after retries "
         f"(cond(A0)={np.linalg.cond(p.a0.to_array()):.2e}, "
@@ -965,25 +975,26 @@ def random_nondegenerate_pair(rng, dim):
             return a0, a1
 
 
-def random_tamed_j(rng, a: SkewForm, max_tries: int = 80) -> ComplexStructure:
-    """Random J tamed by a: a Cayley perturbation of the compatible J.
+def random_tamed_j(rng, a: SkewForm) -> ComplexStructure:
+    """Random J tamed by a: a Cayley perturbation of the compatible J0.
 
-    The perturbation radius shrinks with failed attempts; the chart center
-    itself is tamed, so the sampler always terminates in practice.
+    In the Cayley chart at J0 every A anticommuting with J0 whose operator
+    norm in g = w(., J0 .) is below 1 gives a tamed J (McDuff-Salamon,
+    Introduction to Symplectic Topology), so one draw, scaled to a g-norm
+    from U(0.1, 0.95), always lands in the taming cone.
     """
     j0 = compatible_j(a)
-    n = a.dim
-    for attempt in range(max_tries):
-        x = rng.standard_normal((n, n))
-        anti = (x + j0.matrix @ x @ j0.matrix) / 2
-        norm = np.linalg.norm(anti, 2)
-        if norm == 0:
-            continue
-        radius = rng.uniform(0.1, 0.8) * (0.8 ** (attempt // 10))
-        cand = cayley_inverse(j0, anti * (radius / norm))
-        if tames(a, cand):
-            return cand
-    raise RuntimeError("failed to sample a tamed structure")
+    x = rng.standard_normal((a.dim, a.dim))
+    anti = (x + j0.matrix @ x @ j0.matrix) / 2
+    # |A|_g = |L^T A L^{-T}|_2 for the Cholesky factor L of the Gram
+    # matrix A J0 of g
+    gram = a.to_array() @ j0.matrix
+    lt = np.linalg.cholesky((gram + gram.T) / 2).T
+    g_norm = np.linalg.norm(lt @ anti @ np.linalg.inv(lt), 2)
+    cand = cayley_inverse(j0, anti * (rng.uniform(0.1, 0.95) / g_norm))
+    if not tames(a, cand):
+        raise ArithmeticError("Cayley draw of g-norm below 1 is not tamed")
+    return cand
 
 
 @dataclass

@@ -177,6 +177,18 @@ def test_suite_subcommand(capture):
     assert rep["detail"]["seeds"] == [0]
 
 
+# suite seeds at which the former sampler, which retried Cayley draws
+# scaled in the Euclidean norm, gave up with RuntimeError
+@pytest.mark.parametrize("name, trials, seed",
+                         [("cayley", 200, 600), ("interpolation", 100, 24)])
+def test_sampler_suites_finish_where_the_retrying_sampler_gave_up(
+        capture, name, trials, seed):
+    code, out = capture(["suite", "--name", name, "--trials", str(trials),
+                         "--seed", str(seed), "--json"])
+    assert code == 0
+    assert json.loads(out)["detail"]["mismatches"] == 0
+
+
 def test_reports_are_byte_identical(capture):
     args = ["numfield", "--poly", "-2,0,1", "--json"]
     _, out1 = capture(args)

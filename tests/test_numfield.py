@@ -236,6 +236,62 @@ def test_discriminants():
     assert CUBIC.discriminant() == 81
 
 
+def sylvester_resultant(f, g) -> int:
+    """Reference: Res(f, g) of integer polynomials (ascending coefficients)
+    as the determinant of their Sylvester matrix."""
+    n, m = len(f) - 1, len(g) - 1
+    rows = []
+    for p, count in ((f, m), (g, n)):
+        for i in range(count):
+            row = [0] * (n + m)
+            for j, c in enumerate(reversed(p)):
+                row[i + j] = c
+            rows.append(row)
+    return _poly.int_det(rows)
+
+
+def fraction_horner(coeffs, z):
+    """Reference: Horner on the complex values of Fraction coefficients."""
+    acc = 0j
+    for c in reversed(_poly.poly(coeffs)):
+        acc = acc * z + complex(c)
+    return acc
+
+
+monic_coeffs = st.lists(st.integers(-12, 12), min_size=1,
+                        max_size=4).map(lambda low: low + [1])
+FIXED_POLYS = [[10 ** 18 + 3, 0, 0, 0, 1], [1, 0, -10, 0, 1]]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(monic_coeffs, st.sampled_from(FIXED_POLYS)))
+def test_discriminant_matches_sylvester_resultant(coeffs):
+    try:
+        poly = nf.Poly(tuple(coeffs))
+    except nf.FieldError:
+        assume(False)
+    n = poly.degree
+    fp = [i * c for i, c in enumerate(coeffs)][1:]
+    want = (-1) ** (n * (n - 1) // 2) * sylvester_resultant(coeffs, fp)
+    assert nf.NumberField(poly, [], []).discriminant() == want
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(monic_coeffs, st.sampled_from(FIXED_POLYS)),
+       st.complex_numbers(max_magnitude=1e3, allow_nan=False))
+def test_integer_horner_matches_fraction_horner(coeffs, z):
+    # same bits, signed zeros included, at a random point and at the
+    # companion-matrix roots that root polishing starts from
+    n = len(coeffs) - 1
+    comp = np.zeros((n, n))
+    comp[1:, :-1] = np.eye(n - 1)
+    comp[:, -1] = [-c for c in coeffs[:-1]]
+    fp = [i * c for i, c in enumerate(coeffs)][1:]
+    for x in [z, *map(complex, np.linalg.eigvals(comp))]:
+        for p in (coeffs, fp):
+            assert repr(nf._eval_int_poly(p, x)) == repr(fraction_horner(p, x))
+
+
 def test_quartic_mixed_signature_pipeline():
     # X^4 - 2: roots ±2^(1/4), ±i 2^(1/4): signature (2, 1), unit rank 2;
     # X - 1 and X^2 + 1 are units with single-digit coordinates

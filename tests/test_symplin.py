@@ -302,6 +302,35 @@ def test_cayley_roundtrip_and_anticommutation():
         assert np.max(np.abs(back.matrix - j.matrix)) <= 1e-10
 
 
+def g_norm(a, j0, x):
+    """Operator norm of x in g = w(., J0 .), from the Gram matrix A J0."""
+    gram = a.to_array() @ j0.matrix
+    vals, vecs = np.linalg.eigh((gram + gram.T) / 2)
+    half = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
+    half_inv = vecs @ np.diag(1 / np.sqrt(vals)) @ vecs.T
+    return float(np.linalg.norm(half @ x @ half_inv, 2))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(dim=st.sampled_from([2, 4, 6, 8, 10, 12]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_random_tamed_j_draws_once_inside_the_unit_g_ball(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = sl.random_skew(rng, dim)
+    while not sl.is_nondegenerate(a):
+        a = sl.random_skew(rng, dim)
+    j = sl.random_tamed_j(rng, a)
+    assert sl.tames(a, j)
+    j0 = sl.compatible_j(a)
+    assert g_norm(a, j0, sl.cayley_map(j0, j)) < 1
+
+
+def test_random_tamed_j_names_an_untamed_draw(monkeypatch):
+    monkeypatch.setattr(sl, "tames", lambda a, j, tol=1e-10: False)
+    with pytest.raises(ArithmeticError, match="not tamed"):
+        sl.random_tamed_j(np.random.default_rng(0), sl.standard_omega(4))
+
+
 def test_interpolate_endpoints():
     rng = np.random.default_rng(31)
     a = sl.random_skew(rng, 4)
@@ -633,29 +662,58 @@ def test_ill_conditioned_exact_pencil_fails_after_one_reduction(
     assert len(exact_reductions) == 1
 
 
-def test_float_pencil_keeps_its_eps_retries(monkeypatch, exact_reductions):
-    # with every taming check failing, a float pencil is reduced once per
-    # eps halving and an exact one only once
+def chain_pencil(seed):
+    """A float congruence of the model pair of one real chain of length 2
+    (eigenvalue 2, coupling 1e-3), P standard normal from the seed."""
+    a0m, a1m = sl._model_matrices([sl.RealBlock(2.0, 2)], 1e-3)
+    p = np.random.default_rng(seed).standard_normal((4, 4))
+    return sl.SkewForm(p.T @ a0m @ p), sl.SkewForm(p.T @ a1m @ p)
+
+
+@pytest.fixture
+def float_reductions(monkeypatch):
+    """The eps of every float reduction, in call order."""
     seen = []
-    reduce = sl._reduce
+    real = sl._float_reduce
 
-    def recorded(pencil, eps):
+    def recorded(pencil, clusters, eps):
         seen.append(eps)
-        return reduce(pencil, eps)
+        return real(pencil, clusters, eps)
 
-    monkeypatch.setattr(sl, "_reduce", recorded)
+    monkeypatch.setattr(sl, "_float_reduce", recorded)
+    return seen
+
+
+def test_float_pencil_keeps_its_eps_retries(monkeypatch, exact_reductions,
+                                            float_reductions):
+    # with every taming check failing, a float pencil with a Jordan chain is
+    # reduced once per eps halving, over one clustering of its spectrum;
+    # eps does not reach a chain-free reduction, float or exact, so those
+    # are reduced once
+    seen = float_reductions
+    calls = {}
+    counted_calls(monkeypatch, sl, "_cluster_eigenvalues", calls)
     monkeypatch.setattr(sl, "tames", lambda a, j, tol=1e-10: False)
+    with pytest.raises(sl.RetryExhaustedError, match="taming verification"):
+        sl.construct_cotamed(*chain_pencil(3))
+    assert seen == [1e-3 / 2 ** k for k in range(7)]
+    assert calls == {"_cluster_eigenvalues": 1}
     a0, a1 = congruent_rational_pencil([Q(1, 2), 3], P4)
     fa0, fa1 = sl.SkewForm(a0.to_array()), sl.SkewForm(a1.to_array())
-    with pytest.raises(sl.RetryExhaustedError, match="taming verification"):
-        sl.construct_cotamed(fa0, fa1)
-    assert seen == [1e-3 / 2 ** k for k in range(7)]
-    assert exact_reductions == []
-    seen.clear()
-    with pytest.raises(sl.RetryExhaustedError, match="taming verification"):
-        sl.construct_cotamed(a0, a1)
-    assert seen == [1e-3]
+    for argv, want in (([fa0, fa1], [1e-3]), ([a0, a1], [])):
+        seen.clear()
+        with pytest.raises(sl.RetryExhaustedError, match="taming verification"):
+            sl.construct_cotamed(*argv)
+        assert seen == want
     assert len(exact_reductions) == 1
+
+
+def test_reduction_walk_ends_at_the_first_passing_reduction(
+        float_reductions):
+    # pencil-reduce takes the first reduction of the walk, chain or not
+    red = sl.simultaneous_reduce(*chain_pencil(3))
+    assert [b.chain_length for b in red.blocks] == [2]
+    assert float_reductions == [1e-3] and red.eps == 1e-3
 
 
 def test_rational_pencil_needs_no_pfaffian_and_no_float_solve(monkeypatch):
@@ -717,18 +775,20 @@ def test_cotame_analyses_its_pencil_once(monkeypatch):
 
 def test_rational_fallback_solves_in_float_once(monkeypatch):
     # the remark pair's B has no rational eigenvalue, so its exact analysis
-    # gives way to the float reduction; every eps retry of the construction
-    # reuses the one float B and its eigenvalues
+    # gives way to the float reduction; its spectrum has no Jordan chain,
+    # so even with every taming check failing the exact attempt, the
+    # clustering and the float reduction each run once
     calls = {}
-    counted_calls(monkeypatch, sl, "_float_endomorphism", calls)
-    counted_calls(monkeypatch, sl, "_frac_charpoly", calls)
+    for name in ("_float_endomorphism", "_frac_charpoly", "_try_exact_reduce",
+                 "_cluster_eigenvalues", "_float_reduce"):
+        counted_calls(monkeypatch, sl, name, calls)
     counted_calls(monkeypatch, np.linalg, "eigvals", calls)
-    counted_calls(monkeypatch, sl, "_reduce", calls)
     monkeypatch.setattr(sl, "tames", lambda a, j, tol=1e-10: False)
     with pytest.raises(sl.RetryExhaustedError, match="taming verification"):
         sl.construct_cotamed(*sl.remark_pair())
     assert calls == {"_frac_charpoly": 1, "_float_endomorphism": 1,
-                     "eigvals": 1, "_reduce": 7}
+                     "eigvals": 1, "_try_exact_reduce": 1,
+                     "_cluster_eigenvalues": 1, "_float_reduce": 1}
 
 
 def test_appendix_suite_analyses_each_trial_once(monkeypatch):
