@@ -15,6 +15,7 @@ import math
 from fractions import Fraction
 
 Q = Fraction
+_ISOLATION_WIDTH = Q(1, 2**40)  # isolate_root bisects below this width
 
 
 def poly(coeffs) -> list[Fraction]:
@@ -30,10 +31,6 @@ def trim(p: list[Fraction]) -> list[Fraction]:
 
 def degree(p) -> int:
     return len(p) - 1
-
-
-def is_zero(p) -> bool:
-    return not p
 
 
 def add(p, q):
@@ -163,18 +160,18 @@ def count_roots(p, a, b, chain=None) -> int:
     return variations_at(chain, a) - variations_at(chain, b)
 
 
-def count_roots_above(p, a, chain=None) -> int:
+def count_roots_above(p, a) -> int:
     """Number of distinct real roots of p in (a, +inf)."""
-    if chain is None:
-        chain = sturm_chain(p)
+    chain = sturm_chain(p)
     return variations_at(chain, a) - variations_at_pos_inf(chain)
 
 
-def isolate_root(p, a, b, width=Q(1, 2**40)):
-    """Shrink (a, b], known to contain at least one root, below `width`."""
+def isolate_root(p, a, b):
+    """Shrink (a, b], known to contain at least one root, below
+    _ISOLATION_WIDTH."""
     chain = sturm_chain(p)
     a, b = Q(a), Q(b)
-    while b - a > width:
+    while b - a > _ISOLATION_WIDTH:
         m = (a + b) / 2
         if count_roots(p, a, m, chain) >= 1:
             b = m

@@ -18,6 +18,8 @@ import numpy as np
 from . import formfam, liealg, numfield, symplin
 
 SCHEMA = "liouville-lab/1"
+LUTZ_IDENTITY_TOL = 1e-8  # lutz-check gate on the max relative error
+GEIGES_RESIDUAL_TOL = 1e-10  # geiges gate on the isomorphism residual
 
 
 class UsageError(ValueError):
@@ -125,7 +127,7 @@ def _cmd_cotame(args):
     rep = _report(
         "cotame", {"omega0": args.omega0, "omega1": args.omega1},
         verdict, "randomized" if not a0.exact else "exact-pre/numeric-J",
-        detail, {"taming_eig": 1e-10, "eps": args.eps},
+        detail, {"taming_eig": symplin.TAMING_EIG, "eps": args.eps},
         "omega(v,w) = v^T A w; taming = sym(AJ) positive definite",
         seed=args.seed,
     )
@@ -146,7 +148,7 @@ def _cmd_pencil_reduce(args):
                            "chain": b.chain_length})
     rep = _report(
         "pencil-reduce", {"omega0": args.omega0, "omega1": args.omega1},
-        "pass", "grid" if not (a0.exact and a1.exact) else "exact",
+        "pass", "exact" if red.eps == 0.0 else "grid",
         {
             "blocks": blocks,
             "omega0_residual": red.omega0_residual,
@@ -156,7 +158,8 @@ def _cmd_pencil_reduce(args):
             # fixtures whose chain structure is known
             "experimental_chains": any(b["chain"] > 1 for b in blocks),
         },
-        {"eps": args.eps, "omega0_gate": 1e-9, "omega1_gate": 10 * args.eps},
+        {"eps": args.eps, "omega0_gate": symplin.OMEGA0_GATE,
+         "omega1_gate": symplin.OMEGA1_GATE * args.eps},
         seed=args.seed,
     )
     return _emit(rep, args)
@@ -169,11 +172,10 @@ def _cmd_verify_pair(args):
     cert = liealg.liouville_pair_check(
         preset.algebra, preset.alpha_plus, preset.alpha_minus
     )
-    label = {"exact-sturm": "positive-exact", "grid": "positive-grid"}
     rep = _report(
         "verify-pair", {"preset": args.preset},
-        cert.verdict, label.get(cert.kind, cert.kind) if
-        cert.verdict == "positive" else cert.kind,
+        cert.verdict,
+        "positive-exact" if cert.verdict == "positive" else cert.kind,
         {
             "polynomial": [str(c) for c in (cert.polynomial or [])],
             "root_count": cert.root_count,
@@ -265,8 +267,8 @@ def _cmd_lutz_check(args):
                                     grid_n=args.grid)
     rep = _report(
         "lutz-check", {"pair": args.pair, "k": args.k, "tau": args.tau},
-        "pass" if err <= 1e-8 else "negative", "grid-certified",
-        {"max_relative_error": err}, {"identity": 1e-8},
+        "pass" if err <= LUTZ_IDENTITY_TOL else "negative", "grid-certified",
+        {"max_relative_error": err}, {"identity": LUTZ_IDENTITY_TOL},
         seed=args.seed,
     )
     return _emit(rep, args)
@@ -292,7 +294,7 @@ def _cmd_cutoff(args):
         "cutoff", {"pair": args.pair, "profile": args.profile},
         "pass" if refined > 0 else "negative", "grid-certified",
         {"c_star": c_star, "refined_min": refined, "argmin": argmin},
-        {"bisection": 1e-3},
+        {"bisection": formfam.BISECTION_TOL},
         seed=args.seed,
     )
     return _emit(rep, args)
@@ -335,7 +337,7 @@ def _cmd_numfield(args):
     rep = _report(
         "numfield", {"poly": args.poly, "box": args.box},
         verdict, kind, detail,
-        {"embedding_check": 1e-6, "hyperplane": 1e-10},
+        {"embedding_check": 1e-6, "hyperplane": numfield.HYPERPLANE_TOL},
         seed=args.seed,
     )
     return _emit(rep, args)
@@ -347,7 +349,7 @@ def _cmd_geiges(args):
     pair_ok = liealg.geiges_pair_check(
         preset.algebra, preset.alpha_plus, preset.alpha_minus)
     iso = liealg.geiges_isomorphism(n)
-    verdict = "pass" if (pair_ok and iso.residual <= 1e-10
+    verdict = "pass" if (pair_ok and iso.residual <= GEIGES_RESIDUAL_TOL
                          and iso.traces_vanish) else "negative"
     rep = _report(
         "geiges", {"n": n},
@@ -358,7 +360,7 @@ def _cmd_geiges(args):
             "signature": [iso.r, iso.s],
             "traces": iso.traces,
         },
-        {"residual": 1e-10}, preset.orientation,
+        {"residual": GEIGES_RESIDUAL_TOL}, preset.orientation,
         seed=args.seed,
     )
     return _emit(rep, args)

@@ -149,11 +149,11 @@ class Form:
         return cls(coframe, 0, {0: value}, ring)
 
     @classmethod
-    def covector(cls, coframe, name_or_index, coeff=1, ring=EXACT):
+    def covector(cls, coframe, name_or_index, ring=EXACT):
         i = name_or_index
         if isinstance(i, str):
             i = coframe.index(i)
-        return cls(coframe, 1, {1 << i: coeff}, ring)
+        return cls(coframe, 1, {1 << i: 1}, ring)
 
     @classmethod
     def from_blades(cls, coframe, degree, blade_coeffs, ring=EXACT):
@@ -255,11 +255,6 @@ class Form:
         zero = Fraction(0) if self.ring.exact else 0.0
         return self.terms.get(self.coframe.volume_mask, zero)
 
-    def coefficient(self, blade):
-        mask = blade_mask(blade if not isinstance(blade, int) else mask_blade(blade))
-        zero = Fraction(0) if self.ring.exact else 0.0
-        return self.terms.get(mask, zero)
-
     def shifted(self, coframe: Coframe, offset: int) -> "Form":
         """The same form on `coframe`, covector i moved to slot i + offset."""
         terms = {m << offset: c for m, c in self.terms.items()}
@@ -298,18 +293,6 @@ class VectorElem:
         object.__setattr__(self, "coords", coords)
         if len(coords) != self.coframe.dim:
             raise ValueError("vector length does not match coframe dimension")
-
-
-def wedge(a: Form, b: Form) -> Form:
-    return a.wedge(b)
-
-
-def power(a: Form, k: int) -> Form:
-    return a.power(k)
-
-
-def top_coefficient(a: Form):
-    return a.top_coefficient()
 
 
 def interior_product(v: VectorElem, a: Form) -> Form:

@@ -52,6 +52,10 @@ class CapExceededError(RuntimeError):
 _FD_STEP = 1e-5
 _FD_TOL = 1e-6
 _FD_POINTS = 64
+_FD_DOMAIN = (-3.0, 3.0)  # where the derivative check draws its points
+_LUTZ_EPS = 1.0  # the Lutz family lives on s in (-eps, eps)
+_SOL_S_MAX = 2.0  # the weak-filling fixture samples s in [-max, max]
+BISECTION_TOL = 1e-3  # the width at which min_c_search stops bisecting
 
 
 # the `_libm` array results of the open `_libm_scope`; None outside one
@@ -148,19 +152,17 @@ class ProfileFn:
     piecewise profiles are excluded from the sampling).
     """
 
-    def __init__(self, fn, dfn, label="f", domain=(-3.0, 3.0), knots=(),
-                 check=True):
+    def __init__(self, fn, dfn, label="f", knots=(), check=True):
         self.fn = fn
         self.dfn = dfn
         self.label = label
-        self.domain = domain
         self.knots = tuple(knots)
         if check:
             self._validate()
 
     def _validate(self):
         rng = np.random.default_rng(1234)
-        a, b = self.domain
+        a, b = _FD_DOMAIN
         draws = rng.uniform(a, b, 6 * _FD_POINTS)
         near_knot = np.zeros(draws.shape, bool)
         for k in self.knots:
@@ -194,7 +196,7 @@ class ProfileFn:
             return (dfn(s + _FD_STEP) - dfn(s - _FD_STEP)) / (2 * _FD_STEP)
 
         return ProfileFn(self.dfn, numeric_second, f"{self.label}'",
-                         self.domain, self.knots, check=False)
+                         self.knots, check=False)
 
     def __add__(self, other):
         other = as_profile(other)
@@ -202,7 +204,7 @@ class ProfileFn:
             lambda s: self.fn(s) + other.fn(s),
             lambda s: self.dfn(s) + other.dfn(s),
             f"({self.label}+{other.label})",
-            self.domain, self.knots + other.knots, check=False,
+            self.knots + other.knots, check=False,
         )
 
     __radd__ = __add__
@@ -213,7 +215,7 @@ class ProfileFn:
     def __neg__(self):
         return ProfileFn(
             lambda s: -self.fn(s), lambda s: -self.dfn(s),
-            f"(-{self.label})", self.domain, self.knots, check=False,
+            f"(-{self.label})", self.knots, check=False,
         )
 
     def __mul__(self, other):
@@ -222,7 +224,7 @@ class ProfileFn:
             lambda s: self.fn(s) * other.fn(s),
             lambda s: self.dfn(s) * other.fn(s) + self.fn(s) * other.dfn(s),
             f"({self.label}*{other.label})",
-            self.domain, self.knots + other.knots, check=False,
+            self.knots + other.knots, check=False,
         )
 
     __rmul__ = __mul__
@@ -235,7 +237,7 @@ class ProfileFn:
             lambda s: self.fn(a * s + b),
             lambda s: a * self.dfn(a * s + b),
             f"{self.label}({a}s+{b})",
-            self.domain, knots, check=False,
+            knots, check=False,
         )
 
 
@@ -438,14 +440,6 @@ class ParamForm:
             _merge(self.terms, m << self.offset,
                    ParamCoeff([(f * float(c), g)]))
 
-    def plus(self, other: "ParamForm") -> "ParamForm":
-        if other.coframe != self.coframe or other.degree != self.degree:
-            raise ValueError("param form mismatch")
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            _merge(terms, m, c)
-        return self.copy_with(self.degree, terms)
-
     def at(self, u, v=0.0) -> Form:
         """The form at (u, v); for arrays of sample points, at all of them.
 
@@ -564,9 +558,6 @@ class ProfileTriple:
         pf.add_term(("dt",), ParamCoeff.of(self.h))
         return pf
 
-    def lambda_at(self, s) -> Form:
-        return self.to_param_form().at(s)
-
 
 def gt_form(pair, k: int) -> ProfileTriple:
     """The Giroux-torsion family (1+cos)/2 a+ + (1-cos)/2 a- + sin s dt.
@@ -678,19 +669,16 @@ def _relative_error(a, b):
     return np.abs(a - b) / np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
 
 
-def contact_grid_check(obj, grid_n: int = 1024) -> GridCheck:
-    """Sampled positivity of lambda ^ dlambda^(n-1) over the parameter grid."""
-    if isinstance(obj, ProfileTriple):
-        pf = obj.to_param_form()
-        interval = obj.interval
-    else:
-        pf = obj
-        interval = getattr(obj, "interval", (0.0, 2 * math.pi))
+def contact_grid_check(triple: ProfileTriple,
+                       grid_n: int = 1024) -> GridCheck:
+    """Sampled positivity of lambda ^ dlambda^(n-1) over the triple's
+    interval."""
+    pf = triple.to_param_form()
     dim = pf.coframe.dim
     if dim % 2 == 0:
         raise ValueError("contact check needs odd total dimension")
     npow = (dim - 1) // 2
-    s = _grid_points(interval, grid_n)
+    s = _grid_points(triple.interval, grid_n)
     values = _grid_tops(lambda lam, dlam: lam.wedge(dlam.power(npow)),
                    [pf.at(s), pf.d().at(s)], len(s))
     min_value, argmin = _grid_min(values, s)
@@ -807,10 +795,10 @@ def _skew_array(w: Form, n: int) -> np.ndarray:
 # -- Lutz-Mori family identity ---------------------------------------------------
 
 
-def lutz_lambda_k(pair, k: int, eps=1.0, kind="quintic") -> ParamForm:
+def lutz_lambda_k(pair, k: int, kind="quintic") -> ParamForm:
     """lambda_k with the twist profile phi_k substituted into the family."""
     pair = _as_pair(pair)
-    phi = lutz_twist_profile(k, eps, kind)
+    phi = lutz_twist_profile(k, _LUTZ_EPS, kind)
     cphi = ProfileFn(lambda s: _libm(math.cos, phi(s)),
                      lambda s: -_libm(math.sin, phi(s)) * phi.deriv(s),
                      f"cos(phi_{k})", knots=phi.knots, check=False)
@@ -819,23 +807,23 @@ def lutz_lambda_k(pair, k: int, eps=1.0, kind="quintic") -> ParamForm:
                      f"sin(phi_{k})", knots=phi.knots, check=False)
     f = 0.5 * (cphi + 1.0)
     g = 0.5 * (const(1.0) - cphi)
-    return ProfileTriple(f, g, sphi, pair, (-eps, eps)).to_param_form()
+    return ProfileTriple(f, g, sphi, pair,
+                         (-_LUTZ_EPS, _LUTZ_EPS)).to_param_form()
 
 
-def lutz_family_check(pair, k: int, tau: float, psi: ProfileFn | None = None,
-                      grid_n: int = 512, eps=1.0, kind="quintic") -> float:
+def lutz_family_check(pair, k: int, tau: float, grid_n: int = 512,
+                      kind="quintic") -> float:
     """Pointwise identity for the almost-contact homotopy interpolation.
 
     Verifies lambda_{k,tau} ^ (d lambda_{k,tau})^{n-1}
-    = (1 - tau psi)^n lambda_k ^ (d lambda_k)^{n-1} on the grid and returns
-    the worst relative error.
+    = (1 - tau psi)^n lambda_k ^ (d lambda_k)^{n-1} on the grid, psi the
+    plateau bump of the twist window, and returns the worst relative error.
     """
     pair = _as_pair(pair)
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    if psi is None:
-        psi = plateau_bump(eps, kind)
-    lam_k = lutz_lambda_k(pair, k, eps, kind)
+    psi = plateau_bump(_LUTZ_EPS, kind)
+    lam_k = lutz_lambda_k(pair, k, kind)
     scale = ProfileFn(lambda s: 1.0 - tau * psi(s),
                       lambda s: -tau * psi.deriv(s),
                       f"(1-{tau}psi)", knots=psi.knots, check=False)
@@ -848,7 +836,7 @@ def lutz_family_check(pair, k: int, tau: float, psi: ProfileFn | None = None,
                   "tau psi", knots=psi.knots, check=False)))
     dim = lam_k.coframe.dim
     npow = (dim + 1) // 2
-    s = _grid_points((-eps, eps), grid_n)
+    s = _grid_points((-_LUTZ_EPS, _LUTZ_EPS), grid_n)
 
     def top(lam):
         return _grid_tops(lambda a, da: a.wedge(da.power(npow - 1)),
@@ -1053,8 +1041,8 @@ class SolFixtureResult:
     passed: bool
 
 
-def sol_weak_filling_fixture(eps: float, grid_n: int = 128,
-                             c: float = 2.0) -> SolFixtureResult:
+def sol_weak_filling_fixture(eps: float,
+                             grid_n: int = 128) -> SolFixtureResult:
     """Nondegeneracy of d[e^s a+ + e^-s a- + sigma dθ] + eps w on a grid.
 
     First verifies the wedge identities w ^ da± = 0 exactly in the
@@ -1087,8 +1075,8 @@ def sol_weak_filling_fixture(eps: float, grid_n: int = 128,
     omega_shift = omega_closed.shifted(dbeta.coframe, 2).to_float()
     p = dbeta.coframe.dim // 2
     s, sigma = (x.ravel() for x in np.meshgrid(
-        np.linspace(-c, c, grid_n), np.linspace(-1.0, 1.0, grid_n),
-        indexing="ij"))
+        np.linspace(-_SOL_S_MAX, _SOL_S_MAX, grid_n),
+        np.linspace(-1.0, 1.0, grid_n), indexing="ij"))
     shift = float(eps) * omega_shift
     tops = _grid_tops(lambda w: (w + shift).power(p), [dbeta.at(s, sigma)],
                       len(s))
@@ -1128,8 +1116,9 @@ def _min_top_power(pf: ParamForm, s):
 
 
 def min_c_search(pair, psi: ProfileFn, grid_n: int = 256,
-                 cap: float = 64.0, tol: float = 1e-3) -> float:
-    """Smallest c (within tol) whose cutoff form is positive on the grid."""
+                 cap: float = 64.0) -> float:
+    """Smallest c (within BISECTION_TOL) whose cutoff form is positive on
+    the grid."""
     pair = _as_pair(pair)
 
     def passes(c):
@@ -1143,7 +1132,7 @@ def min_c_search(pair, psi: ProfileFn, grid_n: int = 256,
             f"no positive cutoff constant below {cap}", worst[1]
         )
     lo, hi = 0.0, cap
-    while hi - lo > tol:
+    while hi - lo > BISECTION_TOL:
         mid = (lo + hi) / 2
         if passes(mid):
             hi = mid
@@ -1199,33 +1188,6 @@ def beta_grid_check(pair, s_range=(-10.0, 10.0), grid_n: int = 256):
     pf.add_form(pair.alpha_plus, exp_fn(1.0))
     pf.add_form(pair.alpha_minus, exp_fn(-1.0))
     return _min_top_power(pf, np.linspace(s_range[0], s_range[1], grid_n + 1))
-
-
-def run_family_descriptor(descriptor: dict) -> dict:
-    """Run a family check from its JSON descriptor.
-
-    {"family": "gt", "k": 2, "pair": "sol:2,1,1,1", "grid": 1024} returns
-    the grid result with verdict and the orientation declaration.
-    """
-    from .liealg import preset
-    family = descriptor.get("family")
-    if family != "gt":
-        raise ValueError(f"unknown family {family!r}")
-    pair = preset(descriptor["pair"])
-    k = int(descriptor.get("k", 1))
-    grid_n = int(descriptor.get("grid", 1024))
-    chk = contact_grid_check(gt_form(pair, k), grid_n)
-    return {
-        "family": "gt",
-        "pair": descriptor["pair"],
-        "k": k,
-        "grid": grid_n,
-        "min_value": chk.min_value,
-        "argmin": chk.argmin,
-        "verdict": "pass" if chk.passed else "negative",
-        "certificate": chk.kind,
-        "orientation": chk.orientation,
-    }
 
 
 def product_pair_fixture(pair, alpha2_algebra: LieAlgebra, alpha2: Form):

@@ -82,13 +82,6 @@ class LieAlgebra:
             return self.brackets.get((i, j), {}).get(k, Q(0))
         return -self.brackets.get((j, i), {}).get(k, Q(0))
 
-    def tensor(self):
-        n = self.dim
-        return [
-            [[self.structure_constant(i, j, k) for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ]
-
     def coframe(self) -> Coframe:
         return Coframe(self.names)
 
@@ -235,14 +228,13 @@ class PositivityCertificate:
     """Replayable record of an exactness-backed sign verdict."""
 
     verdict: str                    # "positive" | "negative" | "indefinite"
-    kind: str                       # "exact-sign" | "exact-sturm" | "grid"
+    kind: str                       # "exact-sign" | "exact-sturm"
     orientation: str
     value: Fraction | None = None   # exact-sign: the top coefficient
     polynomial: list | None = None  # exact-sturm: simplex polynomial coeffs
     endpoint_values: tuple | None = None
     root_count: int | None = None
     witness: tuple | None = None
-    detail: dict = field(default_factory=dict)
 
     def replay(self) -> bool:
         """Re-verify the verdict from the stored data alone."""
@@ -250,10 +242,8 @@ class PositivityCertificate:
             s = (self.value > 0) - (self.value < 0)
             want = {1: "positive", -1: "negative", 0: "indefinite"}[s]
             return want == self.verdict
-        if self.kind == "exact-sturm":
-            ok, _ = _poly.positive_on_01(self.polynomial)
-            return (self.verdict == "positive") == ok
-        return True  # grid verdicts restate sampled data; nothing to re-derive
+        ok, _ = _poly.positive_on_01(self.polynomial)
+        return (self.verdict == "positive") == ok
 
 
 def contact_check(g: LieAlgebra, a: Form) -> PositivityCertificate:
@@ -301,58 +291,33 @@ def pair_polynomial(g: LieAlgebra, a_plus: Form, a_minus: Form):
     return p
 
 
-def liouville_pair_check(g: LieAlgebra, a_plus: Form, a_minus: Form,
-                         grid_n: int = 4096) -> PositivityCertificate:
+def liouville_pair_check(g: LieAlgebra, a_plus: Form,
+                         a_minus: Form) -> PositivityCertificate:
     """Certify the Liouville-pair condition over the coefficient simplex.
 
     The pair condition is equivalent to positivity of the homogeneous
     polynomial P(C+, C-) for all C+, C- >= 0 not both zero; substituting
     (x, 1-x) reduces it to p > 0 on [0, 1], decided exactly by Sturm root
-    isolation for rational inputs and by dense sampling in float mode.
+    isolation.  Both forms must be exact.
     """
     if g.dim % 2 == 0:
         raise ValueError("liouville_pair_check requires odd dimension")
     if a_plus.degree != 1 or a_minus.degree != 1:
         raise ValueError("liouville_pair_check requires 1-forms")
-    if a_plus.ring.exact and a_minus.ring.exact:
-        p = pair_polynomial(g, a_plus, a_minus)
-        ok, witness = _poly.positive_on_01(p)
-        verdict = "positive" if ok else _classify_failure(p)
-        return PositivityCertificate(
-            verdict=verdict,
-            kind="exact-sturm",
-            orientation=_orientation_str(g),
-            polynomial=p,
-            endpoint_values=(_poly.evaluate(p, 0), _poly.evaluate(p, 1)),
-            root_count=_poly.count_roots(p, 0, 1) if p else 0,
-            witness=witness,
-        )
-    # float fallback: dense sampling of the simplex
-    worst = (None, None)
-    for i in range(grid_n + 1):
-        xval = i / grid_n
-        v = _pair_value_float(g, a_plus, a_minus, xval)
-        if worst[1] is None or v < worst[1]:
-            worst = (xval, v)
-    ok = worst[1] > 0
+    if not (a_plus.ring.exact and a_minus.ring.exact):
+        raise ValueError("liouville_pair_check requires exact forms")
+    p = pair_polynomial(g, a_plus, a_minus)
+    ok, witness = _poly.positive_on_01(p)
+    verdict = "positive" if ok else _classify_failure(p)
     return PositivityCertificate(
-        verdict="positive" if ok else "indefinite",
-        kind="grid",
+        verdict=verdict,
+        kind="exact-sturm",
         orientation=_orientation_str(g),
-        witness=None if ok else ("point", worst[0], worst[1]),
-        detail={"grid_n": grid_n, "min_value": worst[1], "argmin": worst[0]},
+        polynomial=p,
+        endpoint_values=(_poly.evaluate(p, 0), _poly.evaluate(p, 1)),
+        root_count=_poly.count_roots(p, 0, 1) if p else 0,
+        witness=witness,
     )
-
-
-def _pair_value_float(g, a_plus, a_minus, x):
-    n = (g.dim + 1) // 2
-    ap = a_plus.to_float()
-    am = a_minus.to_float()
-    dap = g.ce_differential(ap)
-    dam = g.ce_differential(am)
-    gamma = x * ap - (1 - x) * am
-    omega = x * dap + (1 - x) * dam
-    return gamma.wedge(omega.power(n - 1)).top_coefficient()
 
 
 def _classify_failure(p):
@@ -513,10 +478,6 @@ class Preset:
     liouville_form: Form | None = None
     orientation: str = ""
     meta: dict = field(default_factory=dict)
-
-    @property
-    def pair(self):
-        return self.alpha_plus, self.alpha_minus
 
 
 def aff_r() -> Preset:

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import _poly, liealg
 
+HYPERPLANE_TOL = 1e-10  # gamma_lattice: largest |trace| of a log vector
 
 class FieldError(ValueError):
     """Defining polynomial is unusable for the working order."""
@@ -494,7 +495,7 @@ def gamma_lattice(field: NumberField, gens, units: UnitGroup) -> LatticeData:
     # verify trace-zero hyperplane membership and rank
     for vec in basis:
         tr = sum(v for v in vec[:r]) + 2 * sum(v.real for v in vec[r:])
-        if abs(tr) > 1e-10:
+        if abs(tr) > HYPERPLANE_TOL:
             raise ArithmeticError("lattice vector leaves the trace-zero hyperplane")
     flat = [
         [v for z in vec for v in ((z.real, z.imag) if isinstance(z, complex) else (z,))]

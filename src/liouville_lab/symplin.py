@@ -40,6 +40,14 @@ Q = Fraction
 MAX_PENCIL_DIM = 12
 MAX_RETRIES = 6  # eps halvings of the one eps walk
 SEGMENT_SAMPLES = 10 ** 4  # determinants sampled by segment_nondegenerate
+SUITE_DIM = 6  # dimension of the cayley and interpolation suite forms
+TAMING_EIG = 1e-10  # tames: min eig of sym(A J) > TAMING_EIG * scale
+OMEGA0_GATE = 1e-9  # a reduction passes with w0 residual <= OMEGA0_GATE
+OMEGA1_GATE = 10  # and w1 residual <= OMEGA1_GATE * eps
+_REAL_REL_TOL = 1e-8  # an eigenvalue is real when |Im| <= this * |Re|
+_CLUSTER_REL_TOL = 1e-7  # eigenvalue clusters, relative to the spectrum
+_THRESHOLD_TOL = 1e-6  # taming_threshold: bisection width
+_THRESHOLD_CAP = 1e6  # taming_threshold: largest t tried
 
 
 class PencilError(ValueError):
@@ -193,7 +201,7 @@ def is_nondegenerate(a: SkewForm) -> bool:
     return abs(det) > 1e-12 * scale
 
 
-def tames(a: SkewForm, j: ComplexStructure, tol: float = 1e-10) -> bool:
+def tames(a: SkewForm, j: ComplexStructure) -> bool:
     """w tames J iff the symmetric part of A J is positive definite."""
     if a.dim != j.dim:
         raise ValueError("dimension mismatch")
@@ -208,7 +216,7 @@ def tames(a: SkewForm, j: ComplexStructure, tol: float = 1e-10) -> bool:
             return _exact_positive_definite(sym)
     s, eig = _taming_spectrum(a.to_array(), j.matrix)
     scale = max(1.0, float(np.max(np.abs(s))))
-    return bool(eig[0] > tol * scale)
+    return bool(eig[0] > TAMING_EIG * scale)
 
 
 def taming_margin(a: SkewForm, j: ComplexStructure) -> float:
@@ -310,10 +318,11 @@ def _analyse(a0: SkewForm, a1: SkewForm) -> _Pencil:
     return _Pencil(a0, a1, b, np.linalg.eigvals(b))
 
 
-def _has_negative_real_eigenvalue(vals, rel_tol: float = 1e-8) -> bool:
-    """Whether some eigenvalue in vals is real (to rel_tol) and negative."""
+def _has_negative_real_eigenvalue(vals) -> bool:
+    """Whether some eigenvalue in vals is real (to _REAL_REL_TOL) and
+    negative."""
     for lam in vals:
-        if lam.real < 0 and abs(lam.imag) <= rel_tol * abs(lam.real):
+        if lam.real < 0 and abs(lam.imag) <= _REAL_REL_TOL * abs(lam.real):
             return True
     return False
 
@@ -438,7 +447,7 @@ def _model_matrices(blocks, eps=0.0):
     return a0, a1
 
 
-def _cluster_eigenvalues(vals, rel_tol=1e-7):
+def _cluster_eigenvalues(vals):
     """Group numerically repeated eigenvalues; raise if gaps are ambiguous."""
     scale = max(1.0, float(np.max(np.abs(vals))))
     order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
@@ -446,7 +455,7 @@ def _cluster_eigenvalues(vals, rel_tol=1e-7):
     for idx in order:
         v = vals[idx]
         for c in clusters:
-            if abs(v - c[0]) <= rel_tol * scale * 10:
+            if abs(v - c[0]) <= _CLUSTER_REL_TOL * scale * 10:
                 c[1].append(idx)
                 c[0] = np.mean([vals[i] for i in c[1]])
                 break
@@ -456,7 +465,7 @@ def _cluster_eigenvalues(vals, rel_tol=1e-7):
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
             gap = abs(centers[i] - centers[j])
-            if gap < 100 * rel_tol * scale:
+            if gap < 100 * _CLUSTER_REL_TOL * scale:
                 raise PencilError(
                     f"eigenvalue clusters separated by only {gap:.2e}"
                 )
@@ -477,7 +486,7 @@ def simultaneous_reduce(a0: SkewForm, a1: SkewForm,
 
 def _reductions(p: _Pencil, eps: float):
     """The one eps walk: every reduction of p that passes the gates (w0
-    residual <= 1e-9, w1 residual <= 10 eps), in order.
+    residual <= OMEGA0_GATE, w1 residual <= OMEGA1_GATE eps), in order.
 
     An exact reduction, when one exists, is the only one.  Otherwise the
     clusters of the float spectrum are formed once and the float reduction
@@ -500,7 +509,8 @@ def _reductions(p: _Pencil, eps: float):
         except (ArithmeticError, np.linalg.LinAlgError) as err:
             last_error = err
             continue
-        if result.omega0_residual <= 1e-9 and result.omega1_residual <= 10 * eps:
+        if (result.omega0_residual <= OMEGA0_GATE
+                and result.omega1_residual <= OMEGA1_GATE * eps):
             passed = True
             yield result
         else:
@@ -870,20 +880,15 @@ def cayley_inverse(j0: ComplexStructure, a: np.ndarray) -> ComplexStructure:
 
 
 def interpolate_tamed(j0: ComplexStructure, j1: ComplexStructure,
-                      j2: ComplexStructure, t: float,
-                      taming_forms=()) -> ComplexStructure:
-    """Convex interpolation through the Cayley chart at J0.
+                      j2: ComplexStructure, ts) -> list:
+    """Convex interpolation through the Cayley chart at J0, one J per t.
 
-    If every listed form tames J0, J1 and J2, the result is tamed as well
-    (convexity of the chart image); this is checked when forms are passed.
+    J1 and J2 are mapped into the chart once.  A form that tames J0, J1
+    and J2 tames every result as well (convexity of the chart image).
     """
     a1 = cayley_map(j0, j1)
     a2 = cayley_map(j0, j2)
-    out = cayley_inverse(j0, (1 - t) * a1 + t * a2)
-    for f in taming_forms:
-        if not tames(f, out):
-            raise ArithmeticError("interpolation left the taming cone")
-    return out
+    return [cayley_inverse(j0, (1 - t) * a1 + t * a2) for t in ts]
 
 
 def compatible_j(a: SkewForm) -> ComplexStructure:
@@ -919,8 +924,8 @@ def _polish_square_root(j: np.ndarray) -> np.ndarray:
     return best
 
 
-def taming_threshold(omega: SkewForm, d: SkewForm, j: ComplexStructure,
-                     tol: float = 1e-6, cap: float = 1e6) -> float:
+def taming_threshold(omega: SkewForm, d: SkewForm,
+                     j: ComplexStructure) -> float:
     """Smallest T >= 0 with omega + t d taming J for the sampled t-ladder.
 
     Requires d to tame J.  Returns 0 when omega already tames J; otherwise
@@ -941,12 +946,13 @@ def taming_threshold(omega: SkewForm, d: SkewForm, j: ComplexStructure,
     while margin(hi) <= 0:
         trail.append((hi, margin(hi)))
         hi *= 2
-        if hi > cap:
+        if hi > _THRESHOLD_CAP:
             raise ArithmeticError(
-                f"no taming threshold below {cap}; margins {trail[-5:]}"
+                f"no taming threshold below {_THRESHOLD_CAP}; "
+                f"margins {trail[-5:]}"
             )
     lo = 0.0
-    while hi - lo > tol:
+    while hi - lo > _THRESHOLD_TOL:
         mid = (lo + hi) / 2
         if margin(mid) > 0:
             hi = mid
@@ -975,15 +981,14 @@ def random_nondegenerate_pair(rng, dim):
             return a0, a1
 
 
-def random_tamed_j(rng, a: SkewForm) -> ComplexStructure:
-    """Random J tamed by a: a Cayley perturbation of the compatible J0.
+def random_tamed_j(rng, a: SkewForm, j0: ComplexStructure) -> ComplexStructure:
+    """Random J tamed by a: a Cayley perturbation of j0 = compatible_j(a).
 
     In the Cayley chart at J0 every A anticommuting with J0 whose operator
     norm in g = w(., J0 .) is below 1 gives a tamed J (McDuff-Salamon,
     Introduction to Symplectic Topology), so one draw, scaled to a g-norm
     from U(0.1, 0.95), always lands in the taming cone.
     """
-    j0 = compatible_j(a)
     x = rng.standard_normal((a.dim, a.dim))
     anti = (x + j0.matrix @ x @ j0.matrix) / 2
     # |A|_g = |L^T A L^{-T}|_2 for the Cholesky factor L of the Gram
@@ -1083,16 +1088,16 @@ def appendix_equivalence_suite(trials: int, dims=(4, 6, 8, 10),
     )
 
 
-def cayley_roundtrip_suite(trials: int, dim: int = 6, seed: int = 0) -> SuiteReport:
+def cayley_roundtrip_suite(trials: int, seed: int = 0) -> SuiteReport:
     worst = 0.0
     mismatches = 0
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
-        a = random_skew(rng, dim)
+        a = random_skew(rng, SUITE_DIM)
         while not is_nondegenerate(a):
-            a = random_skew(rng, dim)
+            a = random_skew(rng, SUITE_DIM)
         j0 = compatible_j(a)
-        j = random_tamed_j(rng, a)
+        j = random_tamed_j(rng, a, j0)
         back = cayley_inverse(j0, cayley_map(j0, j))
         err = float(np.max(np.abs(back.matrix - j.matrix)))
         worst = max(worst, err)
@@ -1101,20 +1106,19 @@ def cayley_roundtrip_suite(trials: int, dim: int = 6, seed: int = 0) -> SuiteRep
     return SuiteReport("cayley-roundtrip", trials, mismatches, worst, [seed])
 
 
-def interpolation_suite(trials: int, dim: int = 6, seed: int = 0,
+def interpolation_suite(trials: int, seed: int = 0,
                         ts=(0.25, 0.5, 0.75)) -> SuiteReport:
     mismatches = 0
     worst = math.inf
     for trial in range(trials):
         rng = np.random.default_rng(seed + 31 * trial)
-        a = random_skew(rng, dim)
+        a = random_skew(rng, SUITE_DIM)
         while not is_nondegenerate(a):
-            a = random_skew(rng, dim)
+            a = random_skew(rng, SUITE_DIM)
         j0 = compatible_j(a)
-        j1 = random_tamed_j(rng, a)
-        j2 = random_tamed_j(rng, a)
-        for t in ts:
-            out = interpolate_tamed(j0, j1, j2, t)
+        j1 = random_tamed_j(rng, a, j0)
+        j2 = random_tamed_j(rng, a, j0)
+        for out in interpolate_tamed(j0, j1, j2, ts):
             margin = taming_margin(a, out)
             worst = min(worst, margin)
             if margin <= 0:

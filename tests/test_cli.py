@@ -62,8 +62,11 @@ def test_pencil_reduce(capture, remark_files):
     code, out = capture(["pencil-reduce", "--omega0", p0, "--omega1", p1,
                          "--json"])
     assert code == 0
-    blocks = json.loads(out)["detail"]["blocks"]
-    assert blocks == [{"type": "complex", "mu": 0.0, "nu": 1.0, "chain": 1}]
+    rep = json.loads(out)
+    assert rep["detail"]["blocks"] == [
+        {"type": "complex", "mu": 0.0, "nu": 1.0, "chain": 1}]
+    # rational input, but the spectrum +-i is not rational: reduced in floats
+    assert rep["certificate"] == "grid"
 
 
 def test_verify_pair_exact(capture):
@@ -156,6 +159,18 @@ def test_pencil_reduce_flags_chains(capture, tmp_path):
                          "--omega1", str(p1), "--json"])
     assert code == 0
     rep = json.loads(out)
+    assert rep["detail"]["experimental_chains"] is True
+
+
+def test_pencil_reduce_labels_a_rational_jordan_pencil_grid(capture):
+    ms = sl._model_matrices([sl.RealBlock(Q(2), 2)], eps=1)
+    o0, o1 = (json.dumps([[str(Q(x)) for x in row] for row in m.tolist()])
+              for m in ms)
+    code, out = capture(["pencil-reduce", "--omega0", o0, "--omega1", o1,
+                         "--json"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["certificate"] == "grid"
     assert rep["detail"]["experimental_chains"] is True
 
 
@@ -357,8 +372,10 @@ GOLDEN_PENCIL_REPORTS = [
      "ddc8eefb9df90c49c63326f18ebd3a746fb2210a6a78152639c7bc132390ba53"),
     ("cotame real8", 0,
      "c811f047eb122c88d9ca8796c1bc8325b318661723cac2438093a5beb42ece0c"),
+    # a rational pencil with an irrational spectrum: reduced in floats,
+    # so labelled "grid"
     ("pencil-reduce complex4", 0,
-     "cac7612bcbef801ad2b9422bffa54990f8ee12aede60d1751a6282f1359798f6"),
+     "cade843a37ab3f53292235d71810fcf9157e6bca7a5b75228a6a45c1e3574dc4"),
     ("cotame complex4", 0,
      "04c8e0c59cd47508e2e223fe92be8c373922419992fb39feeaf65cf560404f82"),
     ("pencil-reduce negative4", 0,

@@ -204,11 +204,11 @@ def test_d_param_squares_to_zero_on_families():
 
 def test_gt_form_endpoints():
     triple = ff.gt_form(SOL, 1)
-    lam0 = triple.lambda_at(0.0)
+    lam0 = triple.to_param_form().at(0.0)
     off = 2
     for m, c in SOL.alpha_plus.terms.items():
         assert abs(lam0.terms.get(m << off, 0.0) - float(c)) < 1e-12
-    lam_pi = triple.lambda_at(math.pi)
+    lam_pi = triple.to_param_form().at(math.pi)
     for m, c in SOL.alpha_minus.terms.items():
         assert abs(lam_pi.terms.get(m << off, 0.0) - float(c)) < 1e-12
     assert abs(lam_pi.terms.get(0b10, 0.0)) < 1e-12
@@ -218,7 +218,7 @@ def test_gt_form_collapses_to_circle_family():
     # over the pair ±dθ the family is cos s dθ + sin s dt
     triple = ff.gt_form(S1, 1)
     for s in (0.3, 1.2, 2.9):
-        lam = triple.lambda_at(s)
+        lam = triple.to_param_form().at(s)
         assert abs(lam.terms.get(0b100, 0.0) - math.cos(s)) < 1e-12
         assert abs(lam.terms.get(0b010, 0.0) - math.sin(s)) < 1e-12
 
@@ -564,17 +564,6 @@ def test_beta_grid_agrees_with_exact_certificate():
         pair = ff.PairData(g, ap.to_float(), am.to_float())
         min_top, _ = ff.beta_grid_check(pair, grid_n=200)
         assert (cert.verdict == "positive") == (min_top > 0)
-
-
-def test_family_descriptor_roundtrip():
-    out = ff.run_family_descriptor(
-        {"family": "gt", "k": 2, "pair": "sol:2,1,1,1", "grid": 128}
-    )
-    assert out["verdict"] == "pass"
-    assert out["min_value"] > 0
-    assert "orientation" in out
-    with pytest.raises(ValueError, match="unknown family"):
-        ff.run_family_descriptor({"family": "nope"})
 
 
 def test_product_pair_fixture_shapes():

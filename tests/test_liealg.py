@@ -285,6 +285,14 @@ def test_liouville_pair_positive_and_replayable():
     assert cert.replay()
 
 
+def test_liouville_pair_check_requires_exact_forms():
+    p = liealg.totally_real(2)
+    for ap, am in ((p.alpha_plus.to_float(), p.alpha_minus),
+                   (p.alpha_plus, p.alpha_minus.to_float())):
+        with pytest.raises(ValueError, match="requires exact forms"):
+            liealg.liouville_pair_check(p.algebra, ap, am)
+
+
 def test_equal_pair_is_indefinite():
     p = liealg.totally_real(2)
     cert = liealg.liouville_pair_check(p.algebra, p.alpha_plus, p.alpha_plus)

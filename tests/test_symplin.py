@@ -219,6 +219,26 @@ def test_exact_reduce_rational_spectrum():
     assert red.omega0_residual == 0.0
 
 
+def rational_jordan_pencil():
+    """The rational model pair of one real block of chain 2 at lambda = 2,
+    chain coupling 1, as exact skew forms."""
+    ms = sl._model_matrices([sl.RealBlock(Q(2), 2)], eps=1)
+    return [sl.SkewForm([[Q(x) for x in row] for row in m.tolist()])
+            for m in ms]
+
+
+def test_rational_jordan_pencil_takes_the_float_reduction():
+    # the spectrum is rational but the eigenspace of 2 is one-dimensional:
+    # the exact path declines and the float path resolves the chain
+    a0, a1 = rational_jordan_pencil()
+    assert sl._try_exact_reduce(sl._analyse(a0, a1)) is None
+    red = sl.simultaneous_reduce(a0, a1, 1e-3)
+    assert [(b.eigenvalue, b.chain_length) for b in red.blocks] == [(2.0, 2)]
+    assert red.eps == 1e-3
+    assert red.omega0_residual <= 1e-9
+    assert red.omega1_residual <= 1e-2
+
+
 def test_block_parameter_stability_across_eps():
     # the clustered spectrum should not move as eps is refined
     rng = np.random.default_rng(3)
@@ -294,7 +314,7 @@ def test_cayley_roundtrip_and_anticommutation():
         if not sl.is_nondegenerate(a):
             continue
         j0 = sl.compatible_j(a)
-        j = sl.random_tamed_j(rng, a)
+        j = sl.random_tamed_j(rng, a, j0)
         am = sl.cayley_map(j0, j)
         assert np.max(np.abs(am @ j0.matrix + j0.matrix @ am)) <= 1e-12 * max(
             1.0, float(np.max(np.abs(am))))
@@ -319,16 +339,17 @@ def test_random_tamed_j_draws_once_inside_the_unit_g_ball(dim, seed):
     a = sl.random_skew(rng, dim)
     while not sl.is_nondegenerate(a):
         a = sl.random_skew(rng, dim)
-    j = sl.random_tamed_j(rng, a)
-    assert sl.tames(a, j)
     j0 = sl.compatible_j(a)
+    j = sl.random_tamed_j(rng, a, j0)
+    assert sl.tames(a, j)
     assert g_norm(a, j0, sl.cayley_map(j0, j)) < 1
 
 
 def test_random_tamed_j_names_an_untamed_draw(monkeypatch):
-    monkeypatch.setattr(sl, "tames", lambda a, j, tol=1e-10: False)
+    monkeypatch.setattr(sl, "tames", lambda a, j: False)
+    om = sl.standard_omega(4)
     with pytest.raises(ArithmeticError, match="not tamed"):
-        sl.random_tamed_j(np.random.default_rng(0), sl.standard_omega(4))
+        sl.random_tamed_j(np.random.default_rng(0), om, sl.compatible_j(om))
 
 
 def test_interpolate_endpoints():
@@ -337,10 +358,31 @@ def test_interpolate_endpoints():
     while not sl.is_nondegenerate(a):
         a = sl.random_skew(rng, 4)
     j0 = sl.compatible_j(a)
-    j1 = sl.random_tamed_j(rng, a)
-    j2 = sl.random_tamed_j(rng, a)
-    assert np.allclose(sl.interpolate_tamed(j0, j1, j2, 0.0).matrix, j1.matrix)
-    assert np.allclose(sl.interpolate_tamed(j0, j1, j2, 1.0).matrix, j2.matrix)
+    j1 = sl.random_tamed_j(rng, a, j0)
+    j2 = sl.random_tamed_j(rng, a, j0)
+    at0, at1 = sl.interpolate_tamed(j0, j1, j2, (0.0, 1.0))
+    assert np.allclose(at0.matrix, j1.matrix)
+    assert np.allclose(at1.matrix, j2.matrix)
+
+
+@pytest.mark.parametrize("suite, maps_per_trial", [
+    (sl.cayley_roundtrip_suite, 1), (sl.interpolation_suite, 2),
+])
+def test_suites_build_one_cayley_chart_per_trial(monkeypatch, suite,
+                                                 maps_per_trial):
+    # J0 is computed once per trial and handed to the sampler, and the
+    # interpolation maps J1 and J2 once for all of its t values
+    calls = {"compatible_j": 0, "cayley_map": 0}
+    for name in calls:
+        raw = getattr(sl, name)
+
+        def counted(*args, _raw=raw, _name=name):
+            calls[_name] += 1
+            return _raw(*args)
+
+        monkeypatch.setattr(sl, name, counted)
+    suite(20, seed=331)
+    assert calls == {"compatible_j": 20, "cayley_map": 20 * maps_per_trial}
 
 
 def test_interpolation_preserves_taming():
