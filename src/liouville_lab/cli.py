@@ -126,7 +126,7 @@ def _cmd_cotame(args):
         verdict = "pass"
     rep = _report(
         "cotame", {"omega0": args.omega0, "omega1": args.omega1},
-        verdict, "randomized" if not a0.exact else "exact-pre/numeric-J",
+        verdict, "exact-pre/numeric-J" if a0.exact and a1.exact else "numeric",
         detail, {"taming_eig": symplin.TAMING_EIG, "eps": args.eps},
         "omega(v,w) = v^T A w; taming = sym(AJ) positive definite",
         seed=args.seed,
@@ -337,7 +337,7 @@ def _cmd_numfield(args):
     rep = _report(
         "numfield", {"poly": args.poly, "box": args.box},
         verdict, kind, detail,
-        {"embedding_check": 1e-6, "hyperplane": numfield.HYPERPLANE_TOL},
+        {"hyperplane": numfield.HYPERPLANE_TOL},
         seed=args.seed,
     )
     return _emit(rep, args)

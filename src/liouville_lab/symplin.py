@@ -21,13 +21,23 @@ alone when there is one, else float reductions at eps / 2^k over one
 clustering of the spectrum.  eps scales only the Jordan chains, so a walk
 stops after its first completed reduction without a chain.  The tamed-J
 sampler draws once: every Cayley perturbation of g-norm below 1 is tamed.
+
+The dense primitives of the randomized suites (the nondegeneracy det gate,
+compatible_j, the tamed-J draw, the Cayley map and its inverse, the taming
+spectrum, the float pencil solve) each have one implementation that takes
+one matrix or an (N, n, n) stack and gives every matrix the bits of its own
+2-d call; the public functions are that kernel on one matrix.  The cayley,
+interpolation, appendix-equivalence and cocompatible suites run their
+trials as stacks of at most _TRIAL_STACK, each trial drawing from its own
+generator in the per-trial order, and raise what a per-trial loop would
+raise first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 
 import numpy as np
@@ -62,6 +72,27 @@ class RetryExhaustedError(RuntimeError):
     """Verification kept failing after the epsilon-halving schedule."""
 
 
+# -- one matrix or a stack ----------------------------------------------------------
+
+
+def _t(m: np.ndarray) -> np.ndarray:
+    """The transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(m, -1, -2)
+
+
+def _amax(m: np.ndarray):
+    """max |m_ij| of a matrix, or of each matrix of a stack."""
+    return np.abs(m).max(axis=(-2, -1))
+
+
+def _diag(v: np.ndarray) -> np.ndarray:
+    """The diagonal matrix of a vector, or of each row of an (N, n) array."""
+    n = v.shape[-1]
+    out = np.zeros(v.shape + (n,))
+    out[..., range(n), range(n)] = v
+    return out
+
+
 # -- skew forms and complex structures ------------------------------------------
 
 
@@ -76,8 +107,7 @@ class SkewForm:
             a = self.matrix
             if a.shape[0] != a.shape[1]:
                 raise ValueError("square matrix required")
-            if a.shape[0] % 2 or a.shape[0] > MAX_PENCIL_DIM:
-                raise ValueError(f"dimension must be even and <= {MAX_PENCIL_DIM}")
+            _require_pencil_dim(a.shape[0])
             if np.max(np.abs(a + a.T)) > 1e-12 * max(1.0, np.max(np.abs(a))):
                 raise ValueError("matrix is not antisymmetric")
             self.exact = False
@@ -86,8 +116,7 @@ class SkewForm:
             n = len(rows)
             if any(len(r) != n for r in rows):
                 raise ValueError("square matrix required")
-            if n % 2 or n > MAX_PENCIL_DIM:
-                raise ValueError(f"dimension must be even and <= {MAX_PENCIL_DIM}")
+            _require_pencil_dim(n)
             for i in range(n):
                 for j in range(n):
                     if rows[i][j] != -rows[j][i]:
@@ -116,6 +145,11 @@ class SkewForm:
                 if self.matrix[i][j]:
                     terms[(1 << i) | (1 << j)] = self.matrix[i][j]
         return Form(cf, 2, terms, EXACT)
+
+
+def _require_pencil_dim(n: int) -> None:
+    if n % 2 or n > MAX_PENCIL_DIM:
+        raise ValueError(f"dimension must be even and <= {MAX_PENCIL_DIM}")
 
 
 def standard_omega(n2: int) -> SkewForm:
@@ -148,7 +182,7 @@ class ComplexStructure:
 
 def _require_square_minus_identity(J: np.ndarray) -> None:
     """The J^2 = -I gate (1e-10) of one matrix or of an (N, n, n) stack."""
-    if np.max(np.abs(J @ J + np.eye(J.shape[-1]))) > 1e-10:
+    if np.any(_amax(J @ J + np.eye(J.shape[-1])) > 1e-10):
         raise ValueError("matrix does not square to -identity")
 
 
@@ -195,10 +229,18 @@ def _pf_elim(rows) -> Fraction:
 def is_nondegenerate(a: SkewForm) -> bool:
     if a.exact:
         return pfaffian(a) != 0
-    arr = a.to_array()
-    det = float(np.linalg.det(arr))
-    scale = max(1.0, float(np.max(np.abs(arr)))) ** a.dim
-    return abs(det) > 1e-12 * scale
+    return bool(_nondegenerate(a.to_array()))
+
+
+def _nondegenerate(arr: np.ndarray):
+    """The det gate |det A| > 1e-12 max(1, max|A_ij|)^n of a float skew
+    matrix, or of each matrix of a stack."""
+    n = arr.shape[-1]
+    # Python's pow per matrix: numpy's vectorised power can differ from it
+    # in the last bit
+    scale = [max(1.0, x) ** n for x in np.ravel(_amax(arr)).tolist()]
+    return np.abs(np.linalg.det(arr)) > 1e-12 * np.reshape(scale,
+                                                          arr.shape[:-2])
 
 
 def tames(a: SkewForm, j: ComplexStructure) -> bool:
@@ -214,9 +256,7 @@ def tames(a: SkewForm, j: ComplexStructure) -> bool:
             sym = [[(prod[r][c] + prod[c][r]) / 2 for c in range(a.dim)]
                    for r in range(a.dim)]
             return _exact_positive_definite(sym)
-    s, eig = _taming_spectrum(a.to_array(), j.matrix)
-    scale = max(1.0, float(np.max(np.abs(s))))
-    return bool(eig[0] > TAMING_EIG * scale)
+    return bool(_tamed(a.to_array(), j.matrix))
 
 
 def taming_margin(a: SkewForm, j: ComplexStructure) -> float:
@@ -224,10 +264,18 @@ def taming_margin(a: SkewForm, j: ComplexStructure) -> float:
 
 
 def _taming_spectrum(arr: np.ndarray, jm: np.ndarray):
-    """sym(A J) = (A J + (A J)^T) / 2 and its ascending eigenvalues."""
+    """sym(A J) = (A J + (A J)^T) / 2 and its ascending eigenvalues, of one
+    pair or of each pair of stacks."""
     m = arr @ jm
-    s = (m + m.T) / 2
+    s = (m + _t(m)) / 2
     return s, np.linalg.eigvalsh(s)
+
+
+def _tamed(arr: np.ndarray, jm: np.ndarray):
+    """The float taming test of tames, of one pair or of each pair of
+    stacks: min eig sym(A J) > TAMING_EIG max(1, max|sym(A J)_ij|)."""
+    s, eig = _taming_spectrum(arr, jm)
+    return eig[..., 0] > TAMING_EIG * np.fmax(1.0, _amax(s))
 
 
 def _exact_positive_definite(sym) -> bool:
@@ -250,12 +298,13 @@ def pencil_endomorphism(a0: SkewForm, a1: SkewForm) -> np.ndarray:
 
 
 def _float_endomorphism(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    """The float solve of pencil_endomorphism, for a w0 known nondegenerate."""
+    """The float solve of pencil_endomorphism, for a w0 known nondegenerate;
+    of one pencil or of each pencil of two stacks."""
     if m0.shape != m1.shape:
         raise ValueError("dimension mismatch")
     b = np.linalg.solve(m0, m1)
     check = m0 @ b
-    if np.max(np.abs(check + check.T)) > 1e-9 * max(1.0, np.max(np.abs(check))):
+    if np.any(_amax(check + _t(check)) > 1e-9 * np.fmax(1.0, _amax(check))):
         raise ArithmeticError("pencil endomorphism lost w0-symmetry")
     return b
 
@@ -283,7 +332,7 @@ class _Pencil:
             charpoly = self.spectrum
             return _poly.count_roots(
                 charpoly, -_poly.root_bound(charpoly), 0) == 0
-        return not _has_negative_real_eigenvalue(self.spectrum)
+        return not np.any(_negative_real(self.spectrum))
 
     @cached_property
     def floated(self) -> _Pencil:
@@ -318,13 +367,11 @@ def _analyse(a0: SkewForm, a1: SkewForm) -> _Pencil:
     return _Pencil(a0, a1, b, np.linalg.eigvals(b))
 
 
-def _has_negative_real_eigenvalue(vals) -> bool:
-    """Whether some eigenvalue in vals is real (to _REAL_REL_TOL) and
+def _negative_real(vals: np.ndarray) -> np.ndarray:
+    """Which eigenvalues of vals (any shape) are real to _REAL_REL_TOL and
     negative."""
-    for lam in vals:
-        if lam.real < 0 and abs(lam.imag) <= _REAL_REL_TOL * abs(lam.real):
-            return True
-    return False
+    return (vals.real < 0) & (np.abs(vals.imag) <= _REAL_REL_TOL
+                              * np.abs(vals.real))
 
 
 def segment_nondegenerate(a0: SkewForm, a1: SkewForm) -> bool:
@@ -857,26 +904,39 @@ def cayley_map(j0: ComplexStructure, j: ComplexStructure) -> np.ndarray:
     sanity gate the result is projected onto the exactly anticommuting
     subspace so downstream convex combinations stay inside the chart.
     """
-    s = j.matrix + j0.matrix
-    if abs(np.linalg.det(s)) < 1e-12:
+    return _cayley_map(j0.matrix, j.matrix)
+
+
+def _cayley_map(j0: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """cayley_map of one pair, or of each pair of two stacks."""
+    s = j + j0
+    if np.any(np.abs(np.linalg.det(s)) < 1e-12):
         raise ValueError("J + J0 is singular (J = -J0 boundary)")
-    a = np.linalg.solve(s, j.matrix - j0.matrix)
-    anti = a @ j0.matrix + j0.matrix @ a
-    if np.max(np.abs(anti)) > 1e-9 * max(1.0, float(np.max(np.abs(a)))):
+    a = np.linalg.solve(s, j - j0)
+    anti = a @ j0 + j0 @ a
+    if np.any(_amax(anti) > 1e-9 * np.fmax(1.0, _amax(a))):
         raise ArithmeticError("Cayley image does not anticommute with J0")
-    return (a + j0.matrix @ a @ j0.matrix) / 2
+    return (a + j0 @ a @ j0) / 2
 
 
 def cayley_inverse(j0: ComplexStructure, a: np.ndarray) -> ComplexStructure:
     """Inverse transform A -> (A - I) J0 (A - I)^{-1}."""
-    a = np.asarray(a, dtype=float)
-    anti = a @ j0.matrix + j0.matrix @ a
-    if np.max(np.abs(anti)) > 1e-10 * max(1.0, float(np.max(np.abs(a)))):
+    return ComplexStructure(
+        _cayley_inverse(j0.matrix, np.asarray(a, dtype=float)))
+
+
+def _cayley_inverse(j0: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """cayley_inverse of one pair, or of each pair of two stacks, with the
+    J^2 = -I gate of ComplexStructure."""
+    anti = a @ j0 + j0 @ a
+    if np.any(_amax(anti) > 1e-10 * np.fmax(1.0, _amax(a))):
         raise ValueError("A does not anticommute with J0")
-    s = a - np.eye(a.shape[0])
-    if abs(np.linalg.det(s)) < 1e-12:
+    s = a - np.eye(a.shape[-1])
+    if np.any(np.abs(np.linalg.det(s)) < 1e-12):
         raise ValueError("A - I is singular (eigenvalue 1)")
-    return ComplexStructure(s @ j0.matrix @ np.linalg.inv(s))
+    j = s @ j0 @ np.linalg.inv(s)
+    _require_square_minus_identity(j)
+    return j
 
 
 def interpolate_tamed(j0: ComplexStructure, j1: ComplexStructure,
@@ -886,20 +946,34 @@ def interpolate_tamed(j0: ComplexStructure, j1: ComplexStructure,
     J1 and J2 are mapped into the chart once.  A form that tames J0, J1
     and J2 tames every result as well (convexity of the chart image).
     """
-    a1 = cayley_map(j0, j1)
-    a2 = cayley_map(j0, j2)
-    return [cayley_inverse(j0, (1 - t) * a1 + t * a2) for t in ts]
+    return [ComplexStructure(j) for j in
+            _interpolate(j0.matrix, j1.matrix, j2.matrix, ts)]
+
+
+def _interpolate(j0, j1, j2, ts) -> list:
+    """interpolate_tamed of one triple or of each triple of three stacks:
+    one matrix or stack per t."""
+    a1 = _cayley_map(j0, j1)
+    a2 = _cayley_map(j0, j2)
+    return [_cayley_inverse(j0, (1 - t) * a1 + t * a2) for t in ts]
 
 
 def compatible_j(a: SkewForm) -> ComplexStructure:
     """The canonical w-compatible structure J = -(-A^2)^{-1/2} A."""
-    arr = a.to_array()
+    return ComplexStructure(_compatible(a.to_array()))
+
+
+def _compatible(arr: np.ndarray) -> np.ndarray:
+    """compatible_j of one float skew matrix, or of each matrix of a stack,
+    with the J^2 = -I gate of ComplexStructure."""
     m = -(arr @ arr)
-    vals, vecs = np.linalg.eigh((m + m.T) / 2)
-    if np.min(vals) <= 0:
+    vals, vecs = np.linalg.eigh((m + _t(m)) / 2)
+    if np.any(vals.min(axis=-1) <= 0):
         raise ValueError("form is degenerate")
-    inv_sqrt = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
-    return ComplexStructure(_polish_square_root(-inv_sqrt @ arr))
+    inv_sqrt = vecs @ _diag(1.0 / np.sqrt(vals)) @ _t(vecs)
+    j = _polish_square_root(-inv_sqrt @ arr)
+    _require_square_minus_identity(j)
+    return j
 
 
 def _polish_square_root(j: np.ndarray) -> np.ndarray:
@@ -907,21 +981,26 @@ def _polish_square_root(j: np.ndarray) -> np.ndarray:
 
     Stops as soon as an iteration fails to improve (the attainable error is
     floored at roughly |J|^2 machine epsilon, and iterating past the floor
-    just accumulates roundoff).
+    just accumulates roundoff).  On a stack each matrix stops on its own:
+    the live mask keeps the matrices still improving.
     """
-    n = j.shape[0]
+    n = j.shape[-1]
     eye = np.eye(n)
-    best = j
-    best_err = float(np.max(np.abs(j @ j + eye)))
+    best = j.reshape(-1, n, n).copy()
+    best_err = _amax(best @ best + eye)
+    live = ~(best_err <= 1e-14)
     for _ in range(4):
-        if best_err <= 1e-14:
+        idx = np.flatnonzero(live)
+        if not idx.size:
             break
-        cand = best @ (eye + (best @ best + eye) / 2)
-        cand_err = float(np.max(np.abs(cand @ cand + eye)))
-        if cand_err >= best_err:
-            break
-        best, best_err = cand, cand_err
-    return best
+        cur = best[idx]
+        cand = cur @ (eye + (cur @ cur + eye) / 2)
+        cand_err = _amax(cand @ cand + eye)
+        better = ~(cand_err >= best_err[idx])
+        best[idx[better]] = cand[better]
+        best_err[idx[better]] = cand_err[better]
+        live[idx] = better & ~(cand_err <= 1e-14)
+    return best.reshape(j.shape)
 
 
 def taming_threshold(omega: SkewForm, d: SkewForm,
@@ -967,18 +1046,62 @@ def taming_threshold(omega: SkewForm, d: SkewForm,
 
 # -- randomized suites ------------------------------------------------------------
 
+# trials per stack of the randomized suites: bounds their memory for any
+# trial count
+_TRIAL_STACK = 4096
+
+
+def _stacked(run, trials: int) -> list:
+    """run(stack) for each stack of at most _TRIAL_STACK consecutive trials
+    of range(trials), in order.  A stack that fails a gate (ValueError,
+    with numpy's LinAlgError, or ArithmeticError) is run again one trial at
+    a time, so that the error raised is the one of the lowest failing trial
+    at its earliest gate, as a loop over the trials would raise it."""
+    out = []
+    for start in range(0, trials, _TRIAL_STACK):
+        stack = range(start, min(start + _TRIAL_STACK, trials))
+        try:
+            out.append(run(stack))
+        except (ValueError, ArithmeticError):
+            for trial in stack:
+                run(range(trial, trial + 1))
+            raise
+    return out
+
 
 def random_skew(rng: np.random.Generator, dim: int) -> SkewForm:
+    return SkewForm(_skew_draw(rng, dim))
+
+
+def _skew_draw(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.standard_normal((dim, dim))
-    return SkewForm(m - m.T)
+    return m - m.T
 
 
 def random_nondegenerate_pair(rng, dim):
-    while True:
-        a0 = random_skew(rng, dim)
-        a1 = random_skew(rng, dim)
-        if is_nondegenerate(a0) and is_nondegenerate(a1):
-            return a0, a1
+    a0, a1 = _nondegenerate_draws([rng], dim, 2)[0]
+    return SkewForm(a0), SkewForm(a1)
+
+
+def _nondegenerate_draws(rngs, dim: int, count: int) -> np.ndarray:
+    """count random skew matrices from each generator, as an
+    (N, count, dim, dim) stack; a generator whose draws do not all pass the
+    det gate draws all count again, from itself, until they do.  An odd
+    skew matrix is singular, so dim is checked first, as SkewForm checks
+    it."""
+    _require_pencil_dim(dim)
+
+    def draw(rng):
+        return [_skew_draw(rng, dim) for _ in range(count)]
+
+    forms = np.array([draw(rng) for rng in rngs]).reshape(
+        len(rngs), count, dim, dim)
+    redraw = np.arange(len(rngs))
+    while redraw.size:
+        redraw = redraw[~_nondegenerate(forms[redraw]).all(axis=1)]
+        for i in redraw.tolist():
+            forms[i] = draw(rngs[i])
+    return forms
 
 
 def random_tamed_j(rng, a: SkewForm, j0: ComplexStructure) -> ComplexStructure:
@@ -989,15 +1112,26 @@ def random_tamed_j(rng, a: SkewForm, j0: ComplexStructure) -> ComplexStructure:
     Introduction to Symplectic Topology), so one draw, scaled to a g-norm
     from U(0.1, 0.95), always lands in the taming cone.
     """
-    x = rng.standard_normal((a.dim, a.dim))
-    anti = (x + j0.matrix @ x @ j0.matrix) / 2
+    return ComplexStructure(
+        _tamed_draws([rng], a.to_array()[None], j0.matrix[None])[0])
+
+
+def _tamed_draws(rngs, arr: np.ndarray, j0: np.ndarray) -> np.ndarray:
+    """random_tamed_j for each form of an (N, n, n) stack and its J0, the
+    i-th drawing a standard normal n x n matrix and then its g-norm from
+    rngs[i]."""
+    n = arr.shape[-1]
+    x = np.array([rng.standard_normal((n, n)) for rng in rngs]).reshape(
+        len(rngs), n, n)
+    u = np.array([rng.uniform(0.1, 0.95) for rng in rngs])
+    anti = (x + j0 @ x @ j0) / 2
     # |A|_g = |L^T A L^{-T}|_2 for the Cholesky factor L of the Gram
     # matrix A J0 of g
-    gram = a.to_array() @ j0.matrix
-    lt = np.linalg.cholesky((gram + gram.T) / 2).T
-    g_norm = np.linalg.norm(lt @ anti @ np.linalg.inv(lt), 2)
-    cand = cayley_inverse(j0, anti * (rng.uniform(0.1, 0.95) / g_norm))
-    if not tames(a, cand):
+    gram = arr @ j0
+    lt = _t(np.linalg.cholesky((gram + _t(gram)) / 2))
+    g_norm = np.linalg.norm(lt @ anti @ np.linalg.inv(lt), 2, axis=(-2, -1))
+    cand = _cayley_inverse(j0, anti * (u / g_norm)[:, None, None])
+    if not np.all(_tamed(arr, cand)):
         raise ArithmeticError("Cayley draw of g-norm below 1 is not tamed")
     return cand
 
@@ -1021,14 +1155,14 @@ def appendix_equivalence_suite(trials: int, dims=(4, 6, 8, 10),
     """Randomized check of the existence criterion and the construction.
 
     For each random nondegenerate pair, B = A0^{-1} A1 and its eigenvalues
-    are computed once, by _analyse, and the construction reads the same
-    record.  When no eigenvalue is negative real (the spectral test, which
-    float ray and segment nondegeneracy share), the sign law must hold
-    (every real eigenvalue positive) and the construction must succeed with
-    both tamings verified.  Otherwise the negative eigenvalue's
-    predicted degeneracy parameter t0 = 1/(1 - lam) must make the pencil
-    member singular (smallest singular value collapses), and the
-    construction must refuse.
+    are computed once, in one stack per dimension, and the construction
+    reads the same record.  When no eigenvalue is negative real (the
+    spectral test, which float ray and segment nondegeneracy share), the
+    sign law must hold (every real eigenvalue positive) and the
+    construction must succeed with both tamings verified.  Otherwise the
+    negative eigenvalue's predicted degeneracy parameter t0 = 1/(1 - lam)
+    must make the pencil member singular (smallest singular value
+    collapses), and the construction must refuse.
     """
     mismatches = 0
     worst = math.inf
@@ -1036,49 +1170,12 @@ def appendix_equivalence_suite(trials: int, dims=(4, 6, 8, 10),
     ill_conditioned = 0
     for dim in dims:
         bad = 0
-        for trial in range(trials):
-            rng = np.random.default_rng(seed + 7919 * dim + trial)
-            a0, a1 = random_nondegenerate_pair(rng, dim)
-            pencil = _analyse(a0, a1)
-            vals = pencil.spectrum
-            if not _has_negative_real_eigenvalue(vals):
-                real_eigs = [
-                    lam.real for lam in vals
-                    if abs(lam.imag) <= 1e-8 * max(1.0, abs(lam.real))
-                ]
-                if any(lr <= 0 for lr in real_eigs):
-                    bad += 1
-                    continue
-                try:
-                    j = _construct(pencil, 1e-3)
-                except PencilError:
-                    # near-degenerate spectrum: reported, not guessed
-                    ill_conditioned += 1
-                    continue
-                except RetryExhaustedError:
-                    bad += 1
-                    continue
-                margin = min(taming_margin(a0, j), taming_margin(a1, j))
-                worst = min(worst, margin)
-                if margin <= 0:
-                    bad += 1
-            else:
-                neg = min(
-                    lam.real for lam in vals
-                    if lam.real < 0
-                    and abs(lam.imag) <= 1e-8 * abs(lam.real)
-                )
-                t0 = 1.0 / (1.0 - neg)
-                member = (1 - t0) * a0.to_array() + t0 * a1.to_array()
-                sv = np.linalg.svd(member, compute_uv=False)
-                if sv[-1] > 1e-8 * sv[0]:
-                    bad += 1  # eigenvalue predicted a degeneracy that isn't
-                    continue
-                try:
-                    _construct(pencil, 1e-3)
-                    bad += 1  # should have refused
-                except CotamedExistenceError:
-                    pass
+        for stack_bad, ill, margins in _stacked(
+                partial(_appendix_trials, seed + 7919 * dim, dim),
+                trials):
+            bad += stack_bad
+            ill_conditioned += ill
+            worst = min([worst, *margins])
         per_dim[dim] = bad
         mismatches += bad
     return SuiteReport(
@@ -1088,45 +1185,112 @@ def appendix_equivalence_suite(trials: int, dims=(4, 6, 8, 10),
     )
 
 
+def _appendix_trials(seed: int, dim: int, stack: range):
+    """The appendix-equivalence trials of one dimension, trial t drawing
+    from default_rng(seed + t): the number of mismatches and of
+    ill-conditioned spectra, and the smaller taming margin of each
+    constructed J, in trial order."""
+    rngs = [np.random.default_rng(seed + t) for t in stack]
+    forms = _nondegenerate_draws(rngs, dim, 2)
+    m0, m1 = forms[:, 0], forms[:, 1]
+    # _analyse without its nondegeneracy gates, which the draw has passed
+    b = _float_endomorphism(m0, m1)
+    spectra = np.linalg.eigvals(b)
+    negative = _negative_real(spectra)
+    has_negative = negative.any(axis=-1)
+    re, im = spectra.real, spectra.imag
+    sign_law_fails = ((np.abs(im) <= 1e-8 * np.fmax(1.0, np.abs(re)))
+                      & (re <= 0)).any(axis=-1)
+    at = np.flatnonzero(has_negative)
+    t0 = 1.0 / (1.0 - np.where(negative[at], re[at], np.inf).min(axis=-1))
+    member = (1 - t0)[:, None, None] * m0[at] + t0[:, None, None] * m1[at]
+    sv = np.linalg.svd(member, compute_uv=False)
+    collapses = np.zeros(len(stack), dtype=bool)
+    collapses[at] = ~(sv[:, -1] > 1e-8 * sv[:, 0])
+
+    def pencil(i):
+        # eigvals of one matrix is a real array when every eigenvalue is real
+        vals = spectra[i]
+        return _Pencil(SkewForm(m0[i]), SkewForm(m1[i]), b[i],
+                       vals if vals.imag.any() else vals.real)
+
+    bad = ill = 0
+    built, js = [], []
+    for i in range(len(stack)):
+        if has_negative[i]:
+            if not collapses[i]:
+                bad += 1  # eigenvalue predicted a degeneracy that isn't
+                continue
+            try:
+                _construct(pencil(i), 1e-3)
+                bad += 1  # should have refused
+            except CotamedExistenceError:
+                pass
+        elif sign_law_fails[i]:
+            bad += 1
+        else:
+            try:
+                j = _construct(pencil(i), 1e-3)
+            except PencilError:
+                # near-degenerate spectrum: reported, not guessed
+                ill += 1
+                continue
+            except RetryExhaustedError:
+                bad += 1
+                continue
+            built.append(i)
+            js.append(j.matrix)
+    js = np.array(js).reshape(len(built), dim, dim)
+    margin0 = _taming_spectrum(m0[built], js)[1][:, 0]
+    margin1 = _taming_spectrum(m1[built], js)[1][:, 0]
+    margins = np.where(margin1 < margin0, margin1, margin0)
+    return bad + int(np.count_nonzero(margins <= 0)), ill, margins.tolist()
+
+
 def cayley_roundtrip_suite(trials: int, seed: int = 0) -> SuiteReport:
     worst = 0.0
     mismatches = 0
-    for trial in range(trials):
-        rng = np.random.default_rng(seed + trial)
-        a = random_skew(rng, SUITE_DIM)
-        while not is_nondegenerate(a):
-            a = random_skew(rng, SUITE_DIM)
-        j0 = compatible_j(a)
-        j = random_tamed_j(rng, a, j0)
-        back = cayley_inverse(j0, cayley_map(j0, j))
-        err = float(np.max(np.abs(back.matrix - j.matrix)))
-        worst = max(worst, err)
-        if err > 1e-10:
-            mismatches += 1
+    for err in _stacked(partial(_cayley_trials, seed), trials):
+        worst = max([worst, *err.tolist()])
+        mismatches += int(np.count_nonzero(err > 1e-10))
     return SuiteReport("cayley-roundtrip", trials, mismatches, worst, [seed])
+
+
+def _cayley_trials(seed: int, stack: range) -> np.ndarray:
+    """The round-trip error max |J' - J| of each cayley suite trial, trial
+    t drawing from default_rng(seed + t)."""
+    rngs = [np.random.default_rng(seed + t) for t in stack]
+    a = _nondegenerate_draws(rngs, SUITE_DIM, 1)[:, 0]
+    j0 = _compatible(a)
+    j = _tamed_draws(rngs, a, j0)
+    return _amax(_cayley_inverse(j0, _cayley_map(j0, j)) - j)
 
 
 def interpolation_suite(trials: int, seed: int = 0,
                         ts=(0.25, 0.5, 0.75)) -> SuiteReport:
     mismatches = 0
     worst = math.inf
-    for trial in range(trials):
-        rng = np.random.default_rng(seed + 31 * trial)
-        a = random_skew(rng, SUITE_DIM)
-        while not is_nondegenerate(a):
-            a = random_skew(rng, SUITE_DIM)
-        j0 = compatible_j(a)
-        j1 = random_tamed_j(rng, a, j0)
-        j2 = random_tamed_j(rng, a, j0)
-        for out in interpolate_tamed(j0, j1, j2, ts):
-            margin = taming_margin(a, out)
-            worst = min(worst, margin)
-            if margin <= 0:
-                mismatches += 1
+    for margins in _stacked(partial(_interpolation_trials, seed, ts),
+                            trials):
+        worst = min([worst, *margins.tolist()])
+        mismatches += int(np.count_nonzero(margins <= 0))
     return SuiteReport(
         "interpolation-convexity", trials * len(ts), mismatches,
         worst if worst < math.inf else 0.0, [seed],
     )
+
+
+def _interpolation_trials(seed: int, ts, stack: range) -> np.ndarray:
+    """The taming margin of each interpolated J, trial by trial and t by t
+    within a trial, trial t drawing from default_rng(seed + 31 t)."""
+    rngs = [np.random.default_rng(seed + 31 * t) for t in stack]
+    a = _nondegenerate_draws(rngs, SUITE_DIM, 1)[:, 0]
+    j0 = _compatible(a)
+    j1 = _tamed_draws(rngs, a, j0)
+    j2 = _tamed_draws(rngs, a, j0)
+    margins = [_taming_spectrum(a, j)[1][:, 0]
+               for j in _interpolate(j0, j1, j2, ts)]
+    return np.array(margins).T.ravel()
 
 
 def remark_pair():
@@ -1160,20 +1324,18 @@ def cocompatible_counterexample_suite(trials: int, seed: int = 0) -> SuiteReport
         raise ArithmeticError("w0 ^ w1 is not exactly zero")
     survivors = 0
     worst = -math.inf
-    for start in range(seed, seed + trials, _TRIAL_STACK):
-        vmin, survived = _cocompatible_trials(
-            a0, a1, range(start, min(start + _TRIAL_STACK, seed + trials)))
+
+    def run(stack):
+        return _cocompatible_trials(
+            a0, a1, range(seed + stack.start, seed + stack.stop))
+
+    for vmin, survived in _stacked(run, trials):
         survivors += int(np.count_nonzero(survived))
         worst = max([worst, *vmin.tolist()])
     return SuiteReport(
         "cocompatible-counterexample", trials, survivors, worst, [seed],
         {"wedge_top": str(wedge_top)},
     )
-
-
-# trials per stack of the cocompatible suite: bounds its memory for any
-# trial count
-_TRIAL_STACK = 4096
 
 
 def _cocompatible_trials(a0: SkewForm, a1: SkewForm, seeds: range):
@@ -1188,12 +1350,12 @@ def _cocompatible_trials(a0: SkewForm, a1: SkewForm, seeds: range):
     m1 = a1.to_array()
     c = np.array([np.random.default_rng(seed).standard_normal((4, 4))
                   for seed in seeds])
-    ham = np.linalg.solve(m0, (c + np.swapaxes(c, 1, 2)) / 2)
+    ham = np.linalg.solve(m0, (c + _t(c)) / 2)
     s = _expm(ham * 0.5)
     j = s @ compatible_j(a0).matrix @ np.linalg.inv(s)
     _require_square_minus_identity(j)
     m = m1 @ j
-    vals, vecs = np.linalg.eigh((m + np.swapaxes(m, 1, 2)) / 2)
+    vals, vecs = np.linalg.eigh((m + _t(m)) / 2)
     vmin = vals[:, 0]
     v = vecs[:, :, 0]
     pairing = np.einsum("ni,ij,nj->n", v, m1, np.einsum("nij,nj->ni", j, v))

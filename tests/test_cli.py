@@ -386,26 +386,28 @@ GOLDEN_PENCIL_REPORTS = [
      "6c13ff6071edb344e349cb21759277a4b6edaaa07131a071059a52cd15fe8bc5"),
     ("cotame prime", 0,
      "9c76ae30173a4b0dfe8147beffe534981bce331b93ae8945e724e54bc8f4f31e"),
+    # the float cotame reports are labelled "numeric" (they were
+    # "randomized", though the float path draws nothing)
     ("pencil-reduce float-real6", 0,
      "86c95ec5778a68c206dc2159f1c8d766801170a76893e0868b58f74f3832fa07"),
     ("cotame float-real6", 0,
-     "b7e85322174a82c8abb1d4e62fea9ad8075c311ba5bffecc49cb30be02d98a44"),
+     "8f5065e60e6f760600b56cb9c9914020e4591442b4701611cfd66ff41c021778"),
     ("pencil-reduce float-complex8", 0,
      "de4326addf7076d1e5fd21579870ab68225650c974d21177475b4f8073871941"),
     ("cotame float-complex8", 0,
-     "511a76472976ecb2f8967ffe11c9390f31a94874ffed78d6569a0ad83d8a0a43"),
+     "95bdf7305f153d9fb7c2382eb45215cff0f2e1ec768198c9243f95eb2d5ce7dd"),
     ("pencil-reduce float-chain4", 0,
      "0e3162891e695b2891f5be4632b123fad668275f13f4b378cf1b2e21ed176243"),
     ("cotame float-chain4", 0,
-     "9bfbe731ee980eb2a2c304999560500c9a4c0eb1d38ef47f1b8a6b5711695d7a"),
+     "001dbe81cddf51b548257c59c890827d71919ce0c4b51d63368b803688a36156"),
     ("pencil-reduce float-mixed8", 0,
      "e075589e876f44b337842222c1139f7510b9eddbff57558cbe6cf15c8efca984"),
     ("cotame float-mixed8", 0,
-     "b0b532966806a0f32d520ae729153b1f20fde9c003f20618f0e458d3b22b8040"),
+     "d3c5075dd943947195e73aa7befad27fbdf331a42865d24255c62e814b29ab34"),
     ("pencil-reduce float-negative4", 0,
      "f20f65e1c99f90cbc8c6bd764bf73453a72e1b33609d33a79fe29641c5da1f91"),
     ("cotame float-negative4", 1,
-     "065f5a93b903c3c4215b4d416317a3a21d5d2946af5979ad2e7bb463ca0ca511"),
+     "44d33033ad6182636e904ceb786cf07edd2019c9dd54d3866497df116f8feff6"),
     ("suite appendix-equivalence", 0,
      "d088b03d82957a94c11750d2e55b857ad48cade934f91e80325da666d4c73589"),
 ]
@@ -718,3 +720,61 @@ def test_appendix_reports_match_golden_bytes(capture, seed, digest):
                          "--seed", str(seed), "--json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `suite --name cayley --trials 200 --json` and `suite --name
+# interpolation --trials 100 --json`, pinned while both suites still ran
+# trial by trial
+GOLDEN_SAMPLER_REPORTS = [
+    ("cayley", 0,
+     "3bd7de988eb5b0e23eb2923fba5fac13b4dcdf8439d833bb1e82ecb0a90d30c9"),
+    ("cayley", 24,
+     "628b16f23f0e21a7b89b43ec23bab6715988d5e3b0a8bd72939481fe3c89f865"),
+    ("cayley", 331,
+     "9ca513c969aa3862a9f86539dd5fda79ab39681b8c0f0a6b9eeae5495c28405e"),
+    ("cayley", 600,
+     "7860b748e1804b5edfd35a1aaeff66e46136f9a00876ca8c853c391f28bfd5c6"),
+    ("interpolation", 0,
+     "0515d8d633046c404173145a5aa79e1d726c8bf065b99e7d06ffdb83b8c8a627"),
+    ("interpolation", 24,
+     "3288848b6c575567a9e8ca94ee79a5e3fd35960fc392df08ba936b0419aa44f6"),
+    ("interpolation", 331,
+     "f2ad33a2fa09be489700f49aedc49769dcbfdaad5b1129a8bd6d6376939913f0"),
+    ("interpolation", 600,
+     "84f6ecb38d313d9fb9b3f53702942a52e4ee1535e60b1d6b1d29b3eb7004123c"),
+]
+
+
+@pytest.mark.parametrize("name, seed, digest", GOLDEN_SAMPLER_REPORTS)
+def test_sampler_suite_reports_match_golden_bytes(capture, name, seed,
+                                                  digest):
+    trials = {"cayley": 200, "interpolation": 100}[name]
+    code, out = capture(["suite", "--name", name, "--trials", str(trials),
+                         "--seed", str(seed), "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_numfield_names_only_the_tolerance_it_applies(capture):
+    code, out = capture(["numfield", "--poly", "-2,0,1", "--json"])
+    assert code == 0
+    # numfield.norm and its 1e-6 embedding check are not on this path
+    assert list(json.loads(out)["tolerances"]) == ["hyperplane"]
+
+
+@pytest.mark.parametrize("name, exact0, exact1, kind", [
+    ("real4", True, True, "exact-pre/numeric-J"),
+    ("real4", True, False, "numeric"),
+    ("real4", False, True, "numeric"),
+    ("float-real6", False, False, "numeric"),
+])
+def test_cotame_is_exact_pre_only_for_two_exact_forms(capture, name, exact0,
+                                                      exact1, kind):
+    forms = [json.loads(m) for m in PENCILS[name]]
+    for m, exact in zip(forms, (exact0, exact1)):
+        for row in m:
+            row[:] = [x if exact else float(Q(x)) for x in row]
+    code, out = capture(["cotame", "--omega0", json.dumps(forms[0]),
+                         "--omega1", json.dumps(forms[1]), "--json"])
+    assert code == 0
+    assert json.loads(out)["certificate"] == kind

@@ -1,9 +1,11 @@
+import functools
 import math
 from fractions import Fraction as Q
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liouville_lab import _poly
@@ -346,7 +348,8 @@ def test_random_tamed_j_draws_once_inside_the_unit_g_ball(dim, seed):
 
 
 def test_random_tamed_j_names_an_untamed_draw(monkeypatch):
-    monkeypatch.setattr(sl, "tames", lambda a, j: False)
+    # the taming test of the sampler, one flag per draw of the stack
+    monkeypatch.setattr(sl, "_tamed", lambda a, j: np.zeros(len(j), bool))
     om = sl.standard_omega(4)
     with pytest.raises(ArithmeticError, match="not tamed"):
         sl.random_tamed_j(np.random.default_rng(0), om, sl.compatible_j(om))
@@ -370,19 +373,356 @@ def test_interpolate_endpoints():
 ])
 def test_suites_build_one_cayley_chart_per_trial(monkeypatch, suite,
                                                  maps_per_trial):
-    # J0 is computed once per trial and handed to the sampler, and the
-    # interpolation maps J1 and J2 once for all of its t values
-    calls = {"compatible_j": 0, "cayley_map": 0}
+    # one stacked J0 per stack of trials, handed to the sampler, and one
+    # stacked chart image per sampled J (the interpolation maps J1 and J2
+    # once for all of its t values)
+    calls = {"_compatible": [], "_cayley_map": []}
     for name in calls:
         raw = getattr(sl, name)
 
         def counted(*args, _raw=raw, _name=name):
-            calls[_name] += 1
+            calls[_name].append(len(args[0]))
             return _raw(*args)
 
         monkeypatch.setattr(sl, name, counted)
+    monkeypatch.setattr(sl, "_TRIAL_STACK", 8)
     suite(20, seed=331)
-    assert calls == {"compatible_j": 20, "cayley_map": 20 * maps_per_trial}
+    assert calls == {"_compatible": [8, 8, 4],
+                     "_cayley_map": [n for n in (8, 8, 4)
+                                     for _ in range(maps_per_trial)]}
+
+
+# -- the suites' former trial loops, the references of the stacked suites ----------
+
+
+def reference_nondegenerate(a):
+    """The former float det gate of is_nondegenerate."""
+    arr = a.to_array()
+    det = float(np.linalg.det(arr))
+    scale = max(1.0, float(np.max(np.abs(arr)))) ** a.dim
+    return abs(det) > 1e-12 * scale
+
+
+def reference_skew(rng, dim):
+    """A random skew form, redrawn until it passes the det gate."""
+    while True:
+        m = rng.standard_normal((dim, dim))
+        a = sl.SkewForm(m - m.T)
+        if reference_nondegenerate(a):
+            return a
+
+
+def reference_pair(rng, dim):
+    while True:
+        m0 = rng.standard_normal((dim, dim))
+        m1 = rng.standard_normal((dim, dim))
+        a0, a1 = sl.SkewForm(m0 - m0.T), sl.SkewForm(m1 - m1.T)
+        if reference_nondegenerate(a0) and reference_nondegenerate(a1):
+            return a0, a1
+
+
+def reference_polish(j):
+    n = j.shape[0]
+    eye = np.eye(n)
+    best = j
+    best_err = float(np.max(np.abs(j @ j + eye)))
+    for _ in range(4):
+        if best_err <= 1e-14:
+            break
+        cand = best @ (eye + (best @ best + eye) / 2)
+        cand_err = float(np.max(np.abs(cand @ cand + eye)))
+        if cand_err >= best_err:
+            break
+        best, best_err = cand, cand_err
+    return best
+
+
+def reference_compatible_j(a):
+    arr = a.to_array()
+    m = -(arr @ arr)
+    vals, vecs = np.linalg.eigh((m + m.T) / 2)
+    if np.min(vals) <= 0:
+        raise ValueError("form is degenerate")
+    inv_sqrt = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
+    return sl.ComplexStructure(reference_polish(-inv_sqrt @ arr))
+
+
+def reference_cayley_map(j0, j):
+    s = j.matrix + j0.matrix
+    if abs(np.linalg.det(s)) < 1e-12:
+        raise ValueError("J + J0 is singular (J = -J0 boundary)")
+    a = np.linalg.solve(s, j.matrix - j0.matrix)
+    anti = a @ j0.matrix + j0.matrix @ a
+    if np.max(np.abs(anti)) > 1e-9 * max(1.0, float(np.max(np.abs(a)))):
+        raise ArithmeticError("Cayley image does not anticommute with J0")
+    return (a + j0.matrix @ a @ j0.matrix) / 2
+
+
+def reference_cayley_inverse(j0, a):
+    anti = a @ j0.matrix + j0.matrix @ a
+    if np.max(np.abs(anti)) > 1e-10 * max(1.0, float(np.max(np.abs(a)))):
+        raise ValueError("A does not anticommute with J0")
+    s = a - np.eye(a.shape[0])
+    if abs(np.linalg.det(s)) < 1e-12:
+        raise ValueError("A - I is singular (eigenvalue 1)")
+    return sl.ComplexStructure(s @ j0.matrix @ np.linalg.inv(s))
+
+
+def reference_taming_margin(a, j):
+    m = a.to_array() @ j.matrix
+    return float(np.linalg.eigvalsh((m + m.T) / 2)[0])
+
+
+def reference_tames(a, j):
+    m = a.to_array() @ j.matrix
+    s = (m + m.T) / 2
+    scale = max(1.0, float(np.max(np.abs(s))))
+    return bool(np.linalg.eigvalsh(s)[0] > sl.TAMING_EIG * scale)
+
+
+def reference_random_tamed_j(rng, a, j0):
+    x = rng.standard_normal((a.dim, a.dim))
+    anti = (x + j0.matrix @ x @ j0.matrix) / 2
+    gram = a.to_array() @ j0.matrix
+    lt = np.linalg.cholesky((gram + gram.T) / 2).T
+    g = np.linalg.norm(lt @ anti @ np.linalg.inv(lt), 2)
+    cand = reference_cayley_inverse(j0, anti * (rng.uniform(0.1, 0.95) / g))
+    if not reference_tames(a, cand):
+        raise ArithmeticError("Cayley draw of g-norm below 1 is not tamed")
+    return cand
+
+
+def reference_cayley_suite(trials, seed):
+    worst = 0.0
+    mismatches = 0
+    for trial in range(trials):
+        rng = np.random.default_rng(seed + trial)
+        a = reference_skew(rng, sl.SUITE_DIM)
+        j0 = reference_compatible_j(a)
+        j = reference_random_tamed_j(rng, a, j0)
+        back = reference_cayley_inverse(j0, reference_cayley_map(j0, j))
+        err = float(np.max(np.abs(back.matrix - j.matrix)))
+        worst = max(worst, err)
+        if err > 1e-10:
+            mismatches += 1
+    return sl.SuiteReport("cayley-roundtrip", trials, mismatches, worst,
+                          [seed])
+
+
+def reference_interpolation_suite(trials, seed, ts=(0.25, 0.5, 0.75)):
+    mismatches = 0
+    worst = math.inf
+    for trial in range(trials):
+        rng = np.random.default_rng(seed + 31 * trial)
+        a = reference_skew(rng, sl.SUITE_DIM)
+        j0 = reference_compatible_j(a)
+        j1 = reference_random_tamed_j(rng, a, j0)
+        j2 = reference_random_tamed_j(rng, a, j0)
+        a1 = reference_cayley_map(j0, j1)
+        a2 = reference_cayley_map(j0, j2)
+        for out in [reference_cayley_inverse(j0, (1 - t) * a1 + t * a2)
+                    for t in ts]:
+            margin = reference_taming_margin(a, out)
+            worst = min(worst, margin)
+            if margin <= 0:
+                mismatches += 1
+    return sl.SuiteReport("interpolation-convexity", trials * len(ts),
+                          mismatches, worst if worst < math.inf else 0.0,
+                          [seed])
+
+
+def reference_appendix_suite(trials, dims, seed):
+    mismatches = 0
+    worst = math.inf
+    per_dim = {}
+    ill_conditioned = 0
+    for dim in dims:
+        bad = 0
+        for trial in range(trials):
+            rng = np.random.default_rng(seed + 7919 * dim + trial)
+            a0, a1 = reference_pair(rng, dim)
+            pencil = sl._analyse(a0, a1)
+            vals = pencil.spectrum
+            if not any(lam.real < 0 and abs(lam.imag) <= 1e-8 * abs(lam.real)
+                       for lam in vals):
+                if any(lam.real <= 0 for lam in vals
+                       if abs(lam.imag) <= 1e-8 * max(1.0, abs(lam.real))):
+                    bad += 1
+                    continue
+                try:
+                    j = sl._construct(pencil, 1e-3)
+                except sl.PencilError:
+                    ill_conditioned += 1
+                    continue
+                except sl.RetryExhaustedError:
+                    bad += 1
+                    continue
+                margin = min(reference_taming_margin(a0, j),
+                             reference_taming_margin(a1, j))
+                worst = min(worst, margin)
+                if margin <= 0:
+                    bad += 1
+            else:
+                neg = min(lam.real for lam in vals if lam.real < 0
+                          and abs(lam.imag) <= 1e-8 * abs(lam.real))
+                t0 = 1.0 / (1.0 - neg)
+                member = (1 - t0) * a0.to_array() + t0 * a1.to_array()
+                sv = np.linalg.svd(member, compute_uv=False)
+                if sv[-1] > 1e-8 * sv[0]:
+                    bad += 1
+                    continue
+                try:
+                    sl._construct(pencil, 1e-3)
+                    bad += 1
+                except sl.CotamedExistenceError:
+                    pass
+        per_dim[dim] = bad
+        mismatches += bad
+    return sl.SuiteReport(
+        "appendix-equivalence", trials * len(dims), mismatches,
+        worst if worst < math.inf else 0.0, [seed],
+        {"per_dim": per_dim, "ill_conditioned_reported": ill_conditioned},
+    )
+
+
+STACKED_SUITES = {
+    "cayley": (sl.cayley_roundtrip_suite, reference_cayley_suite),
+    "interpolation": (sl.interpolation_suite, reference_interpolation_suite),
+    "appendix": (functools.partial(sl.appendix_equivalence_suite, dims=(4, 6)),
+                 functools.partial(reference_appendix_suite, dims=(4, 6))),
+}
+
+
+def bits(x):
+    return np.array([x], dtype=float).view(np.int64)[0]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(STACKED_SUITES)),
+       trials=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1),
+       stack=st.sampled_from([1, 2, 5, 4096]))
+@example(name="cayley", trials=0, seed=3, stack=4096)
+@example(name="interpolation", trials=1, seed=24, stack=4096)
+@example(name="appendix", trials=1, seed=331, stack=4096)
+@example(name="appendix", trials=11, seed=600, stack=4)
+@example(name="cayley", trials=9, seed=600, stack=2)
+@example(name="interpolation", trials=7, seed=0, stack=3)
+def test_stacked_suites_match_their_trial_loops(name, trials, seed, stack):
+    suite, reference = STACKED_SUITES[name]
+    with mock.patch.object(sl, "_TRIAL_STACK", stack):
+        rep = suite(trials, seed=seed)
+    ref = reference(trials, seed=seed)
+    assert (rep.trials, rep.mismatches) == (ref.trials, ref.mismatches)
+    assert bits(rep.worst_margin) == bits(ref.worst_margin)
+    assert (rep.name, rep.seeds, rep.detail) == (ref.name, ref.seeds,
+                                                 ref.detail)
+
+
+def test_stacked_kernels_match_their_per_matrix_references():
+    # one stack of 40 forms of dimension 6 against the former scalar
+    # functions, matrix by matrix, bit for bit
+    rngs = [np.random.default_rng(s) for s in range(40)]
+    refs = [np.random.default_rng(s) for s in range(40)]
+    a = sl._nondegenerate_draws(rngs, 6, 1)[:, 0]
+    forms = [reference_skew(rng, 6) for rng in refs]
+    assert np.array_equal(a.view(np.int64),
+                          np.array([f.matrix for f in forms]).view(np.int64))
+    j0 = sl._compatible(a)
+    j = sl._tamed_draws(rngs, a, j0)
+    image = sl._cayley_map(j0, j)
+    for i, form in enumerate(forms):
+        rj0 = reference_compatible_j(form)
+        rj = reference_random_tamed_j(refs[i], form, rj0)
+        rimage = reference_cayley_map(rj0, rj)
+        for got, want in ((j0[i], rj0.matrix), (j[i], rj.matrix),
+                          (image[i], rimage)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert bits(sl.taming_margin(form, rj)) == bits(
+            reference_taming_margin(form, rj))
+
+
+def test_stacked_det_gate_decides_each_form_as_the_scalar_gate():
+    # |det| of each form lies between 1e-12 c^4 with c^4 from Python's pow
+    # and from numpy's vectorised power, which rounds it differently on
+    # CPUs with a vectorised pow
+    cases = [(2.105671498451571, 2.10567149845157e-06),
+             (3.0419975290877237, 3.041997529087722e-06),
+             (3.4363813953448834, 3.4363813953448815e-06)]
+    forms = np.array([[[0, c, 0, 0], [-c, 0, 0, 0], [0, 0, 0, e],
+                       [0, 0, -e, 0]] for c, e in cases])
+    want = [reference_nondegenerate(sl.SkewForm(m)) for m in forms]
+    assert sl._nondegenerate(forms).tolist() == want
+    assert [sl.is_nondegenerate(sl.SkewForm(m)) for m in forms] == want
+
+
+def test_a_nan_matrix_hides_no_failing_one_from_a_stacked_gate():
+    j = np.array([sl.compatible_j(sl.standard_omega(4)).matrix] * 3)
+    j[0, 0, 0] = np.nan
+    sl._require_square_minus_identity(j[:1])
+    j[2, 0, 0] += 1e-9
+    with pytest.raises(ValueError, match="does not square to -identity"):
+        sl._require_square_minus_identity(j)
+
+
+class ScriptedDraws:
+    """A generator stand-in whose standard_normal returns given matrices."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def standard_normal(self, shape):
+        return np.array(self.draws.pop(0), dtype=float).reshape(shape)
+
+
+def test_a_degenerate_draw_is_redrawn_from_its_own_generator():
+    rng = np.random.default_rng(5)
+    m = [rng.standard_normal((4, 4)) for _ in range(6)]
+    zero = np.zeros((4, 4))
+    # trial 1 draws a degenerate first form: both of its forms are drawn
+    # again from its generator, and trial 0 draws nothing more
+    rngs = [ScriptedDraws(m[0], m[1]), ScriptedDraws(zero, m[2], m[3], m[4])]
+    forms = sl._nondegenerate_draws(rngs, 4, 2)
+    assert [r.draws for r in rngs] == [[], []]
+    want = [[m[0], m[1]], [m[3], m[4]]]
+    assert np.array_equal(forms, [[x - x.T for x in pair] for pair in want])
+    ref = [reference_pair(ScriptedDraws(*r), 4)
+           for r in ([m[0], m[1]], [zero, m[2], m[3], m[4]])]
+    assert np.array_equal(forms, [[a.matrix for a in pair] for pair in ref])
+    single = sl._nondegenerate_draws([ScriptedDraws(zero, zero, m[5])], 4, 1)
+    assert np.array_equal(single[0, 0], m[5] - m[5].T)
+
+
+@pytest.mark.parametrize("dim", [3, 14])
+def test_draws_reject_the_dimensions_skew_forms_reject(dim):
+    # an odd skew matrix is singular: without the check the draw would
+    # redraw it for ever (here: until the scripted draws run out)
+    with pytest.raises(ValueError, match="dimension must be even"):
+        sl._nondegenerate_draws([ScriptedDraws(np.ones((dim, dim)))], dim, 1)
+
+
+def test_a_failing_stack_raises_the_first_failure_of_the_trial_loop():
+    # trial 7 fails the first gate and trial 3 the second: a loop over the
+    # trials meets trial 3 first
+    gates = {3: 2, 7: 1}
+
+    def run(stack):
+        for gate in (1, 2):
+            for trial in stack:
+                if gates.get(trial) == gate:
+                    raise ValueError(f"trial {trial} fails gate {gate}")
+        return list(stack)
+
+    with pytest.raises(ValueError, match="trial 3 fails gate 2"):
+        sl._stacked(run, 10)
+    assert sl._stacked(run, 3) == [[0, 1, 2]]
+    assert sl._stacked(run, 0) == []
+
+
+def test_suites_name_an_untamed_draw(monkeypatch):
+    monkeypatch.setattr(sl, "_tamed", lambda a, j: np.zeros(len(j), bool))
+    for suite in (sl.cayley_roundtrip_suite, sl.interpolation_suite):
+        with pytest.raises(ArithmeticError, match="not tamed"):
+            suite(5, seed=0)
 
 
 def test_interpolation_preserves_taming():
@@ -834,12 +1174,22 @@ def test_rational_fallback_solves_in_float_once(monkeypatch):
 
 
 def test_appendix_suite_analyses_each_trial_once(monkeypatch):
-    calls = {}
-    counted_calls(monkeypatch, np.linalg, "eigvals", calls)
-    counted_calls(monkeypatch, sl, "_float_endomorphism", calls)
+    # one stacked solve and one stacked eigvals per dimension and stack of
+    # trials, which every trial's construction reads
+    calls = {"_float_endomorphism": [], "eigvals": []}
+    for owner, name in ((sl, "_float_endomorphism"), (np.linalg, "eigvals")):
+        raw = getattr(owner, name)
+
+        def counted(*args, _raw=raw, _name=name):
+            calls[_name].append(args[-1].shape)
+            return _raw(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    monkeypatch.setattr(sl, "_TRIAL_STACK", 6)
     rep = sl.appendix_equivalence_suite(10, dims=(4, 6), seed=331)
     assert rep.trials == 20
-    assert calls == {"_float_endomorphism": 20, "eigvals": 20}
+    shapes = [(6, 4, 4), (4, 4, 4), (6, 6, 6), (4, 6, 6)]
+    assert calls == {"_float_endomorphism": shapes, "eigvals": shapes}
 
 
 # -- exact existence on rational pencils ---------------------------------------------
