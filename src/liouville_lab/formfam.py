@@ -956,46 +956,30 @@ def weak_domination_ray_check(alpha: Form, omega: Form,
                               dalpha: Form) -> WeakFillingCertificate:
     """Certify alpha ^ (Omega + tau dalpha)^(n-1) > 0 for all tau >= 0.
 
-    Exact (Sturm on the tau-polynomial) when all three forms are rational;
-    float fallback samples tau on [0, 1000] and tests the leading sign.
+    Exact: Sturm on the tau-polynomial, so all three forms must be rational.
     Reports the two halves separately: Omega symplectic on the hyperplane
     (tau = 0) and the open-ray positivity.
     """
     if alpha.degree != 1 or omega.degree != 2 or dalpha.degree != 2:
         raise ValueError("need a 1-form and two 2-forms")
+    if not (alpha.ring.exact and omega.ring.exact and dalpha.ring.exact):
+        raise ValueError("weak_domination_ray_check requires exact forms")
     dim = alpha.coframe.dim
     if dim % 2 == 0:
         raise ValueError("weak domination lives on odd dimensions")
     npow = (dim - 1) // 2
-    exact = alpha.ring.exact and omega.ring.exact and dalpha.ring.exact
     orientation = "volume = " + "∧".join(alpha.coframe.names)
-    if exact:
-        coeffs = []
-        for j in range(npow + 1):
-            c = Q(math.comb(npow, j)) * alpha.wedge(
-                dalpha.power(j).wedge(omega.power(npow - j))
-            ).top_coefficient()
-            coeffs.append(c)
-        p = _poly.trim([Q(c) for c in coeffs])
-        symplectic_ok = _poly.evaluate(p, 0) > 0 if p else False
-        ray_ok, witness = _poly.positive_on_open_ray(p)
-        verdict = "positive" if (symplectic_ok and ray_ok) else "indefinite"
-        return WeakFillingCertificate(
-            verdict, symplectic_ok, ray_ok, "exact-sturm", p, witness,
-            orientation,
-        )
-    taus = np.concatenate([np.linspace(0, 1, 256), np.linspace(1, 1000, 256)])
-    alpha_f, omega_f, dalpha_f = (x.to_float() for x in (alpha, omega, dalpha))
-    vals = _grid_tops(lambda w: alpha_f.wedge(w.power(npow)),
-                 [omega_f + dalpha_f * taus], len(taus))
-    worst = _grid_min(vals, taus)
-    lead = alpha_f.wedge(dalpha_f.power(npow)).top_coefficient()
-    symplectic_ok = alpha_f.wedge(omega_f.power(npow)).top_coefficient() > 0
-    ray_ok = worst[0] > 0 and lead > 0
+    p = _poly.trim([
+        Q(math.comb(npow, j)) * alpha.wedge(
+            dalpha.power(j).wedge(omega.power(npow - j))).top_coefficient()
+        for j in range(npow + 1)
+    ])
+    symplectic_ok = _poly.evaluate(p, 0) > 0 if p else False
+    ray_ok, witness = _poly.positive_on_open_ray(p)
     verdict = "positive" if (symplectic_ok and ray_ok) else "indefinite"
     return WeakFillingCertificate(
-        verdict, symplectic_ok, ray_ok, "grid",
-        None, None if ray_ok else ("point",) + worst[::-1], orientation,
+        verdict, symplectic_ok, ray_ok, "exact-sturm", p, witness,
+        orientation,
     )
 
 

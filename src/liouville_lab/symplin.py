@@ -22,6 +22,13 @@ clustering of the spectrum.  eps scales only the Jordan chains, so a walk
 stops after its first completed reduction without a chain.  The tamed-J
 sampler draws once: every Cayley perturbation of g-norm below 1 is tamed.
 
+Each question has one decision.  A rational form is nondegenerate when the
+Bareiss determinant of _poly.frac_det is nonzero (no Pfaffian); the
+segment (1-t) w0 + t w1 stays symplectic exactly when the ray does
+(ray_nondegenerate; nothing is sampled); and the taming threshold of
+omega + t d is one eigvalsh of sym(A_omega J) against the Cholesky factor
+of sym(A_d J) (taming_threshold; no bisection).
+
 The dense primitives of the randomized suites (the nondegeneracy det gate,
 compatible_j, the tamed-J draw, the Cayley map and its inverse, the taming
 spectrum, the float pencil solve) each have one implementation that takes
@@ -49,15 +56,12 @@ Q = Fraction
 
 MAX_PENCIL_DIM = 12
 MAX_RETRIES = 6  # eps halvings of the one eps walk
-SEGMENT_SAMPLES = 10 ** 4  # determinants sampled by segment_nondegenerate
 SUITE_DIM = 6  # dimension of the cayley and interpolation suite forms
 TAMING_EIG = 1e-10  # tames: min eig of sym(A J) > TAMING_EIG * scale
 OMEGA0_GATE = 1e-9  # a reduction passes with w0 residual <= OMEGA0_GATE
 OMEGA1_GATE = 10  # and w1 residual <= OMEGA1_GATE * eps
 _REAL_REL_TOL = 1e-8  # an eigenvalue is real when |Im| <= this * |Re|
 _CLUSTER_REL_TOL = 1e-7  # eigenvalue clusters, relative to the spectrum
-_THRESHOLD_TOL = 1e-6  # taming_threshold: bisection width
-_THRESHOLD_CAP = 1e6  # taming_threshold: largest t tried
 
 
 class PencilError(ValueError):
@@ -186,49 +190,11 @@ def _require_square_minus_identity(J: np.ndarray) -> None:
         raise ValueError("matrix does not square to -identity")
 
 
-def pfaffian(a: SkewForm) -> Fraction:
-    """Exact Pfaffian of a rational skew form, by skew elimination."""
-    if not a.exact:
-        raise ValueError("exact Pfaffian requires a rational skew form")
-    value = _pf_elim(a.matrix)
-    det = _poly.frac_det(a.matrix)
-    if value * value != det:
-        raise ArithmeticError("Pfaffian square differs from determinant")
-    return value
-
-
-def _pf_elim(rows) -> Fraction:
-    """Pfaffian by skew elimination, O(n^3): swap a nonzero a[k][j] into
-    column k+1 (a transposition flips the sign), then clear rows and columns
-    k, k+1 by a unimodular congruence, leaving p (+) A' with Pf = p Pf(A')."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    pf = Q(1)
-    for k in range(0, n, 2):
-        piv = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-        if piv is None:
-            return Q(0)
-        if piv != k + 1:
-            a[k + 1], a[piv] = a[piv], a[k + 1]
-            for row in a:
-                row[k + 1], row[piv] = row[piv], row[k + 1]
-            pf = -pf
-        p = a[k][k + 1]
-        pf *= p
-        rk, rk1 = a[k], a[k + 1]
-        for i in range(k + 2, n):
-            ci, di = rk1[i] / p, rk[i] / p
-            if ci == 0 and di == 0:
-                continue
-            row = a[i]
-            for j in range(k + 2, n):
-                row[j] += rk[j] * ci - rk1[j] * di
-    return pf
-
-
 def is_nondegenerate(a: SkewForm) -> bool:
+    """det A != 0: exactly (the Bareiss elimination of _poly.frac_det) for a
+    rational form, by the det gate of _nondegenerate for a float one."""
     if a.exact:
-        return pfaffian(a) != 0
+        return _poly.frac_det(a.matrix) != 0
     return bool(_nondegenerate(a.to_array()))
 
 
@@ -244,12 +210,13 @@ def _nondegenerate(arr: np.ndarray):
 
 
 def tames(a: SkewForm, j: ComplexStructure) -> bool:
-    """w tames J iff the symmetric part of A J is positive definite."""
+    """w tames J iff the symmetric part of A J is positive definite;
+    decided exactly for a rational form and an exactly integral J."""
     if a.dim != j.dim:
         raise ValueError("dimension mismatch")
     if a.exact:
         Jm = j.matrix
-        if np.allclose(Jm, np.round(Jm)):
+        if np.array_equal(Jm, np.round(Jm)):
             rows = [[Q(int(round(Jm[r][c]))) for c in range(a.dim)]
                     for r in range(a.dim)]
             prod = _poly.mat_mul(a.matrix, rows)
@@ -374,30 +341,16 @@ def _negative_real(vals: np.ndarray) -> np.ndarray:
                               * np.abs(vals.real))
 
 
-def segment_nondegenerate(a0: SkewForm, a1: SkewForm) -> bool:
-    """Whether (1-t) w0 + t w1 stays symplectic on [0, 1].
-
-    Decided by the spectrum of B = A0^{-1} A1 (no negative real eigenvalue);
-    cross-validated by sampling the determinant along the segment.
-    """
-    if not ray_nondegenerate(a0, a1):
-        return False
-    m0, m1 = a0.to_array(), a1.to_array()
-    t = np.linspace(0.0, 1.0, SEGMENT_SAMPLES)
-    mats = (1 - t)[:, None, None] * m0 + t[:, None, None] * m1
-    dets = np.linalg.det(mats)
-    scale = max(abs(dets[0]), abs(dets[-1]))
-    # a sampled near-zero overrules a borderline spectral verdict; the
-    # converse does not (degeneracies can fall between samples)
-    return bool(np.min(np.abs(dets)) > 1e-9 * scale)
-
-
 def ray_nondegenerate(a0: SkewForm, a1: SkewForm) -> bool:
     """Whether w0 + t w1 stays symplectic for all t >= 0; by the paper's
     criterion also whether some J is tamed by both forms.
 
-    Rational pencils are decided exactly: B is invertible, so this is a Sturm
-    count of zero roots of its charpoly in (-root_bound, 0).
+    It is also the segment question: for 0 < t <= 1,
+    (1-t) A0 + t A1 = t A0 (B + (1-t)/t) is singular exactly when B has
+    the eigenvalue -(1-t)/t, and these values fill (-inf, 0).  So both are
+    "B has no negative real eigenvalue".  Rational pencils are decided
+    exactly: B is invertible, so this is a Sturm count of zero roots of its
+    charpoly in (-root_bound, 0).
     """
     return _analyse(a0, a1).ray_nondegenerate()
 
@@ -1005,43 +958,20 @@ def _polish_square_root(j: np.ndarray) -> np.ndarray:
 
 def taming_threshold(omega: SkewForm, d: SkewForm,
                      j: ComplexStructure) -> float:
-    """Smallest T >= 0 with omega + t d taming J for the sampled t-ladder.
+    """The infimum t* >= 0 of the t with omega + t d taming J.
 
-    Requires d to tame J.  Returns 0 when omega already tames J; otherwise
-    bisects the taming margin of omega + t d (a concave function of t, so
-    the passing set is a ray) and certifies at {T, 2T, 10T, 1000T}.
+    Requires d to tame J.  With S0 = sym(A_omega J) and S1 = sym(A_d J) > 0,
+    omega + t d tames J exactly when S0 + t S1 > 0, that is when t exceeds
+    -lam for every eigenvalue lam of L^-1 S0 L^-T (L the Cholesky factor of
+    S1).  So t* = max(0, -lam_min), and every t > t* tames J.
     """
     if not tames(d, j):
         raise ValueError("direction form must tame J")
-
-    def margin(t):
-        arr = omega.to_array() + t * d.to_array()
-        return float(_taming_spectrum(arr, j.matrix)[1][0])
-
-    if margin(0.0) > 0:
-        return 0.0
-    hi = 1.0
-    trail = []
-    while margin(hi) <= 0:
-        trail.append((hi, margin(hi)))
-        hi *= 2
-        if hi > _THRESHOLD_CAP:
-            raise ArithmeticError(
-                f"no taming threshold below {_THRESHOLD_CAP}; "
-                f"margins {trail[-5:]}"
-            )
-    lo = 0.0
-    while hi - lo > _THRESHOLD_TOL:
-        mid = (lo + hi) / 2
-        if margin(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    t_star = hi
-    for t in (t_star, 2 * t_star, 10 * t_star, 1000 * t_star):
-        if margin(t) <= 0:
-            raise ArithmeticError(f"sampled certificate failed at t={t}")
-    return t_star
+    s0 = _taming_spectrum(omega.to_array(), j.matrix)[0]
+    s1 = _taming_spectrum(d.to_array(), j.matrix)[0]
+    linv = np.linalg.inv(np.linalg.cholesky(s1))
+    lam_min = np.linalg.eigvalsh(linv @ s0 @ linv.T)[0]
+    return max(0.0, -float(lam_min))
 
 
 # -- randomized suites ------------------------------------------------------------
@@ -1157,7 +1087,7 @@ def appendix_equivalence_suite(trials: int, dims=(4, 6, 8, 10),
     For each random nondegenerate pair, B = A0^{-1} A1 and its eigenvalues
     are computed once, in one stack per dimension, and the construction
     reads the same record.  When no eigenvalue is negative real (the
-    spectral test, which float ray and segment nondegeneracy share), the
+    spectral test of ray_nondegenerate on a float pencil), the
     sign law must hold (every real eigenvalue positive) and the
     construction must succeed with both tamings verified.  Otherwise the
     negative eigenvalue's predicted degeneracy parameter t0 = 1/(1 - lam)
@@ -1317,6 +1247,13 @@ def cocompatible_counterexample_suite(trials: int, seed: int = 0) -> SuiteReport
     structures (symplectic conjugates of the standard one) and exhibits for
     each a vector v with w1(v, Jv) <= 0.  Survivors are counted; the
     expected count is zero.
+
+    Why none survives: for a w0-compatible J on R^2n, g = sym(A0 J) = A0 J
+    is positive definite and tr(g^-1 sym(A1 J)) = tr(B), B = A0^-1 A1,
+    which is 2n top(w0^(n-1) ^ w1) / top(w0^n).  Here w0 ^ w1 = 0, so the
+    trace is 0: the eigenvalues of g^-1 sym(A1 J), those of a symmetric
+    matrix congruent to sym(A1 J), sum to 0, so sym(A1 J) is not positive
+    definite and w1 does not tame J.  The samples cross-check this.
     """
     a0, a1 = remark_pair()
     wedge_top = a0.to_form().wedge(a1.to_form()).top_coefficient()

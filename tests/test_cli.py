@@ -556,6 +556,53 @@ def test_degenerate_pencil_is_an_input_error(capsys, command, which, kind):
     assert captured.err == f"input error: omega_{which} is degenerate\n"
 
 
+def mixed_pencil(name):
+    """A PENCILS entry with omega_1 given in floats: a rational omega_0 and
+    a float omega_1."""
+    o0, o1 = PENCILS[name]
+    return o0, json.dumps([[float(Q(x)) for x in row]
+                           for row in json.loads(o1)])
+
+
+# sha256 of default --json reports of mixed pencils, the only CLI route
+# into the exact is_nondegenerate, pinned while it was a Pfaffian
+GOLDEN_MIXED_PENCIL_REPORTS = [
+    ("cotame real4",
+     "38de67352f1257aa9ce214a5293be990af3fd3b1e702452a2a97371d9bc5725f"),
+    ("pencil-reduce real4",
+     "5316c8da17d4454df5788d409495d9f49651d1077da392ca59ba613787bdbee5"),
+    ("cotame real8",
+     "fcc6bbc2e8e46515e3c16c87a2d296207ed4d44bc5223c606a45c4ced3e60d60"),
+    ("pencil-reduce real8",
+     "94cf96fe763e8abb000eeaaa83770af416f678a4e37162dc0bf1c65b75fd9d98"),
+]
+
+
+@pytest.mark.parametrize("case, digest", GOLDEN_MIXED_PENCIL_REPORTS)
+def test_mixed_pencil_reports_match_golden_bytes(capture, case, digest):
+    command, name = case.split()
+    o0, o1 = mixed_pencil(name)
+    code, out = capture([command, "--omega0", o0, "--omega1", o1, "--json"])
+    assert code == 0
+    if command == "cotame":
+        assert json.loads(out)["certificate"] == "numeric"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_mixed_pencil_with_a_degenerate_rational_omega0(capsys, tmp_path):
+    p0 = tmp_path / "o0.json"
+    p1 = tmp_path / "o1.json"
+    p0.write_text(json.dumps(SINGULAR_4))
+    p1.write_text(json.dumps([[float(x) for x in row] for row in REMARK_O1]))
+    for command in ("cotame", "pencil-reduce"):
+        code = run([command, "--omega0", str(p0), "--omega1", str(p1),
+                    "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "input error: omega_0 is degenerate\n"
+
+
 def test_pencil_reduce_thirteen_digit_eigenvalue(capture):
     # the rational-root search once enumerated divisors of the constant
     # term and ran for more than 30 s on this pencil

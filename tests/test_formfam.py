@@ -429,13 +429,15 @@ def test_weak_domination_zero_omega_reports_halves():
     assert cert.verdict == "indefinite"
 
 
-def test_weak_domination_float_fallback():
+def test_weak_domination_rejects_float_forms():
+    # the ray is decided exactly or not at all
     g = SOL.algebra
-    ap = SOL.alpha_plus.to_float()
+    ap = SOL.alpha_plus
     dap = g.ce_differential(ap)
-    cert = ff.weak_domination_ray_check(ap, dap, dap)
-    assert cert.kind == "grid"
-    assert cert.verdict == "positive"
+    for forms in ((ap.to_float(), dap, dap), (ap, dap.to_float(), dap),
+                  (ap, dap, dap.to_float())):
+        with pytest.raises(ValueError, match="requires exact forms"):
+            ff.weak_domination_ray_check(*forms)
 
 
 def test_sol_ray_fixture_exact():

@@ -36,23 +36,31 @@ def random_rational_skew(rng, n):
 
 
 def test_pfaffian_standard_form():
-    assert sl.pfaffian(sl.standard_omega(4)) == 1
-    assert sl.pfaffian(sl.standard_omega(6)) == 1
+    # standard_omega's interleaved Darboux pairs have Pfaffian +1
+    for n in (2, 4, 6, 8):
+        om = sl.standard_omega(n)
+        assert pfaffian_by_expansion(om.matrix) == 1
+        assert sl.is_nondegenerate(om)
 
 
 def test_pfaffian_zero_row():
     rows = [[Q(0)] * 4 for _ in range(4)]
     rows[2][3] = Q(5)
     rows[3][2] = Q(-5)
-    assert sl.pfaffian(sl.SkewForm(rows)) == 0
+    assert pfaffian_by_expansion(rows) == 0
+    assert not sl.is_nondegenerate(sl.SkewForm(rows))
 
 
 def test_pfaffian_squares_to_determinant():
+    # the determinant that decides is_nondegenerate is Pf^2
     rng = np.random.default_rng(1)
     for n in (4, 6, 8):
         for _ in range(3):
             a = random_rational_skew(rng, n)
-            assert sl.pfaffian(a) ** 2 == frac_det_oracle(a.matrix)
+            pf = pfaffian_by_expansion(a.matrix)
+            assert pf ** 2 == _poly.frac_det(a.matrix) == frac_det_oracle(
+                a.matrix)
+            assert sl.is_nondegenerate(a) == (pf != 0)
 
 
 def test_skewform_validation():
@@ -76,6 +84,29 @@ def test_tames_exact_path():
     om = sl.standard_omega(2)
     j = sl.ComplexStructure(np.array([[0.0, -1.0], [1.0, 0.0]]))
     assert sl.tames(om, j)
+
+
+def test_tames_decides_exactly_only_an_integral_j():
+    # sym(A J0) = diag(1, 1, delta, delta) is exactly positive definite;
+    # J = J0 + eps X (X anticommuting with J0) lies within allclose of J0,
+    # but couples the two blocks by ~eps^2 > delta, so its exact sym(A J)
+    # is not positive definite: the rounded J0 must not decide it
+    delta, eps = Q(1, 10 ** 20), 1e-9
+    a = sl.SkewForm([[0, 1, 0, 0], [-1, 0, 0, 0],
+                     [0, 0, 0, delta], [0, 0, -delta, 0]])
+    j0 = np.array([[0.0, -1, 0, 0], [1, 0, 0, 0],
+                   [0, 0, 0, -1], [0, 0, 1, 0]])
+    x = np.zeros((4, 4))
+    x[0:2, 2:4] = x[2:4, 0:2] = [[1, 0], [0, -1]]
+    assert np.array_equal(x @ j0 + j0 @ x, np.zeros((4, 4)))
+    j = j0 + eps * x
+    assert np.allclose(j, j0)
+    assert sl.tames(a, sl.ComplexStructure(j0))
+    prod = _poly.mat_mul(a.matrix, [[Q(v) for v in row] for row in j])
+    sym = [[(prod[r][c] + prod[c][r]) / 2 for c in range(4)]
+           for r in range(4)]
+    assert not sl._exact_positive_definite(sym)
+    assert not sl.tames(a, sl.ComplexStructure(j))
 
 
 def test_tames_4x4_phase_block():
@@ -130,17 +161,19 @@ def test_segment_and_ray_trivials():
     om = sl.standard_omega(4)
     two = sl.SkewForm([[2 * x for x in row] for row in om.matrix])
     neg = sl.SkewForm([[-x for x in row] for row in om.matrix])
-    assert sl.segment_nondegenerate(om, two)
     assert sl.ray_nondegenerate(om, two)
-    assert not sl.segment_nondegenerate(om, neg)  # degenerate at t = 1/2
     assert not sl.ray_nondegenerate(om, neg)
+    # which is the segment verdict: w0 + neg is degenerate at t = 1/2
+    assert not sl.is_nondegenerate(sl.SkewForm(
+        [[x + y for x, y in zip(r0, r1)]
+         for r0, r1 in zip(om.matrix, neg.matrix)]))
     assert sl._analyse(om, two).ray_nondegenerate()
     assert not sl._analyse(om, neg).ray_nondegenerate()
 
 
 def test_remark_pair_is_cotamed():
     a0, a1 = sl.remark_pair()
-    assert sl.pfaffian(a0) != 0 and sl.pfaffian(a1) != 0
+    assert sl.is_nondegenerate(a0) and sl.is_nondegenerate(a1)
     assert a0.to_form().wedge(a1.to_form()).top_coefficient() == 0
     assert sl.ray_nondegenerate(a0, a1)
     j = sl.construct_cotamed(a0, a1)
@@ -737,10 +770,11 @@ def test_taming_threshold_examples():
     assert sl.taming_threshold(om, om, j) == 0.0
     neg = sl.SkewForm([[-x for x in row] for row in om.matrix])
     t = sl.taming_threshold(neg, om, j)
-    assert abs(t - 1.0) <= 1e-5
-    for mult in (t, 2 * t, 10 * t):
-        shifted = sl.SkewForm(np.array(neg.to_array() + mult * om.to_array()))
-        assert sl.tames(shifted, j)
+    assert abs(t - 1.0) <= 1e-12
+    # t is the infimum: every larger t tames J, t / 2 does not
+    for mult in (1.001 * t, 2 * t, 10 * t):
+        assert sl.tames(shifted(neg, om, mult), j)
+    assert not sl.tames(shifted(neg, om, t / 2), j)
     with pytest.raises(ValueError, match="tame"):
         sl.taming_threshold(om, neg, j)
 
@@ -754,6 +788,53 @@ def test_taming_threshold_random_tamed_is_zero():
     assert sl.taming_threshold(a, a, j) == 0.0
 
 
+def shifted(omega, d, t):
+    """The float skew form omega + t d."""
+    return sl.SkewForm(omega.to_array() + t * d.to_array())
+
+
+def bisection_taming_threshold(omega, d, j):
+    """Reference threshold: the taming margin of omega + t d is concave in
+    t, so its passing set is a ray; double t until it passes (up to 1e6),
+    then bisect to width 1e-6 and return the passing endpoint."""
+    def margin(t):
+        return sl.taming_margin(shifted(omega, d, t), j)
+
+    if margin(0.0) > 0:
+        return 0.0
+    hi = 1.0
+    while margin(hi) <= 0:
+        hi *= 2
+        assert hi <= 1e6
+    lo = 0.0
+    while hi - lo > 1e-6:
+        mid = (lo + hi) / 2
+        if margin(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([4, 6, 8]), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_taming_threshold_is_the_infimum_the_bisection_brackets(
+        dim, seed, perturb):
+    # j is compatible with d, or a random d-tamed Cayley draw around it
+    rng = np.random.default_rng(seed)
+    omega, d = sl.random_nondegenerate_pair(rng, dim)
+    j = sl.compatible_j(d)
+    if perturb:
+        j = sl.random_tamed_j(rng, d, j)
+    new = sl.taming_threshold(omega, d, j)
+    old = bisection_taming_threshold(omega, d, j)
+    assert new <= old <= new + 1e-6 * max(1.0, new)
+    if new > 0:
+        assert sl.tames(shifted(omega, d, 2 * new), j)
+        assert not sl.tames(shifted(omega, d, new / 2), j)
+
+
 def test_cocompatible_counterexample_basics():
     a0, a1 = sl.remark_pair()
     # standard compatible structure has an explicit violating vector
@@ -763,6 +844,49 @@ def test_cocompatible_counterexample_basics():
     assert vals[0] <= 0
     v = vecs[:, 0]
     assert v @ a1.to_array() @ (j.matrix @ v) <= 1e-12
+
+
+def trace_of_b_by_wedges(a0, a1):
+    """2n top(w0^(n-1) ^ w1) / top(w0^n), exactly."""
+    n = a0.dim // 2
+    w0, w1 = a0.to_form(), a1.to_form()
+    return (2 * n * w0.power(n - 1).wedge(w1).top_coefficient()
+            / w0.power(n).top_coefficient())
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from([4, 6, 8]), st.integers(0, 2 ** 32 - 1))
+def test_compatible_trace_is_the_trace_of_b(dim, seed):
+    # for a w0-compatible J with g = sym(A0 J):
+    # tr(g^-1 sym(A1 J)) = tr(B) = 2n top(w0^(n-1) ^ w1) / top(w0^n)
+    rng = np.random.default_rng(seed)
+    f0, f1 = sl.random_nondegenerate_pair(rng, dim)
+    # the float draws as exact dyadic rationals
+    a0, a1 = (sl.SkewForm([[Q(x) for x in row] for row in f.to_array()])
+              for f in (f0, f1))
+    trace = sum(row[i] for i, row in enumerate(_poly.solve(a0.matrix,
+                                                           a1.matrix)))
+    assert trace == trace_of_b_by_wedges(a0, a1)
+    m0, m1 = f0.to_array(), f1.to_array()
+    c = rng.standard_normal((dim, dim))
+    ham = np.linalg.solve(m0, (c + c.T) / 2)
+    # a symplectic S = exp(ham) of bounded condition, for a random A0
+    s = sl._expm((ham * (0.5 / max(1.0, np.linalg.norm(ham, 2))))[None])[0]
+    j = s @ sl.compatible_j(f0).matrix @ np.linalg.inv(s)
+    g = (m0 @ j + (m0 @ j).T) / 2
+    s1 = (m1 @ j + (m1 @ j).T) / 2
+    got = np.trace(np.linalg.solve(g, s1))
+    b_norm = np.abs(np.linalg.eigvals(np.linalg.solve(m0, m1))).sum()
+    assert abs(got - float(trace)) <= 1e-9 * max(1.0, b_norm)
+
+
+def test_remark_pair_trace_of_b_is_exactly_zero():
+    # so no w0-compatible J is w1-tamed: the eigenvalues of g^-1 sym(A1 J)
+    # sum to 0, so they are not all positive
+    a0, a1 = sl.remark_pair()
+    b = _poly.solve(a0.matrix, a1.matrix)
+    assert sum(b[i][i] for i in range(4)) == 0
+    assert trace_of_b_by_wedges(a0, a1) == 0
 
 
 def test_cocompatible_suite_small():
@@ -948,30 +1072,29 @@ def skew_from_upper(n, upper):
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.data())
-def test_elimination_pfaffian_matches_expansion(data):
-    n = data.draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
+def test_is_nondegenerate_matches_pfaffian_expansion(data):
+    n = data.draw(st.sampled_from([2, 4, 6, 8]))
     entry = sparse_entries(data)
     rows = skew_from_upper(n, data.draw(st.lists(
         entry, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
     if data.draw(st.booleans()):
+        # a zero first row: singular whatever the rest is
         rows = skew_from_upper(n, [Q(0)] * (n - 1) + [
             rows[i][j] for i in range(1, n) for j in range(i + 1, n)])
-    pf = sl._pf_elim(rows)
-    assert pf * pf == _poly.frac_det(rows)
-    if n <= 8:
-        assert pf == pfaffian_by_expansion(rows)
+    assert sl.is_nondegenerate(sl.SkewForm(rows)) == (
+        pfaffian_by_expansion(rows) != 0)
 
 
 @pytest.mark.parametrize("upper, expected", [
     ([0, 0, 0, 0, 0, 5], 0),       # zero first row
-    ([0, 3, 0, 0, 2, 0], -6),      # a[0][1] = 0: swap 1 <-> 2, sign flips
+    ([0, 3, 0, 0, 2, 0], -6),      # a[0][1] = 0: the elimination pivots
     ([0, 0, 7, 1, 0, 0], 7),       # pivot in the last column
     ([1, 0, 0, 0, 0, 1], 1),
 ])
-def test_elimination_pfaffian_pivots(upper, expected):
+def test_is_nondegenerate_pivots(upper, expected):
     rows = skew_from_upper(4, [Q(x) for x in upper])
-    assert sl._pf_elim(rows) == expected == pfaffian_by_expansion(rows)
-    assert sl.pfaffian(sl.SkewForm(rows)) == expected
+    assert pfaffian_by_expansion(rows) == expected
+    assert sl.is_nondegenerate(sl.SkewForm(rows)) == (expected != 0)
 
 
 # -- one exact reduction per cotamed construction ------------------------------------
@@ -1103,7 +1226,7 @@ def test_rational_pencil_needs_no_pfaffian_and_no_float_solve(monkeypatch):
     def forbidden(*args):
         raise AssertionError("called on a rational pencil")
 
-    for name in ("pfaffian", "is_nondegenerate", "pencil_endomorphism",
+    for name in ("is_nondegenerate", "pencil_endomorphism",
                  "_float_endomorphism"):
         monkeypatch.setattr(sl, name, forbidden)
     a0, a1 = congruent_rational_pencil([Q(1, 2), 3], P4)
