@@ -27,7 +27,8 @@ class UsageError(ValueError):
 
 
 def _report(command, inputs, verdict, kind, detail=None, tolerances=None,
-            orientation=None, *, seed):
+            orientation=None):
+    """A subcommand's report; `run` stamps the seed on it and emits it."""
     return {
         "schema": SCHEMA,
         "command": command,
@@ -36,7 +37,6 @@ def _report(command, inputs, verdict, kind, detail=None, tolerances=None,
         "certificate": kind,
         "tolerances": tolerances or {},
         "orientation": orientation,
-        "seed": seed,
         "detail": detail or {},
     }
 
@@ -103,6 +103,22 @@ def _int_list(text):
     return [int(x) for x in text.split(",")]
 
 
+def _positive(kind):
+    """argparse type: a `kind` number above 0, so an int count is at least 1.
+
+    A grid, trial count, tolerance or eps of 0 or less leaves nothing to
+    sample or no room to pass, so it is a usage error (exit 2).
+    """
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it: "invalid int value"
+    return parse
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -124,14 +140,12 @@ def _cmd_cotame(args):
             ],
         }
         verdict = "pass"
-    rep = _report(
+    return _report(
         "cotame", {"omega0": args.omega0, "omega1": args.omega1},
         verdict, "exact-pre/numeric-J" if a0.exact and a1.exact else "numeric",
         detail, {"taming_eig": symplin.TAMING_EIG, "eps": args.eps},
         "omega(v,w) = v^T A w; taming = sym(AJ) positive definite",
-        seed=args.seed,
     )
-    return _emit(rep, args)
 
 
 def _cmd_pencil_reduce(args):
@@ -146,7 +160,7 @@ def _cmd_pencil_reduce(args):
         else:
             blocks.append({"type": "complex", "mu": b.mu, "nu": b.nu,
                            "chain": b.chain_length})
-    rep = _report(
+    return _report(
         "pencil-reduce", {"omega0": args.omega0, "omega1": args.omega1},
         "pass", "exact" if red.eps == 0.0 else "grid",
         {
@@ -160,9 +174,7 @@ def _cmd_pencil_reduce(args):
         },
         {"eps": args.eps, "omega0_gate": symplin.OMEGA0_GATE,
          "omega1_gate": symplin.OMEGA1_GATE * args.eps},
-        seed=args.seed,
     )
-    return _emit(rep, args)
 
 
 def _cmd_verify_pair(args):
@@ -172,7 +184,7 @@ def _cmd_verify_pair(args):
     cert = liealg.liouville_pair_check(
         preset.algebra, preset.alpha_plus, preset.alpha_minus
     )
-    rep = _report(
+    return _report(
         "verify-pair", {"preset": args.preset},
         cert.verdict,
         "positive-exact" if cert.verdict == "positive" else cert.kind,
@@ -182,9 +194,7 @@ def _cmd_verify_pair(args):
             "witness": _witness_json(cert.witness),
         },
         {}, cert.orientation,
-        seed=args.seed,
     )
-    return _emit(rep, args)
 
 
 def _cmd_verify_contact(args):
@@ -202,23 +212,19 @@ def _cmd_verify_contact(args):
         top = g.ce_differential(form).power(g.dim // 2).top_coefficient()
         verdict = "positive" if top > 0 else \
             ("negative" if top < 0 else "indefinite")
-        rep = _report(
+        return _report(
             "verify-contact", {"preset": args.preset, "form": args.form},
             verdict, "exact-sign",
             {"top_coefficient": top, "checked": "liouville-volume"},
             {}, preset.orientation,
-            seed=args.seed,
         )
-        return _emit(rep, args)
     cert = liealg.contact_check(g, form)
-    rep = _report(
+    return _report(
         "verify-contact", {"preset": args.preset, "form": args.form},
         cert.verdict, "exact-sign",
         {"top_coefficient": cert.value, "checked": "contact-volume"},
         {}, cert.orientation,
-        seed=args.seed,
     )
-    return _emit(rep, args)
 
 
 @functools.cache
@@ -231,21 +237,19 @@ def _torsion_family(pair, k):
 def _cmd_giroux_torsion(args):
     triple = _torsion_family(args.pair, args.k)
     chk = formfam.contact_grid_check(triple, args.grid)
-    rep = _report(
+    return _report(
         "giroux-torsion", {"pair": args.pair, "k": args.k, "grid": args.grid},
         "pass" if chk.passed else "negative", chk.kind,
         {"min_value": chk.min_value, "argmin": chk.argmin,
          "samples": chk.samples},
         {"positivity": "strict"}, chk.orientation,
-        seed=args.seed,
     )
-    return _emit(rep, args)
 
 
 def _cmd_reeb(args):
     triple = _torsion_family(args.pair, args.k)
     res = formfam.reeb_field(triple, args.s, tol=args.tol)
-    rep = _report(
+    return _report(
         "reeb", {"pair": args.pair, "k": args.k, "s": args.s},
         "pass", "grid-certified",
         {
@@ -256,22 +260,18 @@ def _cmd_reeb(args):
             "residual_closure": res.residual_closure,
         },
         {"tol": args.tol},
-        seed=args.seed,
     )
-    return _emit(rep, args)
 
 
 def _cmd_lutz_check(args):
     preset = liealg.preset(args.pair)
     err = formfam.lutz_family_check(preset, args.k, args.tau,
                                     grid_n=args.grid)
-    rep = _report(
+    return _report(
         "lutz-check", {"pair": args.pair, "k": args.k, "tau": args.tau},
         "pass" if err <= LUTZ_IDENTITY_TOL else "negative", "grid-certified",
         {"max_relative_error": err}, {"identity": LUTZ_IDENTITY_TOL},
-        seed=args.seed,
     )
-    return _emit(rep, args)
 
 
 def _cmd_cutoff(args):
@@ -280,24 +280,20 @@ def _cmd_cutoff(args):
     if args.c is not None:
         top, argmin = formfam.cutoff_positive_on_grid(
             formfam.PairData.from_preset(preset), args.c, psi, args.grid)
-        rep = _report(
+        return _report(
             "cutoff", {"pair": args.pair, "c": args.c},
             "pass" if top > 0 else "negative", "grid-certified",
             {"min_value": top, "argmin": argmin}, {},
-            seed=args.seed,
         )
-        return _emit(rep, args)
     c_star = formfam.min_c_search(preset, psi, grid_n=args.grid)
     refined, argmin = formfam.cutoff_positive_on_grid(
         formfam.PairData.from_preset(preset), c_star, psi, 4 * args.grid)
-    rep = _report(
+    return _report(
         "cutoff", {"pair": args.pair, "profile": args.profile},
         "pass" if refined > 0 else "negative", "grid-certified",
         {"c_star": c_star, "refined_min": refined, "argmin": argmin},
         {"bisection": formfam.BISECTION_TOL},
-        seed=args.seed,
     )
-    return _emit(rep, args)
 
 
 def _cmd_numfield(args):
@@ -334,13 +330,11 @@ def _cmd_numfield(args):
         )
         verdict = "pass" if report.certificate.verdict == "positive" \
             else "negative"
-    rep = _report(
+    return _report(
         "numfield", {"poly": args.poly, "box": args.box},
         verdict, kind, detail,
         {"hyperplane": numfield.HYPERPLANE_TOL},
-        seed=args.seed,
     )
-    return _emit(rep, args)
 
 
 def _cmd_geiges(args):
@@ -351,7 +345,7 @@ def _cmd_geiges(args):
     iso = liealg.geiges_isomorphism(n)
     verdict = "pass" if (pair_ok and iso.residual <= GEIGES_RESIDUAL_TOL
                          and iso.traces_vanish) else "negative"
-    rep = _report(
+    return _report(
         "geiges", {"n": n},
         verdict, "exact+numeric-isomorphism",
         {
@@ -361,9 +355,7 @@ def _cmd_geiges(args):
             "traces": iso.traces,
         },
         {"residual": GEIGES_RESIDUAL_TOL}, preset.orientation,
-        seed=args.seed,
     )
-    return _emit(rep, args)
 
 
 def _cmd_suite(args):
@@ -380,7 +372,7 @@ def _cmd_suite(args):
             args.trials, seed=args.seed)
     else:
         raise UsageError(f"unknown suite {name!r}")
-    rep = _report(
+    return _report(
         "suite", {"name": name, "trials": args.trials, "dims": args.dims},
         "pass" if rep_data.passed else "negative", "randomized",
         {
@@ -390,9 +382,7 @@ def _cmd_suite(args):
             "seeds": rep_data.seeds,
             **rep_data.detail,
         },
-        seed=args.seed,
     )
-    return _emit(rep, args)
 
 
 @functools.cache
@@ -415,13 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("cotame", help="decide and construct a cotamed J")
     p.add_argument("--omega0", required=True)
     p.add_argument("--omega1", required=True)
-    p.add_argument("--eps", type=float, default=1e-3)
+    p.add_argument("--eps", type=_positive(float), default=1e-3)
     p.set_defaults(fn=_cmd_cotame)
 
     p = add("pencil-reduce", help="simultaneous block reduction")
     p.add_argument("--omega0", required=True)
     p.add_argument("--omega1", required=True)
-    p.add_argument("--eps", type=float, default=1e-3)
+    p.add_argument("--eps", type=_positive(float), default=1e-3)
     p.set_defaults(fn=_cmd_pencil_reduce)
 
     p = add("verify-pair", help="exact Liouville-pair certificate")
@@ -437,27 +427,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("giroux-torsion", help="grid check of the torsion form")
     p.add_argument("--pair", required=True)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--grid", type=int, default=1024)
+    p.add_argument("--grid", type=_positive(int), default=1024)
     p.set_defaults(fn=_cmd_giroux_torsion)
 
     p = add("reeb", help="Reeb field of the torsion family at s")
     p.add_argument("--pair", required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive(float), default=1e-8)
     p.set_defaults(fn=_cmd_reeb)
 
     p = add("lutz-check", help="twist-interpolation identity")
     p.add_argument("--pair", required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--grid", type=int, default=512)
+    p.add_argument("--grid", type=_positive(int), default=512)
     p.set_defaults(fn=_cmd_lutz_check)
 
     p = add("cutoff", help="cutoff Liouville positivity / search")
     p.add_argument("--pair", required=True)
     p.add_argument("--c", type=float, default=None)
-    p.add_argument("--grid", type=int, default=256)
+    p.add_argument("--grid", type=_positive(int), default=256)
     p.add_argument("--profile", default="quintic",
                    choices=["quintic", "cubic"])
     p.set_defaults(fn=_cmd_cutoff)
@@ -477,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True,
                    choices=["appendix-equivalence", "cayley",
                             "interpolation", "cocompatible"])
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive(int), default=100)
     p.add_argument("--dims", default="4,6")
     p.set_defaults(fn=_cmd_suite)
 
@@ -515,7 +505,9 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        report = args.fn(args)
+        report["seed"] = args.seed
+        return _emit(report, args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2

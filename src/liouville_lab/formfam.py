@@ -1,14 +1,14 @@
 """Parameter-dependent contact-form families and grid certificates.
 
 Forms here live on a coframe (dp1[, dp2], static closed directions, algebra
-coframe) with coefficients built from a small profile library whose
-derivatives are validated against finite differences at construction; the
-library constructors are cached, so each distinct profile is built and
-checked once per process and callers share it (profiles are never mutated).
-Evaluation at parameter values hands everything to the exterior engine, so
-a grid verdict is a statement about sampled top coefficients in a declared
-coframe order, nothing more; reports label such verdicts "grid-certified",
-in contrast to the exact Sturm certificates of the algebra layer.
+coframe) with coefficients built from a small profile library.  A profile
+is a plain pair of a function and its analytic derivative; the tests check
+each derivative against central finite differences, since every profile is
+built here and none comes from input.  Evaluation at parameter values hands
+everything to the exterior engine, so a grid verdict is a statement about
+sampled top coefficients in a declared coframe order, nothing more; reports
+label such verdicts "grid-certified", in contrast to the exact Sturm
+certificates of the algebra layer.
 
 Grid verdicts are evaluated in one batched pass: the profiles take float64
 arrays, `ParamForm.at` takes arrays of sample points, and the float64 ring
@@ -19,7 +19,6 @@ scalar evaluation gives (see `_grid_tops`).
 
 from __future__ import annotations
 
-import functools
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -37,10 +36,6 @@ from .liealg import LieAlgebra, Preset
 Q = Fraction
 
 
-class ProfileError(ValueError):
-    """Profile derivative failed the finite-difference validation."""
-
-
 class CapExceededError(RuntimeError):
     """A bounded search hit its cap; carries the violating sample if any."""
 
@@ -49,10 +44,7 @@ class CapExceededError(RuntimeError):
         self.violating_s = violating_s
 
 
-_FD_STEP = 1e-5
-_FD_TOL = 1e-6
-_FD_POINTS = 64
-_FD_DOMAIN = (-3.0, 3.0)  # where the derivative check draws its points
+_FD_STEP = 1e-5  # the central-difference step of `ProfileFn.derivative`
 _LUTZ_EPS = 1.0  # the Lutz family lives on s in (-eps, eps)
 _SOL_S_MAX = 2.0  # the weak-filling fixture samples s in [-max, max]
 BISECTION_TOL = 1e-3  # the width at which min_c_search stops bisecting
@@ -129,57 +121,18 @@ def _unit_step(s, inside, high):
     return inside(s)
 
 
-def _sample(fn, s):
-    """fn at every point of the array s, as an array of the shape of s.
-
-    One call on the whole array where fn takes arrays, as the library
-    profiles do (a constant may come back as a scalar); a caller's
-    scalar-only function, such as math.sin, is called point by point.
-    """
-    try:
-        return np.broadcast_to(fn(s), s.shape)
-    except (TypeError, ValueError):
-        return np.array([fn(x) for x in s.tolist()], dtype=float)
-
-
 class ProfileFn:
-    """Scalar profile with an analytic derivative, closed under arithmetic.
+    """Scalar profile fn with its analytic derivative dfn, closed under
+    arithmetic.
 
-    It takes a float or, element by element, a float64 array of samples.
-
-    The derivative is checked against central finite differences on 64
-    seeded sample points at construction, evaluated as one array (knots of
-    piecewise profiles are excluded from the sampling).
+    It takes a float or, element by element, a float64 array of samples
+    (a constant may come back as a scalar).
     """
 
-    def __init__(self, fn, dfn, label="f", knots=(), check=True):
+    def __init__(self, fn, dfn, label="f"):
         self.fn = fn
         self.dfn = dfn
         self.label = label
-        self.knots = tuple(knots)
-        if check:
-            self._validate()
-
-    def _validate(self):
-        rng = np.random.default_rng(1234)
-        a, b = _FD_DOMAIN
-        draws = rng.uniform(a, b, 6 * _FD_POINTS)
-        near_knot = np.zeros(draws.shape, bool)
-        for k in self.knots:
-            near_knot |= np.abs(draws - k) < 10 * _FD_STEP
-        s = draws[~near_knot][:_FD_POINTS]
-        fd = (_sample(self.fn, s + _FD_STEP)
-              - _sample(self.fn, s - _FD_STEP)) / (2 * _FD_STEP)
-        dv = _sample(self.dfn, s)
-        scale = np.maximum(np.maximum(1.0, np.abs(dv)), np.abs(fd))
-        bad = np.flatnonzero(np.abs(fd - dv) > _FD_TOL * scale)
-        if bad.size:
-            i = bad[0]
-            raise ProfileError(
-                f"derivative of {self.label} fails the FD check at"
-                f" s={float(s[i])}: analytic {float(dv[i])} vs central"
-                f" difference {float(fd[i])}"
-            )
 
     def __call__(self, s):
         return self.fn(s)
@@ -195,17 +148,14 @@ class ProfileFn:
             # evaluation paths; a central difference suffices there
             return (dfn(s + _FD_STEP) - dfn(s - _FD_STEP)) / (2 * _FD_STEP)
 
-        return ProfileFn(self.dfn, numeric_second, f"{self.label}'",
-                         self.knots, check=False)
+        return ProfileFn(self.dfn, numeric_second, f"{self.label}'")
 
     def __add__(self, other):
         other = as_profile(other)
         return ProfileFn(
             lambda s: self.fn(s) + other.fn(s),
             lambda s: self.dfn(s) + other.dfn(s),
-            f"({self.label}+{other.label})",
-            self.knots + other.knots, check=False,
-        )
+            f"({self.label}+{other.label})")
 
     __radd__ = __add__
 
@@ -213,55 +163,25 @@ class ProfileFn:
         return self + (-as_profile(other))
 
     def __neg__(self):
-        return ProfileFn(
-            lambda s: -self.fn(s), lambda s: -self.dfn(s),
-            f"(-{self.label})", self.knots, check=False,
-        )
+        return ProfileFn(lambda s: -self.fn(s), lambda s: -self.dfn(s),
+                         f"(-{self.label})")
 
     def __mul__(self, other):
         other = as_profile(other)
         return ProfileFn(
             lambda s: self.fn(s) * other.fn(s),
             lambda s: self.dfn(s) * other.fn(s) + self.fn(s) * other.dfn(s),
-            f"({self.label}*{other.label})",
-            self.knots + other.knots, check=False,
-        )
+            f"({self.label}*{other.label})")
 
     __rmul__ = __mul__
 
     def precompose_affine(self, a, b) -> "ProfileFn":
         """The profile s -> f(a s + b)."""
         a, b = float(a), float(b)
-        knots = tuple((k - b) / a for k in self.knots) if a else ()
         return ProfileFn(
             lambda s: self.fn(a * s + b),
             lambda s: a * self.dfn(a * s + b),
-            f"{self.label}({a}s+{b})",
-            knots, check=False,
-        )
-
-
-def _profile_cache(ctor):
-    """functools.cache for a library constructor, keyed by the sign of zero.
-
-    0.0 and -0.0 compare and hash equal, but the profiles they build differ
-    in their labels and in the signs of zero values, so each argument is
-    keyed together with the sign of a zero.
-    """
-    def signed(a):
-        return a, math.copysign(1.0, a) if a == 0 else None
-
-    @functools.cache
-    def build(args, kwargs):
-        return ctor(*(a for a, _ in args), **{k: a for k, (a, _) in kwargs})
-
-    @functools.wraps(ctor)
-    def cached(*args, **kwargs):
-        return build(tuple(map(signed, args)),
-                     tuple((k, signed(a)) for k, a in kwargs.items()))
-
-    cached.cache_clear = build.cache_clear
-    return cached
+            f"{self.label}({a}s+{b})")
 
 
 def as_profile(x) -> ProfileFn:
@@ -272,16 +192,14 @@ def as_profile(x) -> ProfileFn:
 
 def const(c) -> ProfileFn:
     c = float(c)
-    return ProfileFn(lambda s: c, lambda s: 0.0, f"{c}", check=False)
+    return ProfileFn(lambda s: c, lambda s: 0.0, f"{c}")
 
 
-@_profile_cache
 def linear(a, b=0.0) -> ProfileFn:
     a, b = float(a), float(b)
     return ProfileFn(lambda s: a * s + b, lambda s: a, f"{a}s+{b}")
 
 
-@_profile_cache
 def exp_fn(a=1.0, b=0.0) -> ProfileFn:
     a, b = float(a), float(b)
     return ProfileFn(
@@ -291,7 +209,6 @@ def exp_fn(a=1.0, b=0.0) -> ProfileFn:
     )
 
 
-@_profile_cache
 def sin_fn(a=1.0, b=0.0) -> ProfileFn:
     a, b = float(a), float(b)
     return ProfileFn(
@@ -301,7 +218,6 @@ def sin_fn(a=1.0, b=0.0) -> ProfileFn:
     )
 
 
-@_profile_cache
 def cos_fn(a=1.0, b=0.0) -> ProfileFn:
     a, b = float(a), float(b)
     return ProfileFn(
@@ -311,7 +227,6 @@ def cos_fn(a=1.0, b=0.0) -> ProfileFn:
     )
 
 
-@_profile_cache
 def smoothstep5() -> ProfileFn:
     """Quintic smoothstep x^3 (10 - 15x + 6x^2) clamped to [0, 1]; C^2."""
     def fn(s):
@@ -322,10 +237,9 @@ def smoothstep5() -> ProfileFn:
         return _unit_step(
             s, lambda x: 30 * x * x * _libm(pow, 1 - x, 2), 0.0)
 
-    return ProfileFn(fn, dfn, "S5", knots=(0.0, 1.0))
+    return ProfileFn(fn, dfn, "S5")
 
 
-@_profile_cache
 def smoothstep3() -> ProfileFn:
     """Cubic smoothstep 3x^2 - 2x^3 clamped; the second cutoff choice (C^1)."""
     def fn(s):
@@ -334,7 +248,7 @@ def smoothstep3() -> ProfileFn:
     def dfn(s):
         return _unit_step(s, lambda x: 6 * x * (1 - x), 0.0)
 
-    return ProfileFn(fn, dfn, "S3", knots=(0.0, 1.0))
+    return ProfileFn(fn, dfn, "S3")
 
 
 def cutoff_step(kind="quintic") -> ProfileFn:
@@ -342,7 +256,6 @@ def cutoff_step(kind="quintic") -> ProfileFn:
     return smoothstep5() if kind == "quintic" else smoothstep3()
 
 
-@_profile_cache
 def plateau_bump(eps=1.0, kind="quintic") -> ProfileFn:
     """Bump that is 1 exactly on [eps/3, 2eps/3] and 0 outside [0, eps]."""
     step = cutoff_step(kind)
@@ -356,8 +269,7 @@ def plateau_bump(eps=1.0, kind="quintic") -> ProfileFn:
     def dfn(s):
         return _split(s, mid, up.deriv, down.deriv)
 
-    return ProfileFn(fn, dfn, f"plateau[{kind}]",
-                     knots=(0.0, eps / 3, 2 * eps / 3, eps))
+    return ProfileFn(fn, dfn, f"plateau[{kind}]")
 
 
 def lutz_twist_profile(k: int, eps=1.0, kind="quintic") -> ProfileFn:
@@ -542,7 +454,8 @@ class ProfileTriple:
     def __post_init__(self):
         s0, s1 = self.interval
         s = s0 + (s1 - s0) * np.arange(257.0) / 256
-        fv, gv = _sample(self.f, s), _sample(self.g, s)
+        fv = np.broadcast_to(self.f(s), s.shape)
+        gv = np.broadcast_to(self.g(s), s.shape)
         bad = np.flatnonzero((fv < -1e-12) | (gv < -1e-12)
                              | ((abs(fv) < 1e-12) & (abs(gv) < 1e-12)))
         if bad.size:
@@ -801,10 +714,10 @@ def lutz_lambda_k(pair, k: int, kind="quintic") -> ParamForm:
     phi = lutz_twist_profile(k, _LUTZ_EPS, kind)
     cphi = ProfileFn(lambda s: _libm(math.cos, phi(s)),
                      lambda s: -_libm(math.sin, phi(s)) * phi.deriv(s),
-                     f"cos(phi_{k})", knots=phi.knots, check=False)
+                     f"cos(phi_{k})")
     sphi = ProfileFn(lambda s: _libm(math.sin, phi(s)),
                      lambda s: _libm(math.cos, phi(s)) * phi.deriv(s),
-                     f"sin(phi_{k})", knots=phi.knots, check=False)
+                     f"sin(phi_{k})")
     f = 0.5 * (cphi + 1.0)
     g = 0.5 * (const(1.0) - cphi)
     return ProfileTriple(f, g, sphi, pair,
@@ -826,14 +739,14 @@ def lutz_family_check(pair, k: int, tau: float, grid_n: int = 512,
     lam_k = lutz_lambda_k(pair, k, kind)
     scale = ProfileFn(lambda s: 1.0 - tau * psi(s),
                       lambda s: -tau * psi.deriv(s),
-                      f"(1-{tau}psi)", knots=psi.knots, check=False)
+                      f"(1-{tau}psi)")
     lam_tau = lam_k.copy_with(1, {
         m: ParamCoeff([(scale * f, g) for f, g in c.terms])
         for m, c in lam_k.terms.items()
     })
     lam_tau.add_term(("ds",), ParamCoeff.of(
         ProfileFn(lambda s: tau * psi(s), lambda s: tau * psi.deriv(s),
-                  "tau psi", knots=psi.knots, check=False)))
+                  "tau psi")))
     dim = lam_k.coframe.dim
     npow = (dim + 1) // 2
     s = _grid_points((-_LUTZ_EPS, _LUTZ_EPS), grid_n)

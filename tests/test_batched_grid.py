@@ -202,14 +202,12 @@ def test_lutz_grid_matches_per_sample(pair, k, tau):
     npow = (lam_k.coframe.dim + 1) // 2
     # the reference rebuilds lambda_{k,tau} the way the check defines it
     scale = ff.ProfileFn(lambda s: 1.0 - tau * psi(s),
-                         lambda s: -tau * psi.deriv(s), knots=psi.knots,
-                         check=False)
+                         lambda s: -tau * psi.deriv(s))
     lam_tau = ff.ParamForm(lam_k.params, lam_k.static, lam_k.algebra, 1, {})
     for m, c in lam_k.terms.items():
         lam_tau.terms[m] = ff.ParamCoeff([(scale * f, g) for f, g in c.terms])
     ds = ff.ParamCoeff([(ff.ProfileFn(lambda s: tau * psi(s),
-                                      lambda s: tau * psi.deriv(s),
-                                      knots=psi.knots, check=False),
+                                      lambda s: tau * psi.deriv(s)),
                          ff.const(1.0))])
     lam_tau.terms[1] = lam_tau.terms[1].plus(ds) if 1 in lam_tau.terms else ds
     build = lambda a, da: a.wedge(da.power(npow - 1))  # noqa: E731

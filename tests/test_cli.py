@@ -262,6 +262,61 @@ def test_exact_reports_match_golden_bytes(capture, case, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the numfield and geiges reports, default and --json, pinned
+# before `run` became their one emit path; the geiges residual comes from a
+# float eigensolver, so its digests hold for one LAPACK build
+GOLDEN_NUMFIELD_GEIGES_REPORTS = [
+    ("numfield --poly -2,0,1",
+     "b7fc3e9afef3ee05888aa91422adc857b15c461e865ac1c0f329e2a141e11c21"),
+    ("numfield --poly -2,0,1 --json",
+     "4764a4f2da897b55710852debed2f1989ac2fedbb7a1f4b9abeb82bd56d0d026"),
+    ("numfield --poly -2,0,1 --monodromy",
+     "114a7458ed948594ac2631fea2f5f2b1862a07fd1a0a8aafee1a4ea4ae1835b7"),
+    ("numfield --poly -2,0,1 --monodromy --json",
+     "eda238055af0409f08713df27de38cbffe8eea9fdccc166139c24635bf561d46"),
+    ("numfield --poly 1,0,1",
+     "21a5cac889deab18259bd842899c961135771260dcbabc8cc073b5ac42a85acf"),
+    ("numfield --poly 1,0,1 --json",
+     "a949af48617c2de34d0e16b9b77220339e3beb5d8366a46b38ab8450a4c285f6"),
+    ("numfield --poly -2,0,0,1",
+     "38ea5dedaa882e537d8d577e0f9d9e109811ea5e834d6a872be5d4a62e2426ab"),
+    ("numfield --poly -2,0,0,1 --json",
+     "e1ab9a59792db0b0ecafedeee332eae4be39c56ac98cf9569b56270c2fd22700"),
+    ("numfield --poly 3,0,0,0,1 --box 2",
+     "0b484674925ff2eeee2ffb9260fca617e00fae0ffc712503e5c509a3651c7a4c"),
+    ("numfield --poly 3,0,0,0,1 --box 2 --json",
+     "c731fbcaa41b3392ed553b2bbe3855929d7a247341eb33491510f3303e931473"),
+    ("geiges --n 1",
+     "a0857f7366349beda438cba6f35335271805ccd4b6443470b9c51858cc3d04d6"),
+    ("geiges --n 1 --json",
+     "587d8f078cd74e1c95250f6140d7fde63ad41776a64b5e030d7e7846a552f698"),
+    ("geiges --n 2",
+     "e6addfd455fc03b9e7f31b802feed14421073e66aba5fc0ff0da13a1b8141a90"),
+    ("geiges --n 2 --json",
+     "32a1f71bdb360f9a86480dd3b80cdc8c30a45c2d1856eea2ee0f6adc0d91e3ae"),
+    ("geiges --n 3",
+     "4ea28dc8dd58c79fe7f52bc7b0fa4d98342d6a924fecc6096e0687ca1edf1c2e"),
+    ("geiges --n 3 --json",
+     "80c7fdbef6a722ddb504022ff4fd4977920b3edab231d3cc8978f4d3e8b76a57"),
+    ("geiges --n 4",
+     "552793e128c88ee74dc70e61735a3e9895b4da894093ffae30094f50aaa27aa8"),
+    ("geiges --n 4 --json",
+     "30b89b6c302f515df185ff17f88b950143e1ed4ebeb3857f100a780939367869"),
+    ("geiges --n 5",
+     "7fdb31f3c99a86deea7df645912501171c1685934445409ebb337af5228d52de"),
+    ("geiges --n 5 --json",
+     "d16f4d2e053006ebb1459be9d61676550ba7c88b0e9a42bf947a72fd6176f9d7"),
+]
+
+
+@pytest.mark.parametrize("case, digest", GOLDEN_NUMFIELD_GEIGES_REPORTS)
+def test_numfield_and_geiges_reports_match_golden_bytes(capture, case,
+                                                        digest):
+    code, out = capture(case.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def grouped_model(real, complex_pairs=()):
     """Exact model pair in the grouped layout: one (v, w) pair per real
     eigenvalue, then (v1, v2, w1, w2) per complex pair (mu, nu)."""
@@ -520,6 +575,38 @@ def test_usage_errors_exit_2(capture):
     assert run(["verify-pair", "--preset", "grs1:0,1"]) == 2  # no pair
     assert run(["numfield", "--poly", "1,2,3"]) == 2   # not monic
     assert run(["suite", "--name", "wrong"]) == 2
+
+
+FLOAT_REMARK = [json.dumps([[float(x) for x in row] for row in m])
+                for m in (REMARK_O0, REMARK_O1)]
+
+
+# each of these once passed on vacuous sampling (5 samples from --grid -4,
+# error 0.0 from --grid -5, one sample from --grid 0, "trials: -3") or ended
+# in a traceback (ArithmeticError from --tol 0, RetryExhaustedError from a
+# float pencil at --eps 0)
+@pytest.mark.parametrize("argv", [
+    "giroux-torsion --pair sol:2,1,1,1 --grid -4",
+    "giroux-torsion --pair sol:2,1,1,1 --grid 0",
+    "lutz-check --pair sol:2,1,1,1 --grid -5",
+    "cutoff --pair totreal:3 --grid 0",
+    "suite --name cayley --trials -3",
+    "suite --name cocompatible --trials 0",
+    "reeb --pair sol:2,1,1,1 --s 1.5707963 --tol 0",
+    "reeb --pair sol:2,1,1,1 --s 1.5707963 --tol -1",
+    "cotame --eps 0",
+    "pencil-reduce --eps 0",
+    "cotame --eps nan",
+])
+def test_vacuous_sampling_arguments_are_usage_errors(capsys, argv):
+    argv = argv.split()
+    flag = argv[-2]
+    if argv[0] in ("cotame", "pencil-reduce"):
+        argv += ["--omega0", FLOAT_REMARK[0], "--omega1", FLOAT_REMARK[1]]
+    assert run(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: must be positive, got " in captured.err
 
 
 def test_human_readable_output(capture):

@@ -14,99 +14,163 @@ SOL = liealg.sol_from_sl2([[2, 1], [1, 1]])
 TR3 = liealg.totally_real(3)
 
 
+# -- derivative reference ------------------------------------------------------
+#
+# A profile is a function and its analytic derivative, and nothing checks one
+# against the other when a profile is built: every profile comes from the
+# formfam library, none from input, so the tests check them here, on seeded
+# sample points.
+
+FD_STEP = 1e-5  # the central-difference step at rate 1
+FD_TOL = 1e-6   # relative to max(1, sup |p'|) over the samples
+
+
+def fd_check(p, s, kinks=()):
+    """Assert that p.deriv matches a central difference of p at the samples s.
+
+    Samples within 1e-3 of a kink (a point where the profile or its
+    derivative is not smooth) are skipped.  The step is FD_STEP over the
+    profile's rate, sup |p'| / max(1, sup |p|) on the samples, so a steep
+    profile such as sin(300 s) gets a step its truncation error allows;
+    that error then scales with sup |p'|, and so does the tolerance.  The
+    message names the first failing sample in the order of s.
+    """
+    s = np.asarray(s, dtype=float)
+    for k in kinks:
+        s = s[np.abs(s - k) >= 1e-3]
+
+    def values(fn, x):
+        return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
+
+    dv = values(p.deriv, s)
+    rate = max(1.0, np.abs(dv).max() / max(1.0, np.abs(values(p, s)).max()))
+    h = FD_STEP / rate
+    fd = (values(p, s + h) - values(p, s - h)) / (2 * h)
+    bad = np.flatnonzero(np.abs(fd - dv) > FD_TOL * max(1.0, np.abs(dv).max()))
+    if bad.size:
+        i = bad[0]
+        raise AssertionError(
+            f"derivative of {p.label} fails the FD check at s={float(s[i])}:"
+            f" analytic {float(dv[i])} vs central difference {float(fd[i])}")
+
+
+def samples(lo, hi, n=64, seed=1234):
+    return np.random.default_rng(seed).uniform(lo, hi, n)
+
+
 def test_profile_fd_validation_catches_wrong_derivative():
-    with pytest.raises(ff.ProfileError, match="FD check"):
-        ff.ProfileFn(math.sin, math.sin, "bad")
+    with pytest.raises(AssertionError, match="fails the FD check"):
+        fd_check(ff.ProfileFn(np.sin, np.sin, "bad"), samples(-3.0, 3.0))
+    fd_check(ff.ProfileFn(np.sin, np.cos, "good"), samples(-3.0, 3.0))
 
 
 def test_caller_profile_reports_its_first_failing_point():
-    # the 64 sample points are checked as one array; the message names the
-    # first failing point in draw order, with the values of the scalar path
-    msg = ("derivative of bad fails the FD check at s=0.6592248565350447: "
-           "analytic 1.384372198723594 vs central difference "
-           "1.3184497130641626")
-    for _ in range(2):
-        with pytest.raises(ff.ProfileError, match=f"^{msg}$"):
-            ff.ProfileFn(
-                lambda s: ff._unit_step(s, lambda x: x * x, 1.0),
-                lambda s: ff._unit_step(s, lambda x: 2.1 * x, 0.0),
-                "bad", knots=(0.0, 1.0))
+    # a wrong factor inside (0, 1) of a piecewise profile; the message names
+    # the first failing sample in the order given
+    bad = ff.ProfileFn(lambda s: ff._unit_step(s, lambda x: x * x, 1.0),
+                       lambda s: ff._unit_step(s, lambda x: 2.1 * x, 0.0),
+                       "bad")
+    with pytest.raises(AssertionError,
+                       match=r"^derivative of bad fails the FD check at "
+                             r"s=0\.25: analytic 0\.525 vs central "
+                             r"difference 0\.5\d*$"):
+        fd_check(bad, np.array([-0.5, 1.5, 0.25, 0.75]))
 
 
 def test_profile_check_skips_knots():
-    # a kink exactly at the first seeded sample point fails the check
-    # unless that point is declared a knot
-    k = float(np.random.default_rng(1234).uniform(-3.0, 3.0))
-
-    def ramp(s):
-        return np.maximum(s - k, 0.0)
-
-    def dramp(s):
-        return np.where(s > k, 1.0, 0.0)
-
-    with pytest.raises(ff.ProfileError, match=f"at s={k}:"):
-        ff.ProfileFn(ramp, dramp, "ramp")
-    ff.ProfileFn(ramp, dramp, "ramp", knots=(k,))
+    # a kink at a sample point fails the check unless it is listed
+    s = samples(-3.0, 3.0)
+    k = float(s[0])
+    ramp = ff.ProfileFn(lambda s: np.maximum(s - k, 0.0),
+                        lambda s: np.where(s > k, 1.0, 0.0), "ramp")
+    with pytest.raises(AssertionError, match=f"at s={k}:"):
+        fd_check(ramp, s)
+    fd_check(ramp, s, kinks=(k,))
 
 
-def test_cached_constructor_raises_on_every_call():
-    for _ in range(3):
-        with pytest.raises(ff.ProfileError, match="sin\\(300.0s"):
-            ff.sin_fn(300.0)
-        with pytest.raises(OverflowError):
-            ff.exp_fn(250.0)
+def test_steep_constructors_build_with_closed_form_derivatives():
+    s = samples(-3.0, 3.0) / 300.0
+    f, g = ff.sin_fn(300.0), ff.exp_fn(250.0)
+    for x in s.tolist():
+        assert f(x) == math.sin(300.0 * x + 0.0)
+        assert f.deriv(x) == 300.0 * math.cos(300.0 * x + 0.0)
+        assert g(x) == math.exp(250.0 * x + 0.0)
+        assert g.deriv(x) == 250.0 * math.exp(250.0 * x + 0.0)
+    fd_check(f, s)
+    fd_check(g, s)
 
 
-LIBRARY_CONSTRUCTORS = [
-    (ff.linear, (2.5, -1.0)), (ff.exp_fn, (0.75, 0.5)),
-    (ff.sin_fn, (1.5, 0.25)), (ff.cos_fn, (1.5, 0.25)),
-    (ff.smoothstep5, ()), (ff.smoothstep3, ()),
-    (ff.plateau_bump, (0.5, "cubic")),
-]
+RATES = (-250.0, -3.0, -1.0, -0.5, -0.0, 0.0, 0.75, 1.5, 300.0)
+SHIFTS = (-1.0, 0.0, 0.25)
 
 
-def test_library_constructors_check_once_per_process(monkeypatch):
-    checked = []
-    validate = ff.ProfileFn._validate
+def library_profiles():
+    """(profile, samples, kinks) over a sweep of the library's parameters,
+    with sums, products, negation and affine precomposition among them."""
+    out = []
+    for i, (a, b) in enumerate((a, b) for a in RATES for b in SHIFTS):
+        s = samples(-3.0, 3.0, seed=i) / max(1.0, abs(a))
+        for ctor in (ff.linear, ff.exp_fn, ff.sin_fn, ff.cos_fn):
+            out.append((ctor(a, b), s, ()))
+        out.append((ff.sin_fn(a, b) * ff.exp_fn(-b, a / 4)
+                    - ff.cos_fn(a, b) * ff.linear(b, 1.0), s, ()))
+    s = samples(-1.0, 2.0, 256)
+    for kind in ("quintic", "cubic"):
+        step = ff.cutoff_step(kind)
+        out.append((step, s, (0.0, 1.0)))
+        out.append((step * ff.exp_fn(1.0) + 2.0, s, (0.0, 1.0)))
+        for a, b in ((3.0, -1.0), (-1.0, 0.5), (0.5, 0.25)):
+            kinks = ((0.0 - b) / a, (1.0 - b) / a)
+            out.append((step.precompose_affine(a, b), samples(-3.0, 3.0),
+                        kinks))
+        for eps in (0.5, 1.0, 2.0):
+            out.append((ff.plateau_bump(eps, kind), samples(-0.5, 2.5, 256),
+                        (0.0, eps / 3, 2 * eps / 3, eps)))
+            for k in (1, 2, 3):
+                out.append((ff.lutz_twist_profile(k, eps, kind),
+                            samples(-eps, eps, 256), (eps / 3, 2 * eps / 3)))
+    out.append((-ff.const(2.5) + ff.linear(2.0), s, ()))
+    return out
 
-    def counting(self):
-        checked.append(self.label)
-        validate(self)
 
-    monkeypatch.setattr(ff.ProfileFn, "_validate", counting)
-    for ctor, args in LIBRARY_CONSTRUCTORS:
-        ctor.cache_clear()
-    for ctor, args in LIBRARY_CONSTRUCTORS:
-        first = ctor(*args)
-        assert ctor(*args) is first
-    # one check per constructor and argument tuple; plateau_bump's cubic
-    # step is the cached smoothstep3
-    assert checked == ["2.5s+-1.0", "exp(0.75s+0.5)", "sin(1.5s+0.25)",
-                       "cos(1.5s+0.25)", "S5", "S3", "plateau[cubic]"]
+def test_library_constructors_pass_the_fd_reference():
+    for p, s, kinks in library_profiles():
+        fd_check(p, s, kinks)
 
 
-@pytest.mark.parametrize("ctor,plus,minus", [
-    (ff.exp_fn, (0.0,), (-0.0,)), (ff.linear, (1.0, 0.0), (1.0, -0.0)),
-    (ff.sin_fn, (0.0, 0.5), (-0.0, 0.5)), (ff.cos_fn, (1.0, 0.0), (1.0, -0.0)),
-    (ff.exp_fn, (1.0, 0.0), (1.0, -0.0)),
-])
-@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
-def test_cached_constructors_keep_the_sign_of_zero(ctor, plus, minus, order):
-    s = np.array([-1.5, 0.0, 0.75, 2.0])
+def cli_forms(key):
+    """(ParamForm, sample interval, kinks) of each form the family commands
+    build for a pair: the torsion family (giroux-torsion, reeb), lambda_k
+    (lutz-check) and the cutoff form for both profiles (cutoff)."""
+    p = liealg.preset(key)
+    out = [(ff.gt_form(p, k).to_param_form(), (0.0, 2 * math.pi * k), ())
+           for k in (1, 2)]
+    for kind in ("quintic", "cubic"):
+        for k in (1, 2):
+            out.append((ff.lutz_lambda_k(p, k, kind), (-1.0, 1.0),
+                        (1 / 3, 2 / 3)))
+        for c in (0.0, 0.75, 2.5):
+            out.append((ff.cutoff_liouville(p, c, ff.cutoff_step(kind)),
+                        (-c - 1.0, c + 1.0), (-c, 1.0 - c, c, c - 1.0)))
+    return out
 
-    def bits(x):
-        return np.broadcast_to(np.float64(x), s.shape).view(np.uint64).tolist()
 
-    def profile_bits(f):
-        return f.label, bits(f(s)), bits(f.deriv(s)), bits(f.deriv(0.75))
-
-    ctor.cache_clear()
-    args = (plus, minus)
-    got = {i: ctor(*args[i]) for i in order}
-    for i in order:
-        assert profile_bits(got[i]) == profile_bits(ctor.__wrapped__(*args[i]))
-        assert ctor(*args[i]) is got[i]
-    assert got[0] is not got[1]
+@pytest.mark.parametrize("key", ["sol:2,1,1,1", "totreal:2", "geiges:2"])
+def test_cli_family_factors_pass_the_fd_reference(key):
+    forms, checked = cli_forms(key), 0
+    for pf, (lo, hi), kinks in forms:
+        s = samples(lo, hi, 128)
+        for form in (pf, pf.d()):
+            for coeff in form.terms.values():
+                for f, g in coeff.terms:
+                    fd_check(f, s, kinks)
+                    fd_check(g, s, kinks)
+                    checked += 1
+    assert checked >= 2 * len(forms)
+    # the plateau bump of lutz-check, outside any form
+    for kind in ("quintic", "cubic"):
+        fd_check(ff.plateau_bump(1.0, kind), samples(-0.5, 1.5, 256),
+                 (0.0, 1 / 3, 2 / 3, 1.0))
 
 
 def test_profile_library_and_arithmetic():

@@ -140,8 +140,8 @@ def test_memo_arrays_are_read_only_and_the_scope_closes():
     pf.terms[2] = ff.ParamCoeff.of(ff.exp_fn(1.0))
     pf.at(x)
     assert ff._libm_memo.get() is None
-    pf.terms[4] = ff.ParamCoeff.of(ff.ProfileFn(
-        lambda s: 1 / 0, lambda s: 0.0, check=False))
+    pf.terms[4] = ff.ParamCoeff.of(ff.ProfileFn(lambda s: 1 / 0,
+                                                lambda s: 0.0))
     with pytest.raises(ZeroDivisionError):
         pf.at(x)
     assert ff._libm_memo.get() is None
