@@ -209,15 +209,8 @@ def positive_on_open_ray(p):
         return False, ("point", Q(1), Q(0))
     if _sign(p[-1]) <= 0:
         return False, ("leading", _sign(p[-1]))
-    n = count_roots_above(p, 0)
-    if n == 0:
-        # sign on (0, inf) is the leading sign once no roots lie there and
-        # p(x) != 0 just right of 0; x=0 roots are excluded from the ray.
-        probe = Q(1)
-        while evaluate(p, probe) <= 0:
-            probe /= 2
-            if probe < Q(1, 2**60):
-                return False, ("point", probe, evaluate(p, probe))
+    if count_roots_above(p, 0) == 0:
+        # no root in (0, inf) and a positive leading coefficient: p > 0 there
         return True, None
     bound = root_bound(p)
     a, b = isolate_root(p, Q(0), bound)

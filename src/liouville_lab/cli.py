@@ -72,13 +72,13 @@ def _json_default(x):
 
 
 def _load_matrix(path_or_inline):
-    """Matrix from a JSON file (row arrays; rationals as {num, den})."""
+    """Matrix from a JSON file (row arrays; rationals as {num, den}); JSON
+    of any other shape is a ValueError."""
     try:
         with open(path_or_inline) as fh:
             data = json.load(fh)
     except OSError:
         data = json.loads(path_or_inline)
-    rows = data["matrix"] if isinstance(data, dict) else data
 
     def conv(x):
         if isinstance(x, dict):
@@ -89,7 +89,11 @@ def _load_matrix(path_or_inline):
             return Fraction(x)
         return float(x)
 
-    return [[conv(x) for x in row] for row in rows]
+    try:
+        rows = data["matrix"] if isinstance(data, dict) else data
+        return [[conv(x) for x in row] for row in rows]
+    except (KeyError, TypeError, ZeroDivisionError) as err:
+        raise ValueError(f"malformed matrix: {err!r}") from err
 
 
 def _skew(path):

@@ -44,7 +44,6 @@ class CapExceededError(RuntimeError):
         self.violating_s = violating_s
 
 
-_FD_STEP = 1e-5  # the central-difference step of `ProfileFn.derivative`
 _LUTZ_EPS = 1.0  # the Lutz family lives on s in (-eps, eps)
 _SOL_S_MAX = 2.0  # the weak-filling fixture samples s in [-max, max]
 BISECTION_TOL = 1e-3  # the width at which min_c_search stops bisecting
@@ -141,14 +140,15 @@ class ProfileFn:
         return self.dfn(s)
 
     def derivative(self) -> "ProfileFn":
-        dfn = self.dfn
+        """The profile f', which has no derivative of its own: dp ^ dp = 0,
+        so ParamForm.d().d() differentiates each factor at most once."""
+        label = f"{self.label}'"
 
-        def numeric_second(s):
-            # queried only by diagnostics beyond second order, never by
-            # evaluation paths; a central difference suffices there
-            return (dfn(s + _FD_STEP) - dfn(s - _FD_STEP)) / (2 * _FD_STEP)
+        def no_second(s):
+            raise NotImplementedError(f"{label} is a derivative profile; "
+                                      "its derivative is not taken")
 
-        return ProfileFn(self.dfn, numeric_second, f"{self.label}'")
+        return ProfileFn(self.dfn, no_second, label)
 
     def __add__(self, other):
         other = as_profile(other)
@@ -1000,7 +1000,9 @@ def cutoff_liouville(pair, c: float, psi: ProfileFn) -> ParamForm:
 
 def cutoff_positive_on_grid(pair, c: float, psi: ProfileFn,
                             grid_n: int = 256):
-    """(min top of dbeta^n, argmin) over s in [-c-1, c+1]."""
+    """(min top of dbeta^n, argmin) over s in [-c-1, c+1], for a finite c."""
+    if not math.isfinite(c):
+        raise ValueError(f"cutoff constant must be finite, got {c}")
     pf = cutoff_liouville(pair, c, psi)
     return _min_top_power(pf, np.linspace(-c - 1.0, c + 1.0, grid_n + 1))
 

@@ -9,18 +9,17 @@ w-chains normalized by w0(v_k, w_k) = 1.  A real lam is the case where every
 conjugation is the identity; a complex chain lives in C^n and is realified
 as sqrt(2) (Re, -Im), which orients each 4x4 block to the printed (mu, nu)
 model.  Each block states the d x d unit of w1 and of J (d = 1 for a real
-eigenvalue, d = 2 for a conjugate pair) from which the model pair and the
-blockwise J are assembled.
+eigenvalue, d = 2 for a conjugate pair); one builder (_block_layout) lays
+out the model pair and the blockwise J from these units.
 
 Each pencil command, and each appendix-equivalence trial, analyses its
 pencil once (_analyse): both forms' nondegeneracy, B and its spectrum (the
 exact charpoly of a rational pencil, the float eigenvalues otherwise).
-Existence, the reduction and the construction read it.  The reduction and
-the construction walk one eps schedule (_reductions): the exact reduction
-alone when there is one, else float reductions at eps / 2^k over one
-clustering of the spectrum.  eps scales only the Jordan chains, so a walk
-stops after its first completed reduction without a chain.  The tamed-J
-sampler draws once: every Cayley perturbation of g-norm below 1 is tamed.
+Existence, the reduction and the construction read it.  The pencil is
+reduced once (_reduce): exactly when it can be, else in floats at the given
+eps, and the construction builds and verifies one J from that reduction.
+The tamed-J sampler draws once: every Cayley perturbation of g-norm below 1
+is tamed.
 
 Each question has one decision.  A rational form is nondegenerate when the
 Bareiss determinant of _poly.frac_det is nonzero (no Pfaffian); the
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from fractions import Fraction
 
 import numpy as np
@@ -55,7 +54,6 @@ from .exterior import EXACT, Coframe, Form
 Q = Fraction
 
 MAX_PENCIL_DIM = 12
-MAX_RETRIES = 6  # eps halvings of the one eps walk
 SUITE_DIM = 6  # dimension of the cayley and interpolation suite forms
 TAMING_EIG = 1e-10  # tames: min eig of sym(A J) > TAMING_EIG * scale
 OMEGA0_GATE = 1e-9  # a reduction passes with w0 residual <= OMEGA0_GATE
@@ -73,7 +71,7 @@ class CotamedExistenceError(ValueError):
 
 
 class RetryExhaustedError(RuntimeError):
-    """Verification kept failing after the epsilon-halving schedule."""
+    """The reduction or the J built from it failed its verification."""
 
 
 # -- one matrix or a stack ----------------------------------------------------------
@@ -301,7 +299,6 @@ class _Pencil:
                 charpoly, -_poly.root_bound(charpoly), 0) == 0
         return not np.any(_negative_real(self.spectrum))
 
-    @cached_property
     def floated(self) -> _Pencil:
         """The float record of a rational pencil, for the float reduction of
         a spectrum that is not rational and semisimple; the exact analysis
@@ -415,36 +412,43 @@ class PencilBlocks:
     omega1_residual: float
 
 
-def _model_matrices(blocks, eps=0.0):
-    """(A0_model, A1_model) in the block basis (v's first, then w's).
+def _block_layout(blocks, unit, eps=0.0) -> np.ndarray:
+    """A matrix in the block basis, from each block's d x d unit unit(b).
 
-    A block of chain length m with a d x d unit U of w1 has v_0..v_(m-1),
-    then w_0..w_(m-1), each d columns wide: w0(v_i, w_i) = I_d and
-    w1(v_i, w_i) = U.  A nonzero eps adds the chain couplings
-    w1(v_i, w_(i+1)) = eps I_d, the exact target of the transport.
+    A block of chain length m has v_0..v_(m-1), then w_0..w_(m-1), each d
+    columns wide.  Its (v, w) part M holds the unit at every (v_i, w_i)
+    and, for a nonzero eps, eps I_d at every (v_i, w_(i+1)); its (w, v)
+    part is -M^T, written whole.
     """
     size = sum(b.size for b in blocks)
-    a0 = np.zeros((size, size))
-    a1 = np.zeros((size, size))
+    out = np.zeros((size, size))
     at = 0
     for b in blocks:
-        unit = b.omega1_unit
-        d, m = len(unit), b.chain_length
-        big = d * m
-        lam_blk = np.zeros((big, big))
-        for i in range(0, big, d):
-            lam_blk[i:i + d, i:i + d] = unit
+        u = unit(b)
+        d = len(u)
+        big = d * b.chain_length
         v, w = slice(at, at + big), slice(at + big, at + 2 * big)
-        a0[v, w] = np.eye(big)
-        a0[w, v] = -np.eye(big)
-        a1[v, w] = lam_blk
-        a1[w, v] = -lam_blk.T
+        m = out[v, w]
+        for i in range(0, big, d):
+            m[i:i + d, i:i + d] = u
         if eps:
-            for i in range(at, at + big - d):
-                a1[i, big + d + i] += eps
-                a1[big + d + i, i] -= eps
+            np.fill_diagonal(m[:, d:], eps)
+        np.negative(m.T, out=out[w, v])
         at += 2 * big
-    return a0, a1
+    return out
+
+
+def _model_matrices(blocks, eps=0.0):
+    """(A0_model, A1_model): w0(v_i, w_i) = I_d and w1(v_i, w_i) = the
+    block's unit of w1.  A nonzero eps adds the chain couplings
+    w1(v_i, w_(i+1)) = eps I_d, the exact target of the transport."""
+    return (_block_layout(blocks, lambda b: np.eye(len(b.omega1_unit))),
+            _block_layout(blocks, lambda b: b.omega1_unit, eps))
+
+
+def _blockwise_j(blocks) -> np.ndarray:
+    """J in the block basis: each block's unit of J at every (v_i, w_i)."""
+    return _block_layout(blocks, lambda b: b.j_unit)
 
 
 def _cluster_eigenvalues(vals):
@@ -481,46 +485,30 @@ def simultaneous_reduce(a0: SkewForm, a1: SkewForm,
     complex (mu, nu) pairs.  Rational inputs whose endomorphism has rational
     spectrum and is diagonalizable take an exact path.
     """
-    return next(_reductions(_analyse(a0, a1), eps))
+    return _reduce(_analyse(a0, a1), eps)
 
 
-def _reductions(p: _Pencil, eps: float):
-    """The one eps walk: every reduction of p that passes the gates (w0
-    residual <= OMEGA0_GATE, w1 residual <= OMEGA1_GATE eps), in order.
-
-    An exact reduction, when one exists, is the only one.  Otherwise the
-    clusters of the float spectrum are formed once and the float reduction
-    runs at eps / 2^k for k = 0..MAX_RETRIES.  eps scales only the Jordan
-    chains, so the walk ends after any completed reduction with no chain
-    longer than 1.  Raises RetryExhaustedError when no reduction passes.
-    """
+def _reduce(p: _Pencil, eps: float) -> PencilBlocks:
+    """The one reduction of p: the exact reduction when there is one, else
+    the float reduction at eps, which must pass the gates (w0 residual <=
+    OMEGA0_GATE, w1 residual <= OMEGA1_GATE eps) or raise
+    RetryExhaustedError."""
     if p.exact:
         got = _try_exact_reduce(p)
         if got is not None:
-            yield got
-            return
-        p = p.floated
+            return got
+        p = p.floated()
     clusters = _cluster_eigenvalues(p.spectrum)
-    passed = False
-    last_error = None
-    for k in range(MAX_RETRIES + 1):
-        try:
-            result = _float_reduce(p, clusters, eps / 2 ** k)
-        except (ArithmeticError, np.linalg.LinAlgError) as err:
-            last_error = err
-            continue
-        if (result.omega0_residual <= OMEGA0_GATE
-                and result.omega1_residual <= OMEGA1_GATE * eps):
-            passed = True
-            yield result
-        else:
-            last_error = ArithmeticError(
-                f"residuals {result.omega0_residual:.2e}/{result.omega1_residual:.2e}"
-            )
-        if all(b.chain_length == 1 for b in result.blocks):
-            break
-    if not passed:
-        raise RetryExhaustedError(f"reduction failed after retries: {last_error}")
+    try:
+        result = _float_reduce(p, clusters, eps)
+    except (ArithmeticError, np.linalg.LinAlgError) as err:
+        raise RetryExhaustedError(f"reduction failed: {err}") from err
+    if (result.omega0_residual > OMEGA0_GATE
+            or result.omega1_residual > OMEGA1_GATE * eps):
+        raise RetryExhaustedError(
+            f"reduction failed: residuals "
+            f"{result.omega0_residual:.2e}/{result.omega1_residual:.2e}")
+    return result
 
 
 def _float_reduce(p: _Pencil, clusters, eps: float) -> PencilBlocks:
@@ -798,8 +786,7 @@ def construct_cotamed(a0: SkewForm, a1: SkewForm,
     Real blocks (eigenvalues are positive under the existence hypothesis)
     get the standard rotation per (v_j, w_j) pair; complex blocks get the
     phase structure J_phi with phi = pi - psi/2, psi = arg(mu + i nu).  The
-    result is verified against both forms, for each reduction of the eps
-    walk in turn (one, unless a Jordan chain makes eps matter).
+    result is verified against both forms.
     """
     return _construct(_analyse(a0, a1), eps)
 
@@ -808,43 +795,25 @@ def _construct(p: _Pencil, eps: float) -> ComplexStructure:
     """construct_cotamed of an analysed pencil."""
     if not p.ray_nondegenerate():
         raise CotamedExistenceError("pencil admits no cotamed structure")
-    last = None
-    for reduction in _reductions(p, eps):
-        jblocks = _blockwise_j(reduction.blocks)
-        basis = reduction.basis
-        # the conjugated structure squares to -I exactly in exact
-        # arithmetic; polishing removes the cond(basis)^2 float drift
-        j = _polish_square_root(basis @ jblocks @ np.linalg.inv(basis))
-        try:
-            cand = ComplexStructure(j)
-        except ValueError as err:
-            last = err
-            continue
+    reduction = _reduce(p, eps)
+    basis = reduction.basis
+    # the conjugated structure squares to -I exactly in exact arithmetic;
+    # polishing removes the cond(basis)^2 float drift
+    j = _polish_square_root(
+        basis @ _blockwise_j(reduction.blocks) @ np.linalg.inv(basis))
+    try:
+        cand = ComplexStructure(j)
+    except ValueError as err:
+        failure = err
+    else:
         if tames(p.a0, cand) and tames(p.a1, cand):
             return cand
-        last = ArithmeticError("blockwise J failed a taming verification")
+        failure = "blockwise J failed a taming verification"
     raise RetryExhaustedError(
-        f"cotamed construction failed after retries "
+        f"cotamed construction failed "
         f"(cond(A0)={np.linalg.cond(p.a0.to_array()):.2e}, "
-        f"cond(A1)={np.linalg.cond(p.a1.to_array()):.2e}): {last}"
+        f"cond(A1)={np.linalg.cond(p.a1.to_array()):.2e}): {failure}"
     )
-
-
-def _blockwise_j(blocks) -> np.ndarray:
-    """J in the block basis: each block's d x d unit U of J at every
-    (v_i, w_i) position and -U^T at (w_i, v_i)."""
-    size = sum(b.size for b in blocks)
-    j = np.zeros((size, size))
-    at = 0
-    for b in blocks:
-        unit = b.j_unit
-        d = len(unit)
-        big = d * b.chain_length
-        for i in range(at, at + big, d):
-            j[i:i + d, big + i:big + i + d] = unit
-            j[big + i:big + i + d, i:i + d] = -unit.T
-        at += 2 * big
-    return j
 
 
 # -- Cayley transform for complex structures ---------------------------------------

@@ -643,6 +643,37 @@ def test_degenerate_pencil_is_an_input_error(capsys, command, which, kind):
     assert captured.err == f"input error: omega_{which} is degenerate\n"
 
 
+@pytest.mark.parametrize("matrix, error", [
+    ('{"a": 1}', "KeyError('matrix')"),
+    ('[[{"num": 1}]]', "KeyError('den')"),
+    ('[[{"num": 1, "den": 0}]]', "ZeroDivisionError('Fraction(1, 0)')"),
+    ("5", "TypeError(\"'int' object is not iterable\")"),
+    ("[[0, 1], [-1, null]]", "TypeError(\"float() argument must be a string "
+                             "or a real number, not 'NoneType'\")"),
+])
+@pytest.mark.parametrize("which", [0, 1])
+def test_malformed_matrix_json_is_an_input_error(capsys, matrix, error,
+                                                 which):
+    forms = [json.dumps(REMARK_O0), json.dumps(REMARK_O1)]
+    forms[which] = matrix
+    code = run(["cotame", "--omega0", forms[0], "--omega1", forms[1],
+                "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"input error: malformed matrix: {error}\n"
+
+
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+def test_cutoff_constant_must_be_finite(capsys, c):
+    # a grid over a non-finite interval is all NaN and has no minimum
+    assert run(["cutoff", "--pair", "totreal:2", f"--c={c}", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"input error: cutoff constant must be finite, got {float(c)}\n")
+
+
 def mixed_pencil(name):
     """A PENCILS entry with omega_1 given in floats: a rational omega_0 and
     a float omega_1."""

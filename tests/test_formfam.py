@@ -138,6 +138,17 @@ def test_library_constructors_pass_the_fd_reference():
         fd_check(p, s, kinks)
 
 
+def test_derivative_profile_has_no_second_derivative():
+    f = ff.sin_fn(2.0)
+    fp = f.derivative()
+    assert fp(0.3) == f.deriv(0.3)
+    for p in (fp, 3.0 * fp, fp * ff.exp_fn(1.0)):
+        with pytest.raises(NotImplementedError,
+                           match=r"sin\(2\.0s\+0\.0\)' is a derivative "
+                                 r"profile; its derivative is not taken"):
+            p.deriv(0.3)
+
+
 def cli_forms(key):
     """(ParamForm, sample interval, kinks) of each form the family commands
     build for a pair: the torsion family (giroux-torsion, reeb), lambda_k
@@ -157,16 +168,22 @@ def cli_forms(key):
 
 @pytest.mark.parametrize("key", ["sol:2,1,1,1", "totreal:2", "geiges:2"])
 def test_cli_family_factors_pass_the_fd_reference(key):
+    # a factor of pf.d() made by derivative() has no derivative of its own
+    # (its values are those of the checked analytic derivative); every
+    # other factor is checked
     forms, checked = cli_forms(key), 0
     for pf, (lo, hi), kinks in forms:
         s = samples(lo, hi, 128)
         for form in (pf, pf.d()):
             for coeff in form.terms.values():
-                for f, g in coeff.terms:
-                    fd_check(f, s, kinks)
-                    fd_check(g, s, kinks)
+                for p in (q for pair in coeff.terms for q in pair):
+                    try:
+                        fd_check(p, s, kinks)
+                    except NotImplementedError:
+                        assert form is not pf
+                        continue
                     checked += 1
-    assert checked >= 2 * len(forms)
+    assert checked >= 4 * len(forms)
     # the plateau bump of lutz-check, outside any form
     for kind in ("quintic", "cubic"):
         fd_check(ff.plateau_bump(1.0, kind), samples(-0.5, 1.5, 256),

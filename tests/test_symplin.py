@@ -1162,7 +1162,7 @@ def test_ill_conditioned_exact_pencil_fails_after_one_reduction(
     with pytest.raises(sl.RetryExhaustedError) as err:
         sl.construct_cotamed(a0, a1)
     assert str(err.value) == (
-        "cotamed construction failed after retries (cond(A0)=1.07e+01, "
+        "cotamed construction failed (cond(A0)=1.07e+01, "
         "cond(A1)=1.24e+01): matrix does not square to -identity")
     assert len(exact_reductions) == 1
 
@@ -1189,19 +1189,19 @@ def float_reductions(monkeypatch):
     return seen
 
 
-def test_float_pencil_keeps_its_eps_retries(monkeypatch, exact_reductions,
-                                            float_reductions):
+def test_failing_float_chain_pencil_is_reduced_once(monkeypatch,
+                                                   exact_reductions,
+                                                   float_reductions):
     # with every taming check failing, a float pencil with a Jordan chain is
-    # reduced once per eps halving, over one clustering of its spectrum;
-    # eps does not reach a chain-free reduction, float or exact, so those
-    # are reduced once
+    # reduced once, at the given eps, over one clustering of its spectrum;
+    # so are a chain-free float pencil and an exact one
     seen = float_reductions
     calls = {}
     counted_calls(monkeypatch, sl, "_cluster_eigenvalues", calls)
     monkeypatch.setattr(sl, "tames", lambda a, j, tol=1e-10: False)
     with pytest.raises(sl.RetryExhaustedError, match="taming verification"):
-        sl.construct_cotamed(*chain_pencil(3))
-    assert seen == [1e-3 / 2 ** k for k in range(7)]
+        sl.construct_cotamed(*chain_pencil(3), eps=2e-3)
+    assert seen == [2e-3]
     assert calls == {"_cluster_eigenvalues": 1}
     a0, a1 = congruent_rational_pencil([Q(1, 2), 3], P4)
     fa0, fa1 = sl.SkewForm(a0.to_array()), sl.SkewForm(a1.to_array())
@@ -1213,12 +1213,29 @@ def test_float_pencil_keeps_its_eps_retries(monkeypatch, exact_reductions,
     assert len(exact_reductions) == 1
 
 
-def test_reduction_walk_ends_at_the_first_passing_reduction(
-        float_reductions):
-    # pencil-reduce takes the first reduction of the walk, chain or not
+def test_pencil_reduce_takes_the_one_reduction(float_reductions):
+    # pencil-reduce reduces a chain pencil once, at the given eps
     red = sl.simultaneous_reduce(*chain_pencil(3))
     assert [b.chain_length for b in red.blocks] == [2]
     assert float_reductions == [1e-3] and red.eps == 1e-3
+
+
+def test_float_reduction_failing_its_gate_is_not_retried(monkeypatch):
+    # a float chain reduction that misses the w1 gate at eps raises at once
+    seen = []
+    real = sl._float_reduce
+
+    def off_gate(pencil, clusters, eps):
+        seen.append(eps)
+        red = real(pencil, clusters, eps)
+        red.omega1_residual = 11 * eps
+        return red
+
+    monkeypatch.setattr(sl, "_float_reduce", off_gate)
+    with pytest.raises(sl.RetryExhaustedError,
+                       match=r"^reduction failed: residuals "):
+        sl.simultaneous_reduce(*chain_pencil(3))
+    assert seen == [1e-3]
 
 
 def test_rational_pencil_needs_no_pfaffian_and_no_float_solve(monkeypatch):
