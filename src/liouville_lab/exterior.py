@@ -2,8 +2,9 @@
 
 A form is a sparse sum of coefficient * blade, where a blade is a strictly
 increasing tuple of coframe indices stored as a bitmask (dims up to 16).
-Coefficients live in one of two scalar rings: exact rationals (`Fraction`)
-or float64, where a coefficient may also be an array over a sample axis.
+Coefficients live in one of two scalar rings: exact rationals (`Fraction`),
+where a zero coefficient is dropped, or float64, where a coefficient may also
+be an array over a sample axis and none is dropped.
 The listed coframe order fixes the orientation: the wedge of all covectors
 in listed order is the positive volume form, and every sign reported by
 `top_coefficient` is relative to that order.
@@ -45,9 +46,10 @@ class _Float64Ring(ScalarRing):
     """float64 coefficients: one float, or one float64 array per blade.
 
     An array holds the coefficient at every point of a sample axis, so the
-    unchanged wedge code evaluates a whole grid in one pass, each element
-    with the same IEEE operations as the scalar path.  A blade is dropped
-    only when its coefficient vanishes at every sample.
+    unchanged wedge code evaluates a whole grid in one pass.  No blade is
+    dropped, not even one whose coefficient is zero: the sums then run in
+    an order that does not depend on the values, and each element of a grid
+    gets the same IEEE operations as its own scalar evaluation.
     """
 
     def coerce(self, x):
@@ -56,9 +58,7 @@ class _Float64Ring(ScalarRing):
         return float(x)
 
     def is_zero(self, x) -> bool:
-        if isinstance(x, np.ndarray):
-            return not x.any()
-        return x == 0
+        return False
 
 
 EXACT = ScalarRing("exact-rational")
@@ -214,7 +214,7 @@ class Form:
         return hash((self.coframe, self.degree, tuple(sorted(self.terms.items()))))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not any(np.any(c != 0) for c in self.terms.values())
 
     # -- products ------------------------------------------------------------
 

@@ -13,8 +13,8 @@ certificates of the algebra layer.
 Grid verdicts are evaluated in one batched pass: the profiles take float64
 arrays, `ParamForm.at` takes arrays of sample points, and the float64 ring
 of the exterior engine carries one array per blade, so `wedge` and `power`
-run once per grid.  Each sample keeps the value, to the bit, that its own
-scalar evaluation gives (see `_grid_tops`).
+run once per grid.  That ring drops no blade, so each sample keeps the
+value, to the bit, that its own scalar evaluation gives (see `_grid_tops`).
 """
 
 from __future__ import annotations
@@ -125,8 +125,11 @@ class ProfileFn:
     arithmetic.
 
     It takes a float or, element by element, a float64 array of samples
-    (a constant may come back as a scalar).
+    (a constant may come back as a scalar).  `constant` marks the profiles
+    of `const`, whose derivative ParamCoeff leaves out.
     """
+
+    constant = False
 
     def __init__(self, fn, dfn, label="f"):
         self.fn = fn
@@ -192,7 +195,9 @@ def as_profile(x) -> ProfileFn:
 
 def const(c) -> ProfileFn:
     c = float(c)
-    return ProfileFn(lambda s: c, lambda s: 0.0, f"{c}")
+    out = ProfileFn(lambda s: c, lambda s: 0.0, f"{c}")
+    out.constant = True
+    return out
 
 
 def linear(a, b=0.0) -> ProfileFn:
@@ -283,7 +288,11 @@ def lutz_twist_profile(k: int, eps=1.0, kind="quintic") -> ProfileFn:
 
 
 class ParamCoeff:
-    """Sum of separable products f(p1) g(p2), closed under d/dp1, d/dp2."""
+    """Sum of separable products f(p1) g(p2), closed under d/dp1, d/dp2.
+
+    A derivative leaves out each product whose differentiated factor is a
+    `const`, so a coefficient that is zero by construction has no terms.
+    """
 
     __slots__ = ("terms",)
 
@@ -299,10 +308,12 @@ class ParamCoeff:
         return sum(f(u) * g(v) for f, g in self.terms)
 
     def d1_coeff(self) -> "ParamCoeff":
-        return ParamCoeff([(f.derivative(), g) for f, g in self.terms])
+        return ParamCoeff([(f.derivative(), g) for f, g in self.terms
+                           if not f.constant])
 
     def d2_coeff(self) -> "ParamCoeff":
-        return ParamCoeff([(f, g.derivative()) for f, g in self.terms])
+        return ParamCoeff([(f, g.derivative()) for f, g in self.terms
+                           if not g.constant])
 
     def plus(self, other) -> "ParamCoeff":
         return ParamCoeff(self.terms + other.terms)
@@ -357,10 +368,11 @@ class ParamForm:
 
         With arrays every coefficient is a float64 array over the samples,
         element for element the value the scalar call gives; each libm
-        profile is computed once per sample array (`_libm_scope`).
+        profile is computed once per sample array (`_libm_scope`).  A
+        coefficient without terms is left out.
         """
         with _libm_scope():
-            vals = {m: c(u, v) for m, c in self.terms.items()}
+            vals = {m: c(u, v) for m, c in self.terms.items() if c.terms}
         shape = np.broadcast_shapes(np.shape(u), np.shape(v))
         if shape:
             vals = {m: np.broadcast_to(x, shape) for m, x in vals.items()}
@@ -529,35 +541,12 @@ def _grid_points(interval, grid_n):
 def _grid_tops(build, forms, n):
     """Top coefficients of build(*forms) at each of n samples, in one pass.
 
-    The forms carry float64 arrays over the samples.  Evaluated one sample
-    at a time, the engine drops the coefficients that vanish there, which
-    changes the order its sums run in; so samples are grouped by which
-    coefficients vanish, and each group gets one pass over exactly the
-    blades its samples keep.  Element i is then the top coefficient of
-    build at sample i alone, bit for bit (a zero as +0.0, as there).  Only
-    an intermediate sum that cancels to exactly zero at some but not all
-    samples of a group could still reorder later sums at those samples;
-    the property tests of this equality have not produced one.
+    The forms carry float64 arrays over the samples.  The float ring keeps
+    every blade, zero or not, so the engine runs the same sums in the same
+    order at every sample: element i is the top coefficient of build at
+    sample i alone, bit for bit (a zero as +0.0).
     """
-    out = np.empty(n)
-    cols = [np.broadcast_to(c, (n,)) for f in forms for c in f.terms.values()]
-    zero = np.stack(cols, axis=1) == 0 if cols else np.zeros((n, 0), bool)
-    if not zero.any():
-        out[:] = build(*forms).top_coefficient()
-        return out + 0.0
-    # a stable sort on the packed rows lists each group's samples in
-    # ascending order; a group ends where the next row differs
-    key = np.packbits(zero, axis=1)
-    order = np.lexsort(key.T)
-    key = key[order]
-    ends = np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + 1
-    for idx in np.split(order, ends):
-        sub = [Form(f.coframe, f.degree,
-                    {m: np.broadcast_to(c, (n,))[idx]
-                     for m, c in f.terms.items()}, FLOAT64)
-               for f in forms]
-        out[idx] = build(*sub).top_coefficient()
-    return out + 0.0
+    return np.broadcast_to(build(*forms).top_coefficient(), (n,)) + 0.0
 
 
 def _grid_min(values, points):
@@ -1000,11 +989,18 @@ def cutoff_liouville(pair, c: float, psi: ProfileFn) -> ParamForm:
 
 def cutoff_positive_on_grid(pair, c: float, psi: ProfileFn,
                             grid_n: int = 256):
-    """(min top of dbeta^n, argmin) over s in [-c-1, c+1], for a finite c."""
+    """(min top of dbeta^n, argmin) over s in [-c-1, c+1], for a finite c
+    whose grid stays inside the float64 range."""
     if not math.isfinite(c):
         raise ValueError(f"cutoff constant must be finite, got {c}")
     pf = cutoff_liouville(pair, c, psi)
-    return _min_top_power(pf, np.linspace(-c - 1.0, c + 1.0, grid_n + 1))
+    try:
+        with np.errstate(over="raise"):
+            return _min_top_power(
+                pf, np.linspace(-c - 1.0, c + 1.0, grid_n + 1))
+    except (OverflowError, FloatingPointError) as err:
+        raise ValueError(f"cutoff constant {c} overflows float64 on the "
+                         f"grid: {err}") from err
 
 
 def _min_top_power(pf: ParamForm, s):
@@ -1044,16 +1040,12 @@ def min_c_search(pair, psi: ProfileFn, grid_n: int = 256,
 
 
 def ideal_annulus_check(grid_n: int = 512) -> float:
-    """max |sin s (cot s dθ + dt) - (cos s dθ + sin s dt)| on (0, pi)."""
-    worst = 0.0
-    for i in range(1, grid_n):
-        s = math.pi * i / grid_n
-        worst = max(
-            worst,
-            abs(math.sin(s) * (math.cos(s) / math.sin(s)) - math.cos(s)),
-            abs(math.sin(s) * 1.0 - math.sin(s)),
-        )
-    return worst
+    """max |sin s (cot s dθ + dt) - (cos s dθ + sin s dt)| on (0, pi).
+
+    The dt parts agree identically, so only the dθ part is sampled.
+    """
+    s = np.pi * np.arange(1, grid_n) / grid_n
+    return _grid_sup(np.abs(np.sin(s) * (np.cos(s) / np.sin(s)) - np.cos(s)))
 
 
 def gt_reparam_check(pair, grid_n: int = 512) -> float:
@@ -1062,18 +1054,14 @@ def gt_reparam_check(pair, grid_n: int = 512) -> float:
     Compares sin(s) [dt + (e^u a+ + e^-u a-)/2] with the family form
     coefficientwise on an interior grid of (0, pi).
     """
-    pair = _as_pair(pair)
-    triple = gt_form(pair, 1)
-    worst = 0.0
-    for i in range(1, grid_n):
-        s = math.pi * i / grid_n
-        u = math.log((1 + math.cos(s)) / math.sin(s))
-        sin_s = math.sin(s)
-        fpred = sin_s * math.exp(u) / 2
-        gpred = sin_s * math.exp(-u) / 2
-        worst = max(worst, abs(fpred - triple.f(s)), abs(gpred - triple.g(s)),
-                    abs(sin_s - triple.h(s)))
-    return worst
+    triple = gt_form(_as_pair(pair), 1)
+    s = np.pi * np.arange(1, grid_n) / grid_n
+    sin_s = np.sin(s)
+    u = np.log((1 + np.cos(s)) / sin_s)
+    return _grid_sup(np.abs(np.concatenate([
+        sin_s * np.exp(u) / 2 - triple.f(s),
+        sin_s * np.exp(-u) / 2 - triple.g(s),
+        sin_s - triple.h(s)])))
 
 
 # -- agreement between the exact pair certificate and the direct grid ---------------

@@ -111,7 +111,8 @@ class LieAlgebra:
         """d of the form with blade coefficients `terms` (mask -> coeff).
 
         The linear extension of `_d_blade`, summed pair by pair in `ring`;
-        a blade whose sum cancels is dropped and re-enters at the end.
+        in the exact ring a blade whose sum cancels is dropped and re-enters
+        at the end, while the float ring drops nothing.
         """
         out = {}
         for mask, c in terms.items():

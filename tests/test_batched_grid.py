@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liouville_lab import cli
 from liouville_lab import formfam as ff
 from liouville_lab import liealg
 
@@ -140,9 +141,10 @@ def test_batched_tops_match_per_sample(pf, extra, v_extra):
 
 
 def test_vanishing_coefficient_keeps_the_per_sample_sum_order():
-    # at s = 2 pi the coefficient (1 - cos s)/2 is exactly zero, and the
-    # per-sample engine drops it; a single pass over all blades would add
-    # the terms of (d lambda)^3 in another order there and round otherwise
+    # at s = 2 pi the coefficient (1 - cos s)/2 is exactly zero; the engine
+    # keeps it, so the sample and the single pass over all blades add the
+    # terms of (d lambda)^3 in one order (an engine that dropped it at that
+    # sample alone would add them in another and round otherwise)
     pf = ff.ParamForm(("du",), (), ALGEBRAS["geiges:3"].algebra, 1, {})
     pf.terms[1 << 3] = ff.ParamCoeff.of(ff.sin_fn() * 2.5)
     pf.terms[1 << 4] = ff.ParamCoeff.of(ff.sin_fn() * 2.5)
@@ -281,3 +283,50 @@ def test_weak_filling_grid_matches_per_sample():
     assert_same_bits(batched(build, [dbeta], u, v), values)
     assert bits(res.min_top) == bits(min([math.inf] + values))
     assert res.passed
+
+
+# -- the families workload against the old rule of dropping zero blades -------------
+
+
+class _DroppingRing(type(ff.FLOAT64)):
+    """float64 scalars under the rule the float ring once had: a zero
+    coefficient is dropped, which reorders the sums wherever one is zero."""
+
+    def is_zero(self, x):
+        return x == 0
+
+
+DROPPING = _DroppingRing(ff.FLOAT64.kind)
+
+
+def test_families_workload_grids_match_the_dropping_ring(monkeypatch, capsys):
+    # every grid of the families benchmark's commands and fixture, each
+    # sample against its own evaluation with zero blades dropped
+    grid_tops = ff._grid_tops
+    seen = []
+
+    def checked(build, forms, n):
+        got = grid_tops(build, forms, n)
+        want = [build(*[
+            ff.Form(f.coframe, f.degree,
+                    {m: float(np.broadcast_to(c, (n,))[i])
+                     for m, c in f.terms.items()}, DROPPING)
+            for f in forms]).top_coefficient() + 0.0 for i in range(n)]
+        assert_same_bits(got, want)
+        seen.append(n)
+        return got
+
+    monkeypatch.setattr(ff, "_grid_tops", checked)
+    for argv in (
+        "giroux-torsion --pair sol:2,1,1,1 --k 3 --grid 8192",
+        "giroux-torsion --pair totreal:3 --k 1 --grid 1024",
+        "giroux-torsion --pair geiges:2 --k 2 --grid 2048",
+        "lutz-check --pair sol:2,1,1,1 --k 2 --tau 0.61",
+        "lutz-check --pair totreal:2 --k 1 --tau 0.23",
+        "cutoff --pair sol:2,1,1,1 --profile quintic",
+        "cutoff --pair totreal:2 --profile cubic",
+    ):
+        assert cli.run(argv.split() + ["--json"]) == 0
+    capsys.readouterr()
+    assert ff.sol_weak_filling_fixture(0.0042, 128).passed
+    assert len(seen) > 40 and seen[-1] == 128 * 128

@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -365,7 +366,6 @@ def float_pencil(seed, blocks):
     standard normal from the seed; ("real", lam, m) is a chain of length m
     with couplings w1(v_i, w_(i+1)) = 1e-3 (the default eps), and
     ("complex", mu, nu) one 4x4 block."""
-    import numpy as np
     size = sum(2 * b[2] if b[0] == "real" else 4 for b in blocks)
     a0 = np.zeros((size, size))
     a1 = np.zeros((size, size))
@@ -512,6 +512,38 @@ def test_reduce_then_reassemble_round_trip(data):
     t1 = congruence(basis, a1.matrix)
     assert max(abs(float(x - y)) for r, s in zip(t1, model1)
                for x, y in zip(r, s)) <= red.omega1_residual
+
+
+@st.composite
+def chain_pencils(draw):
+    """(seed, blocks) for `float_pencil`: up to two real chains of length 1
+    or 2 at distinct eigenvalues and one complex block, in any order."""
+    lams = draw(st.lists(st.sampled_from([-2.0, -0.5, 0.5, 1.5, 3.0]),
+                         max_size=2, unique=True))
+    blocks = [("real", lam, draw(st.integers(1, 2))) for lam in lams]
+    blocks.insert(draw(st.integers(0, len(blocks))),
+                  ("complex", draw(st.sampled_from([-1.0, 0.5, 1.0])),
+                   draw(st.sampled_from([0.75, 1.25, 1.5]))))
+    return draw(st.integers(0, 2 ** 16)), blocks
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(chain_pencils())
+def test_float_chain_pencils_reassemble_from_their_reduction(drawn):
+    seed, blocks = drawn
+    a0, a1 = (np.array(json.loads(m)) for m in float_pencil(seed, blocks))
+    red = sl.simultaneous_reduce(sl.SkewForm(a0), sl.SkewForm(a1), 1e-3)
+    assert red.omega0_residual <= sl.OMEGA0_GATE
+    assert red.omega1_residual <= sl.OMEGA1_GATE * red.eps
+    assert sorted(b.chain_length for b in red.blocks
+                  if isinstance(b, sl.RealBlock)) == \
+        sorted(m for kind, _, m in blocks if kind == "real")
+    # the model pair with its chain couplings, carried back by basis^-1,
+    # is the input pair to the relative accuracy the reduction gates on
+    inv = np.linalg.inv(red.basis)
+    for a, model in zip((a0, a1), sl._model_matrices(red.blocks, red.eps)):
+        err = np.max(np.abs(inv.T @ model @ inv - a)) / np.max(np.abs(a))
+        assert err <= (sl.OMEGA0_GATE if a is a0 else 1e-6)
 
 
 def test_numfield_torsion_from_the_main_unit_search(capture):
@@ -672,6 +704,20 @@ def test_cutoff_constant_must_be_finite(capsys, c):
     assert captured.out == ""
     assert captured.err == (
         f"input error: cutoff constant must be finite, got {float(c)}\n")
+
+
+@pytest.mark.parametrize("pair", ["totreal:2", "sol:2,1,1,1", "geiges:2",
+                                  "totreal:3"])
+@pytest.mark.parametrize("c", ["400", "1e200"])
+def test_cutoff_constant_beyond_float64_is_an_input_error(capsys, pair, c):
+    # e^(c+1) overflows from c = 709, and the top coefficients from c = 354
+    # (235 for totreal:3); no verdict may rest on the samples that survive
+    assert run(["cutoff", "--pair", pair, f"--c={c}", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"input error: cutoff constant {float(c)} overflows float64 on the "
+        "grid: ")
 
 
 def mixed_pencil(name):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +48,17 @@ CF4 = Coframe(("dx", "dy", "dz", "dw"))
 def test_wedge_repeated_covector_vanishes():
     dx = Form.covector(CF4, "dx")
     assert dx.wedge(dx).is_zero()
+
+
+def test_float_form_of_zeros_is_zero():
+    # the float ring keeps zero coefficients; is_zero reads their values
+    for zero in (0.0, -0.0, np.zeros(3)):
+        a = Form(CF4, 1, {1: zero, 2: zero}, FLOAT64)
+        assert len(a.terms) == 2 and a.is_zero()
+    assert not Form(CF4, 1, {1: 0.0, 2: np.array([0.0, 1e-300])},
+                    FLOAT64).is_zero()
+    dx = Form.covector(CF4, 0, FLOAT64)
+    assert (dx - dx).terms == {1: 0.0} and (dx - dx).is_zero()
 
 
 def test_wedge_anticommutes():

@@ -1,5 +1,6 @@
-"""The float grid evaluator: the libm memo of `ParamForm.at`, the packed
-grouping of `_grid_tops` and the array grid of `_grid_points`.
+"""The float grid evaluator: the libm memo of `ParamForm.at`, the single
+pass of `_grid_tops` over forms that keep their zero coefficients and the
+array grid of `_grid_points`.
 
 Each is checked against a per-sample or set-based reference, bit for bit.
 """
@@ -147,7 +148,7 @@ def test_memo_arrays_are_read_only_and_the_scope_closes():
     assert ff._libm_memo.get() is None
 
 
-# -- grouping by the packed zero pattern ---------------------------------------------
+# -- one pass over wide zero patterns ------------------------------------------------
 
 
 def test_grid_tops_groups_wide_zero_patterns():
@@ -182,17 +183,6 @@ def test_grid_tops_groups_wide_zero_patterns():
             for i in range(n)]
     assert sum(len(f.terms) for f in forms) == ncols
     np.testing.assert_array_equal(bits(got), bits(want))
-
-    # each pass sees exactly the blades its samples keep: a group mixing
-    # two patterns would keep a blade that vanishes at one of its samples
-    def blades_kept(*fs):
-        shape = np.broadcast_shapes(
-            *(np.shape(c) for f in fs for c in f.terms.values()))
-        count = float(sum(len(f.terms) for f in fs))
-        return Form.volume(cf, np.full(shape, count), FLOAT64)
-
-    np.testing.assert_array_equal(ff._grid_tops(blades_kept, forms, n),
-                                  (vals != 0).sum(axis=1))
 
 
 # -- the grid points --------------------------------------------------------------

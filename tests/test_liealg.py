@@ -285,6 +285,20 @@ def test_liouville_pair_positive_and_replayable():
     assert cert.replay()
 
 
+def test_exact_sign_certificates_replay_their_sign():
+    p = liealg.totally_real(2)
+    cert = liealg.contact_check(p.algebra, p.alpha_plus)
+    assert cert.kind == "exact-sign" and cert.replay()
+    for value, verdict in ((Q(3, 2), "positive"), (Q(-2), "negative"),
+                           (Q(0), "indefinite")):
+        cert = liealg.PositivityCertificate(verdict, "exact-sign", "",
+                                            value=value)
+        assert cert.replay()
+        for other in {"positive", "negative", "indefinite"} - {verdict}:
+            cert.verdict = other
+            assert not cert.replay()
+
+
 def test_liouville_pair_check_requires_exact_forms():
     p = liealg.totally_real(2)
     for ap, am in ((p.alpha_plus.to_float(), p.alpha_minus),

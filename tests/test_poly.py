@@ -71,6 +71,30 @@ def test_positive_on_open_ray():
     assert not ok
 
 
+def test_positive_on_01_witnesses_an_interior_root():
+    # both endpoint values positive, so the witness comes from isolation
+    p = poly.poly([Q(1, 5), -1, 1])   # roots (1 -+ 1/sqrt(5)) / 2
+    ok, (kind, m, value) = poly.positive_on_01(p)
+    assert not ok and kind == "point"
+    assert 0 < m < 1 and value == poly.evaluate(p, m) and value <= 0
+    p = poly.poly([Q(3, 16), -1, 1])  # (x - 1/4)(x - 3/4)
+    ok, (kind, a, b) = poly.positive_on_01(p)
+    assert not ok and kind == "root-interval"
+    assert b == Q(1, 4) and 0 < b - a <= Q(1, 2 ** 40)
+    assert poly.evaluate(p, (a + b) / 2) > 0
+
+
+def test_positive_on_open_ray_witnesses():
+    assert poly.positive_on_open_ray([]) == (False, ("point", 1, 0))
+    assert poly.positive_on_open_ray(poly.poly([1, -1])) == \
+        (False, ("leading", -1))   # 1 - x
+    p = poly.poly([Q(3, 16), -1, 1])  # (x - 1/4)(x - 3/4)
+    ok, (kind, a, b) = poly.positive_on_open_ray(p)
+    assert not ok and kind == "root-interval"
+    assert b == Q(1, 4) and 0 < b - a <= Q(1, 2 ** 40)
+    assert poly.count_roots(p, a, b) == 1
+
+
 def test_isolate_root_brackets():
     p = poly.poly([-2, 0, 1])   # root at sqrt(2)
     a, b = poly.isolate_root(p, 1, 2)
