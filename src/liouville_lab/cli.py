@@ -365,8 +365,13 @@ def _cmd_geiges(args):
 def _cmd_suite(args):
     name = args.name
     if name == "appendix-equivalence":
+        dims = _int_list(args.dims)
+        if len(set(dims)) < len(dims):
+            # per_dim keys on the dimension: a repeat would run its draws
+            # twice and report them once
+            raise UsageError(f"--dims repeats a dimension: {args.dims}")
         rep_data = symplin.appendix_equivalence_suite(
-            args.trials, dims=tuple(_int_list(args.dims)), seed=args.seed)
+            args.trials, dims=tuple(dims), seed=args.seed)
     elif name == "cayley":
         rep_data = symplin.cayley_roundtrip_suite(args.trials, seed=args.seed)
     elif name == "interpolation":

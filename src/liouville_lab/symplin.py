@@ -18,6 +18,11 @@ exact charpoly of a rational pencil, the float eigenvalues otherwise).
 Existence, the reduction and the construction read it.  The pencil is
 reduced once (_reduce): exactly when it can be, else in floats at the given
 eps, and the construction builds and verifies one J from that reduction.
+The float reduction and the construction take a stack of pencils that
+share one block layout, and one pencil runs as a stack of one.  The Jordan
+blocks of a skew pencil come in equal pairs, so a 2-dimensional
+generalized eigenspace carries no chain, and the pencils of a stack split
+it together; only a larger one is split pencil by pencil.
 The tamed-J sampler draws once: every Cayley perturbation of g-norm below 1
 is tamed.
 
@@ -36,7 +41,8 @@ one matrix or an (N, n, n) stack and gives every matrix the bits of its own
 interpolation, appendix-equivalence and cocompatible suites run their
 trials as stacks of at most _TRIAL_STACK, each trial drawing from its own
 generator in the per-trial order, and raise what a per-trial loop would
-raise first.
+raise first; the appendix-equivalence suite builds its cotamed structures
+in one stack per block layout.
 """
 
 from __future__ import annotations
@@ -102,15 +108,17 @@ def _diag(v: np.ndarray) -> np.ndarray:
 class SkewForm:
     """Antisymmetric bilinear form w(v, w) = v^T A w; exact or float."""
 
-    matrix: object  # list-of-lists of Fractions, or np.ndarray
+    # list-of-lists of Fractions, or a float np.ndarray: one matrix or an
+    # (N, n, n) stack of them
+    matrix: object
 
     def __post_init__(self):
         if isinstance(self.matrix, np.ndarray):
             a = self.matrix
-            if a.shape[0] != a.shape[1]:
+            if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
                 raise ValueError("square matrix required")
-            _require_pencil_dim(a.shape[0])
-            if np.max(np.abs(a + a.T)) > 1e-12 * max(1.0, np.max(np.abs(a))):
+            _require_pencil_dim(a.shape[-1])
+            if np.any(_amax(a + _t(a)) > 1e-12 * np.fmax(1.0, _amax(a))):
                 raise ValueError("matrix is not antisymmetric")
             self.exact = False
         else:
@@ -128,7 +136,7 @@ class SkewForm:
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return len(self.matrix) if self.exact else self.matrix.shape[-1]
 
     def to_array(self) -> np.ndarray:
         if isinstance(self.matrix, np.ndarray):
@@ -150,8 +158,9 @@ class SkewForm:
 
 
 def _require_pencil_dim(n: int) -> None:
-    if n % 2 or n > MAX_PENCIL_DIM:
-        raise ValueError(f"dimension must be even and <= {MAX_PENCIL_DIM}")
+    if n < 2 or n % 2 or n > MAX_PENCIL_DIM:
+        raise ValueError(
+            f"dimension must be even and between 2 and {MAX_PENCIL_DIM}")
 
 
 def standard_omega(n2: int) -> SkewForm:
@@ -169,7 +178,8 @@ def standard_omega(n2: int) -> SkewForm:
 
 @dataclass
 class ComplexStructure:
-    """Matrix J with J^2 = -I (1e-10 in float, exact for rational input)."""
+    """Matrix J with J^2 = -I (1e-10 in float, exact for rational input);
+    one matrix or an (N, n, n) stack of them."""
 
     matrix: np.ndarray
 
@@ -179,7 +189,7 @@ class ComplexStructure:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 def _require_square_minus_identity(J: np.ndarray) -> None:
@@ -207,9 +217,11 @@ def _nondegenerate(arr: np.ndarray):
                                                           arr.shape[:-2])
 
 
-def tames(a: SkewForm, j: ComplexStructure) -> bool:
+def tames(a: SkewForm, j: ComplexStructure):
     """w tames J iff the symmetric part of A J is positive definite;
-    decided exactly for a rational form and an exactly integral J."""
+    decided exactly for a rational form and an exactly integral J.  Of one
+    pair (a bool), or of each pair of a stack of float forms and structures
+    (a bool array)."""
     if a.dim != j.dim:
         raise ValueError("dimension mismatch")
     if a.exact:
@@ -221,7 +233,8 @@ def tames(a: SkewForm, j: ComplexStructure) -> bool:
             sym = [[(prod[r][c] + prod[c][r]) / 2 for c in range(a.dim)]
                    for r in range(a.dim)]
             return _exact_positive_definite(sym)
-    return bool(_tamed(a.to_array(), j.matrix))
+    tamed = _tamed(a.to_array(), j.matrix)
+    return tamed if tamed.ndim else bool(tamed)
 
 
 def taming_margin(a: SkewForm, j: ComplexStructure) -> float:
@@ -276,28 +289,35 @@ def _float_endomorphism(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Pencil:
-    """One analysis of a pencil with both forms nondegenerate.
+    """One analysis of a pencil with both forms nondegenerate, or of a stack
+    of float pencils (forms, B and spectra stacked along a first axis).
 
     For a rational pencil b is B = A0^{-1} A1 exactly (rows of Fractions)
     and spectrum its ascending charpoly det(x - B); otherwise b is the float
-    B and spectrum its np.linalg.eigvals.  Neither depends on eps.
+    B and spectrum its np.linalg.eigvals.  Neither depends on eps.  clusters
+    are the eigenvalue clusters of a float pencil in reduction order
+    (_cluster_eigenvalues), computed by _reduce when not given; a stack
+    gives them with each eigenvalue an (N,) array, one layout for all.
     """
 
     a0: SkewForm
     a1: SkewForm
     b: object
     spectrum: object
+    clusters: list = None
 
     @property
     def exact(self) -> bool:
         return self.a0.exact and self.a1.exact
 
-    def ray_nondegenerate(self) -> bool:
+    def ray_nondegenerate(self):
+        """A bool, or a bool array for a stack."""
         if self.exact:
             charpoly = self.spectrum
             return _poly.count_roots(
                 charpoly, -_poly.root_bound(charpoly), 0) == 0
-        return not np.any(_negative_real(self.spectrum))
+        admits = ~_negative_real(self.spectrum).any(axis=-1)
+        return admits if admits.ndim else bool(admits)
 
     def floated(self) -> _Pencil:
         """The float record of a rational pencil, for the float reduction of
@@ -405,6 +425,10 @@ class ComplexBlock:
 
 @dataclass
 class PencilBlocks:
+    """A reduction: the blocks and the basis that carries w0 to the block
+    model.  For a stack of pencils, blocks holds one block list per pencil,
+    basis is the (N, n, n) stack and the residuals are (N,) arrays."""
+
     blocks: list
     basis: np.ndarray      # columns are the basis vectors
     eps: float
@@ -418,24 +442,27 @@ def _block_layout(blocks, unit, eps=0.0) -> np.ndarray:
     A block of chain length m has v_0..v_(m-1), then w_0..w_(m-1), each d
     columns wide.  Its (v, w) part M holds the unit at every (v_i, w_i)
     and, for a nonzero eps, eps I_d at every (v_i, w_(i+1)); its (w, v)
-    part is -M^T, written whole.
+    part is -M^T, written whole.  Of one block list, or an (N, n, n) stack
+    from one block list per pencil, all of one layout.
     """
-    size = sum(b.size for b in blocks)
-    out = np.zeros((size, size))
+    stack = blocks if blocks and isinstance(blocks[0], list) else [blocks]
+    size = sum(b.size for b in stack[0])
+    out = np.zeros((len(stack), size, size))
     at = 0
-    for b in blocks:
-        u = unit(b)
-        d = len(u)
+    for k, b in enumerate(stack[0]):
+        u = np.array([unit(bl[k]) for bl in stack])
+        d = u.shape[-1]
         big = d * b.chain_length
         v, w = slice(at, at + big), slice(at + big, at + 2 * big)
-        m = out[v, w]
+        m = out[:, v, w]
         for i in range(0, big, d):
-            m[i:i + d, i:i + d] = u
+            m[:, i:i + d, i:i + d] = u
         if eps:
-            np.fill_diagonal(m[:, d:], eps)
-        np.negative(m.T, out=out[w, v])
+            off = np.arange(big - d)
+            m[:, off, off + d] = eps
+        np.negative(_t(m), out=out[:, w, v])
         at += 2 * big
-    return out
+    return out if stack is blocks else out[0]
 
 
 def _model_matrices(blocks, eps=0.0):
@@ -452,7 +479,12 @@ def _blockwise_j(blocks) -> np.ndarray:
 
 
 def _cluster_eigenvalues(vals):
-    """Group numerically repeated eigenvalues; raise if gaps are ambiguous."""
+    """Group numerically repeated eigenvalues; raise if gaps are ambiguous.
+
+    The clusters come in reduction order, as (lam, mult): the real ones
+    first (lam a float), then one per conjugate pair (lam the complex of
+    positive imaginary part), each kind by decreasing real part.
+    """
     scale = max(1.0, float(np.max(np.abs(vals))))
     order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
     clusters = []
@@ -473,7 +505,15 @@ def _cluster_eigenvalues(vals):
                 raise PencilError(
                     f"eigenvalue clusters separated by only {gap:.2e}"
                 )
-    return [(complex(c[0]), len(c[1])) for c in clusters]
+    out = []
+    for lam, mult in sorted(((complex(c[0]), len(c[1])) for c in clusters),
+                            key=lambda c: (abs(c[0].imag) > 1e-8 * scale,
+                                           -c[0].real)):
+        if lam.imag < -1e-8 * scale:
+            continue  # the conjugate partner of a complex cluster
+        # the block kind is decided here: a real lam keeps b real
+        out.append((lam.real if abs(lam.imag) <= 1e-8 * scale else lam, mult))
+    return out
 
 
 def simultaneous_reduce(a0: SkewForm, a1: SkewForm,
@@ -492,82 +532,105 @@ def _reduce(p: _Pencil, eps: float) -> PencilBlocks:
     """The one reduction of p: the exact reduction when there is one, else
     the float reduction at eps, which must pass the gates (w0 residual <=
     OMEGA0_GATE, w1 residual <= OMEGA1_GATE eps) or raise
-    RetryExhaustedError."""
+    RetryExhaustedError.  A stack of float pencils is reduced at once, and
+    raises as soon as one of its pencils fails."""
     if p.exact:
         got = _try_exact_reduce(p)
         if got is not None:
             return got
         p = p.floated()
-    clusters = _cluster_eigenvalues(p.spectrum)
+    clusters = p.clusters
+    if clusters is None:
+        clusters = _cluster_eigenvalues(p.spectrum)
     try:
         result = _float_reduce(p, clusters, eps)
     except (ArithmeticError, np.linalg.LinAlgError) as err:
         raise RetryExhaustedError(f"reduction failed: {err}") from err
-    if (result.omega0_residual > OMEGA0_GATE
-            or result.omega1_residual > OMEGA1_GATE * eps):
+    r0 = np.ravel(result.omega0_residual)
+    r1 = np.ravel(result.omega1_residual)
+    failed = np.flatnonzero((r0 > OMEGA0_GATE) | (r1 > OMEGA1_GATE * eps))
+    if failed.size:
+        i = failed[0]
         raise RetryExhaustedError(
-            f"reduction failed: residuals "
-            f"{result.omega0_residual:.2e}/{result.omega1_residual:.2e}")
+            f"reduction failed: residuals {r0[i]:.2e}/{r1[i]:.2e}")
     return result
 
 
 def _float_reduce(p: _Pencil, clusters, eps: float) -> PencilBlocks:
-    m0 = p.a0.to_array()
-    b, vals = p.b, p.spectrum
-    n = b.shape[0]
-    blocks = []
+    """The float reduction of one pencil, or of a stack of pencils that
+    share one block layout, from its clusters in reduction order.
+
+    One pencil runs as a stack of one.  Every step runs on the (N, n, n)
+    stack and gives each pencil the bits of its own run: the eigenspace
+    SVDs, the chains (_extract_chains), the Newton correction and the
+    residuals.  The first pencil to fail a gate names the error.
+    """
+    m0, m1, b = p.a0.to_array(), p.a1.to_array(), p.b
+    one = b.ndim == 2
+    if one:
+        m0, m1, b = m0[None], m1[None], b[None]
+        clusters = [(np.array([lam]), mult) for lam, mult in clusters]
+    count, n = len(b), b.shape[-1]
+    blocks = [[] for _ in range(count)]
     columns = []
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    for lam, mult in sorted(clusters, key=lambda c: (abs(c[0].imag) > 1e-8 * scale,
-                                                     -c[0].real)):
-        if lam.imag < -1e-8 * scale:
-            continue  # conjugate partner of a complex cluster handled above
-        if abs(lam.imag) <= 1e-8 * scale:
-            # the block kind is decided here: a real lam keeps b real
-            lam, bl = lam.real, b
-        else:
-            bl = b.astype(complex)
+    for lam, mult in clusters:
+        bl = b.astype(complex) if np.iscomplexobj(lam) else b
         space = _generalized_eigenspace(bl, lam, mult)
         vblocks, vcols = _extract_chains(bl, m0, lam, space, eps)
-        blocks += vblocks
+        for mine, more in zip(blocks, vblocks):
+            mine += more
         columns += vcols
-    basis = np.column_stack(columns)
-    if basis.shape != (n, n):
+    basis = np.stack(columns, axis=-1)
+    if basis.shape[-2:] != (n, n):
         raise ArithmeticError("block extraction lost dimensions")
     model0, model1 = _model_matrices(blocks)
     # Newton correction toward exact w0-standardness: for antisymmetric
     # error E, the update basis (I - Omega^{-1} E / 2) cancels E to first
-    # order, and two or three passes reach machine accuracy
+    # order, and two or three passes reach machine accuracy; each pencil
+    # stops at its own first error <= 1e-13
+    live = np.arange(count)
     for _ in range(3):
-        err = basis.T @ m0 @ basis - model0
-        if float(np.max(np.abs(err))) <= 1e-13:
+        cur = basis[live]
+        err = _t(cur) @ m0[live] @ cur - model0[live]
+        going = ~(_amax(err) <= 1e-13)
+        live = live[going]
+        if not live.size:
             break
-        delta = -0.5 * np.linalg.solve(model0, err)
-        basis = basis @ (np.eye(n) + delta)
-    t0 = basis.T @ m0 @ basis
-    t1 = basis.T @ p.a1.to_array() @ basis
+        delta = -0.5 * np.linalg.solve(model0[live], err[going])
+        basis[live] = cur[going] @ (np.eye(n) + delta)
+    t0 = _t(basis) @ m0 @ basis
+    t1 = _t(basis) @ m1 @ basis
     _, model1_eps = _model_matrices(blocks, eps)
-    r0 = float(np.max(np.abs(t0 - model0)))
-    r1_exact = float(np.max(np.abs(t1 - model1_eps)))
-    r1_model = float(np.max(np.abs(t1 - model1)))
+    r0 = _amax(t0 - model0)
+    r1_exact = _amax(t1 - model1_eps)
+    r1_model = _amax(t1 - model1)
     # the eps chain couplings are part of the construction: against the
     # coupled target the transport must be near machine accuracy, while the
     # contract residual is measured against the uncoupled block model
-    if r1_exact > 1e-6 * max(1.0, float(np.max(np.abs(t1)))):
-        raise ArithmeticError(f"chain relations violated by {r1_exact:.2e}")
+    violated = np.flatnonzero(r1_exact > 1e-6 * np.fmax(1.0, _amax(t1)))
+    if violated.size:
+        raise ArithmeticError(
+            f"chain relations violated by {r1_exact[violated[0]]:.2e}")
+    if one:
+        return PencilBlocks(blocks[0], basis[0], eps, float(r0[0]),
+                            float(r1_model[0]))
     return PencilBlocks(blocks, basis, eps, r0, r1_model)
 
 
 def _generalized_eigenspace(b, lam, mult):
-    n = b.shape[0]
-    m = np.linalg.matrix_power(b - lam * np.eye(n, dtype=b.dtype), mult)
-    u, s, vh = np.linalg.svd(m)
-    scale = max(1.0, float(s[0]) if len(s) else 1.0)
-    null_mask = s <= 1e-8 * scale
-    basis = vh[null_mask].conj().T
-    if basis.shape[1] < mult:
+    """An orthonormal basis of ker (B - lam)^mult of each pencil of a stack,
+    (N, n, m); every pencil's kernel must have the same dimension m."""
+    n = b.shape[-1]
+    m = np.linalg.matrix_power(
+        b - lam[:, None, None] * np.eye(n, dtype=b.dtype), mult)
+    _, s, vh = np.linalg.svd(m)
+    dims = np.count_nonzero(s <= 1e-8 * np.fmax(1.0, s[:, :1]), axis=-1)
+    if np.any(dims < mult):
         raise ArithmeticError("generalized eigenspace dimension deficient")
-    return basis
+    if np.any(dims != dims[0]):
+        raise ArithmeticError(
+            "generalized eigenspace dimensions differ within the stack")
+    return _t(vh[:, n - dims[0]:].conj())
 
 
 def _nilpotency_index(nmat, space):
@@ -593,7 +656,9 @@ def _nilpotency_index(nmat, space):
 
 
 def _extract_chains(b, m0, lam, space, eps):
-    """Chains within one generalized eigenspace, with w-duals.
+    """Chains within one generalized eigenspace of each pencil of a stack,
+    with w-duals: one block list per pencil, and the basis columns, each an
+    (N, n) array.
 
     The caller passes a real lam with real b and space, and then every
     conjugation below is the identity.  A complex lam (one of a conjugate
@@ -601,33 +666,79 @@ def _extract_chains(b, m0, lam, space, eps):
     sesquilinearly; both chains are realified as (sqrt 2 Re, -sqrt 2 Im),
     where the minus orients the block so the transported w1 matches the
     printed (mu, nu) model exactly.
+
+    A 2-dimensional eigenspace carries no chain: the Jordan blocks of
+    B = A0^{-1} A1 of a skew pencil come in equal pairs (R. C. Thompson,
+    Lin. Alg. Appl. 147, 1991).  So it is one pair (v, w) with k = 0, found
+    without _nilpotency_index, whose symplectic complement must be empty,
+    and the pencils of a stack take these steps together.  A larger
+    eigenspace is split by _nilpotency_index, pencil by pencil, each as a
+    stack of one; the pencils must then agree on their chains.
     """
-    pair = isinstance(lam, complex)
-    blocks, columns = [], []
-    n = b.shape[0]
-    nmat = b - lam * np.eye(n)
-    nmat_conj = b - lam.conjugate() * np.eye(n) if pair else nmat
-    while space.shape[1] > 0:
-        k, rk = _nilpotency_index(nmat, space)
-        j0 = int(np.argmax(np.linalg.norm(rk, axis=0)))
-        vs = [space[:, j0]]
+    count, n = len(b), b.shape[-1]
+    chain_free = space.shape[-1] == 2
+    if count > 1 and not chain_free:
+        parts = [_extract_chains(b[i:i + 1], m0[i:i + 1], lam[i:i + 1],
+                                 space[i:i + 1], eps) for i in range(count)]
+        if len({tuple((type(x), x.chain_length) for x in blocks[0])
+                for blocks, _ in parts}) > 1:
+            raise ArithmeticError("Jordan chains differ within the stack")
+        return ([blocks[0] for blocks, _ in parts],
+                [np.concatenate(cols) for cols in
+                 zip(*(cols for _, cols in parts))])
+    pair = np.iscomplexobj(lam)
+    if not chain_free:
+        nmat = b - lam[:, None, None] * np.eye(n)
+        nmat_conj = b - lam.conj()[:, None, None] * np.eye(n) if pair else nmat
+    blocks, columns = [[] for _ in range(count)], []
+    while space.shape[-1] > 0:
+        if chain_free:
+            k, j0 = 0, 0
+        else:
+            k, rk = _nilpotency_index(nmat[0], space[0])
+            j0 = int(np.argmax(np.linalg.norm(rk, axis=0)))
+        vs = [space[:, :, j0]]
         for _ in range(k):
-            vs.append(nmat @ vs[-1] / eps)
+            vs.append(_mv(nmat, vs[-1]) / eps)
         ws = [_solve_pairing(m0, vs, space.conj(), want_index=k)]
         for _ in range(k):
-            ws.insert(0, nmat_conj @ ws[0] / eps)
+            ws.insert(0, _mv(nmat_conj, ws[0]) / eps)
         vs, ws = _balance_chain(vs, ws)
         if pair:
             columns += _realify(vs) + _realify(ws)
-            blocks.append(ComplexBlock(lam.real, lam.imag, k + 1))
+            for mine, z in zip(blocks, lam.tolist()):
+                mine.append(ComplexBlock(z.real, z.imag, k + 1))
         else:
             columns += vs + ws
-            blocks.append(RealBlock(lam, k + 1))
+            for mine, x in zip(blocks, lam.tolist()):
+                mine.append(RealBlock(x, k + 1))
         # the remaining u must satisfy conj(v_j)^T m0 u = 0 for the pairings
         # that eigenvalue orthogonality does not kill: v_j and conj(w_j)
         space = _symplectic_complement(
             m0, [v.conj() for v in vs] + ws, space)
+        if chain_free and space.shape[-1]:
+            raise ArithmeticError(
+                "2-dimensional eigenspace is not one symplectic pair")
     return blocks, columns
+
+
+def _mv(m, v):
+    """m v for each matrix of an (N, n, n) stack and row of an (N, n)
+    array."""
+    return (m @ v[:, :, None])[:, :, 0]
+
+
+def _norm(v):
+    """The 2-norm of each row of an (N, n) array, with the bits of
+    np.linalg.norm of that row: one dot product of the contiguous row, or
+    of its real and of its imaginary part for a complex row."""
+    v = np.ascontiguousarray(v)
+
+    def dot(x):
+        return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+    return np.sqrt(dot(v.real) + dot(v.imag) if np.iscomplexobj(v)
+                   else dot(v))
 
 
 def _realify(vectors):
@@ -640,36 +751,41 @@ def _balance_chain(vs, ws):
     """Rescale v's by c and w's by 1/c to balance norms.
 
     A single factor per chain keeps every w0/w1 pairing (including the eps
-    couplings) intact while conditioning the final basis matrix.
+    couplings) intact while conditioning the final basis matrix.  No norm
+    is 0: v_0 is a unit vector and w_k pairs with v_k to 1.
     """
-    vn = max(float(np.linalg.norm(v)) for v in vs)
-    wn = max(float(np.linalg.norm(w)) for w in ws)
-    if vn == 0 or wn == 0:
-        return vs, ws
-    c = math.sqrt(wn / vn)
+    vn = np.max([_norm(v) for v in vs], axis=0)
+    wn = np.max([_norm(w) for w in ws], axis=0)
+    c = np.sqrt(wn / vn)[:, None]
     return [c * v for v in vs], [w / c for w in ws]
 
 
 def _solve_pairing(m0, vs, space, want_index):
-    """w in span(space) with conj(v_j)^T m0 w = delta_{j, want_index}; the
-    right-hand side takes the system's dtype, so real chains stay real."""
-    a = np.array([v.conj() @ m0 @ space for v in vs])
+    """w in span(space) with conj(v_j)^T m0 w = delta_{j, want_index}, for
+    each pencil of a stack; one least-squares solve per pencil, since lstsq
+    takes no stacks.  The right-hand side takes the system's dtype, so real
+    chains stay real."""
+    a = np.concatenate([v.conj()[:, None] @ m0 @ space for v in vs], axis=1)
     rhs = np.zeros(len(vs), dtype=a.dtype)
     rhs[want_index] = 1.0
-    sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    if np.max(np.abs(a @ sol - rhs)) > 1e-8:
+    sol = np.array([np.linalg.lstsq(x, rhs, rcond=None)[0] for x in a])
+    if np.any(np.abs(_mv(a, sol) - rhs) > 1e-8):
         raise ArithmeticError("pairing system inconsistent")
-    return space @ sol
+    return _mv(space, sol)
 
 
 def _symplectic_complement(m0, extracted, space):
     """Vectors u of span(space) with conj(v)^T m0 u = 0 for every extracted v
-    (for real vectors: w0-orthogonal to all of them)."""
-    cons = np.array([np.conj(v) @ m0 @ space for v in extracted])
+    (for real vectors: w0-orthogonal to all of them), for each pencil of a
+    stack; the complements must have one dimension."""
+    cons = np.concatenate(
+        [np.conj(v)[:, None] @ m0 @ space for v in extracted], axis=1)
     _, s, vh = np.linalg.svd(cons)
-    rank = int(np.sum(s > 1e-10 * max(1.0, s[0] if len(s) else 1.0)))
-    null = vh[rank:].conj().T
-    return space @ null
+    rank = np.count_nonzero(s > 1e-10 * np.fmax(1.0, s[:, :1]), axis=-1)
+    if np.any(rank != rank[0]):
+        raise ArithmeticError(
+            "symplectic complements differ in dimension within the stack")
+    return space @ _t(vh[:, rank[0]:].conj())
 
 
 def _try_exact_reduce(p: _Pencil):
@@ -792,8 +908,12 @@ def construct_cotamed(a0: SkewForm, a1: SkewForm,
 
 
 def _construct(p: _Pencil, eps: float) -> ComplexStructure:
-    """construct_cotamed of an analysed pencil."""
-    if not p.ray_nondegenerate():
+    """construct_cotamed of an analysed pencil, or of a stack of float
+    pencils that share one block layout (_float_reduce): one J, or the
+    (N, n, n) stack of them.  A stack is refused when one of its pencils
+    admits no cotamed structure, and fails when one of them fails; its
+    error then gives the largest condition numbers of the stack."""
+    if not np.all(p.ray_nondegenerate()):
         raise CotamedExistenceError("pencil admits no cotamed structure")
     reduction = _reduce(p, eps)
     basis = reduction.basis
@@ -806,13 +926,13 @@ def _construct(p: _Pencil, eps: float) -> ComplexStructure:
     except ValueError as err:
         failure = err
     else:
-        if tames(p.a0, cand) and tames(p.a1, cand):
+        if np.all(np.logical_and(tames(p.a0, cand), tames(p.a1, cand))):
             return cand
         failure = "blockwise J failed a taming verification"
     raise RetryExhaustedError(
         f"cotamed construction failed "
-        f"(cond(A0)={np.linalg.cond(p.a0.to_array()):.2e}, "
-        f"cond(A1)={np.linalg.cond(p.a1.to_array()):.2e}): {failure}"
+        f"(cond(A0)={np.max(np.linalg.cond(p.a0.to_array())):.2e}, "
+        f"cond(A1)={np.max(np.linalg.cond(p.a1.to_array())):.2e}): {failure}"
     )
 
 
@@ -1060,9 +1180,13 @@ def appendix_equivalence_suite(trials: int, dims=(4, 6, 8, 10),
     sign law must hold (every real eigenvalue positive) and the
     construction must succeed with both tamings verified.  Otherwise the
     negative eigenvalue's predicted degeneracy parameter t0 = 1/(1 - lam)
-    must make the pencil member singular (smallest singular value
-    collapses), and the construction must refuse.
+    must make the pencil member (1 - t0) A0 + t0 A1 singular (its smallest
+    singular value collapses against (1 - t0) max|A0| + t0 max|A1|), and
+    the construction must refuse.  The constructions of a dimension run
+    as a few stacks, one per block layout (_appendix_trials).
     """
+    for dim in dims:
+        _require_pencil_dim(dim)
     mismatches = 0
     worst = math.inf
     per_dim = {}
@@ -1088,7 +1212,15 @@ def _appendix_trials(seed: int, dim: int, stack: range):
     """The appendix-equivalence trials of one dimension, trial t drawing
     from default_rng(seed + t): the number of mismatches and of
     ill-conditioned spectra, and the smaller taming margin of each
-    constructed J, in trial order."""
+    constructed J, in trial order.
+
+    The trials that must be refused are one stack for _construct.  The
+    others are clustered one by one (a PencilError is an ill-conditioned
+    spectrum) and grouped by layout, the ordered kind and size of their
+    clusters; each group is one stack for _construct.  A group that fails
+    is built again one trial at a time, so that each trial counts as the
+    per-trial loop counted it: a RetryExhaustedError is a mismatch.
+    """
     rngs = [np.random.default_rng(seed + t) for t in stack]
     forms = _nondegenerate_draws(rngs, dim, 2)
     m0, m1 = forms[:, 0], forms[:, 1]
@@ -1104,44 +1236,63 @@ def _appendix_trials(seed: int, dim: int, stack: range):
     t0 = 1.0 / (1.0 - np.where(negative[at], re[at], np.inf).min(axis=-1))
     member = (1 - t0)[:, None, None] * m0[at] + t0[:, None, None] * m1[at]
     sv = np.linalg.svd(member, compute_uv=False)
+    # the member collapses when its smallest singular value is negligible
+    # against the size of its two terms: its own largest singular value is
+    # no yardstick, since both singular values of a 2 x 2 skew matrix agree
+    size = np.abs(1 - t0) * _amax(m0[at]) + t0 * _amax(m1[at])
     collapses = np.zeros(len(stack), dtype=bool)
-    collapses[at] = ~(sv[:, -1] > 1e-8 * sv[:, 0])
+    collapses[at] = ~(sv[:, -1] > 1e-8 * size)
 
-    def pencil(i):
+    def pencils(idx, clusters=None):
+        return _Pencil(SkewForm(m0[idx]), SkewForm(m1[idx]), b[idx],
+                       spectra[idx], clusters)
+
+    # eigenvalue predicted a degeneracy that isn't, or a real eigenvalue
+    # breaks the sign law
+    bad = int(np.count_nonzero(np.where(has_negative, ~collapses,
+                                        sign_law_fails)))
+    refuse = np.flatnonzero(has_negative & collapses)
+    if refuse.size:
+        # _construct refuses a float pencil exactly when its spectrum has a
+        # negative real eigenvalue, the test that chose these trials, so
+        # the stack is refused whole or not at all
+        try:
+            _construct(pencils(refuse), 1e-3)
+            bad += refuse.size  # should have refused
+        except CotamedExistenceError:
+            pass
+    ill = 0
+    groups = {}
+    for i in np.flatnonzero(~has_negative & ~sign_law_fails).tolist():
         # eigvals of one matrix is a real array when every eigenvalue is real
         vals = spectra[i]
-        return _Pencil(SkewForm(m0[i]), SkewForm(m1[i]), b[i],
-                       vals if vals.imag.any() else vals.real)
-
-    bad = ill = 0
-    built, js = [], []
-    for i in range(len(stack)):
-        if has_negative[i]:
-            if not collapses[i]:
-                bad += 1  # eigenvalue predicted a degeneracy that isn't
-                continue
-            try:
-                _construct(pencil(i), 1e-3)
-                bad += 1  # should have refused
-            except CotamedExistenceError:
-                pass
-        elif sign_law_fails[i]:
-            bad += 1
-        else:
-            try:
-                j = _construct(pencil(i), 1e-3)
-            except PencilError:
-                # near-degenerate spectrum: reported, not guessed
-                ill += 1
-                continue
-            except RetryExhaustedError:
-                bad += 1
-                continue
-            built.append(i)
-            js.append(j.matrix)
-    js = np.array(js).reshape(len(built), dim, dim)
-    margin0 = _taming_spectrum(m0[built], js)[1][:, 0]
-    margin1 = _taming_spectrum(m1[built], js)[1][:, 0]
+        try:
+            clusters = _cluster_eigenvalues(vals if vals.imag.any()
+                                            else vals.real)
+        except PencilError:
+            # near-degenerate spectrum: reported, not guessed
+            ill += 1
+            continue
+        layout = tuple((isinstance(lam, complex), mult)
+                       for lam, mult in clusters)
+        groups.setdefault(layout, []).append((i, clusters))
+    js = {}
+    for group in groups.values():
+        idx = [i for i, _ in group]
+        stacked = [(np.array([c[k][0] for _, c in group]), mult)
+                   for k, (_, mult) in enumerate(group[0][1])]
+        try:
+            js.update(zip(idx, _construct(pencils(idx, stacked), 1e-3).matrix))
+        except (RetryExhaustedError, ValueError, ArithmeticError):
+            for i, clusters in group:
+                try:
+                    js[i] = _construct(pencils(i, clusters), 1e-3).matrix
+                except RetryExhaustedError:
+                    bad += 1
+    built = sorted(js)
+    j = np.array([js[i] for i in built]).reshape(len(built), dim, dim)
+    margin0 = _taming_spectrum(m0[built], j)[1][:, 0]
+    margin1 = _taming_spectrum(m1[built], j)[1][:, 0]
     margins = np.where(margin1 < margin0, margin1, margin0)
     return bad + int(np.count_nonzero(margins <= 0)), ill, margins.tolist()
 

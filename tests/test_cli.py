@@ -641,6 +641,38 @@ def test_vacuous_sampling_arguments_are_usage_errors(capsys, argv):
     assert f"error: argument {flag}: must be positive, got " in captured.err
 
 
+@pytest.mark.parametrize("dims, message", [
+    ("0", "input error: dimension must be even and between 2 and 12\n"),
+    ("-2", "input error: dimension must be even and between 2 and 12\n"),
+    ("4,6,14", "input error: dimension must be even and between 2 and 12\n"),
+    ("4,4", "usage error: --dims repeats a dimension: 4,4\n"),
+    ("6,4,6", "usage error: --dims repeats a dimension: 6,4,6\n"),
+])
+def test_appendix_suite_rejects_bad_dims(capsys, dims, message):
+    # a dimension below 2 once reached numpy ("zero-size array to reduction
+    # operation maximum"), and a repeated one ran its draws twice while
+    # per_dim reported it once
+    code = run(["suite", "--name", "appendix-equivalence", "--trials", "5",
+                "--dims", dims, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == message
+
+
+def test_appendix_suite_passes_at_dim_2(capture):
+    # a 2 x 2 skew member has two equal singular values, so its collapse is
+    # measured against the size of its terms, not its largest singular
+    # value (which read 28 false mismatches here)
+    code, out = capture(["suite", "--name", "appendix-equivalence", "--trials",
+                         "100", "--dims", "2", "--seed", "331", "--json"])
+    assert code == 0
+    detail = json.loads(out)["detail"]
+    assert (detail["trials"], detail["mismatches"], detail["per_dim"]) == (
+        100, 0, {"2": 0})
+    assert detail["worst_margin"] > 0
+
+
 def test_human_readable_output(capture):
     code, out = capture(["verify-pair", "--preset", "totreal:2"])
     assert code == 0

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from liouville_lab import _poly
@@ -994,6 +994,111 @@ def test_equivalence_suite_small():
     assert rep.mismatches == 0
 
 
+def reference_appendix_trials(seed, dim, trials):
+    """_appendix_trials as a loop over its trials, each built alone by the
+    single-pencil construction: the former per-trial loop, with the member's
+    collapse measured against the size of its two terms."""
+    bad = ill = 0
+    margins = []
+    for trial in range(trials):
+        a0, a1 = reference_pair(np.random.default_rng(seed + trial), dim)
+        pencil = sl._analyse(a0, a1)
+        vals = pencil.spectrum
+        negative = [lam.real for lam in vals if lam.real < 0
+                    and abs(lam.imag) <= 1e-8 * abs(lam.real)]
+        if negative:
+            t0 = 1.0 / (1.0 - min(negative))
+            m0, m1 = a0.to_array(), a1.to_array()
+            sv = np.linalg.svd((1 - t0) * m0 + t0 * m1, compute_uv=False)
+            size = abs(1 - t0) * np.max(np.abs(m0)) + t0 * np.max(np.abs(m1))
+            if sv[-1] > 1e-8 * size:
+                bad += 1
+                continue
+            try:
+                sl._construct(pencil, 1e-3)
+                bad += 1
+            except sl.CotamedExistenceError:
+                pass
+        elif any(lam.real <= 0 for lam in vals
+                 if abs(lam.imag) <= 1e-8 * max(1.0, abs(lam.real))):
+            bad += 1
+        else:
+            try:
+                j = sl._construct(pencil, 1e-3)
+            except sl.PencilError:
+                ill += 1
+                continue
+            except sl.RetryExhaustedError:
+                bad += 1
+                continue
+            margin = min(reference_taming_margin(a0, j),
+                         reference_taming_margin(a1, j))
+            margins.append(margin)
+            if margin <= 0:
+                bad += 1
+    return bad, ill, margins
+
+
+# (seed, dim) of _appendix_trials: the bench suite seeds at every dimension,
+# and three stacks with a trial whose construction fails, so that its
+# layout is built again one trial at a time
+STACKED_TRIALS = ([(331 + 7919 * dim, dim) for dim in (2, 4, 6, 8, 10, 12)]
+                  + [(600 + 7919 * dim, dim) for dim in (4, 10)]
+                  + [(73514, 6), (197352, 8), (235190, 10)])
+
+
+@pytest.mark.parametrize("seed, dim", STACKED_TRIALS)
+def test_appendix_trials_match_single_pencil_constructions(seed, dim):
+    # every trial's margin bit for bit, not only the worst one, and the
+    # mismatch and ill-conditioned counts
+    bad, ill, margins = sl._appendix_trials(seed, dim, range(100))
+    want_bad, want_ill, want = reference_appendix_trials(seed, dim, 100)
+    assert (bad, ill) == (want_bad, want_ill)
+    assert len(margins) == len(want)
+    assert np.array_equal(np.array(margins).view(np.int64),
+                          np.array(want).view(np.int64))
+
+
+def test_ill_conditioned_trials_count_alike_in_stacks(monkeypatch):
+    # every third clustering fails: the suite clusters its trials in trial
+    # order, as the per-trial loop's constructions do, so both count the
+    # same trials as ill-conditioned
+    real = sl._cluster_eigenvalues
+
+    def run(fn, *args):
+        calls = []
+
+        def every_third(vals):
+            calls.append(len(vals))
+            if len(calls) % 3 == 0:
+                raise sl.PencilError("eigenvalue clusters separated by only 0")
+            return real(vals)
+
+        monkeypatch.setattr(sl, "_cluster_eigenvalues", every_third)
+        return fn(*args), len(calls)
+
+    (bad, ill, margins), calls = run(sl._appendix_trials, 331 + 7919 * 8, 8,
+                                     range(100))
+    want, want_calls = run(reference_appendix_trials, 331 + 7919 * 8, 8, 100)
+    assert ill == calls // 3 > 0 and calls == want_calls
+    assert (bad, ill) == want[:2]
+    assert np.array_equal(np.array(margins).view(np.int64),
+                          np.array(want[2]).view(np.int64))
+
+
+def test_appendix_suite_splits_no_two_dimensional_eigenspace(monkeypatch):
+    # at the bench suite seed every built trial has clusters of size 2
+    # only: no _nilpotency_index call (238 when each trial was built
+    # alone), one construction of the refused trials per dimension and one
+    # per block layout: 4 + 8
+    calls = {}
+    counted_calls(monkeypatch, sl, "_nilpotency_index", calls)
+    counted_calls(monkeypatch, sl, "_construct", calls)
+    rep = sl.appendix_equivalence_suite(100, dims=(4, 6, 8, 10), seed=331)
+    assert (rep.mismatches, rep.detail["ill_conditioned_reported"]) == (0, 0)
+    assert calls == {"_construct": 12}
+
+
 # -- exact pencil kernels against their former implementations ---------------------
 
 
@@ -1095,6 +1200,95 @@ def test_is_nondegenerate_pivots(upper, expected):
     rows = skew_from_upper(4, [Q(x) for x in upper])
     assert pfaffian_by_expansion(rows) == expected
     assert sl.is_nondegenerate(sl.SkewForm(rows)) == (expected != 0)
+
+
+# -- the paired spectrum of a skew pencil -------------------------------------------
+#
+# det(x A0 - A1) = Pf(x A0 - A1)^2 for skew A0, A1, so the charpoly of
+# B = A0^{-1} A1 is a square and the Jordan blocks of B come in equal pairs
+# (R. C. Thompson, Lin. Alg. Appl. 147, 1991): a 2-dimensional generalized
+# eigenspace carries no chain, which is why the float reduction calls no
+# _nilpotency_index there.
+
+
+def exact_square_root(p):
+    """The monic h of degree m whose square agrees with the monic p of
+    degree 2 m in its top m + 1 coefficients."""
+    m = (len(p) - 1) // 2
+    h = [Q(0)] * m + [Q(1)]
+    for k in range(m - 1, -1, -1):
+        # x^(m+k) of h^2 is 2 h_k plus products of coefficients above h_k
+        h[k] = (p[m + k] - sum(h[i] * h[m + k - i]
+                               for i in range(k + 1, m))) / 2
+    return h
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_exact_charpoly_of_a_skew_pencil_is_a_square(data):
+    n = data.draw(st.sampled_from([2, 4, 6, 8]))
+    entry = sparse_entries(data)
+    size = n * (n - 1) // 2
+    a0, a1 = (skew_from_upper(n, data.draw(st.lists(
+        entry, min_size=size, max_size=size))) for _ in range(2))
+    b = _poly.solve(a0, a1)
+    assume(b is not None)
+    charpoly = sl._frac_charpoly(b)
+    h = exact_square_root(charpoly)
+    assert _poly.mul(h, h) == charpoly
+
+
+BENCH_REAL_POOL = [0.5 + 0.25 * i for i in range(15)]
+# (dimension, complex blocks) of the benchmark's float pencils
+BENCH_FLOAT_LAYOUTS = [(4, 0), (6, 1), (8, 1), (10, 2), (4, 1), (6, 0),
+                       (8, 2), (10, 1)]
+
+
+@st.composite
+def float_skew_pencils(draw):
+    """(A0, A1): a random skew pair of dimension 2 to 10, as the appendix
+    suite draws it, or a congruence of a benchmark float pencil's model
+    pair (distinct real eigenvalues from the bench pool, complex blocks as
+    the bench draws them, cond(P) < 100)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        a0, a1 = reference_pair(rng, draw(st.sampled_from([2, 4, 6, 8, 10])))
+        return a0.to_array(), a1.to_array()
+    dim, n_cplx = draw(st.sampled_from(BENCH_FLOAT_LAYOUTS))
+    lams = draw(st.permutations(BENCH_REAL_POOL))[:dim // 2 - 2 * n_cplx]
+    blocks = [sl.RealBlock(lam, 1) for lam in lams] + [
+        sl.ComplexBlock(draw(st.sampled_from([-1.0, -0.5, 0.5, 1.0])) + 0.1 * i,
+                        draw(st.sampled_from([0.75, 1.25, 1.75])) + 0.1 * i, 1)
+        for i in range(n_cplx)]
+    m0, m1 = sl._model_matrices(blocks)
+    while True:
+        p = rng.standard_normal((dim, dim))
+        if np.linalg.cond(p) < 100:
+            break
+    return p.T @ m0 @ p, p.T @ m1 @ p
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(float_skew_pencils())
+def test_two_dimensional_eigenspaces_carry_no_chain(pencil):
+    # the reference: _nilpotency_index, which larger clusters still call,
+    # finds k = 0 on every 2-dimensional generalized eigenspace
+    m0, m1 = ((m - m.T) / 2 for m in pencil)
+    p = sl._analyse(sl.SkewForm(m0), sl.SkewForm(m1))
+    try:
+        clusters = sl._cluster_eigenvalues(p.spectrum)
+    except sl.PencilError:
+        assume(False)
+    n = len(m0)
+    seen = 0
+    for lam, mult in clusters:
+        b = p.b.astype(complex) if isinstance(lam, complex) else p.b
+        space = sl._generalized_eigenspace(b[None], np.array([lam]), mult)[0]
+        if space.shape[1] == 2:
+            k, _ = sl._nilpotency_index(b - lam * np.eye(n), space)
+            assert k == 0
+            seen += 1
+    assert seen == len(clusters)
 
 
 # -- one exact reduction per cotamed construction ------------------------------------
