@@ -1256,9 +1256,10 @@ def float_skew_pencils(draw):
         return a0.to_array(), a1.to_array()
     dim, n_cplx = draw(st.sampled_from(BENCH_FLOAT_LAYOUTS))
     lams = draw(st.permutations(BENCH_REAL_POOL))[:dim // 2 - 2 * n_cplx]
+    mus = st.sampled_from([-1.0, -0.5, 0.5, 1.0])
+    nus = st.sampled_from([0.75, 1.25, 1.75])
     blocks = [sl.RealBlock(lam, 1) for lam in lams] + [
-        sl.ComplexBlock(draw(st.sampled_from([-1.0, -0.5, 0.5, 1.0])) + 0.1 * i,
-                        draw(st.sampled_from([0.75, 1.25, 1.75])) + 0.1 * i, 1)
+        sl.ComplexBlock(draw(mus) + 0.1 * i, draw(nus) + 0.1 * i, 1)
         for i in range(n_cplx)]
     m0, m1 = sl._model_matrices(blocks)
     while True:
