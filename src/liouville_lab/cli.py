@@ -110,8 +110,9 @@ def _int_list(text):
 def _positive(kind):
     """argparse type: a `kind` number above 0, so an int count is at least 1.
 
-    A grid, trial count, tolerance or eps of 0 or less leaves nothing to
-    sample or no room to pass, so it is a usage error (exit 2).
+    A grid, trial count, unit search box, tolerance or eps of 0 or less
+    leaves nothing to sample or search or no room to pass, so it is a usage
+    error (exit 2).
     """
     def parse(text):
         value = kind(text)
@@ -464,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("numfield", help="units, lattice and monodromy")
     p.add_argument("--poly", required=True,
                    help="comma list of ascending integer coefficients")
-    p.add_argument("--box", type=int, default=None)
+    p.add_argument("--box", type=_positive(int), default=None)
     p.add_argument("--monodromy", action="store_true")
     p.set_defaults(fn=_cmd_numfield)
 

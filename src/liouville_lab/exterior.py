@@ -340,34 +340,3 @@ def pullback(L, a: Form) -> Form:
             acc = acc.wedge(pulled[i])
         out = out + acc
     return out
-
-
-# -- JSON wire format ---------------------------------------------------------
-
-
-def form_to_json(a: Form) -> dict:
-    terms = []
-    for mask in sorted(a.terms):
-        entry = {"blade": list(mask_blade(mask))}
-        c = a.terms[mask]
-        if a.ring.exact:
-            entry["num"] = c.numerator
-            entry["den"] = c.denominator
-        else:
-            entry["coeff"] = c
-        terms.append(entry)
-    return {"coframe": list(a.coframe.names), "degree": a.degree, "terms": terms}
-
-
-def form_from_json(data: dict) -> Form:
-    coframe = Coframe(tuple(data["coframe"]))
-    exact = data["terms"] == [] or "num" in data["terms"][0]
-    ring = EXACT if exact else FLOAT64
-    terms = {}
-    for entry in data["terms"]:
-        mask = blade_mask(entry["blade"])
-        if exact:
-            terms[mask] = Fraction(entry["num"], entry["den"])
-        else:
-            terms[mask] = float(entry["coeff"])
-    return Form(coframe, data["degree"], terms, ring)

@@ -606,8 +606,10 @@ def reeb_field(triple: ProfileTriple, s: float, tol: float = 1e-8) -> ReebResult
 
     One scalar equation (hf'-h'f) a+(X) + (hg'-h'g) a-(X) = -h' plus the
     closure equations i_X (f da+ + g da-) = 0, solved by least squares with
-    a residual gate; u follows the h- or h'-branch.
+    a residual gate; u follows the h- or h'-branch.  s must be finite.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"Reeb parameter s must be finite, got {s}")
     pair = triple.pair
     g = pair.algebra
     m = g.dim
@@ -661,20 +663,6 @@ def reeb_field(triple: ProfileTriple, s: float, tol: float = 1e-8) -> ReebResult
         )
     return ReebResult(VectorElem(g.coframe(), tuple(float(v) for v in x)),
                       float(u), float(s), pairing, closure, branch)
-
-
-def reeb_branch_values(triple: ProfileTriple, s: float):
-    """Both u-branch values where defined (for branch-consistency tests)."""
-    pair = triple.pair
-    g = pair.algebra
-    res = reeb_field(triple, s)
-    fv, gv, hv = triple.f(s), triple.g(s), triple.h(s)
-    fp, gp, hp = triple.f.deriv(s), triple.g.deriv(s), triple.h.deriv(s)
-    ap_x = float(_covector_array(pair.alpha_plus) @ np.array(res.X.coords))
-    am_x = float(_covector_array(pair.alpha_minus) @ np.array(res.X.coords))
-    u_h = (1.0 - fv * ap_x - gv * am_x) / hv if hv else None
-    u_hp = -(fp * ap_x + gp * am_x) / hp if hp else None
-    return u_h, u_hp
 
 
 def _covector_array(a: Form) -> np.ndarray:
@@ -1036,16 +1024,7 @@ def min_c_search(pair, psi: ProfileFn, grid_n: int = 256,
     return hi
 
 
-# -- ideal annulus and reparametrization checks --------------------------------------
-
-
-def ideal_annulus_check(grid_n: int = 512) -> float:
-    """max |sin s (cot s dθ + dt) - (cos s dθ + sin s dt)| on (0, pi).
-
-    The dt parts agree identically, so only the dθ part is sampled.
-    """
-    s = np.pi * np.arange(1, grid_n) / grid_n
-    return _grid_sup(np.abs(np.sin(s) * (np.cos(s) / np.sin(s)) - np.cos(s)))
+# -- the torsion family as a reparametrized form ----------------------------------
 
 
 def gt_reparam_check(pair, grid_n: int = 512) -> float:
@@ -1075,32 +1054,3 @@ def beta_grid_check(pair, s_range=(-10.0, 10.0), grid_n: int = 256):
     pf.add_form(pair.alpha_plus, exp_fn(1.0))
     pf.add_form(pair.alpha_minus, exp_fn(-1.0))
     return _min_top_power(pf, np.linspace(s_range[0], s_range[1], grid_n + 1))
-
-
-def product_pair_fixture(pair, alpha2_algebra: LieAlgebra, alpha2: Form):
-    """Uncertified generator for the pair extension a± + e^t a2.
-
-    Returns the two parameter-dependent forms on (dt,) x g x g2 without any
-    certificate; callers may grid-sample them but no exactness is claimed.
-    """
-    pair = _as_pair(pair)
-    g1 = pair.algebra
-    merged = _merge_algebras(g1, alpha2_algebra)
-    out = []
-    alpha2 = alpha2.shifted(merged.coframe(), g1.dim)
-    for base in (pair.alpha_plus, pair.alpha_minus):
-        pf = ParamForm(("dt",), (), merged, 1, {})
-        pf.add_form(base, const(1.0))
-        pf.add_form(alpha2, exp_fn(1.0))
-        out.append(pf)
-    return tuple(out)
-
-
-def _merge_algebras(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
-    names = tuple(g1.names) + tuple(f"₂{n}" for n in g2.names)
-    brackets = dict(g1.brackets)
-    for (i, j), row in g2.brackets.items():
-        brackets[(i + g1.dim, j + g1.dim)] = {
-            k + g1.dim: v for k, v in row.items()
-        }
-    return LieAlgebra(names, brackets)

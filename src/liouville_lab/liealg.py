@@ -25,7 +25,7 @@ Q = Fraction
 
 
 class StructureConstantError(ValueError):
-    """Structure constants fail antisymmetry or the Jacobi identity."""
+    """Structure constants are out of range or fail the Jacobi identity."""
 
 
 class LieAlgebra:
@@ -56,24 +56,6 @@ class LieAlgebra:
                 self._d1[k].append(((1 << i) | (1 << j), -c))
         if check and not self.d_squared_check():
             raise StructureConstantError("Jacobi identity fails")
-
-    @classmethod
-    def from_tensor(cls, names, tensor):
-        """Build from a dense c[i][j][k] tensor, checking antisymmetry."""
-        n = len(names)
-        brackets = {}
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    cij = Q(tensor[i][j][k])
-                    cji = Q(tensor[j][i][k])
-                    if cij != -cji:
-                        raise StructureConstantError(
-                            f"antisymmetry fails at ({i},{j},{k})"
-                        )
-                    if i < j and cij != 0:
-                        brackets.setdefault((i, j), {})[k] = cij
-        return cls(names, brackets)
 
     def structure_constant(self, i, j, k) -> Fraction:
         if i == j:
@@ -153,20 +135,6 @@ class LieAlgebra:
                 sign = -1
             brackets[(ni, nj)] = {inv[k]: sign * c for k, c in row.items()}
         return LieAlgebra(names, brackets, check=False)
-
-    def to_json(self) -> dict:
-        tensor = [
-            [[str(self.structure_constant(i, j, k)) for k in range(self.dim)]
-             for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
-        return {"names": list(self.names), "constants": tensor}
-
-    @classmethod
-    def from_json(cls, data) -> "LieAlgebra":
-        tensor = [[[Q(v) for v in row] for row in plane]
-                  for plane in data["constants"]]
-        return cls.from_tensor(tuple(data["names"]), tensor)
 
     def __repr__(self):
         return f"LieAlgebra({', '.join(self.names)})"
@@ -539,8 +507,10 @@ def grs1(r: int, s: int) -> Preset:
     The base is the kernel of the trace functional t_1+...+t_r+2 sum Re w_j,
     with basis T_i - T_r (i < r), U_j - 2 T_r and V_j when r >= 1, and
     U_j - U_s (j < s) plus V_j when r = 0.  For r >= 1, s = 0 the preset
-    carries the standard Liouville pair; for s > 0 no exact pair is attached
-    (the product model is checked numerically in the family module).
+    carries the standard Liouville pair; for s > 0 no pair is attached.  The
+    linear product model behind those pairs is a sampled check,
+    `formfam.linear_model_pair_check`, run by acceptance criterion 13; it
+    certifies nothing about this preset.
     """
     n = r + 2 * s
     if n < 1 or r < 0 or s < 0:

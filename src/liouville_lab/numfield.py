@@ -641,43 +641,6 @@ def _floor_surd(P: int, D: int, Qd: int) -> int:
     return m if (k >= 0 and D < k * k) else m - 1
 
 
-# -- hyperbolic SL(2,Z) lattices -------------------------------------------------
-
-
-@dataclass
-class Sl2Lattice:
-    matrix: list
-    tau: float
-    eigenbasis: np.ndarray
-    residual: float
-
-
-def hyperbolic_sl2_lattice(a) -> Sl2Lattice:
-    """Expansion rate and eigenbasis of a hyperbolic SL(2,Z) matrix.
-
-    tau = log of the larger eigenvalue; the verification reassembles A from
-    diag(e^-tau, e^tau) in the eigenbasis and requires 1e-9 accuracy.
-    """
-    rows = [list(map(int, r)) for r in a]
-    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    tr = rows[0][0] + rows[1][1]
-    if det != 1:
-        raise ValueError("matrix must have determinant 1")
-    if abs(tr) <= 2:
-        raise ValueError("matrix is not hyperbolic")
-    lam = (tr + math.sqrt(tr * tr - 4)) / 2
-    tau = math.log(lam)
-    A = np.array(rows, dtype=float)
-    vals, vecs = np.linalg.eig(A)
-    order = np.argsort(vals)  # ascending: e^-tau then e^tau
-    Qm = vecs[:, order]
-    D = np.diag([math.exp(-tau), math.exp(tau)])
-    residual = float(np.max(np.abs(Qm @ D @ np.linalg.inv(Qm) - A)))
-    if residual > 1e-9:
-        raise ArithmeticError("eigenbasis reconstruction failed")
-    return Sl2Lattice(rows, tau, Qm, residual)
-
-
 # -- full pipeline ----------------------------------------------------------------
 
 
@@ -695,8 +658,9 @@ def build_liealg_pair(field: NumberField, box_bound: int | None = None) -> PairR
     """Units, lattice and (totally real case) the exact pair certificate.
 
     For s > 0 only the lattice data is produced; the left-invariant pair on
-    the associated group involves the linear product model, which is checked
-    numerically by the family module, not certified here.
+    the associated group involves the linear product model, a sampled check
+    (`formfam.linear_model_pair_check`, acceptance criterion 13), not
+    certified here.
     """
     if box_bound is None:
         box_bound = _default_box(field)

@@ -11,6 +11,7 @@ import numpy as np
 
 from liouville_lab import formfam as ff
 from liouville_lab import liealg, numfield, symplin
+from liouville_lab.exterior import Form
 
 
 def _report(num, text):
@@ -64,9 +65,19 @@ def test_criterion_03_exact_pair_certificates():
         minus = liealg.contact_check(preset.algebra, preset.alpha_minus)
         assert plus.verdict == "positive"
         assert minus.verdict == "negative"
+    # the direct grid of d(e^s a+ + e^-s a-)^n over s in [-10, 10] agrees
+    # with the exact pair certificate
+    grid_presets = ("totreal:2", "totreal:3", "sol:2,1,1,1", "geiges:2")
+    for key in grid_presets:
+        preset = liealg.preset(key)
+        cert = liealg.liouville_pair_check(
+            preset.algebra, preset.alpha_plus, preset.alpha_minus)
+        min_top, _ = ff.beta_grid_check(preset)
+        assert cert.verdict == "positive" and min_top > 0, key
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
-    _report(3, f"exact Sturm pair certificates in dims 3, 5, 7 "
+    _report(3, f"exact Sturm pair certificates in dims 3, 5, 7; the grid "
+               f"verdict agrees on {', '.join(grid_presets)} "
                f"({elapsed:.3f} s)")
 
 
@@ -96,10 +107,16 @@ def test_criterion_04_giroux_torsion_grids():
         assert chk.passed, f"{pair_key} k={k}"
         assert chk.min_value > 0
         assert chk.samples >= 1024
+    # u = ln((1 + cos s) / sin s) turns sin s [dt + (e^u a+ + e^-u a-)/2]
+    # into the k = 1 family
+    worst = max(ff.gt_reparam_check(liealg.preset(pair_key), 512)
+                for pair_key in ("totreal:1", "sol:2,1,1,1"))
+    assert worst <= 1e-10
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     _report(4, f"torsion family positive on 1024-point grids for "
-               f"k in 1..3 over both pairs ({elapsed:.3f} s)")
+               f"k in 1..3 over both pairs, and the reparametrized form to "
+               f"1e-10 at grid 512 (worst {worst:.1e}) ({elapsed:.3f} s)")
 
 
 def test_criterion_05_reeb_residuals_on_grids():
@@ -241,6 +258,13 @@ def test_criterion_12_weak_filling_and_cutoff():
         res = ff.sol_weak_filling_fixture(eps, grid_n=128)
         assert res.wedge_plus_zero and res.wedge_minus_zero
         assert res.passed
+    # the generalized weak filling of dimension 5: alpha ^ (Omega + tau
+    # dalpha)^2 > 0 for every tau >= 0, decided exactly
+    for eps in ("1/100", "1/1000"):
+        cert = ff.sol_weak_filling_ray_fixture(eps)
+        assert cert.kind == "exact-sturm"
+        assert cert.symplectic_ok and cert.ray_ok
+        assert cert.verdict == "positive"
     sol = liealg.sol_from_sl2([[2, 1], [1, 1]])
     psi = ff.cutoff_step("quintic")
     c_star = ff.min_c_search(sol, psi, grid_n=256)
@@ -248,5 +272,29 @@ def test_criterion_12_weak_filling_and_cutoff():
     refined = ff.cutoff_positive_on_grid(sol, c_star, psi, 4 * 256)
     assert refined[0] > 0
     _report(12, f"suspension weak-filling fixture passes for eps in "
-                f"{{1e-3, 1e-2}} with exact wedge vanishing; cutoff "
-                f"c* = {c_star:.4f} survives the refined grid")
+                f"{{1e-3, 1e-2}} with exact wedge vanishing; exact-sturm "
+                f"weak domination on the whole ray for eps in "
+                f"{{1/100, 1/1000}}; cutoff c* = {c_star:.4f} survives the "
+                f"refined grid")
+
+
+def test_criterion_13_linear_product_model():
+    # B = a(s) e^(nu t) alpha + b(s) e^(mu t) dtheta over (ds, dtheta, dt)
+    # x g, with a = e^s + e^-s and b = e^s - e^-s, for a positive contact
+    # form alpha on g and nu > mu
+    line = liealg.LieAlgebra(("Θ*",), {})
+    tr2 = liealg.totally_real(2)
+    cases = [
+        (line, Form.covector(line.coframe(), 0), -1.0, 1.0, 24),
+        (tr2.algebra, tr2.alpha_plus, -0.5, 0.75, 12),
+    ]
+    worst = 0.0
+    for g, alpha, mu, nu, grid_n in cases:
+        res = ff.linear_model_pair_check(g, alpha, mu, nu, grid_n=grid_n)
+        assert res.passed
+        assert res.min_top > 0
+        assert res.factor_error <= 1e-8
+        worst = max(worst, res.factor_error)
+    _report(13, f"linear product model: dB^(q+2) > 0 and equal to its "
+                f"closed-form factor to 1e-8 (worst {worst:.1e}) over "
+                f"contact bases of dims 1 and 3")

@@ -614,9 +614,10 @@ FLOAT_REMARK = [json.dumps([[float(x) for x in row] for row in m])
 
 
 # each of these once passed on vacuous sampling (5 samples from --grid -4,
-# error 0.0 from --grid -5, one sample from --grid 0, "trials: -3") or ended
-# in a traceback (ArithmeticError from --tol 0, RetryExhaustedError from a
-# float pencil at --eps 0)
+# error 0.0 from --grid -5, one sample from --grid 0, "trials: -3"), searched
+# an empty unit box (--box 0 and -3 reported "unit rank 0 below Dirichlet
+# rank 1") or ended in a traceback (ArithmeticError from --tol 0,
+# RetryExhaustedError from a float pencil at --eps 0)
 @pytest.mark.parametrize("argv", [
     "giroux-torsion --pair sol:2,1,1,1 --grid -4",
     "giroux-torsion --pair sol:2,1,1,1 --grid 0",
@@ -629,6 +630,8 @@ FLOAT_REMARK = [json.dumps([[float(x) for x in row] for row in m])
     "cotame --eps 0",
     "pencil-reduce --eps 0",
     "cotame --eps nan",
+    "numfield --poly -2,0,1 --box 0",
+    "numfield --poly -2,0,1 --box -3",
 ])
 def test_vacuous_sampling_arguments_are_usage_errors(capsys, argv):
     argv = argv.split()
@@ -736,6 +739,18 @@ def test_cutoff_constant_must_be_finite(capsys, c):
     assert captured.out == ""
     assert captured.err == (
         f"input error: cutoff constant must be finite, got {float(c)}\n")
+
+
+@pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
+def test_reeb_parameter_must_be_finite(capfd, s):
+    # nan once reached LAPACK, which printed "On entry to DLASCL parameter
+    # number 4 had an illegal value" before "SVD did not converge", and inf
+    # ended in "math domain error"
+    assert run(["reeb", "--pair", "totreal:1", f"--s={s}", "--json"]) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"input error: Reeb parameter s must be finite, got {float(s)}\n")
 
 
 @pytest.mark.parametrize("pair", ["totreal:2", "sol:2,1,1,1", "geiges:2",

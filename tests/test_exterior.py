@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liouville_lab.exterior import (
-    EXACT, FLOAT64, Coframe, Form, VectorElem, form_from_json, form_to_json,
-    interior_product, pullback,
+    EXACT, FLOAT64, Coframe, Form, VectorElem, interior_product, pullback,
 )
 
 
@@ -255,16 +254,6 @@ def test_exact_to_float_roundtrip():
 def test_exact_ring_rejects_floats():
     with pytest.raises(TypeError):
         Form(CF4, 1, {1: 0.5}, EXACT)
-
-
-def test_json_roundtrip_exact_and_float():
-    rng = random.Random(9)
-    a = random_form(rng, CF4, 2, 3)
-    assert form_from_json(form_to_json(a)) == a
-    fa = a.to_float()
-    back = form_from_json(form_to_json(fa))
-    assert back.ring is FLOAT64
-    assert back.terms == fa.terms
 
 
 def test_coframe_validation():

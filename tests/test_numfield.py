@@ -179,18 +179,6 @@ def test_embedding_cross_check_on_norms():
         assert abs(approx - exact) <= 1e-6 * max(1, abs(exact))
 
 
-def test_hyperbolic_sl2():
-    res = nf.hyperbolic_sl2_lattice([[3, 4], [2, 3]])
-    assert abs(res.tau - math.log(3 + 2 * math.sqrt(2))) <= 1e-12
-    assert res.residual <= 1e-9
-    res2 = nf.hyperbolic_sl2_lattice([[2, 1], [1, 1]])
-    assert abs(res2.tau - math.log((3 + math.sqrt(5)) / 2)) <= 1e-12
-    with pytest.raises(ValueError, match="hyperbolic"):
-        nf.hyperbolic_sl2_lattice([[1, 1], [0, 1]])
-    with pytest.raises(ValueError, match="determinant"):
-        nf.hyperbolic_sl2_lattice([[2, 0], [0, 1]])
-
-
 def test_build_liealg_pair_rational():
     rep = nf.build_liealg_pair(RAT)
     assert rep.preset.key == "totreal:1"
