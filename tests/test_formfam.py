@@ -474,6 +474,21 @@ def test_xi_rejects_zero_cone_point():
         ff.xi_nondegenerate(SOL, 0.0, 0.0, 1.0, 0.0)
 
 
+def test_linear_model_dim3():
+    ab = liealg.LieAlgebra(("Θ*",), {})
+    alpha = Form.covector(ab.coframe(), 0)
+    res = ff.linear_model_pair_check(ab, alpha, -1.0, 1.0, grid_n=24)
+    assert res.passed
+    assert res.factor_error <= 1e-8
+
+
+def test_linear_model_higher_base():
+    p = liealg.totally_real(2)
+    res = ff.linear_model_pair_check(p.algebra, p.alpha_plus, -0.5, 0.75,
+                                     grid_n=12)
+    assert res.passed
+
+
 def test_linear_model_precondition():
     ab = liealg.LieAlgebra(("Θ*",), {})
     alpha = Form.covector(ab.coframe(), 0)
@@ -518,6 +533,13 @@ def test_weak_domination_rejects_float_forms():
                   (ap, dap, dap.to_float())):
         with pytest.raises(ValueError, match="requires exact forms"):
             ff.weak_domination_ray_check(*forms)
+
+
+def test_sol_ray_fixture_exact():
+    for eps in ("1/100", "1/1000"):
+        cert = ff.sol_weak_filling_ray_fixture(eps)
+        assert cert.verdict == "positive"
+        assert cert.kind == "exact-sturm"
 
 
 def test_sol_fixture_wedge_and_grid():
@@ -592,6 +614,10 @@ def test_gt_form_warns_on_corrupted_pair():
 def test_phi_at_half_pi_vanishes():
     assert abs(math.log((1 + math.cos(math.pi / 2)) / math.sin(math.pi / 2))) \
         == 0.0
+
+
+def test_gt_reparam_identity():
+    assert ff.gt_reparam_check(SOL, 512) <= 1e-10
 
 
 def test_beta_grid_agrees_with_exact_certificate():
