@@ -3,10 +3,12 @@
 Polynomials are lists of Fractions in ascending order, trimmed so the last
 entry is nonzero (the zero polynomial is the empty list).  Matrices are
 lists of rows.  This module holds the package's one exact path: polynomial
-arithmetic, Sturm chains, root counting and isolation, rational roots, the
-matrix product and one fraction-free elimination on integer rows, behind
-every exact determinant, solve and null space.  It backs every Sturm-style
-positivity certificate; nothing here is allowed to touch floating point.
+arithmetic, square roots, Sturm chains (of integer polynomials, whose signs
+at a/b are integer sums), root counting and isolation, rational roots, the
+matrix product, the division-free charpoly and one fraction-free
+elimination on integer rows, behind every exact determinant, solve and
+null space.  It backs every Sturm-style positivity certificate; nothing
+here is allowed to touch floating point.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ _ISOLATION_WIDTH = Q(1, 2**40)  # isolate_root bisects below this width
 
 
 def poly(coeffs) -> list[Fraction]:
-    p = [Q(c) for c in coeffs]
-    return trim(p)
+    return trim([Q(c) for c in coeffs])
 
 
 def trim(p: list[Fraction]) -> list[Fraction]:
@@ -110,9 +111,7 @@ def gcd_poly(p, q):
     a, b = list(p), list(q)
     while b:
         a, b = b, divmod_poly(a, b)[1]
-    if a:
-        a = [c / a[-1] for c in a]
-    return a
+    return [c / a[-1] for c in a]
 
 
 def squarefree_part(p):
@@ -124,12 +123,27 @@ def squarefree_part(p):
     return divmod_poly(p, g)[0]
 
 
+def square_root(p):
+    """The monic h with h h = p, for a monic p of even degree; raises
+    ArithmeticError when p is not such a square."""
+    m = degree(p) // 2
+    h = [Q(0)] * m + [Q(1)]
+    for k in range(m - 1, -1, -1):
+        # x^(m+k) of h^2 is 2 h_k plus products of coefficients above h_k
+        h[k] = (p[m + k] - sum(h[i] * h[m + k - i]
+                               for i in range(k + 1, m))) / 2
+    if mul(h, h) != p:
+        raise ArithmeticError("polynomial is not a square")
+    return h
+
+
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
 def sturm_chain(p):
-    """Sturm sequence of the squarefree part of p."""
+    """Sturm sequence of the squarefree part of p, each member content
+    cleared to integers (a positive multiple, so every sign is kept)."""
     p = squarefree_part(p)
     chain = [p, derivative(p)]
     while chain[-1]:
@@ -137,7 +151,7 @@ def sturm_chain(p):
         if not rem:
             break
         chain.append(neg(rem))
-    return [c for c in chain if c]
+    return [content_cleared(c) for c in chain if c]
 
 
 def sign_variations(signs) -> int:
@@ -146,11 +160,20 @@ def sign_variations(signs) -> int:
 
 
 def variations_at(chain, x) -> int:
-    return sign_variations([_sign(evaluate(c, x)) for c in chain])
+    """Sign variations of an integer chain at the rational x = a/b, b > 0:
+    each c(x) b^deg(c) = sum c_i a^i b^(deg(c) - i), summed in integers by
+    a homogeneous Horner rule, has the sign of c(x)."""
+    x = Q(x)
+    a, b = x.numerator, x.denominator
+    powers = [b ** k for k in range(max(map(len, chain), default=0))]
 
+    def scaled_value(c):  # c(a/b) b^deg(c)
+        acc = 0
+        for k, ci in enumerate(reversed(c)):
+            acc = acc * a + ci * powers[k]
+        return acc
 
-def variations_at_pos_inf(chain) -> int:
-    return sign_variations([_sign(c[-1]) for c in chain])
+    return sign_variations([_sign(scaled_value(c)) for c in chain])
 
 
 def count_roots(p, a, b, chain=None) -> int:
@@ -161,9 +184,9 @@ def count_roots(p, a, b, chain=None) -> int:
 
 
 def count_roots_above(p, a) -> int:
-    """Number of distinct real roots of p in (a, +inf)."""
-    chain = sturm_chain(p)
-    return variations_at(chain, a) - variations_at_pos_inf(chain)
+    """Number of distinct real roots of p in (a, +inf), all below
+    root_bound(p)."""
+    return count_roots(p, a, root_bound(p))
 
 
 def isolate_root(p, a, b):
@@ -173,10 +196,7 @@ def isolate_root(p, a, b):
     a, b = Q(a), Q(b)
     while b - a > _ISOLATION_WIDTH:
         m = (a + b) / 2
-        if count_roots(p, a, m, chain) >= 1:
-            b = m
-        else:
-            a = m
+        a, b = (a, m) if count_roots(p, a, m, chain) >= 1 else (m, b)
     return a, b
 
 
@@ -192,15 +212,9 @@ def positive_on_01(p):
     v1 = evaluate(p, 1)
     if v1 <= 0:
         return False, ("point", Q(1), v1)
-    n = count_roots(p, 0, 1)
-    if n == 0:
+    if count_roots(p, 0, 1) == 0:
         return True, None
-    a, b = isolate_root(p, Q(0), Q(1))
-    m = (a + b) / 2
-    vm = evaluate(p, m)
-    if vm <= 0:
-        return False, ("point", m, vm)
-    return False, ("root-interval", a, b)
+    return False, _root_witness(p, Q(1))
 
 
 def positive_on_open_ray(p):
@@ -212,22 +226,23 @@ def positive_on_open_ray(p):
     if count_roots_above(p, 0) == 0:
         # no root in (0, inf) and a positive leading coefficient: p > 0 there
         return True, None
-    bound = root_bound(p)
-    a, b = isolate_root(p, Q(0), bound)
+    return False, _root_witness(p, root_bound(p))
+
+
+def _root_witness(p, b):
+    """A point of (0, b) where p <= 0, or an isolating interval of a root
+    of p in (0, b]."""
+    a, b = isolate_root(p, Q(0), b)
     m = (a + b) / 2
     vm = evaluate(p, m)
-    if vm <= 0:
-        return False, ("point", m, vm)
-    return False, ("root-interval", a, b)
+    return ("point", m, vm) if vm <= 0 else ("root-interval", a, b)
 
 
 def root_bound(p) -> Fraction:
     """Cauchy bound: all real roots lie in (-B, B)."""
     if degree(p) < 1:
         return Q(1)
-    lc = abs(p[-1])
-    b = Q(1) + max(abs(c) for c in p[:-1]) / lc
-    return b
+    return 1 + Q(max(abs(c) for c in p[:-1]), abs(p[-1]))
 
 
 def rational_roots(p):
@@ -261,11 +276,9 @@ def rational_roots(p):
         todo += [(a, va, m, vm), (m, vm, b, vb)]
     roots = []
     for r in sorted(found):
-        mult = 0
-        q = list(p)
+        q, mult = list(p), 0
         while evaluate(q, r) == 0:
-            q = divmod_poly(q, poly([-r, 1]))[0]
-            mult += 1
+            q, mult = divmod_poly(q, poly([-r, 1]))[0], mult + 1
         roots.append((r, mult))
     return roots
 
@@ -299,16 +312,13 @@ def _eliminate(m, ncols):
     return pivots, sign, d
 
 
-def _int_rows(rows):
-    """Each rational row times the lcm of its denominators, as Python ints,
-    and the product of those multipliers."""
-    out, scale = [], 1
-    for row in rows:
-        row = [Q(x) for x in row]
-        lcm = math.lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (lcm // x.denominator) for x in row])
-        scale *= lcm
-    return out, scale
+def int_matrix(rows):
+    """(D M, D) for a matrix M of ints and Fractions and the lcm D of its
+    denominators: one positive scale for all entries, and Python ints (a
+    Fraction may hold numpy integers)."""
+    den = math.lcm(*(int(x.denominator) for row in rows for x in row))
+    return [[int(x.numerator) * (den // int(x.denominator)) for x in row]
+            for row in rows], den
 
 
 def _det(m) -> int:
@@ -325,18 +335,18 @@ def int_det(rows) -> int:
 
 
 def frac_det(rows) -> Fraction:
-    """Exact determinant of a rational matrix, on integer-scaled rows."""
-    m, scale = _int_rows(rows)
-    return Q(_det(m), scale)
+    """Exact determinant of a rational matrix, on its integer multiple."""
+    m, den = int_matrix(rows)
+    return Q(_det(m), den ** len(m))
 
 
 def solve(a, b):
     """The exact X with a X = b for a square a, as rows; None when a is
-    singular.  Scaling a row of [a | b] to integers leaves X unchanged."""
+    singular.  Scaling [a | b] to integers leaves X unchanged."""
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("square matrix required")
-    m, _ = _int_rows([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    m, _ = int_matrix([list(ra) + list(rb) for ra, rb in zip(a, b)])
     pivots, _, d = _eliminate(m, n)
     if len(pivots) < n:
         return None
@@ -344,20 +354,45 @@ def solve(a, b):
 
 
 def kernel(rows):
-    """Exact null-space basis of a nonempty list of rows: per free column f
-    of the RREF, 1 at f, 0 at the other free columns and minus the reduced
-    entries of column f at the pivot columns."""
-    m, _ = _int_rows(rows)
+    """Exact null-space basis of a nonempty list of rational rows, as the
+    integer numerators of its vectors over one positive denominator: per
+    free column f of the RREF, 1 at f, 0 at the other free columns and
+    minus the reduced entries of column f at the pivot columns."""
+    m, _ = int_matrix(rows)
     ncols = len(m[0])
     pivots, _, d = _eliminate(m, ncols)
+    sign = 1 if d > 0 else -1
     basis = []
     for f in (j for j in range(ncols) if j not in pivots):
-        vec = [Q(0)] * ncols
-        vec[f] = Q(1)
+        vec = [0] * ncols
+        vec[f] = sign * d
         for row, p in zip(m, pivots):
-            vec[p] = Q(-row[f], d)
+            vec[p] = -sign * row[f]
         basis.append(vec)
-    return basis
+    return basis, sign * d
+
+
+def charpoly(rows) -> list[Fraction]:
+    """det(x - M) of a square rational matrix M, ascending.
+
+    Berkowitz's division-free recurrence (Inf. Proc. Lett. 18, 1984) on the
+    integer D M (int_matrix): each leading block's charpoly is a Toeplitz
+    matrix of its border products R A^j S times the one before, and with
+    det(y - D M) = sum c_k y^k the coefficient of x^k is c_k / D^(n-k).
+    """
+    n = len(rows)
+    a, den = int_matrix(rows)
+    p = [1]  # descending charpoly of the leading k x k block
+    for k in range(n):
+        # the Toeplitz column: 1, -a_kk, then -R A^j S for the border R, S
+        col = [1, -a[k][k]]
+        s = [a[i][k] for i in range(k)]
+        for _ in range(k):
+            col.append(-sum(x * y for x, y in zip(a[k], s)))
+            s = [sum(x * y for x, y in zip(a[i], s)) for i in range(k)]
+        p = [sum(col[i - j] * p[j] for j in range(min(i, k) + 1))
+             for i in range(k + 2)]
+    return [Q(p[n - m], den ** (n - m)) for m in range(n + 1)]
 
 
 def mat_mul(a, b):
@@ -371,13 +406,6 @@ def content_cleared(p) -> list[int]:
     """Integer coefficient list with the common denominator cleared."""
     if not p:
         return []
-    den = 1
-    for c in p:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
+    ints = int_matrix([p])[0][0]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]

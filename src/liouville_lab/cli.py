@@ -83,9 +83,7 @@ def _load_matrix(path_or_inline):
     def conv(x):
         if isinstance(x, dict):
             return Fraction(x["num"], x["den"])
-        if isinstance(x, str):
-            return Fraction(x)
-        if isinstance(x, int):
+        if isinstance(x, (str, int)):
             return Fraction(x)
         return float(x)
 

@@ -709,6 +709,8 @@ def lutz_family_check(pair, k: int, tau: float, grid_n: int = 512,
     = (1 - tau psi)^n lambda_k ^ (d lambda_k)^{n-1} on the grid, psi the
     plateau bump of the twist window, and returns the worst relative error.
     """
+    if k < 1:
+        raise ValueError("k >= 1 required")
     pair = _as_pair(pair)
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")

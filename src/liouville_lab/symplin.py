@@ -13,11 +13,13 @@ eigenvalue, d = 2 for a conjugate pair); one builder (_block_layout) lays
 out the model pair and the blockwise J from these units.
 
 Each pencil command, and each appendix-equivalence trial, analyses its
-pencil once (_analyse): both forms' nondegeneracy, B and its spectrum (the
-exact charpoly of a rational pencil, the float eigenvalues otherwise).
+pencil once (_analyse): both forms' nondegeneracy, B and its spectrum (for
+a rational pencil the monic h with h^2 the exact charpoly, in half its
+degree; the float eigenvalues otherwise).
 Existence, the reduction and the construction read it.  The pencil is
-reduced once (_reduce): exactly when it can be, else in floats at the given
-eps, and the construction builds and verifies one J from that reduction.
+reduced once (_reduce): exactly, in Python ints, when it can be, else in
+floats at the given eps, and the construction builds and verifies one J
+from that reduction.
 The float reduction and the construction take a stack of pencils that
 share one block layout, and one pencil runs as a stack of one.  The Jordan
 blocks of a skew pencil come in equal pairs, so a 2-dimensional
@@ -127,10 +129,9 @@ class SkewForm:
             if any(len(r) != n for r in rows):
                 raise ValueError("square matrix required")
             _require_pencil_dim(n)
-            for i in range(n):
-                for j in range(n):
-                    if rows[i][j] != -rows[j][i]:
-                        raise ValueError("matrix is not antisymmetric")
+            if any(x != -y for row, col in zip(rows, zip(*rows))
+                   for x, y in zip(row, col)):
+                raise ValueError("matrix is not antisymmetric")
             self.matrix = rows
             self.exact = True
 
@@ -224,15 +225,12 @@ def tames(a: SkewForm, j: ComplexStructure):
     (a bool array)."""
     if a.dim != j.dim:
         raise ValueError("dimension mismatch")
-    if a.exact:
-        Jm = j.matrix
-        if np.array_equal(Jm, np.round(Jm)):
-            rows = [[Q(int(round(Jm[r][c]))) for c in range(a.dim)]
-                    for r in range(a.dim)]
-            prod = _poly.mat_mul(a.matrix, rows)
-            sym = [[(prod[r][c] + prod[c][r]) / 2 for c in range(a.dim)]
-                   for r in range(a.dim)]
-            return _exact_positive_definite(sym)
+    if a.exact and np.array_equal(j.matrix, np.round(j.matrix)):
+        prod = _poly.mat_mul(a.matrix, [[int(x) for x in row]
+                                        for row in j.matrix.tolist()])
+        # 2 sym(A J): a positive multiple keeps every leading minor's sign
+        return _exact_positive_definite(
+            [[x + y for x, y in zip(r, c)] for r, c in zip(prod, zip(*prod))])
     tamed = _tamed(a.to_array(), j.matrix)
     return tamed if tamed.ndim else bool(tamed)
 
@@ -257,11 +255,18 @@ def _tamed(arr: np.ndarray, jm: np.ndarray):
 
 
 def _exact_positive_definite(sym) -> bool:
-    n = len(sym)
-    for k in range(1, n + 1):
-        minor = [row[:k] for row in sym[:k]]
-        if _poly.frac_det(minor) <= 0:
+    """Sylvester's criterion in one pass: without row swaps, the k-th pivot
+    of the fraction-free (Bareiss) elimination of the integer D sym, D > 0,
+    is its k-th leading minor, so the first pivot <= 0 decides."""
+    m, _ = _poly.int_matrix(sym)
+    d = 1
+    for k, top in enumerate(m):
+        p = top[k]
+        if p <= 0:
             return False
+        for i, row in enumerate(m[k + 1:], k + 1):
+            m[i] = [(p * x - row[k] * y) // d for x, y in zip(row, top)]
+        d = p
     return True
 
 
@@ -293,9 +298,10 @@ class _Pencil:
     of float pencils (forms, B and spectra stacked along a first axis).
 
     For a rational pencil b is B = A0^{-1} A1 exactly (rows of Fractions)
-    and spectrum its ascending charpoly det(x - B); otherwise b is the float
-    B and spectrum its np.linalg.eigvals.  Neither depends on eps.  clusters
-    are the eigenvalue clusters of a float pencil in reduction order
+    and spectrum the ascending monic h with h^2 = det(x - B): the roots of
+    B at half their multiplicity.  Otherwise b is the float B and spectrum
+    its np.linalg.eigvals.  Neither depends on eps.  clusters are the
+    eigenvalue clusters of a float pencil in reduction order
     (_cluster_eigenvalues), computed by _reduce when not given; a stack
     gives them with each eigenvalue an (N,) array, one layout for all.
     """
@@ -313,9 +319,8 @@ class _Pencil:
     def ray_nondegenerate(self):
         """A bool, or a bool array for a stack."""
         if self.exact:
-            charpoly = self.spectrum
-            return _poly.count_roots(
-                charpoly, -_poly.root_bound(charpoly), 0) == 0
+            h = self.spectrum
+            return _poly.count_roots(h, -_poly.root_bound(h), 0) == 0
         admits = ~_negative_real(self.spectrum).any(axis=-1)
         return admits if admits.ndim else bool(admits)
 
@@ -332,7 +337,9 @@ def _analyse(a0: SkewForm, a1: SkewForm) -> _Pencil:
 
     On a rational pencil a degenerate w0 leaves the exact solve without a
     full set of pivots, and a degenerate w1 makes B singular, so the
-    charpoly's constant term is 0; no Pfaffian is needed.
+    charpoly's constant term is 0; no Pfaffian is needed.  The charpoly,
+    det(x A0 - A1) / det A0 = (Pf(x A0 - A1) / Pf A0)^2, is h^2 for a monic
+    h of half its degree, or this raises ArithmeticError.
     """
     if a0.exact and a1.exact:
         if a0.dim != a1.dim:
@@ -340,10 +347,10 @@ def _analyse(a0: SkewForm, a1: SkewForm) -> _Pencil:
         b = _poly.solve(a0.matrix, a1.matrix)
         if b is None:
             raise ValueError("omega_0 is degenerate")
-        charpoly = _frac_charpoly(b)
+        charpoly = _poly.charpoly(b)
         if charpoly[0] == 0:
             raise ValueError("omega_1 is degenerate")
-        return _Pencil(a0, a1, b, charpoly)
+        return _Pencil(a0, a1, b, _poly.square_root(charpoly))
     for k, a in enumerate((a0, a1)):
         if not is_nondegenerate(a):
             raise ValueError(f"omega_{k} is degenerate")
@@ -366,8 +373,8 @@ def ray_nondegenerate(a0: SkewForm, a1: SkewForm) -> bool:
     (1-t) A0 + t A1 = t A0 (B + (1-t)/t) is singular exactly when B has
     the eigenvalue -(1-t)/t, and these values fill (-inf, 0).  So both are
     "B has no negative real eigenvalue".  Rational pencils are decided
-    exactly: B is invertible, so this is a Sturm count of zero roots of its
-    charpoly in (-root_bound, 0).
+    exactly: B is invertible, so this is a Sturm count of zero roots in
+    (-root_bound, 0) of the half-degree factor h of its charpoly.
     """
     return _analyse(a0, a1).ray_nondegenerate()
 
@@ -792,104 +799,69 @@ def _try_exact_reduce(p: _Pencil):
     """Exact reduction for rational pencils with rational, semisimple spectrum.
 
     Returns None when the spectrum is not rational or the endomorphism is
-    not diagonalizable; callers fall back to the float path.  Each pairing
-    u^T M v dots the row u^T M, formed once per vector, with v, so every
-    step is O(n^3) Fraction operations.
+    not diagonalizable; callers fall back to the float path.  It runs in
+    Python ints: A0, A1 are scaled once to integers, and each vector is an
+    integer numerator vector over one positive denominator, shared by the
+    vectors of a space, so a pairing u^T M v is the integer row u^T M,
+    formed once, times v over a known positive scale.  The eigenspace of
+    lam is ker(A1 - lam A0) = ker(B - lam); a complement is the kernel of
+    the integer pairings.  So each vector has its rational value, the w0
+    Gram check is an integer equality, and the basis and the w1 residual
+    are int quotients, rounded as float(Fraction) rounds them.
     """
     n = p.a0.dim
-    m0 = p.a0.matrix
-    m1 = p.a1.matrix
-    roots = _poly.rational_roots(p.spectrum)
+    m0, s0 = _poly.int_matrix(p.a0.matrix)
+    m1, s1 = _poly.int_matrix(p.a1.matrix)
+    # charpoly = h^2: each root of h is a root of twice its multiplicity
+    roots = [(lam, 2 * mult) for lam, mult in _poly.rational_roots(p.spectrum)]
     if sum(m for _, m in roots) != n:
         return None
-    columns = []
-    blocks = []
+    columns, blocks = [], []  # columns as (numerators, denominator)
     for lam, mult in sorted(roots, key=lambda t: -t[0]):
-        space = _poly.kernel([[x - lam if i == j else x
-                               for j, x in enumerate(row)]
-                              for i, row in enumerate(p.b)])
+        a, b = lam.numerator, lam.denominator
+        space, den = _poly.kernel([[b * s0 * x - a * s1 * y
+                                    for x, y in zip(r1, r0)]
+                                   for r0, r1 in zip(m0, m1)])
         if len(space) != mult:
             return None  # nontrivial Jordan structure: use floats
         while space:
-            # w0 is the first vector of the space that pairs with v0,
-            # scaled to w0(v0, w0) = 1; the rest is the w0-complement of both
-            v0 = space[0]
-            v_row = _frac_row(v0, m0)
-            pairs = [_dot(v_row, s) for s in space]
+            # v0 = space[0], w0 the first vector that pairs with it, scaled
+            # to w0(v0, w0) = 1; the rest is the w0-complement of both
+            v_row = _int_row(space[0], m0)
+            pairs = [_int_dot(v_row, s) for s in space]
             at = next((j for j, x in enumerate(pairs) if x != 0), None)
             if at is None:
                 raise ArithmeticError("inconsistent pairing system")
-            w0 = [x / pairs[at] for x in space[at]]
-            columns += [v0, w0]
+            # w0(v0, s) = pairs[at] / (s0 den^2), so w0 = s s0 den / pairs[at]
+            sign = 1 if pairs[at] > 0 else -1
+            w0 = ([sign * s0 * den * x for x in space[at]], abs(pairs[at]))
+            columns += [(space[0], den), w0]
             blocks.append(RealBlock(lam, 1))
-            w_row = _frac_row(w0, m0)
-            constraints = [pairs, [_dot(w_row, s) for s in space]]
-            space = [_frac_row(c, space) for c in _poly.kernel(constraints)]
-    basis = np.array([[float(x) for x in col] for col in zip(*columns)])
+            w_row = _int_row(w0[0], m0)
+            combos, kden = _poly.kernel([pairs,
+                                         [_int_dot(w_row, s) for s in space]])
+            space = [[_int_dot(c, col) for col in zip(*space)]
+                     for c in combos]
+            den *= kden
+    basis = np.array([[num[i] / d for num, d in columns] for i in range(n)])
     model0, model1 = _model_matrices(blocks)
-    rows0 = [_frac_row(u, m0) for u in columns]
-    exact0 = all(
-        _dot(rows0[i], columns[j]) == model0[i][j]
-        for i in range(n) for j in range(n)
-    )
-    if not exact0:
-        return None
-    rows1 = [_frac_row(u, m1) for u in columns]
-    r1 = max(
-        abs(float(_dot(rows1[i], columns[j])) - model1[i][j])
-        for i in range(n) for j in range(n)
-    )
-    return PencilBlocks(blocks, basis, 0.0, 0.0, r1)
+    r1 = []
+    for (u, du), m0_row, m1_row in zip(columns, model0, model1):
+        row0, row1 = _int_row(u, m0), _int_row(u, m1)
+        for (v, dv), x0, x1 in zip(columns, m0_row, m1_row):
+            if _int_dot(row0, v) != int(x0) * s0 * du * dv:
+                return None
+            r1.append(abs(_int_dot(row1, v) / (s1 * du * dv) - x1))
+    return PencilBlocks(blocks, basis, 0.0, 0.0, max(r1))
 
 
-def _frac_row(u, m):
-    """The row vector u^T M, exactly (sum_j u_j M[j])."""
-    return [_dot(u, col) for col in zip(*m)]
+def _int_row(u, m):
+    """The row vector u^T M of integers (sum_j u_j M[j])."""
+    return [_int_dot(u, col) for col in zip(*m)]
 
 
-def _dot(u, v):
+def _int_dot(u, v):
     return sum(x * y for x, y in zip(u, v))
-
-
-def _frac_charpoly(b):
-    """Characteristic polynomial det(x - b), ascending, exact, in O(n^3).
-
-    Similarities (row i -= u row m, column m += u column i, after a swap that
-    puts a nonzero pivot at h[m][m-1]) make b upper Hessenberg; det(x - H)
-    follows the recurrence of Cohen, A Course in Computational Algebraic
-    Number Theory, Alg. 2.2.9.
-    """
-    h = [row[:] for row in b]
-    n = len(h)
-    for m in range(1, n - 1):
-        piv = next((i for i in range(m, n) if h[i][m - 1] != 0), None)
-        if piv is None:
-            continue
-        if piv != m:
-            h[m], h[piv] = h[piv], h[m]
-            for row in h:
-                row[m], row[piv] = row[piv], row[m]
-        t = h[m][m - 1]
-        for i in range(m + 1, n):
-            u = h[i][m - 1] / t
-            if u == 0:
-                continue
-            h[i] = h[i][:m - 1] + [x - u * y for x, y in
-                                   zip(h[i][m - 1:], h[m][m - 1:])]
-            for row in h:
-                row[m] += u * row[i]
-    polys = [[Q(1)]]
-    for m in range(1, n + 1):
-        p = _poly.mul([-h[m - 1][m - 1], Q(1)], polys[m - 1])
-        t = Q(1)
-        for i in range(1, m):
-            t *= h[m - i][m - i - 1]
-            if t == 0:
-                break
-            p = _poly.sub(p, _poly.scale(polys[m - i - 1],
-                                         t * h[m - i - 1][m - 1]))
-        polys.append(p)
-    return polys[n]
 
 
 # -- cotamed construction ---------------------------------------------------------

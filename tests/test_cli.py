@@ -398,6 +398,14 @@ PENCILS = {
     "real4": rational_pencil(1, [Q(1, 2), 3]),
     "real6": rational_pencil(2, [2, 2, Q(1, 3)]),
     "real8": rational_pencil(3, [Q(1, 2), 3, Q(5, 3), Q(7, 4)]),
+    # the top dimensions, with repeated eigenvalues of denominators 3, 4
+    # and 7, pinned before the exact pencil path moved to Python ints
+    "real10": rational_pencil(6, [Q(1, 3), Q(5, 4), Q(1, 3), Q(9, 7),
+                                  Q(5, 4)]),
+    "real12": rational_pencil(7, [Q(2, 7), Q(4, 3), Q(2, 7), Q(11, 4),
+                                  Q(4, 3), Q(2, 7)]),
+    "real12b": rational_pencil(8, [Q(2, 7), Q(4, 3), Q(2, 7), Q(11, 4),
+                                   Q(4, 3), Q(2, 7)]),
     "complex4": rational_pencil(4, [], [(Q(1, 2), Q(3, 2))]),
     "negative4": rational_pencil(5, [-2, 3]),
     "prime": ["[[0, 1], [-1, 0]]",
@@ -427,6 +435,17 @@ GOLDEN_PENCIL_REPORTS = [
      "ddc8eefb9df90c49c63326f18ebd3a746fb2210a6a78152639c7bc132390ba53"),
     ("cotame real8", 0,
      "c811f047eb122c88d9ca8796c1bc8325b318661723cac2438093a5beb42ece0c"),
+    ("pencil-reduce real10", 0,
+     "1b00f3ac129c80d9f84992966eefd4be4ae27658788f48ce7155b91a002aaab7"),
+    ("cotame real10", 0,
+     "6bdde72465ff6aa73a3a6789703762d9a544801f1b930ca5af43bc60104bf430"),
+    # cotame real12 fails: test_cotame_real12_fails_at_the_square_gate
+    ("pencil-reduce real12", 0,
+     "c75e8c4a0cbf761b111a76a67d0142aa9ce2c165a8e7f2aea30e4616423019c7"),
+    ("pencil-reduce real12b", 0,
+     "971cf2145c4242414cac2331e4eaa8e3b0c9f7e65b2adf1910721bc1149de450"),
+    ("cotame real12b", 0,
+     "b0faf7fce0a6dd78e6cc79b3fed72a183cad7b689a6446bbb4cf3e6b6c02daed"),
     # a rational pencil with an irrational spectrum: reduced in floats,
     # so labelled "grid"
     ("pencil-reduce complex4", 0,
@@ -479,6 +498,18 @@ def test_pencil_reports_match_golden_bytes(capture, case, exit_code, digest):
     code, out = capture(argv + ["--json"])
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cotame_real12_fails_at_the_square_gate(capture):
+    # the exact reduction of this pencil succeeds (its pencil-reduce bytes
+    # are pinned above), but the float J built from its ill-conditioned
+    # basis misses the J^2 = -I gate: the known failure of rational cotame
+    o0, o1 = PENCILS["real12"]
+    with pytest.raises(sl.RetryExhaustedError) as err:
+        capture(["cotame", "--omega0", o0, "--omega1", o1, "--json"])
+    assert str(err.value) == (
+        "cotamed construction failed (cond(A0)=1.76e+02, "
+        "cond(A1)=9.12e+02): matrix does not square to -identity")
 
 
 RATIONAL_EIGENVALUES = [Q(1, 2), Q(2, 3), Q(1), Q(5, 4), Q(2), Q(7, 3),
@@ -739,6 +770,19 @@ def test_cutoff_constant_must_be_finite(capsys, c):
     assert captured.out == ""
     assert captured.err == (
         f"input error: cutoff constant must be finite, got {float(c)}\n")
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["lutz-check"], ["giroux-torsion"], ["reeb", "--s", "1.5"]])
+def test_twist_count_below_one_is_an_input_error(capsys, command, k):
+    # lutz-check once reported "verdict: pass" with exit 0 for any k < 1,
+    # while giroux-torsion and reeb rejected it
+    assert run([command[0], "--pair", "sol:2,1,1,1", "--k", k,
+                *command[1:], "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: k >= 1 required\n"
 
 
 @pytest.mark.parametrize("s", ["nan", "inf", "-inf"])

@@ -183,6 +183,12 @@ def reference_rref(aug, ncols_left):
         row += 1
 
 
+def kernel_fractions(rows):
+    """poly.kernel as Fraction vectors."""
+    nums, den = poly.kernel(rows)
+    return [[Q(x, den) for x in vec] for vec in nums]
+
+
 def reference_kernel(m):
     """Null-space basis from the Fraction RREF, one vector per free column."""
     ncols = len(m[0])
@@ -255,7 +261,7 @@ def rational_matrices(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(rational_matrices(), st.lists(RATIONAL, min_size=6, max_size=6))
 def test_elimination_matches_fraction_references(rows, rhs):
-    basis = poly.kernel(rows)
+    basis = kernel_fractions(rows)
     assert basis == reference_kernel(rows)
     assert all(sum(x * v for x, v in zip(row, vec)) == 0
                for row in rows for vec in basis)
@@ -286,7 +292,7 @@ def test_elimination_matches_fraction_references(rows, rhs):
 def test_elimination_small_cases(rows, det, kernel):
     rows = [[Q(x) for x in row] for row in rows]
     assert poly.frac_det(rows) == det
-    assert poly.kernel(rows) == kernel
+    assert kernel_fractions(rows) == kernel
     x = poly.solve(rows, [[1] for _ in rows])
     assert (x is None) == (det == 0)
 
@@ -294,8 +300,13 @@ def test_elimination_small_cases(rows, det, kernel):
 def test_elimination_of_rectangular_rows():
     # two rows, four columns: the free columns 2 and 3 span the kernel
     rows = [[1, 0, 2, -1], [0, 3, 0, 6]]
-    assert poly.kernel(rows) == [[-2, 0, 1, 0], [1, -2, 0, 1]]
-    assert poly.kernel([[0, 0, 0]]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert kernel_fractions(rows) == [[-2, 0, 1, 0], [1, -2, 0, 1]]
+    assert poly.kernel(rows) == ([[-6, 0, 3, 0], [3, -6, 0, 3]], 3)
+    assert poly.kernel([[0, 0, 0]]) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
+    # a negative last pivot: numerators and denominator change sign
+    assert poly.kernel([[-2, 1]]) == ([[1, 2]], 2)
+    assert poly.kernel([[Q(1, 2), Q(1, 3), 1], [Q(1, 4), Q(-1, 6), 0]]) == (
+        [[-24, -36, 24]], 24)
     with pytest.raises(ValueError, match="square"):
         poly.int_det(rows)
     with pytest.raises(ValueError, match="square"):
@@ -361,6 +372,104 @@ def test_rational_roots_match_divisor_search(roots, zeros, quadratic, scale):
         rest = sorted(rest + [(Q(0), zeros)])
     assert poly.rational_roots(p) == rest
     assert sum(m for _, m in rest) >= len(roots) + zeros
+
+
+def fraction_sturm_chain(p):
+    """The Sturm chain in Fractions, as it was before its members were
+    content cleared to integers."""
+    p = poly.squarefree_part(p)
+    chain = [p, poly.derivative(p)]
+    while chain[-1]:
+        rem = poly.divmod_poly(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(poly.neg(rem))
+    return [c for c in chain if c]
+
+
+def fraction_variations_at(chain, x):
+    """Sign variations from Fraction evaluations of the chain at x."""
+    values = [poly.evaluate(c, x) for c in chain]
+    return poly.sign_variations([(v > 0) - (v < 0) for v in values])
+
+
+def fraction_rational_roots(p):
+    """rational_roots with every Sturm sign from a Fraction evaluation."""
+    if poly.degree(p) < 1:
+        return []
+    lead = abs(poly.content_cleared(p)[-1])
+    chain = fraction_sturm_chain(p)
+    bound = poly.root_bound(chain[0])
+    width = Q(1, 2 * lead)
+    found = []
+    todo = [(-bound, fraction_variations_at(chain, -bound),
+             bound, fraction_variations_at(chain, bound))]
+    while todo:
+        a, va, b, vb = todo.pop()
+        if va == vb:
+            continue
+        if va - vb == 1 and b - a <= width:
+            r = Q(math.floor(b * lead), lead)
+            if r > a and poly.evaluate(p, r) == 0:
+                found.append(r)
+            continue
+        m = (a + b) / 2
+        vm = fraction_variations_at(chain, m)
+        todo += [(a, va, m, vm), (m, vm, b, vb)]
+    roots = []
+    for r in sorted(found):
+        mult, q = 0, list(p)
+        while poly.evaluate(q, r) == 0:
+            q = poly.divmod_poly(q, poly.poly([-r, 1]))[0]
+            mult += 1
+        roots.append((r, mult))
+    return roots
+
+
+rationals_to_7 = st.builds(Q, st.integers(-20, 20), st.integers(1, 7))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    roots=st.lists(st.tuples(rationals_to_7, st.integers(1, 3)), max_size=4),
+    extra=st.lists(rationals_to_7, max_size=4),
+    scale=rationals_to_7.filter(bool),
+    points=st.lists(rationals_to_7, min_size=2, max_size=6),
+)
+def test_integer_sturm_signs_match_fraction_evaluation(roots, extra, scale,
+                                                       points):
+    # rational roots with multiplicities times a random rational factor;
+    # the points include the rational roots, where a chain member is 0
+    p = poly.poly([scale])
+    for r, mult in roots:
+        p = poly.mul(p, poly.pow_(poly.poly([-r, 1]), mult))
+    p = poly.mul(p, poly.poly(extra + [1]))
+    if poly.degree(p) < 1:
+        return
+    chain = poly.sturm_chain(p)
+    reference = fraction_sturm_chain(p)
+    assert len(chain) == len(reference)
+    for ints, fracs in zip(chain, reference):
+        ratio = Q(ints[-1]) / fracs[-1]
+        assert ratio > 0 and [ratio * c for c in fracs] == ints
+    for x in points + [r for r, _ in roots]:
+        assert poly.variations_at(chain, x) == fraction_variations_at(
+            reference, x)
+    for a, b in zip(points, points[1:]):
+        a, b = min(a, b), max(a, b)
+        assert poly.count_roots(p, a, b) == (
+            fraction_variations_at(reference, a)
+            - fraction_variations_at(reference, b))
+    assert poly.rational_roots(p) == fraction_rational_roots(p)
+
+
+def test_square_root_of_a_square_only():
+    h = poly.mul(poly.poly([-1, 1]), poly.poly([Q(2, 3), 0, 1]))
+    assert poly.square_root(poly.mul(h, h)) == h
+    assert poly.square_root(poly.poly([1])) == [1]
+    for p in ([1, 0, 1], [0, 1], [1, 2, 3, 0, 1]):
+        with pytest.raises(ArithmeticError, match="not a square"):
+            poly.square_root(poly.poly(p))
 
 
 def test_rational_roots_of_large_prime_roots():

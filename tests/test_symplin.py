@@ -1135,6 +1135,47 @@ def pfaffian_by_expansion(rows):
     return total
 
 
+def hessenberg_charpoly(b):
+    """Reference charpoly (ascending) in Fractions, in O(n^3).
+
+    Similarities (row i -= u row m, column m += u column i, after a swap that
+    puts a nonzero pivot at h[m][m-1]) make b upper Hessenberg; det(x - H)
+    follows the recurrence of Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.2.9.
+    """
+    h = [row[:] for row in b]
+    n = len(h)
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1] != 0), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[m], h[piv] = h[piv], h[m]
+            for row in h:
+                row[m], row[piv] = row[piv], row[m]
+        t = h[m][m - 1]
+        for i in range(m + 1, n):
+            u = h[i][m - 1] / t
+            if u == 0:
+                continue
+            h[i] = h[i][:m - 1] + [x - u * y for x, y in
+                                   zip(h[i][m - 1:], h[m][m - 1:])]
+            for row in h:
+                row[m] += u * row[i]
+    polys = [[Q(1)]]
+    for m in range(1, n + 1):
+        p = _poly.mul([-h[m - 1][m - 1], Q(1)], polys[m - 1])
+        t = Q(1)
+        for i in range(1, m):
+            t *= h[m - i][m - i - 1]
+            if t == 0:
+                break
+            p = _poly.sub(p, _poly.scale(polys[m - i - 1],
+                                         t * h[m - i - 1][m - 1]))
+        polys.append(p)
+    return polys[n]
+
+
 RATIONAL = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
 
 
@@ -1150,7 +1191,9 @@ def test_hessenberg_charpoly_matches_faddeev_leverrier(data):
     n = data.draw(st.integers(1, 12))
     entry = sparse_entries(data)
     b = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
-    assert sl._frac_charpoly(b) == faddeev_leverrier_charpoly(b)
+    want = faddeev_leverrier_charpoly(b)
+    assert hessenberg_charpoly(b) == want
+    assert _poly.charpoly(b) == want
 
 
 @pytest.mark.parametrize("b", [
@@ -1162,7 +1205,9 @@ def test_hessenberg_charpoly_matches_faddeev_leverrier(data):
 ])
 def test_hessenberg_charpoly_swap_and_skip(b):
     b = [[Q(x) for x in row] for row in b]
-    assert sl._frac_charpoly(b) == faddeev_leverrier_charpoly(b)
+    want = faddeev_leverrier_charpoly(b)
+    assert hessenberg_charpoly(b) == want
+    assert _poly.charpoly(b) == want
 
 
 def skew_from_upper(n, upper):
@@ -1211,18 +1256,6 @@ def test_is_nondegenerate_pivots(upper, expected):
 # _nilpotency_index there.
 
 
-def exact_square_root(p):
-    """The monic h of degree m whose square agrees with the monic p of
-    degree 2 m in its top m + 1 coefficients."""
-    m = (len(p) - 1) // 2
-    h = [Q(0)] * m + [Q(1)]
-    for k in range(m - 1, -1, -1):
-        # x^(m+k) of h^2 is 2 h_k plus products of coefficients above h_k
-        h[k] = (p[m + k] - sum(h[i] * h[m + k - i]
-                               for i in range(k + 1, m))) / 2
-    return h
-
-
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(st.data())
 def test_exact_charpoly_of_a_skew_pencil_is_a_square(data):
@@ -1233,9 +1266,196 @@ def test_exact_charpoly_of_a_skew_pencil_is_a_square(data):
         entry, min_size=size, max_size=size))) for _ in range(2))
     b = _poly.solve(a0, a1)
     assume(b is not None)
-    charpoly = sl._frac_charpoly(b)
-    h = exact_square_root(charpoly)
+    charpoly = _poly.charpoly(b)
+    h = _poly.square_root(charpoly)
     assert _poly.mul(h, h) == charpoly
+
+
+def test_non_square_charpoly_is_an_arithmetic_error(monkeypatch):
+    # there is no fallback: a charpoly that is not h^2 ends the analysis
+    real = _poly.charpoly
+    monkeypatch.setattr(_poly, "charpoly",
+                        lambda b: _poly.add(real(b), [Q(0), Q(1)]))
+    a0, a1 = congruent_rational_pencil([Q(1, 2), 3], P4)
+    with pytest.raises(ArithmeticError, match="not a square"):
+        sl._analyse(a0, a1)
+
+
+# -- the integer exact path against its Fraction reference ---------------------------
+
+
+def frac_row(u, m):
+    """The row vector u^T M, in Fractions (sum_j u_j M[j])."""
+    return [frac_dot(u, col) for col in zip(*m)]
+
+
+def frac_dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def frac_kernel(rows):
+    nums, den = _poly.kernel(rows)
+    return [[Q(x, den) for x in vec] for vec in nums]
+
+
+def fraction_exact_reduce(p):
+    """The Fraction reduction that the integer _try_exact_reduce replaced,
+    kept as its reference: O(n^3) Fraction operations, the roots from the
+    full Hessenberg charpoly and the eigenspaces from B - lam."""
+    n = p.a0.dim
+    m0 = p.a0.matrix
+    m1 = p.a1.matrix
+    roots = _poly.rational_roots(hessenberg_charpoly(p.b))
+    if sum(m for _, m in roots) != n:
+        return None
+    columns = []
+    blocks = []
+    for lam, mult in sorted(roots, key=lambda t: -t[0]):
+        space = frac_kernel([[x - lam if i == j else x
+                              for j, x in enumerate(row)]
+                             for i, row in enumerate(p.b)])
+        if len(space) != mult:
+            return None
+        while space:
+            v0 = space[0]
+            v_row = frac_row(v0, m0)
+            pairs = [frac_dot(v_row, s) for s in space]
+            at = next((j for j, x in enumerate(pairs) if x != 0), None)
+            if at is None:
+                raise ArithmeticError("inconsistent pairing system")
+            w0 = [x / pairs[at] for x in space[at]]
+            columns += [v0, w0]
+            blocks.append(sl.RealBlock(lam, 1))
+            w_row = frac_row(w0, m0)
+            constraints = [pairs, [frac_dot(w_row, s) for s in space]]
+            space = [frac_row(c, space) for c in frac_kernel(constraints)]
+    basis = np.array([[float(x) for x in col] for col in zip(*columns)])
+    model0, model1 = sl._model_matrices(blocks)
+    rows0 = [frac_row(u, m0) for u in columns]
+    if not all(frac_dot(rows0[i], columns[j]) == model0[i][j]
+               for i in range(n) for j in range(n)):
+        return None
+    rows1 = [frac_row(u, m1) for u in columns]
+    r1 = max(abs(float(frac_dot(rows1[i], columns[j])) - model1[i][j])
+             for i in range(n) for j in range(n))
+    return sl.PencilBlocks(blocks, basis, 0.0, 0.0, r1)
+
+
+EXACT_POOL = [Q(1, 3), Q(5, 4), Q(9, 7), Q(2), Q(-1, 2), Q(-7, 4), Q(3)]
+
+
+def exact_block_model(units):
+    """The exact pair A0 = [[0, I], [-I, 0]], A1 = [[0, S], [-S^T, 0]] per
+    d x d unit S, blockwise; B is diag(S^T, S) on each block."""
+    size = 2 * sum(len(u) for u in units)
+    a0 = [[Q(0)] * size for _ in range(size)]
+    a1 = [[Q(0)] * size for _ in range(size)]
+    at = 0
+    for u in units:
+        d = len(u)
+        for i in range(d):
+            a0[at + i][at + d + i], a0[at + d + i][at + i] = Q(1), Q(-1)
+            for j in range(d):
+                a1[at + i][at + d + j] = Q(u[i][j])
+                a1[at + d + j][at + i] = -Q(u[i][j])
+        at += 2 * d
+    return a0, a1
+
+
+@st.composite
+def exact_pencil_draws(draw):
+    """(A0, A1, semisimple): a rational congruence P^T M P (entries of P
+    in [-4, 4] over 1, 2, 3, 4 or 7) of a block model of dimension 2 to 10.
+    Real eigenvalues repeat; a draw may add a rational Jordan chain, a real
+    irrational pair sqrt(c) or a complex pair, and then has no exact
+    reduction."""
+    other = draw(st.sampled_from(["none"] * 4 + ["chain", "irrational",
+                                                 "complex"]))
+    size = draw(st.integers(1, 5 if other == "none" else 3))
+    pool = draw(st.lists(st.sampled_from(EXACT_POOL), min_size=1,
+                         max_size=3, unique=True))
+    units = [[[lam]] for lam in draw(st.lists(
+        st.sampled_from(pool), min_size=size, max_size=size))]
+    lam = draw(st.sampled_from(EXACT_POOL))
+    if other == "chain":
+        units.append([[lam, 1], [0, lam]])
+    elif other == "irrational":
+        units.append([[0, draw(st.sampled_from([2, 3, 5]))], [1, 0]])
+    elif other == "complex":
+        units.append([[lam, 1], [-1, lam]])
+    m0, m1 = exact_block_model(draw(st.permutations(units)))
+    n = len(m0)
+    entry = st.builds(Q, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4, 7]))
+    p = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    assume(_poly.frac_det(p) != 0)
+    pt = [list(col) for col in zip(*p)]
+    a0, a1 = (sl.SkewForm(_poly.mat_mul(pt, _poly.mat_mul(m, p)))
+              for m in (m0, m1))
+    return a0, a1, other == "none"
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(exact_pencil_draws())
+def test_integer_exact_reduce_matches_fraction_reference(draw):
+    a0, a1, semisimple = draw
+    pencil = sl._analyse(a0, a1)
+    ref = fraction_exact_reduce(pencil)
+    got = sl._try_exact_reduce(pencil)
+    assert (ref is not None) == semisimple
+    if ref is None:
+        assert got is None
+        return
+    assert got.blocks == ref.blocks
+    assert got.basis.tobytes() == ref.basis.tobytes()
+    assert (got.eps, got.omega0_residual, got.omega1_residual) == (
+        ref.eps, ref.omega0_residual, ref.omega1_residual)
+
+
+def leading_minors_positive(sym):
+    """The n-elimination loop that _exact_positive_definite replaced, kept
+    as its reference: the Bareiss determinant of every leading minor."""
+    n = len(sym)
+    for k in range(1, n + 1):
+        minor = [row[:k] for row in sym[:k]]
+        if _poly.frac_det(minor) <= 0:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("sym, definite", [
+    ([[2, 1], [1, 2]], True),
+    ([[0, 1], [1, 0]], False),                # zero first minor, det < 0
+    ([[0, 0], [0, 1]], False),                # zero first minor, det 0
+    ([[1, 1], [1, 1]], False),                # singular second minor
+    ([[1, 2], [2, 1]], False),                # negative second minor
+    ([[1, 0, 0], [0, 0, 1], [0, 1, 5]], False),
+    ([[Q(1, 2), Q(1, 3)], [Q(1, 3), Q(1, 4)]], True),
+    ([[-1]], False),
+])
+def test_positive_definite_cases(sym, definite):
+    sym = [[Q(x) for x in row] for row in sym]
+    assert sl._exact_positive_definite(sym) == definite
+    assert leading_minors_positive(sym) == definite
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_positive_definite_matches_leading_minor_loop(data):
+    # G^T D G: definite for D > 0 and G invertible, singular leading minors
+    # from zeros in D or a rank-deficient G, negative ones from D < 0
+    n = data.draw(st.integers(1, 7))
+    entry = sparse_entries(data)
+    g = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    d = data.draw(st.lists(st.sampled_from([Q(0), Q(-1), Q(1), Q(2, 3)]),
+                           min_size=n, max_size=n))
+    sym = [[sum(g[k][i] * d[k] * g[k][j] for k in range(n))
+            for j in range(n)] for i in range(n)]
+    if data.draw(st.booleans()):
+        # a symmetric shift: indefinite and singular minors in the middle
+        shift = data.draw(entry)
+        for i in range(n):
+            sym[i][i] += shift
+    assert sl._exact_positive_definite(sym) == leading_minors_positive(sym)
 
 
 BENCH_REAL_POOL = [0.5 + 0.25 * i for i in range(15)]
@@ -1452,7 +1672,8 @@ def test_exact_pencil_names_the_degenerate_form():
     pencil = sl._analyse(a0, a1)
     assert pencil.exact
     assert _poly.mat_mul(a0.matrix, pencil.b) == a1.matrix
-    assert pencil.spectrum == faddeev_leverrier_charpoly(pencil.b)
+    assert _poly.mul(pencil.spectrum, pencil.spectrum) == (
+        faddeev_leverrier_charpoly(pencil.b))
     zero = sl.SkewForm([[Q(0)] * 4 for _ in range(4)])
     for pair, message in (((zero, a1), "omega_0"), ((a0, zero), "omega_1")):
         for call in (sl._analyse, sl.simultaneous_reduce, sl.ray_nondegenerate,
@@ -1476,14 +1697,14 @@ def test_cotame_analyses_its_pencil_once(monkeypatch):
     # the construction all read one analysis
     calls = {}
     counted_calls(monkeypatch, sl, "_float_endomorphism", calls)
-    counted_calls(monkeypatch, sl, "_frac_charpoly", calls)
+    counted_calls(monkeypatch, _poly, "charpoly", calls)
     counted_calls(monkeypatch, np.linalg, "eigvals", calls)
     counted_calls(monkeypatch, np.linalg, "det", calls)
     a0, a1 = congruent_rational_pencil([Q(1, 2), 3], P4)
     fa0, fa1 = sl.SkewForm(a0.to_array()), sl.SkewForm(a1.to_array())
     for argv, want in (
             ([fa0, fa1], {"_float_endomorphism": 1, "eigvals": 1, "det": 2}),
-            ([a0, a1], {"_frac_charpoly": 1})):
+            ([a0, a1], {"charpoly": 1})):
         calls.clear()
         j = sl.construct_cotamed(*argv)
         assert sl.tames(argv[0], j) and sl.tames(argv[1], j)
@@ -1496,14 +1717,15 @@ def test_rational_fallback_solves_in_float_once(monkeypatch):
     # so even with every taming check failing the exact attempt, the
     # clustering and the float reduction each run once
     calls = {}
-    for name in ("_float_endomorphism", "_frac_charpoly", "_try_exact_reduce",
+    for name in ("_float_endomorphism", "_try_exact_reduce",
                  "_cluster_eigenvalues", "_float_reduce"):
         counted_calls(monkeypatch, sl, name, calls)
+    counted_calls(monkeypatch, _poly, "charpoly", calls)
     counted_calls(monkeypatch, np.linalg, "eigvals", calls)
     monkeypatch.setattr(sl, "tames", lambda a, j, tol=1e-10: False)
     with pytest.raises(sl.RetryExhaustedError, match="taming verification"):
         sl.construct_cotamed(*sl.remark_pair())
-    assert calls == {"_frac_charpoly": 1, "_float_endomorphism": 1,
+    assert calls == {"charpoly": 1, "_float_endomorphism": 1,
                      "eigvals": 1, "_try_exact_reduce": 1,
                      "_cluster_eigenvalues": 1, "_float_reduce": 1}
 
