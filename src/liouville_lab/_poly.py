@@ -245,8 +245,9 @@ def root_bound(p) -> Fraction:
     return 1 + Q(max(abs(c) for c in p[:-1]), abs(p[-1]))
 
 
-def rational_roots(p):
-    """(root, multiplicity) pairs of the rational roots of p, ascending.
+def rational_roots(p, chain=None):
+    """(root, multiplicity) pairs of the rational roots of p, ascending;
+    chain, when given, is sturm_chain(p).
 
     Every rational root is k/lead for the leading coefficient lead of
     `content_cleared(p)`.  Sturm bisection narrows each real root to an
@@ -256,7 +257,8 @@ def rational_roots(p):
     if degree(p) < 1:
         return []
     lead = abs(content_cleared(p)[-1])
-    chain = sturm_chain(p)
+    if chain is None:
+        chain = sturm_chain(p)
     bound = root_bound(chain[0])
     width = Q(1, 2 * lead)
     found = []

@@ -105,17 +105,20 @@ def _int_list(text):
     return [int(x) for x in text.split(",")]
 
 
-def _positive(kind):
-    """argparse type: a `kind` number above 0, so an int count is at least 1.
+def _positive(kind, zero=False):
+    """argparse type: a `kind` number above 0, so an int count is at least
+    1; with zero=True, a number of at least 0.
 
     A grid, trial count, unit search box, tolerance or eps of 0 or less
-    leaves nothing to sample or search or no room to pass, so it is a usage
-    error (exit 2).
+    leaves nothing to sample or search or no room to pass, and a seed below
+    0 is no seed of numpy's SeedSequence, so each is a usage error (exit 2).
     """
     def parse(text):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not (value >= 0 if zero else value > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be {'non-negative' if zero else 'positive'}, "
+                f"got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it: "invalid int value"
@@ -404,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="JSON report on stdout")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_positive(int, zero=True), default=0)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, **kw):

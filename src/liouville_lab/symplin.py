@@ -44,14 +44,15 @@ interpolation, appendix-equivalence and cocompatible suites run their
 trials as stacks of at most _TRIAL_STACK, each trial drawing from its own
 generator in the per-trial order, and raise what a per-trial loop would
 raise first; the appendix-equivalence suite builds its cotamed structures
-in one stack per block layout.
+in one stack per block layout.  A stack seeds its generators in one pass
+(_trial_rngs), each with the stream of default_rng of its trial's seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, cached_property, partial
 from fractions import Fraction
 
 import numpy as np
@@ -124,7 +125,8 @@ class SkewForm:
                 raise ValueError("matrix is not antisymmetric")
             self.exact = False
         else:
-            rows = [[Q(x) for x in r] for r in self.matrix]
+            rows = [[x if isinstance(x, Q) else Q(x) for x in r]
+                    for r in self.matrix]
             n = len(rows)
             if any(len(r) != n for r in rows):
                 raise ValueError("square matrix required")
@@ -316,11 +318,18 @@ class _Pencil:
     def exact(self) -> bool:
         return self.a0.exact and self.a1.exact
 
+    @cached_property
+    def chain(self) -> list:
+        """The Sturm chain of h, of a rational pencil: built once for both
+        the ray test and the rational roots of the exact reduction."""
+        return _poly.sturm_chain(self.spectrum)
+
     def ray_nondegenerate(self):
         """A bool, or a bool array for a stack."""
         if self.exact:
             h = self.spectrum
-            return _poly.count_roots(h, -_poly.root_bound(h), 0) == 0
+            return _poly.count_roots(h, -_poly.root_bound(h), 0,
+                                     self.chain) == 0
         admits = ~_negative_real(self.spectrum).any(axis=-1)
         return admits if admits.ndim else bool(admits)
 
@@ -813,7 +822,8 @@ def _try_exact_reduce(p: _Pencil):
     m0, s0 = _poly.int_matrix(p.a0.matrix)
     m1, s1 = _poly.int_matrix(p.a1.matrix)
     # charpoly = h^2: each root of h is a root of twice its multiplicity
-    roots = [(lam, 2 * mult) for lam, mult in _poly.rational_roots(p.spectrum)]
+    roots = [(lam, 2 * mult)
+             for lam, mult in _poly.rational_roots(p.spectrum, p.chain)]
     if sum(m for _, m in roots) != n:
         return None
     columns, blocks = [], []  # columns as (numerators, denominator)
@@ -1060,6 +1070,92 @@ def _stacked(run, trials: int) -> list:
     return out
 
 
+# the constants of numpy's SeedSequence (O'Neill's seed_seq_fe, 4-word pool)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _trial_rngs(seeds):
+    """One generator per non-negative int seed, in order, each with the
+    stream of np.random.default_rng(seed); an iterator, so that a caller
+    may hold one generator at a time.
+
+    default_rng(seed) is PCG64 seeded with SeedSequence(seed)
+    .generate_state(4, np.uint64), and nearly all its cost is that hash.
+    Here the hash runs once for all seeds, as uint32 array arithmetic; a
+    seed below 2^128 is at most 4 entropy words, where padding with zero
+    words is exact, and longer seeds are grouped by word count.
+    """
+    seeds = list(seeds)
+    if min(seeds, default=0) < 0:
+        raise ValueError("expected non-negative integer")
+    widths = [max(4, -(-s.bit_length() // 32)) for s in seeds]
+    states = np.empty((len(seeds), 4), np.uint64)
+    for k in set(widths):
+        idx = [i for i, w in enumerate(widths) if w == k]
+        words = np.frombuffer(b"".join(seeds[i].to_bytes(4 * k, "little")
+                                       for i in idx), "<u4")
+        states[idx] = _seed_states(words.reshape(-1, k).T.astype(np.uint32))
+    seed_state = _seed_state_type()
+    return (np.random.Generator(np.random.PCG64(seed_state(s)))
+            for s in states)
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(words).generate_state(4, np.uint64) for each column of
+    a (k, N) uint32 array of entropy words, k >= 4: numpy's pool hash
+    (hashmix, mix) and output hash on all N columns at once."""
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ h
+        h = h * _MULT_A & 0xFFFFFFFF
+        value = value * h
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ r >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out = np.empty((entropy.shape[1], 8), np.uint32)
+    h = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ h
+        h = h * _MULT_B & 0xFFFFFFFF
+        value = value * h
+        out[:, i] = value ^ value >> 16
+    return out.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@cache
+def _seed_state_type():
+    """The seed sequence that hands PCG64 a seed's state words, computed
+    by _trial_rngs: the one request PCG64 makes of it.  The class is made
+    on first use, since numpy.random loads lazily and costs every process
+    that imports it about 5 MB."""
+
+    class SeedState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("only the 4 uint64 words of PCG64 are known")
+            return self.words
+
+    return SeedState
+
+
 def random_skew(rng: np.random.Generator, dim: int) -> SkewForm:
     return SkewForm(_skew_draw(rng, dim))
 
@@ -1182,9 +1278,9 @@ def appendix_equivalence_suite(trials: int, dims=(4, 6, 8, 10),
 
 def _appendix_trials(seed: int, dim: int, stack: range):
     """The appendix-equivalence trials of one dimension, trial t drawing
-    from default_rng(seed + t): the number of mismatches and of
-    ill-conditioned spectra, and the smaller taming margin of each
-    constructed J, in trial order.
+    the stream of default_rng(seed + t) (_trial_rngs): the number of
+    mismatches and of ill-conditioned spectra, and the smaller taming
+    margin of each constructed J, in trial order.
 
     The trials that must be refused are one stack for _construct.  The
     others are clustered one by one (a PencilError is an ill-conditioned
@@ -1193,7 +1289,7 @@ def _appendix_trials(seed: int, dim: int, stack: range):
     is built again one trial at a time, so that each trial counts as the
     per-trial loop counted it: a RetryExhaustedError is a mismatch.
     """
-    rngs = [np.random.default_rng(seed + t) for t in stack]
+    rngs = list(_trial_rngs(seed + t for t in stack))
     forms = _nondegenerate_draws(rngs, dim, 2)
     m0, m1 = forms[:, 0], forms[:, 1]
     # _analyse without its nondegeneracy gates, which the draw has passed
@@ -1280,8 +1376,8 @@ def cayley_roundtrip_suite(trials: int, seed: int = 0) -> SuiteReport:
 
 def _cayley_trials(seed: int, stack: range) -> np.ndarray:
     """The round-trip error max |J' - J| of each cayley suite trial, trial
-    t drawing from default_rng(seed + t)."""
-    rngs = [np.random.default_rng(seed + t) for t in stack]
+    t drawing the stream of default_rng(seed + t) (_trial_rngs)."""
+    rngs = list(_trial_rngs(seed + t for t in stack))
     a = _nondegenerate_draws(rngs, SUITE_DIM, 1)[:, 0]
     j0 = _compatible(a)
     j = _tamed_draws(rngs, a, j0)
@@ -1304,8 +1400,9 @@ def interpolation_suite(trials: int, seed: int = 0,
 
 def _interpolation_trials(seed: int, ts, stack: range) -> np.ndarray:
     """The taming margin of each interpolated J, trial by trial and t by t
-    within a trial, trial t drawing from default_rng(seed + 31 t)."""
-    rngs = [np.random.default_rng(seed + 31 * t) for t in stack]
+    within a trial, trial t drawing the stream of default_rng(seed + 31 t)
+    (_trial_rngs)."""
+    rngs = list(_trial_rngs(seed + 31 * t for t in stack))
     a = _nondegenerate_draws(rngs, SUITE_DIM, 1)[:, 0]
     j0 = _compatible(a)
     j1 = _tamed_draws(rngs, a, j0)
@@ -1372,13 +1469,13 @@ def _cocompatible_trials(a0: SkewForm, a1: SkewForm, seeds: range):
     w0-compatible J, and whether the trial survives: vmin > 0, or the
     eigenvector v of vmin fails w1(v, Jv) <= 1e-12.
 
-    Each trial draws from its own default_rng(seed); the trials then run as
+    Each trial draws the stream of its own default_rng(seed), one
+    generator at a time (_trial_rngs); the trials then run as
     one (N, 4, 4) stack, each with the values of its own 4x4 computation.
     """
     m0 = a0.to_array()
     m1 = a1.to_array()
-    c = np.array([np.random.default_rng(seed).standard_normal((4, 4))
-                  for seed in seeds])
+    c = np.array([rng.standard_normal((4, 4)) for rng in _trial_rngs(seeds)])
     ham = np.linalg.solve(m0, (c + _t(c)) / 2)
     s = _expm(ham * 0.5)
     j = s @ compatible_j(a0).matrix @ np.linalg.inv(s)

@@ -1057,6 +1057,66 @@ def test_sampler_suite_reports_match_golden_bytes(capture, name, seed,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the four suites' --json reports at the trial counts of the
+# pencils benchmark, at seeds whose trial seeds cross 2^32 or 2^64 or take
+# five SeedSequence entropy words, pinned while every trial still called
+# np.random.default_rng
+GOLDEN_WIDE_SEED_REPORTS = [
+    ("appendix-equivalence", 2**32 - 6,
+     "843d314f037a35ee0e8ce0a95c536b43fc18b2deeb66077fd3c2d68f6137846a"),
+    ("cayley", 2**32 - 6,
+     "136e57ce0aee6c495229f6652f3a67cb78f4dac24a7cbe7bcffb903a9874bdff"),
+    ("interpolation", 2**32 - 6,
+     "f56dd4bc53aa29d20dbe1c92092164b5a9ac4fb9644f1e94a7a2e8fdb388271d"),
+    ("cocompatible", 2**32 - 6,
+     "1b62dd1e779e89dff26855ad2e0ab6abafe74fb66ea8ea4299b9f952ad439df5"),
+    ("appendix-equivalence", 2**64 - 5,
+     "51a25d6a89fb330b7984a1bd0b6acc47396ac5b335d0ac87dd86fd07208a0d8e"),
+    ("cayley", 2**64 - 5,
+     "f34c7e3a58764d5761415083944ae20cf9ae1c33d322a8ed133257957b11717f"),
+    ("interpolation", 2**64 - 5,
+     "a06f7313886bb23c6d3f5c3f7201892a0d18f6063417d47c6264024a1a4a9c46"),
+    ("cocompatible", 2**64 - 5,
+     "458eab597a4cc0a64c170aaae4f051abb3abbc6aa72b6f9a7515c9483aba808f"),
+    ("appendix-equivalence", 2**130,
+     "efabf2d91592a2ba7469d94b3501ea434b07005c8ba4272e70168e84883ebda0"),
+    ("cayley", 2**130,
+     "94b4cdbc56bde902139f0b502f304849861e6c00bb2d8e2b7a5ed7076ff276ff"),
+    ("interpolation", 2**130,
+     "19d9eb76076c392d088f8cd1e24a5ebe6a695cb9d897cddf498e0f0bde3b75c5"),
+    ("cocompatible", 2**130,
+     "10c8f8a83eaec7e06578cc157ba6b694df710688207d01a367de9aa63afbcc07"),
+]
+SUITE_ARGS = {
+    "appendix-equivalence": ["--trials", "100", "--dims", "4,6,8,10"],
+    "cayley": ["--trials", "200"],
+    "interpolation": ["--trials", "100"],
+    "cocompatible": ["--trials", "2000"],
+}
+
+
+@pytest.mark.parametrize("name, seed, digest", GOLDEN_WIDE_SEED_REPORTS)
+def test_wide_seed_suite_reports_match_golden_bytes(capture, name, seed,
+                                                    digest):
+    code, out = capture(["suite", "--name", name, *SUITE_ARGS[name],
+                         "--seed", str(seed), "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--name", "appendix-equivalence"],
+    ["suite", "--name", "cocompatible"],
+    ["verify-pair", "--preset", "totreal:2"],
+])
+@pytest.mark.parametrize("seed", ["-1", "-5", "-40000"])
+def test_negative_seed_is_a_usage_error(capsys, argv, seed):
+    assert run([*argv, "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --seed: must be non-negative, got {seed}" in captured.err
+
+
 def test_numfield_names_only_the_tolerance_it_applies(capture):
     code, out = capture(["numfield", "--poly", "-2,0,1", "--json"])
     assert code == 0

@@ -1,6 +1,11 @@
 import functools
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -979,6 +984,49 @@ def test_cocompatible_suite_in_several_stacks(monkeypatch):
     assert max(len(seeds) for seeds in stacks) == 7
 
 
+# seeds at the word boundaries of SeedSequence entropy (1, 2, 3, 4, 5 and 7
+# words of 32 bits) and a fixed spread of 16- to 256-bit seeds
+BOUNDARY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1,
+                  2**128, 2**200]
+SPREAD_SEEDS = [random.Random(bits).getrandbits(bits)
+                for bits in range(16, 257, 5)]
+
+
+@pytest.mark.parametrize("seeds", [BOUNDARY_SEEDS, SPREAD_SEEDS,
+                                   range(2**32 - 6, 2**32 + 6)],
+                         ids=["boundaries", "spread", "straddle"])
+def test_trial_rngs_give_the_streams_of_default_rng(seeds):
+    for seed, rng in zip(seeds, sl._trial_rngs(seeds), strict=True):
+        assert np.array_equal(
+            rng.bit_generator.seed_seq.generate_state(4, np.uint64),
+            np.random.SeedSequence(seed).generate_state(4, np.uint64))
+        ref = np.random.default_rng(seed)
+        assert np.array_equal(rng.standard_normal(9), ref.standard_normal(9))
+        assert rng.uniform(0.1, 0.95) == ref.uniform(0.1, 0.95)
+
+
+def test_importing_the_library_leaves_numpy_random_unloaded():
+    # numpy.random costs a process about 5 MB; only the suites load it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, liouville_lab.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout == "False\n"
+
+
+def test_trial_rngs_refuse_what_default_rng_refuses():
+    assert list(sl._trial_rngs([])) == []
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        sl._trial_rngs([3, -1])
+    state = next(sl._trial_rngs([3])).bit_generator.seed_seq
+    for n_words, dtype in ((8, np.uint64), (4, np.uint32), (2, np.uint64)):
+        with pytest.raises(ValueError, match="only the 4 uint64 words"):
+            state.generate_state(n_words, dtype)
+
+
 def test_stacked_square_gate():
     j = np.array([sl.compatible_j(sl.standard_omega(4)).matrix] * 3)
     sl._require_square_minus_identity(j)
@@ -1709,6 +1757,27 @@ def test_cotame_analyses_its_pencil_once(monkeypatch):
         j = sl.construct_cotamed(*argv)
         assert sl.tames(argv[0], j) and sl.tames(argv[1], j)
         assert calls == want
+
+
+def test_rational_cotame_builds_one_sturm_chain_of_h(monkeypatch):
+    # the ray test and the rational roots of the exact reduction share it
+    calls = {}
+    counted_calls(monkeypatch, _poly, "sturm_chain", calls)
+    a0, a1 = congruent_rational_pencil([Q(1, 2), 3], P4)
+    j = sl.construct_cotamed(a0, a1)
+    assert sl.tames(a0, j) and sl.tames(a1, j)
+    assert calls == {"sturm_chain": 1}
+    h = sl._analyse(a0, a1).spectrum
+    assert (_poly.rational_roots(h, _poly.sturm_chain(h))
+            == _poly.rational_roots(h) == [(Q(1, 2), 1), (Q(3), 1)])
+
+
+def test_skew_form_keeps_its_fraction_entries():
+    rows = [[Q(0), Q(1, 3)], [Q(-1, 3), Q(0)]]
+    form = sl.SkewForm(rows)
+    assert all(x is y for r, fr in zip(rows, form.matrix)
+               for x, y in zip(r, fr))
+    assert sl.SkewForm([[0, "1/3"], [Q(-1, 3), 0]]).matrix == rows
 
 
 def test_rational_fallback_solves_in_float_once(monkeypatch):
