@@ -233,11 +233,19 @@ def _cmd_verify_contact(args):
     )
 
 
+def _pair(key):
+    """The preset named by --pair, which must carry a Liouville pair."""
+    preset = liealg.preset(key)
+    if preset.alpha_plus is None or preset.alpha_minus is None:
+        raise ValueError(f"preset {preset.key} carries no pair")
+    return preset
+
+
 @functools.cache
 def _torsion_family(pair, k):
     """The torsion family of a preset pair, built and checked once per
     process; `reeb_field` and `contact_grid_check` only read it."""
-    return formfam.gt_form(liealg.preset(pair), k)
+    return formfam.gt_form(_pair(pair), k)
 
 
 def _cmd_giroux_torsion(args):
@@ -270,8 +278,7 @@ def _cmd_reeb(args):
 
 
 def _cmd_lutz_check(args):
-    preset = liealg.preset(args.pair)
-    err = formfam.lutz_family_check(preset, args.k, args.tau,
+    err = formfam.lutz_family_check(_pair(args.pair), args.k, args.tau,
                                     grid_n=args.grid)
     return _report(
         "lutz-check", {"pair": args.pair, "k": args.k, "tau": args.tau},
@@ -281,11 +288,11 @@ def _cmd_lutz_check(args):
 
 
 def _cmd_cutoff(args):
-    preset = liealg.preset(args.pair)
+    preset = _pair(args.pair)
     psi = formfam.cutoff_step(args.profile)
     if args.c is not None:
         top, argmin = formfam.cutoff_positive_on_grid(
-            formfam.PairData.from_preset(preset), args.c, psi, args.grid)
+            preset, args.c, psi, args.grid)
         return _report(
             "cutoff", {"pair": args.pair, "c": args.c},
             "pass" if top > 0 else "negative", "grid-certified",
@@ -293,7 +300,7 @@ def _cmd_cutoff(args):
         )
     c_star = formfam.min_c_search(preset, psi, grid_n=args.grid)
     refined, argmin = formfam.cutoff_positive_on_grid(
-        formfam.PairData.from_preset(preset), c_star, psi, 4 * args.grid)
+        preset, c_star, psi, 4 * args.grid)
     return _report(
         "cutoff", {"pair": args.pair, "profile": args.profile},
         "pass" if refined > 0 else "negative", "grid-certified",

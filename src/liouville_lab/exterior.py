@@ -156,11 +156,6 @@ class Form:
         return cls(coframe, 1, {1 << i: 1}, ring)
 
     @classmethod
-    def from_blades(cls, coframe, degree, blade_coeffs, ring=EXACT):
-        terms = {blade_mask(b): c for b, c in blade_coeffs.items()}
-        return cls(coframe, degree, terms, ring)
-
-    @classmethod
     def volume(cls, coframe, coeff=1, ring=EXACT):
         return cls(coframe, coframe.dim, {coframe.volume_mask: coeff}, ring)
 

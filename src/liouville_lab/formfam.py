@@ -31,7 +31,7 @@ import numpy as np
 from . import _poly
 from .exterior import (FLOAT64, Coframe, Form, VectorElem,
                        blade_mask, interior_product, mask_blade)
-from .liealg import LieAlgebra, Preset
+from .liealg import LieAlgebra, Preset, liouville_pair_check
 
 Q = Fraction
 
@@ -409,45 +409,10 @@ class ParamForm:
                 _merge(out, m, coeff.scaled(c))
         return self.copy_with(self.degree + 1, out)
 
-    def d_squared_sup(self, samples) -> float:
-        pts = [pt if isinstance(pt, tuple) else (pt, 0.0) for pt in samples]
-        u, v = np.array(pts, dtype=float).reshape(-1, 2).T
-        dd = self.d().d().at(u, v)
-        return max((float(np.abs(c).max()) for c in dd.terms.values()),
-                   default=0.0)
-
 
 def _merge(terms, mask, coeff: ParamCoeff):
     """Add coeff to terms[mask], after the terms already there."""
     terms[mask] = terms[mask].plus(coeff) if mask in terms else coeff
-
-
-# -- pairs as plain data -------------------------------------------------------
-
-
-@dataclass
-class PairData:
-    """Algebra plus the float pair forms, however the caller produced them."""
-
-    algebra: LieAlgebra
-    alpha_plus: Form
-    alpha_minus: Form
-    label: str = "pair"
-
-    @classmethod
-    def from_preset(cls, preset: Preset) -> "PairData":
-        if preset.alpha_plus is None or preset.alpha_minus is None:
-            raise ValueError(f"preset {preset.key} carries no pair")
-        return cls(preset.algebra, preset.alpha_plus.to_float(),
-                   preset.alpha_minus.to_float(), preset.key)
-
-
-def _as_pair(pair) -> PairData:
-    if isinstance(pair, PairData):
-        return pair
-    if isinstance(pair, Preset):
-        return PairData.from_preset(pair)
-    raise TypeError("expected a Preset or PairData")
 
 
 # -- profile triples and the Giroux-torsion family -------------------------------
@@ -460,7 +425,7 @@ class ProfileTriple:
     f: ProfileFn
     g: ProfileFn
     h: ProfileFn
-    pair: PairData
+    pair: Preset
     interval: tuple
 
     def __post_init__(self):
@@ -484,7 +449,7 @@ class ProfileTriple:
         return pf
 
 
-def gt_form(pair, k: int) -> ProfileTriple:
+def gt_form(pair: Preset, k: int) -> ProfileTriple:
     """The Giroux-torsion family (1+cos)/2 a+ + (1-cos)/2 a- + sin s dt.
 
     Domain [0, 2 k pi].  Emits a warning (not an error) when the input pair
@@ -492,19 +457,15 @@ def gt_form(pair, k: int) -> ProfileTriple:
     """
     if k < 1:
         raise ValueError("k >= 1 required")
-    src = pair
-    pair = _as_pair(pair)
-    if isinstance(src, Preset) and src.alpha_plus.ring.exact:
-        from .liealg import liouville_pair_check
-        cert = liouville_pair_check(src.algebra, src.alpha_plus,
-                                    src.alpha_minus)
-        if cert.verdict != "positive":
-            import warnings
-            warnings.warn(
-                f"input pair is not certified Liouville ({cert.verdict}); "
-                "the torsion family may fail its grid check",
-                stacklevel=2,
-            )
+    cert = liouville_pair_check(pair.algebra, pair.alpha_plus,
+                                pair.alpha_minus)
+    if cert.verdict != "positive":
+        import warnings
+        warnings.warn(
+            f"input pair is not certified Liouville ({cert.verdict}); "
+            "the torsion family may fail its grid check",
+            stacklevel=2,
+        )
     f = 0.5 * (cos_fn() + 1.0)
     g = 0.5 * (const(1.0) - cos_fn())
     h = sin_fn()
@@ -615,8 +576,8 @@ def reeb_field(triple: ProfileTriple, s: float, tol: float = 1e-8) -> ReebResult
     m = g.dim
     fv, gv, hv = triple.f(s), triple.g(s), triple.h(s)
     fp, gp, hp = triple.f.deriv(s), triple.g.deriv(s), triple.h.deriv(s)
-    ap = pair.alpha_plus
-    am = pair.alpha_minus
+    ap = pair.alpha_plus.to_float()
+    am = pair.alpha_minus.to_float()
     dap = g.ce_differential(ap)
     dam = g.ce_differential(am)
     ap_vec = _covector_array(ap)
@@ -685,9 +646,8 @@ def _skew_array(w: Form, n: int) -> np.ndarray:
 # -- Lutz-Mori family identity ---------------------------------------------------
 
 
-def lutz_lambda_k(pair, k: int, kind="quintic") -> ParamForm:
+def lutz_lambda_k(pair: Preset, k: int, kind="quintic") -> ParamForm:
     """lambda_k with the twist profile phi_k substituted into the family."""
-    pair = _as_pair(pair)
     phi = lutz_twist_profile(k, _LUTZ_EPS, kind)
     cphi = ProfileFn(lambda s: _libm(math.cos, phi(s)),
                      lambda s: -_libm(math.sin, phi(s)) * phi.deriv(s),
@@ -701,7 +661,7 @@ def lutz_lambda_k(pair, k: int, kind="quintic") -> ParamForm:
                          (-_LUTZ_EPS, _LUTZ_EPS)).to_param_form()
 
 
-def lutz_family_check(pair, k: int, tau: float, grid_n: int = 512,
+def lutz_family_check(pair: Preset, k: int, tau: float, grid_n: int = 512,
                       kind="quintic") -> float:
     """Pointwise identity for the almost-contact homotopy interpolation.
 
@@ -711,7 +671,6 @@ def lutz_family_check(pair, k: int, tau: float, grid_n: int = 512,
     """
     if k < 1:
         raise ValueError("k >= 1 required")
-    pair = _as_pair(pair)
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
     psi = plateau_bump(_LUTZ_EPS, kind)
@@ -749,7 +708,7 @@ class XiResult:
     nonzero: bool
 
 
-def xi_nondegenerate(pair, c_plus: float, c_minus: float, b: float,
+def xi_nondegenerate(pair: Preset, c_plus: float, c_minus: float, b: float,
                      delta: float) -> XiResult:
     """Check w^p = p B dt ^ (C+ a+ - C- a-) ^ (C+ da+ + C- da-)^(p-1).
 
@@ -757,15 +716,14 @@ def xi_nondegenerate(pair, c_plus: float, c_minus: float, b: float,
     algebra), so for a (2n-3)-dimensional pair algebra p = n - 1 matches the
     coefficient in the displayed identity.
     """
-    pair = _as_pair(pair)
     if c_plus < 0 or c_minus < 0 or (c_plus == 0 and c_minus == 0):
         raise ValueError("need C+ and C- nonnegative, not both zero")
     g = pair.algebra
     cf = Coframe(("dt",) + g.names)
-    ap = pair.alpha_plus.shifted(cf, 1).to_float()
-    am = pair.alpha_minus.shifted(cf, 1).to_float()
-    dap = g.ce_differential(pair.alpha_plus).shifted(cf, 1).to_float()
-    dam = g.ce_differential(pair.alpha_minus).shifted(cf, 1).to_float()
+    ap, am = pair.alpha_plus.to_float(), pair.alpha_minus.to_float()
+    dap = g.ce_differential(ap).shifted(cf, 1)
+    dam = g.ce_differential(am).shifted(cf, 1)
+    ap, am = ap.shifted(cf, 1), am.shifted(cf, 1)
     dt = Form.covector(cf, 0, ring=FLOAT64)
     omega_bundle = c_plus * dap + c_minus * dam
     gamma = c_plus * ap + (-c_minus) * am
@@ -964,9 +922,8 @@ def sol_weak_filling_fixture(eps: float,
 # -- cutoff Liouville forms ---------------------------------------------------------
 
 
-def cutoff_liouville(pair, c: float, psi: ProfileFn) -> ParamForm:
+def cutoff_liouville(pair: Preset, c: float, psi: ProfileFn) -> ParamForm:
     """beta = psi(c+s) e^s a+ + psi(c-s) e^-s a- over (ds, algebra)."""
-    pair = _as_pair(pair)
     if psi(0.0) != 0.0 or psi(1.0) != 1.0 or psi(-1.0) != 0.0 or psi(2.0) != 1.0:
         raise ValueError("psi must vanish on (-inf,0] and equal 1 on [1,inf)")
     g = pair.algebra
@@ -977,7 +934,7 @@ def cutoff_liouville(pair, c: float, psi: ProfileFn) -> ParamForm:
     return pf
 
 
-def cutoff_positive_on_grid(pair, c: float, psi: ProfileFn,
+def cutoff_positive_on_grid(pair: Preset, c: float, psi: ProfileFn,
                             grid_n: int = 256):
     """(min top of dbeta^n, argmin) over s in [-c-1, c+1], for a finite c
     whose grid stays inside the float64 range."""
@@ -1000,11 +957,10 @@ def _min_top_power(pf: ParamForm, s):
     return _grid_min(tops, s)
 
 
-def min_c_search(pair, psi: ProfileFn, grid_n: int = 256,
+def min_c_search(pair: Preset, psi: ProfileFn, grid_n: int = 256,
                  cap: float = 64.0) -> float:
     """Smallest c (within BISECTION_TOL) whose cutoff form is positive on
     the grid."""
-    pair = _as_pair(pair)
 
     def passes(c):
         return cutoff_positive_on_grid(pair, c, psi, grid_n)[0] > 0
@@ -1029,13 +985,13 @@ def min_c_search(pair, psi: ProfileFn, grid_n: int = 256,
 # -- the torsion family as a reparametrized form ----------------------------------
 
 
-def gt_reparam_check(pair, grid_n: int = 512) -> float:
+def gt_reparam_check(pair: Preset, grid_n: int = 512) -> float:
     """Substituting u = ln((1+cos s)/ sin s) reproduces the torsion form.
 
     Compares sin(s) [dt + (e^u a+ + e^-u a-)/2] with the family form
     coefficientwise on an interior grid of (0, pi).
     """
-    triple = gt_form(_as_pair(pair), 1)
+    triple = gt_form(pair, 1)
     s = np.pi * np.arange(1, grid_n) / grid_n
     sin_s = np.sin(s)
     u = np.log((1 + np.cos(s)) / sin_s)
@@ -1048,9 +1004,8 @@ def gt_reparam_check(pair, grid_n: int = 512) -> float:
 # -- agreement between the exact pair certificate and the direct grid ---------------
 
 
-def beta_grid_check(pair, s_range=(-10.0, 10.0), grid_n: int = 256):
+def beta_grid_check(pair: Preset, s_range=(-10.0, 10.0), grid_n: int = 256):
     """(min, argmin) of the top of d(e^-s a- + e^s a+)^n over the s-grid."""
-    pair = _as_pair(pair)
     g = pair.algebra
     pf = ParamForm(("ds",), (), g, 1, {})
     pf.add_form(pair.alpha_plus, exp_fn(1.0))

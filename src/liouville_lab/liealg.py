@@ -57,13 +57,6 @@ class LieAlgebra:
         if check and not self.d_squared_check():
             raise StructureConstantError("Jacobi identity fails")
 
-    def structure_constant(self, i, j, k) -> Fraction:
-        if i == j:
-            return Q(0)
-        if i < j:
-            return self.brackets.get((i, j), {}).get(k, Q(0))
-        return -self.brackets.get((j, i), {}).get(k, Q(0))
-
     def coframe(self) -> Coframe:
         return Coframe(self.names)
 

@@ -241,21 +241,13 @@ def norm(field: NumberField, x: OrderElement) -> int:
 
 
 def invert_unit(field: NumberField, u: OrderElement) -> OrderElement:
-    """Inverse of a unit (|norm| = 1) via the adjugate, exactly.
-
-    u^-1 is column 0 of M(u)^-1 = det * adj(M(u)), whose entry i is
-    (-1)^i times the minor of M(u) without row 0 and column i.
-    """
-    m = mult_matrix(field, u)
-    det = _poly.int_det(m)
-    if det not in (1, -1):
+    """Inverse of a unit, exactly: the x with M(u) x = e_0, which is
+    integral exactly when u is a unit of the order."""
+    e0 = [[1]] + [[0]] * (field.degree - 1)
+    x = _poly.solve(mult_matrix(field, u), e0)
+    if x is None or any(row[0].denominator != 1 for row in x):
         raise ValueError("element is not a unit")
-    if field.degree == 1:
-        return OrderElement((det,))
-    return OrderElement(tuple(
-        (-1) ** i * det * _poly.int_det([row[:i] + row[i + 1:] for row in m[1:]])
-        for i in range(field.degree)
-    ))
+    return OrderElement(tuple(int(row[0]) for row in x))
 
 
 def log_vector(field: NumberField, u: OrderElement):

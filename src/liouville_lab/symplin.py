@@ -24,7 +24,7 @@ The float reduction and the construction take a stack of pencils that
 share one block layout, and one pencil runs as a stack of one.  The Jordan
 blocks of a skew pencil come in equal pairs, so a 2-dimensional
 generalized eigenspace carries no chain, and the pencils of a stack split
-it together; only a larger one is split pencil by pencil.
+it together; a stack of more than one pencil has no larger eigenspace.
 The tamed-J sampler draws once: every Cayley perturbation of g-norm below 1
 is tamed.
 
@@ -688,20 +688,12 @@ def _extract_chains(b, m0, lam, space, eps):
     Lin. Alg. Appl. 147, 1991).  So it is one pair (v, w) with k = 0, found
     without _nilpotency_index, whose symplectic complement must be empty,
     and the pencils of a stack take these steps together.  A larger
-    eigenspace is split by _nilpotency_index, pencil by pencil, each as a
-    stack of one; the pencils must then agree on their chains.
+    eigenspace is split by _nilpotency_index, and only in a stack of one.
     """
     count, n = len(b), b.shape[-1]
     chain_free = space.shape[-1] == 2
     if count > 1 and not chain_free:
-        parts = [_extract_chains(b[i:i + 1], m0[i:i + 1], lam[i:i + 1],
-                                 space[i:i + 1], eps) for i in range(count)]
-        if len({tuple((type(x), x.chain_length) for x in blocks[0])
-                for blocks, _ in parts}) > 1:
-            raise ArithmeticError("Jordan chains differ within the stack")
-        return ([blocks[0] for blocks, _ in parts],
-                [np.concatenate(cols) for cols in
-                 zip(*(cols for _, cols in parts))])
+        raise ArithmeticError("a stack splits only 2-dimensional eigenspaces")
     pair = np.iscomplexobj(lam)
     if not chain_free:
         nmat = b - lam[:, None, None] * np.eye(n)
@@ -1249,9 +1241,10 @@ def appendix_equivalence_suite(trials: int, dims=(4, 6, 8, 10),
     construction must succeed with both tamings verified.  Otherwise the
     negative eigenvalue's predicted degeneracy parameter t0 = 1/(1 - lam)
     must make the pencil member (1 - t0) A0 + t0 A1 singular (its smallest
-    singular value collapses against (1 - t0) max|A0| + t0 max|A1|), and
-    the construction must refuse.  The constructions of a dimension run
-    as a few stacks, one per block layout (_appendix_trials).
+    singular value collapses against (1 - t0) max|A0| + t0 max|A1|); the
+    construction refuses such a pencil by the same spectral test, so it is
+    not built.  The constructions of a dimension run as a few stacks, one
+    per block layout (_appendix_trials).
     """
     for dim in dims:
         _require_pencil_dim(dim)
@@ -1282,12 +1275,14 @@ def _appendix_trials(seed: int, dim: int, stack: range):
     mismatches and of ill-conditioned spectra, and the smaller taming
     margin of each constructed J, in trial order.
 
-    The trials that must be refused are one stack for _construct.  The
-    others are clustered one by one (a PencilError is an ill-conditioned
+    A trial with a negative real eigenvalue is not built: _construct
+    refuses a float pencil exactly when its spectrum has one.  The others
+    are clustered one by one (a PencilError is an ill-conditioned
     spectrum) and grouped by layout, the ordered kind and size of their
-    clusters; each group is one stack for _construct.  A group that fails
-    is built again one trial at a time, so that each trial counts as the
-    per-trial loop counted it: a RetryExhaustedError is a mismatch.
+    clusters; each group whose clusters have size 2 at most is one stack
+    for _construct.  A trial with a larger cluster, and each trial of a group
+    that fails, is built alone, so that each trial counts as the per-trial
+    loop counted it: a RetryExhaustedError is a mismatch.
     """
     rngs = list(_trial_rngs(seed + t for t in stack))
     forms = _nondegenerate_draws(rngs, dim, 2)
@@ -1311,7 +1306,7 @@ def _appendix_trials(seed: int, dim: int, stack: range):
     collapses = np.zeros(len(stack), dtype=bool)
     collapses[at] = ~(sv[:, -1] > 1e-8 * size)
 
-    def pencils(idx, clusters=None):
+    def pencils(idx, clusters):
         return _Pencil(SkewForm(m0[idx]), SkewForm(m1[idx]), b[idx],
                        spectra[idx], clusters)
 
@@ -1319,16 +1314,6 @@ def _appendix_trials(seed: int, dim: int, stack: range):
     # breaks the sign law
     bad = int(np.count_nonzero(np.where(has_negative, ~collapses,
                                         sign_law_fails)))
-    refuse = np.flatnonzero(has_negative & collapses)
-    if refuse.size:
-        # _construct refuses a float pencil exactly when its spectrum has a
-        # negative real eigenvalue, the test that chose these trials, so
-        # the stack is refused whole or not at all
-        try:
-            _construct(pencils(refuse), 1e-3)
-            bad += refuse.size  # should have refused
-        except CotamedExistenceError:
-            pass
     ill = 0
     groups = {}
     for i in np.flatnonzero(~has_negative & ~sign_law_fails).tolist():
@@ -1344,19 +1329,23 @@ def _appendix_trials(seed: int, dim: int, stack: range):
         layout = tuple((isinstance(lam, complex), mult)
                        for lam, mult in clusters)
         groups.setdefault(layout, []).append((i, clusters))
-    js = {}
-    for group in groups.values():
+    js, alone = {}, []
+    for layout, group in groups.items():
+        if max(mult for _, mult in layout) > 2:
+            alone += group
+            continue
         idx = [i for i, _ in group]
         stacked = [(np.array([c[k][0] for _, c in group]), mult)
                    for k, (_, mult) in enumerate(group[0][1])]
         try:
             js.update(zip(idx, _construct(pencils(idx, stacked), 1e-3).matrix))
         except (RetryExhaustedError, ValueError, ArithmeticError):
-            for i, clusters in group:
-                try:
-                    js[i] = _construct(pencils(i, clusters), 1e-3).matrix
-                except RetryExhaustedError:
-                    bad += 1
+            alone += group
+    for i, clusters in sorted(alone, key=lambda trial: trial[0]):
+        try:
+            js[i] = _construct(pencils(i, clusters), 1e-3).matrix
+        except RetryExhaustedError:
+            bad += 1
     built = sorted(js)
     j = np.array([js[i] for i in built]).reshape(len(built), dim, dim)
     margin0 = _taming_spectrum(m0[built], j)[1][:, 0]
@@ -1497,7 +1486,7 @@ def _expm(m: np.ndarray) -> np.ndarray:
                    for x in norms.tolist()], dtype=int)
     out = np.empty_like(m)
     eye = np.eye(m.shape[-1])
-    for k in np.unique(ks).tolist():
+    for k in sorted(set(ks.tolist())):
         idx = np.flatnonzero(ks == k)
         small = m[idx] / (2 ** k)
         acc = term = eye

@@ -65,6 +65,8 @@ def test_criterion_03_exact_pair_certificates():
         minus = liealg.contact_check(preset.algebra, preset.alpha_minus)
         assert plus.verdict == "positive"
         assert minus.verdict == "negative"
+        # each exact certificate replays from its stored data alone
+        assert cert.replay() and plus.replay() and minus.replay()
     # the direct grid of d(e^s a+ + e^-s a-)^n over s in [-10, 10] agrees
     # with the exact pair certificate
     grid_presets = ("totreal:2", "totreal:3", "sol:2,1,1,1", "geiges:2")
@@ -73,10 +75,12 @@ def test_criterion_03_exact_pair_certificates():
         cert = liealg.liouville_pair_check(
             preset.algebra, preset.alpha_plus, preset.alpha_minus)
         min_top, _ = ff.beta_grid_check(preset)
-        assert cert.verdict == "positive" and min_top > 0, key
+        assert cert.verdict == "positive" and cert.replay(), key
+        assert min_top > 0, key
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
-    _report(3, f"exact Sturm pair certificates in dims 3, 5, 7; the grid "
+    _report(3, f"exact Sturm pair certificates in dims 3, 5, 7, each "
+               f"replayed from its stored data; the grid "
                f"verdict agrees on {', '.join(grid_presets)} "
                f"({elapsed:.3f} s)")
 

@@ -17,6 +17,8 @@ from liouville_lab import cli
 from liouville_lab import formfam as ff
 from liouville_lab import liealg
 
+from test_formfam import d_squared_sup
+
 ALGEBRAS = {key: liealg.preset(key) for key in
             ("totreal:1", "totreal:2", "sol:2,1,1,1", "geiges:2",
              "totreal:3", "geiges:3")}
@@ -163,7 +165,7 @@ def test_batched_d_squared_sup_matches_per_sample(pf, extra):
     pts = SPECIAL + extra
     dd = pf.d().d()
     scalar = max((dd.at(s).sup_norm() for s in pts), default=0.0)
-    assert bits(pf.d_squared_sup(pts)) == bits(max(0.0, scalar))
+    assert bits(d_squared_sup(pf, pts)) == bits(max(0.0, scalar))
 
 
 # -- the grid operations of the families benchmark workload -------------------------
@@ -241,7 +243,7 @@ def _reference_cutoff(pair, c, psi, grid_n):
     ("sol:2,1,1,1", "quintic"), ("totreal:2", "cubic"),
 ])
 def test_cutoff_grid_matches_per_sample(pair, profile):
-    p = ff.PairData.from_preset(liealg.preset(pair))
+    p = liealg.preset(pair)
     psi = ff.cutoff_step(profile)
     c_star = ff.min_c_search(p, psi, grid_n=256)
     # the search and the refined report read these minima
@@ -269,9 +271,9 @@ def test_weak_filling_grid_matches_per_sample():
     dbeta = pf.d()
     cf = dbeta.coframe
     names = g.coframe().names
-    omega = ff.Form.from_blades(cf, 2, {
-        (2, 3 + names.index("T*")): 1.0,
-        (3 + names.index("X*"), 3 + names.index("Y*")): 1.0,
+    omega = ff.Form(cf, 2, {
+        ff.blade_mask((2, 3 + names.index("T*"))): 1.0,
+        ff.blade_mask((3 + names.index("X*"), 3 + names.index("Y*"))): 1.0,
     }, ff.FLOAT64)
     shift = float(eps) * omega
     build = lambda w: (w + shift).power(cf.dim // 2)  # noqa: E731

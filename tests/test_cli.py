@@ -785,6 +785,17 @@ def test_twist_count_below_one_is_an_input_error(capsys, command, k):
     assert captured.err == "input error: k >= 1 required\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["giroux-torsion"], ["reeb", "--s", "1.5"], ["lutz-check"], ["cutoff"],
+    ["cutoff", "--c", "1.0"]])
+def test_pairless_preset_is_an_input_error(capsys, command):
+    # aff_r carries a Liouville form but no pair (alpha_plus, alpha_minus)
+    assert run([command[0], "--pair", "aff_r", *command[1:], "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: preset aff_r carries no pair\n"
+
+
 @pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
 def test_reeb_parameter_must_be_finite(capfd, s):
     # nan once reached LAPACK, which printed "On entry to DLASCL parameter

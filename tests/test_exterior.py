@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liouville_lab.exterior import (
-    EXACT, FLOAT64, Coframe, Form, VectorElem, interior_product, pullback,
+    EXACT, FLOAT64, Coframe, Form, VectorElem, blade_mask, interior_product,
+    pullback,
 )
 
 
@@ -37,7 +38,7 @@ def random_form(rng, coframe, degree, nterms=3):
     for _ in range(nterms):
         blade = tuple(sorted(rng.sample(names, degree)))
         c = Q(rng.randint(-5, 5), rng.randint(1, 4))
-        f = f + Form.from_blades(coframe, degree, {blade: c})
+        f = f + Form(coframe, degree, {blade_mask(blade): c})
     return f
 
 
@@ -108,7 +109,7 @@ def test_pfaffian_top_coefficient_identity(n2):
         for i in range(n2):
             for j in range(i + 1, n2):
                 if rows[i][j]:
-                    omega = omega + Form.from_blades(cf, 2, {(i, j): rows[i][j]})
+                    omega = omega + Form(cf, 2, {blade_mask((i, j)): rows[i][j]})
         n = n2 // 2
         fact = 1
         for k in range(2, n + 1):
@@ -200,7 +201,7 @@ def test_wedge_graded_commutativity_exact_and_float(dim, data):
         for _ in range(rng.randint(1, 4)):
             blade = tuple(sorted(rng.sample(range(dim), degree)))
             blades[blade] = Q(rng.randint(-8, 8), 2 ** rng.randint(0, 3))
-        return Form.from_blades(cf, degree, blades)
+        return Form(cf, degree, {blade_mask(b): c for b, c in blades.items()})
 
     a, b = dyadic_form(p), dyadic_form(q)
     sign = -1 if (p * q) % 2 else 1

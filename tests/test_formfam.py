@@ -14,6 +14,16 @@ SOL = liealg.sol_from_sl2([[2, 1], [1, 1]])
 TR3 = liealg.totally_real(3)
 
 
+def d_squared_sup(pf, samples):
+    """The sup norm of d(d pf) over sample points s, or (u, v) of a
+    two-parameter form, in one batched evaluation."""
+    pts = [pt if isinstance(pt, tuple) else (pt, 0.0) for pt in samples]
+    u, v = np.array(pts, dtype=float).reshape(-1, 2).T
+    dd = pf.d().d().at(u, v)
+    return max((float(np.abs(c).max()) for c in dd.terms.values()),
+               default=0.0)
+
+
 # -- derivative reference ------------------------------------------------------
 #
 # A profile is a function and its analytic derivative, and nothing checks one
@@ -238,7 +248,7 @@ def test_d_param_trivials():
     d = pf.d()
     val = d.at(0.3)
     assert abs(val.terms[0b11] - math.cos(0.3)) < 1e-12
-    assert pf.d_squared_sup([0.1, 0.7, 2.0]) <= 1e-9
+    assert d_squared_sup(pf, [0.1, 0.7, 2.0]) <= 1e-9
 
 
 def test_d_param_leibniz_on_exponential():
@@ -273,14 +283,14 @@ def test_d_param_squares_to_zero_on_families():
         ff.lutz_lambda_k(SOL, 2),
     ]
     for pf in fixtures:
-        assert pf.d_squared_sup(samples) <= 1e-9
+        assert d_squared_sup(pf, samples) <= 1e-9
     # two-parameter fixture
     lin = ff.ParamForm(("ds", "dt"), (), SOL.algebra, 1, {})
     for m, c in SOL.alpha_plus.terms.items():
         lin.terms[m << lin.offset] = ff.ParamCoeff(
             [(ff.exp_fn(1.0) * float(c), ff.exp_fn(-0.5))]
         )
-    assert lin.d_squared_sup([(0.3, 0.7), (1.0, -1.0)]) <= 1e-9
+    assert d_squared_sup(lin, [(0.3, 0.7), (1.0, -1.0)]) <= 1e-9
 
 
 def test_gt_form_endpoints():
@@ -323,8 +333,7 @@ def test_frequency_k_torus_family_constant_volume(k):
     f = 0.5 * (ff.cos_fn(k) + 1.0)
     g = 0.5 * (ff.const(1.0) - ff.cos_fn(k))
     h = ff.sin_fn(k)
-    triple = ff.ProfileTriple(f, g, h, ff.PairData.from_preset(S1),
-                              (0.0, 2 * math.pi))
+    triple = ff.ProfileTriple(f, g, h, S1, (0.0, 2 * math.pi))
     pf = triple.to_param_form()
     dpf = pf.d()
     for s in np.linspace(0.0, 2 * math.pi, 37):
@@ -340,11 +349,11 @@ def test_contact_grid_check_sol():
 def test_degenerate_triple_fails():
     with pytest.raises(ValueError, match="invalid"):
         ff.ProfileTriple(ff.const(0.0), ff.const(0.0), ff.const(1.0),
-                         ff.PairData.from_preset(SOL), (0.0, 1.0))
+                         SOL, (0.0, 1.0))
     # (f, g, h) = (1, 0, 0) is a valid triple but h' = h = 0 kills the
     # contact volume, so the grid check fails
     triple = ff.ProfileTriple(ff.const(1.0), ff.const(0.0), ff.const(0.0),
-                              ff.PairData.from_preset(S1), (0.0, 1.0))
+                              S1, (0.0, 1.0))
     chk = ff.contact_grid_check(triple, 32)
     assert not chk.passed
 
@@ -402,7 +411,7 @@ def test_reeb_branch_consistency():
 
 def test_reeb_invalid_profile():
     triple = ff.ProfileTriple(ff.const(1.0), ff.const(1.0), ff.const(0.0),
-                              ff.PairData.from_preset(SOL), (0.0, 1.0))
+                              SOL, (0.0, 1.0))
     with pytest.raises(ArithmeticError):
         ff.reeb_field(triple, 0.5)
 
@@ -592,8 +601,8 @@ def test_cutoff_rejects_bad_psi():
 def test_cutoff_cap_exceeded_reports_violation():
     # (a+, -a+) never becomes Liouville: the coefficient function vanishes
     # at s = 0 for every c, so the search must hit its cap and report it
-    bad = ff.PairData(SOL.algebra, SOL.alpha_plus.to_float(),
-                      (-1 * SOL.alpha_plus).to_float(), "corrupt")
+    bad = liealg.Preset("corrupt", SOL.algebra, SOL.alpha_plus,
+                        -1 * SOL.alpha_plus)
     psi = ff.cutoff_step("quintic")
     with pytest.raises(ff.CapExceededError) as err:
         ff.min_c_search(bad, psi, grid_n=64, cap=4.0)
@@ -654,7 +663,7 @@ def test_beta_grid_agrees_with_exact_certificate():
     assert count == 20
     for g, ap, am in fixtures:
         cert = liealg.liouville_pair_check(g, ap, am)
-        pair = ff.PairData(g, ap.to_float(), am.to_float())
+        pair = liealg.Preset("pair", g, ap, am)
         min_top, _ = ff.beta_grid_check(pair, grid_n=200)
         assert (cert.verdict == "positive") == (min_top > 0)
 

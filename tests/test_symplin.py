@@ -570,55 +570,20 @@ def reference_interpolation_suite(trials, seed, ts=(0.25, 0.5, 0.75)):
 
 
 def reference_appendix_suite(trials, dims, seed):
-    mismatches = 0
-    worst = math.inf
-    per_dim = {}
-    ill_conditioned = 0
+    """appendix_equivalence_suite as a loop over its dimensions, each
+    counted trial by trial (reference_appendix_trials)."""
+    mismatches = ill_conditioned = 0
+    per_dim, margins = {}, []
     for dim in dims:
-        bad = 0
-        for trial in range(trials):
-            rng = np.random.default_rng(seed + 7919 * dim + trial)
-            a0, a1 = reference_pair(rng, dim)
-            pencil = sl._analyse(a0, a1)
-            vals = pencil.spectrum
-            if not any(lam.real < 0 and abs(lam.imag) <= 1e-8 * abs(lam.real)
-                       for lam in vals):
-                if any(lam.real <= 0 for lam in vals
-                       if abs(lam.imag) <= 1e-8 * max(1.0, abs(lam.real))):
-                    bad += 1
-                    continue
-                try:
-                    j = sl._construct(pencil, 1e-3)
-                except sl.PencilError:
-                    ill_conditioned += 1
-                    continue
-                except sl.RetryExhaustedError:
-                    bad += 1
-                    continue
-                margin = min(reference_taming_margin(a0, j),
-                             reference_taming_margin(a1, j))
-                worst = min(worst, margin)
-                if margin <= 0:
-                    bad += 1
-            else:
-                neg = min(lam.real for lam in vals if lam.real < 0
-                          and abs(lam.imag) <= 1e-8 * abs(lam.real))
-                t0 = 1.0 / (1.0 - neg)
-                member = (1 - t0) * a0.to_array() + t0 * a1.to_array()
-                sv = np.linalg.svd(member, compute_uv=False)
-                if sv[-1] > 1e-8 * sv[0]:
-                    bad += 1
-                    continue
-                try:
-                    sl._construct(pencil, 1e-3)
-                    bad += 1
-                except sl.CotamedExistenceError:
-                    pass
+        bad, ill, got = reference_appendix_trials(seed + 7919 * dim, dim,
+                                                  trials)
         per_dim[dim] = bad
         mismatches += bad
+        ill_conditioned += ill
+        margins += got
     return sl.SuiteReport(
         "appendix-equivalence", trials * len(dims), mismatches,
-        worst if worst < math.inf else 0.0, [seed],
+        min(margins, default=0.0), [seed],
         {"per_dim": per_dim, "ill_conditioned_reported": ill_conditioned},
     )
 
@@ -1015,6 +980,19 @@ def test_importing_the_library_leaves_numpy_random_unloaded():
     assert out.stdout == "False\n"
 
 
+def test_cocompatible_suite_leaves_numpy_ma_unloaded():
+    # _expm groups its scaling exponents without np.unique, which loads
+    # numpy.ma (about 1 MB of peak memory on the first suite of a process)
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, liouville_lab.cli as cli; "
+            "cli.run(['suite', '--name', 'cocompatible', '--json']); "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 def test_trial_rngs_refuse_what_default_rng_refuses():
     assert list(sl._trial_rngs([])) == []
     with pytest.raises(ValueError, match="expected non-negative integer"):
@@ -1042,14 +1020,18 @@ def test_equivalence_suite_small():
     assert rep.mismatches == 0
 
 
-def reference_appendix_trials(seed, dim, trials):
+def reference_appendix_trials(seed, dim, trials, replaced=None):
     """_appendix_trials as a loop over its trials, each built alone by the
     single-pencil construction: the former per-trial loop, with the member's
-    collapse measured against the size of its two terms."""
+    collapse measured against the size of its two terms.  `replaced` maps a
+    trial to the two skew matrices that stand in for its draw."""
     bad = ill = 0
     margins = []
     for trial in range(trials):
-        a0, a1 = reference_pair(np.random.default_rng(seed + trial), dim)
+        if trial in (replaced or {}):
+            a0, a1 = (sl.SkewForm(m) for m in replaced[trial])
+        else:
+            a0, a1 = reference_pair(np.random.default_rng(seed + trial), dim)
         pencil = sl._analyse(a0, a1)
         vals = pencil.spectrum
         negative = [lam.real for lam in vals if lam.real < 0
@@ -1137,14 +1119,71 @@ def test_ill_conditioned_trials_count_alike_in_stacks(monkeypatch):
 def test_appendix_suite_splits_no_two_dimensional_eigenspace(monkeypatch):
     # at the bench suite seed every built trial has clusters of size 2
     # only: no _nilpotency_index call (238 when each trial was built
-    # alone), one construction of the refused trials per dimension and one
-    # per block layout: 4 + 8
+    # alone), and one construction per block layout, 8 over the four
+    # dimensions; the refused trials are not built
     calls = {}
     counted_calls(monkeypatch, sl, "_nilpotency_index", calls)
     counted_calls(monkeypatch, sl, "_construct", calls)
     rep = sl.appendix_equivalence_suite(100, dims=(4, 6, 8, 10), seed=331)
     assert (rep.mismatches, rep.detail["ill_conditioned_reported"]) == (0, 0)
-    assert calls == {"_construct": 12}
+    assert calls == {"_construct": 8}
+
+
+def test_appendix_trials_build_a_larger_eigenspace_alone(monkeypatch):
+    # the draws of trials 3 and 11 of 20 are replaced by congruences of the
+    # model pair with real blocks 2, 2 and 5: B has the eigenvalue 2 four
+    # times, so the two share a layout with a cluster of size 4; they are
+    # built one at a time, while the generic trials still run in stacks
+    m0, m1 = sl._model_matrices([sl.RealBlock(2.0, 1), sl.RealBlock(2.0, 1),
+                                 sl.RealBlock(5.0, 1)])
+    rng = np.random.default_rng(3)
+    replaced = {}
+    for trial in (3, 11):
+        p = rng.standard_normal((6, 6))
+        replaced[trial] = [(x - x.T) / 2 for x in (p.T @ m0 @ p,
+                                                   p.T @ m1 @ p)]
+    draws = sl._nondegenerate_draws
+
+    def replacing(rngs, dim, count):
+        forms = draws(rngs, dim, count)
+        for trial, pair in replaced.items():
+            forms[trial] = pair
+        return forms
+
+    construct = sl._construct
+    stacked, alone = [], []
+
+    def recording(p, eps):
+        if p.b.ndim == 3:
+            stacked.append(max(mult for _, mult in p.clusters))
+        else:
+            alone.append(max(mult for _, mult in sl._cluster_eigenvalues(
+                p.spectrum)))
+        return construct(p, eps)
+
+    want_bad, want_ill, want = reference_appendix_trials(
+        600 + 7919 * 6, 6, 20, replaced)
+    monkeypatch.setattr(sl, "_nondegenerate_draws", replacing)
+    monkeypatch.setattr(sl, "_construct", recording)
+    bad, ill, margins = sl._appendix_trials(600 + 7919 * 6, 6, range(20))
+    assert (bad, ill) == (want_bad, want_ill)
+    assert np.array_equal(np.array(margins).view(np.int64),
+                          np.array(want).view(np.int64))
+    assert stacked and max(stacked) == 2
+    assert alone.count(4) == 2
+
+
+def test_a_stack_of_pencils_splits_no_larger_eigenspace():
+    # B = 2 I on dimension 4 for both pencils: a 4-dimensional eigenspace
+    m0, m1 = sl._model_matrices([sl.RealBlock(2.0, 1), sl.RealBlock(2.0, 1)])
+    b = np.stack([np.linalg.solve(m0, m1)] * 2)
+    lam = np.array([2.0, 2.0])
+    space = sl._generalized_eigenspace(b, lam, 4)
+    assert space.shape == (2, 4, 4)
+    with pytest.raises(ArithmeticError, match="only 2-dimensional"):
+        sl._extract_chains(b, np.stack([m0] * 2), lam, space, 1e-3)
+    blocks, _ = sl._extract_chains(b[:1], m0[None], lam[:1], space[:1], 1e-3)
+    assert blocks == [[sl.RealBlock(2.0, 1), sl.RealBlock(2.0, 1)]]
 
 
 # -- exact pencil kernels against their former implementations ---------------------
