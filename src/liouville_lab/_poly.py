@@ -160,20 +160,28 @@ def sign_variations(signs) -> int:
 
 
 def variations_at(chain, x) -> int:
-    """Sign variations of an integer chain at the rational x = a/b, b > 0:
-    each c(x) b^deg(c) = sum c_i a^i b^(deg(c) - i), summed in integers by
-    a homogeneous Horner rule, has the sign of c(x)."""
+    """Sign variations of an integer chain at the rational x."""
     x = Q(x)
-    a, b = x.numerator, x.denominator
-    powers = [b ** k for k in range(max(map(len, chain), default=0))]
+    return _variations(chain, x.numerator, _powers(chain, x.denominator))
 
-    def scaled_value(c):  # c(a/b) b^deg(c)
+
+def _powers(chain, b) -> list[int]:
+    """b^k for every exponent k of the members of chain."""
+    return [b ** k for k in range(max(map(len, chain), default=0))]
+
+
+def _variations(chain, a, powers) -> int:
+    """Sign variations of an integer chain at a/b, b > 0, from
+    powers = _powers(chain, b): each c(a/b) b^deg(c) =
+    sum c_i a^i b^(deg(c) - i), summed in integers by a homogeneous Horner
+    rule, has the sign of c(a/b)."""
+    signs = []
+    for c in chain:
         acc = 0
         for k, ci in enumerate(reversed(c)):
             acc = acc * a + ci * powers[k]
-        return acc
-
-    return sign_variations([_sign(scaled_value(c)) for c in chain])
+        signs.append(_sign(acc))
+    return sign_variations(signs)
 
 
 def count_roots(p, a, b, chain=None) -> int:
@@ -249,40 +257,67 @@ def rational_roots(p, chain=None):
     """(root, multiplicity) pairs of the rational roots of p, ascending;
     chain, when given, is sturm_chain(p).
 
-    Every rational root is k/lead for the leading coefficient lead of
-    `content_cleared(p)`.  Sturm bisection narrows each real root to an
-    interval (a, b] of width at most 1/(2 lead), which holds at most one
-    such point, and that point is tested exactly.
+    Every rational root is k/lead for the leading coefficient lead of the
+    integer polynomial P = content_cleared(p).  Sturm bisection narrows the
+    real roots to intervals (a, b] of width at most 1/(2 lead), each of
+    which holds at most one such point, and that point is tested exactly.
+    All of it runs in Python ints: the endpoints are integer numerators
+    over one denominator 2^shift, fine enough for every midpoint the
+    bisection takes, and a candidate u/v in lowest terms is a root as often
+    as v x - u divides P.
     """
     if degree(p) < 1:
         return []
-    lead = abs(content_cleared(p)[-1])
+    ints = content_cleared(p)
+    lead = abs(ints[-1])
     if chain is None:
         chain = sturm_chain(p)
-    bound = root_bound(chain[0])
-    width = Q(1, 2 * lead)
+    top = chain[0]
+    # an integer at least the Cauchy bound 1 + max |c_i| / |c_n| of top
+    bound = 1 - (-max(map(abs, top[:-1])) // abs(top[-1]))
+    # an interval that is split is 2 bound 2^shift / 2^j wide for some j
+    # and wider than 2^shift / (2 lead), so j <= shift: its midpoint is an
+    # integer
+    shift = (2 * bound * lead).bit_length()
+    powers = _powers(chain, 1 << shift)
+    a = -bound << shift
     found = []
-    todo = [(-bound, variations_at(chain, -bound),
-             bound, variations_at(chain, bound))]
+    todo = [(a, _variations(chain, a, powers),
+             -a, _variations(chain, -a, powers))]
     while todo:
         a, va, b, vb = todo.pop()
         if va == vb:
             continue
-        if va - vb == 1 and b - a <= width:
-            r = Q(math.floor(b * lead), lead)
-            if r > a and evaluate(p, r) == 0:
-                found.append(r)
+        if 2 * lead * (b - a) > 1 << shift:
+            m = (a + b) >> 1
+            vm = _variations(chain, m, powers)
+            todo += [(a, va, m, vm), (m, vm, b, vb)]
             continue
-        m = (a + b) / 2
-        vm = variations_at(chain, m)
-        todo += [(a, va, m, vm), (m, vm, b, vb)]
+        u = b * lead >> shift  # floor(b lead / 2^shift): the last k/lead <= b
+        if u << shift > a * lead:
+            g = math.gcd(u, lead)
+            found.append((b, u // g, lead // g))
     roots = []
-    for r in sorted(found):
-        q, mult = list(p), 0
-        while evaluate(q, r) == 0:
-            q, mult = divmod_poly(q, poly([-r, 1]))[0], mult + 1
-        roots.append((r, mult))
+    for _, u, v in sorted(found):
+        mult = 0
+        while (q := _divide_linear(ints, u, v)) is not None:
+            ints, mult = q, mult + 1
+        if mult:
+            roots.append((Q(u, v), mult))
     return roots
+
+
+def _divide_linear(c, u, v):
+    """The quotient of the integer polynomial c by v x - u, or None when
+    v x - u does not divide it in Z[x]."""
+    q = [0] * (len(c) - 1)
+    carry = c[-1]
+    for i in range(len(c) - 1, 0, -1):
+        q[i - 1], rem = divmod(carry, v)
+        if rem:
+            return None
+        carry = c[i - 1] + u * q[i - 1]
+    return None if carry else q
 
 
 def _eliminate(m, ncols):

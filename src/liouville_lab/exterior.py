@@ -155,10 +155,6 @@ class Form:
             i = coframe.index(i)
         return cls(coframe, 1, {1 << i: 1}, ring)
 
-    @classmethod
-    def volume(cls, coframe, coeff=1, ring=EXACT):
-        return cls(coframe, coframe.dim, {coframe.volume_mask: coeff}, ring)
-
     # -- ring / coframe guards --------------------------------------------
 
     def _check_compatible(self, other):
@@ -313,25 +309,3 @@ def interior_product(v: VectorElem, a: Form) -> Form:
             m &= m - 1
     return Form(a.coframe, a.degree - 1, terms, a.ring)
 
-
-def pullback(L, a: Form) -> Form:
-    """Pullback along the linear map with matrix L in the coframe basis.
-
-    Convention: (L*e^i) = sum_j L[i][j] e^j, i.e. rows of L give the images
-    of the basis covectors; this makes pullback(diag(2,1), dx) = 2 dx.
-    """
-    n = a.coframe.dim
-    rows = [list(r) for r in L]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError("dimension mismatch in pullback")
-    pulled = [
-        Form(a.coframe, 1, {1 << j: rows[i][j] for j in range(n)}, a.ring)
-        for i in range(n)
-    ]
-    out = Form.zero(a.coframe, a.degree, a.ring)
-    for mask, c in a.terms.items():
-        acc = Form.scalar(a.coframe, c, a.ring)
-        for i in mask_blade(mask):
-            acc = acc.wedge(pulled[i])
-        out = out + acc
-    return out

@@ -7,13 +7,13 @@ is a bounded coordinate-box search whose norm filter is one exact batched
 determinant per slice of the box (int64 within an overflow bound, Python
 ints beyond it).  For real quadratic fields a continued-fraction Pell
 oracle (pell_fundamental_unit) gives the fundamental unit independently;
-find_units does not call it, and the tests compare the two.  The
-log-embedding vectors of the positive units, together with the exponential
-kernel contributions 2*pi*i per complex place and, for totally complex
-fields, the torsion preimages, span the rank n-1 lattice whose monodromy
-matrices glue the torus bundle.  The torsion comes from the same box search
-as the free units.  The polynomial discriminant is the norm of f'(theta),
-so it shares the norm's determinant.
+find_units does not call it, and acceptance criterion 1 compares the two.
+The log-embedding vectors of the positive units, together with the
+exponential kernel contributions 2*pi*i per complex place and, for totally
+complex fields, the torsion preimages, span the rank n-1 lattice whose
+monodromy matrices glue the torus bundle.  The torsion comes from the same
+box search as the free units.  The polynomial discriminant is the norm of
+f'(theta), so it shares the norm's determinant.
 """
 
 from __future__ import annotations

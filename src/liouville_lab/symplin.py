@@ -29,23 +29,21 @@ The tamed-J sampler draws once: every Cayley perturbation of g-norm below 1
 is tamed.
 
 Each question has one decision.  A rational form is nondegenerate when the
-Bareiss determinant of _poly.frac_det is nonzero (no Pfaffian); the
+Bareiss determinant of _poly.frac_det is nonzero (no Pfaffian), and the
 segment (1-t) w0 + t w1 stays symplectic exactly when the ray does
-(ray_nondegenerate; nothing is sampled); and the taming threshold of
-omega + t d is one eigvalsh of sym(A_omega J) against the Cholesky factor
-of sym(A_d J) (taming_threshold; no bisection).
+(_Pencil.ray_nondegenerate; nothing is sampled).
 
 The dense primitives of the randomized suites (the nondegeneracy det gate,
-compatible_j, the tamed-J draw, the Cayley map and its inverse, the taming
-spectrum, the float pencil solve) each have one implementation that takes
-one matrix or an (N, n, n) stack and gives every matrix the bits of its own
-2-d call; the public functions are that kernel on one matrix.  The cayley,
-interpolation, appendix-equivalence and cocompatible suites run their
-trials as stacks of at most _TRIAL_STACK, each trial drawing from its own
-generator in the per-trial order, and raise what a per-trial loop would
-raise first; the appendix-equivalence suite builds its cotamed structures
-in one stack per block layout.  A stack seeds its generators in one pass
-(_trial_rngs), each with the stream of default_rng of its trial's seed.
+the compatible J, the tamed-J draw, the Cayley map and its inverse, the
+taming spectrum, the float pencil solve) each have one implementation that
+takes one matrix or an (N, n, n) stack and gives every matrix the bits of
+its own 2-d call.  The cayley, interpolation, appendix-equivalence and
+cocompatible suites run their trials as stacks of at most _TRIAL_STACK,
+each trial drawing from its own generator in the per-trial order, and
+raise what a per-trial loop would raise first; the appendix-equivalence
+suite builds its cotamed structures in one stack per block layout.  A
+stack seeds its generators in one pass (_trial_rngs), each with the stream
+of default_rng of its trial's seed.
 """
 
 from __future__ import annotations
@@ -64,6 +62,7 @@ Q = Fraction
 
 MAX_PENCIL_DIM = 12
 SUITE_DIM = 6  # dimension of the cayley and interpolation suite forms
+INTERPOLATION_TS = (0.25, 0.5, 0.75)  # the interpolation suite's times
 TAMING_EIG = 1e-10  # tames: min eig of sym(A J) > TAMING_EIG * scale
 OMEGA0_GATE = 1e-9  # a reduction passes with w0 residual <= OMEGA0_GATE
 OMEGA1_GATE = 10  # and w1 residual <= OMEGA1_GATE * eps
@@ -166,19 +165,6 @@ def _require_pencil_dim(n: int) -> None:
             f"dimension must be even and between 2 and {MAX_PENCIL_DIM}")
 
 
-def standard_omega(n2: int) -> SkewForm:
-    """Standard form as interleaved Darboux pairs (e1,e2), (e3,e4), ...
-
-    This convention has Pfaffian +1 in every dimension; the block basis of
-    the pencil reduction uses the grouped [[0, I], [-I, 0]] layout instead.
-    """
-    rows = [[Q(0)] * n2 for _ in range(n2)]
-    for i in range(0, n2, 2):
-        rows[i][i + 1] = Q(1)
-        rows[i + 1][i] = Q(-1)
-    return SkewForm(rows)
-
-
 @dataclass
 class ComplexStructure:
     """Matrix J with J^2 = -I (1e-10 in float, exact for rational input);
@@ -275,16 +261,10 @@ def _exact_positive_definite(sym) -> bool:
 # -- the pencil endomorphism and existence tests ---------------------------------
 
 
-def pencil_endomorphism(a0: SkewForm, a1: SkewForm) -> np.ndarray:
-    """B = A0^{-1} A1; verified w0-symmetric (A0 B is antisymmetric)."""
-    if not is_nondegenerate(a0):
-        raise ValueError("omega_0 is degenerate")
-    return _float_endomorphism(a0.to_array(), a1.to_array())
-
-
 def _float_endomorphism(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    """The float solve of pencil_endomorphism, for a w0 known nondegenerate;
-    of one pencil or of each pencil of two stacks."""
+    """B = A0^{-1} A1, verified w0-symmetric (A0 B is antisymmetric), for
+    a w0 known nondegenerate; of one pencil or of each pencil of two
+    stacks."""
     if m0.shape != m1.shape:
         raise ValueError("dimension mismatch")
     b = np.linalg.solve(m0, m1)
@@ -325,7 +305,18 @@ class _Pencil:
         return _poly.sturm_chain(self.spectrum)
 
     def ray_nondegenerate(self):
-        """A bool, or a bool array for a stack."""
+        """Whether w0 + t w1 stays symplectic for all t >= 0; by the paper's
+        criterion also whether some J is tamed by both forms.  A bool, or a
+        bool array for a stack.
+
+        It is also the segment question: for 0 < t <= 1,
+        (1-t) A0 + t A1 = t A0 (B + (1-t)/t) is singular exactly when B has
+        the eigenvalue -(1-t)/t, and these values fill (-inf, 0).  So both
+        are "B has no negative real eigenvalue".  Rational pencils are
+        decided exactly: B is invertible, so this is a Sturm count of zero
+        roots in (-root_bound, 0) of the half-degree factor h of its
+        charpoly.
+        """
         if self.exact:
             h = self.spectrum
             return _poly.count_roots(h, -_poly.root_bound(h), 0,
@@ -372,20 +363,6 @@ def _negative_real(vals: np.ndarray) -> np.ndarray:
     negative."""
     return (vals.real < 0) & (np.abs(vals.imag) <= _REAL_REL_TOL
                               * np.abs(vals.real))
-
-
-def ray_nondegenerate(a0: SkewForm, a1: SkewForm) -> bool:
-    """Whether w0 + t w1 stays symplectic for all t >= 0; by the paper's
-    criterion also whether some J is tamed by both forms.
-
-    It is also the segment question: for 0 < t <= 1,
-    (1-t) A0 + t A1 = t A0 (B + (1-t)/t) is singular exactly when B has
-    the eigenvalue -(1-t)/t, and these values fill (-inf, 0).  So both are
-    "B has no negative real eigenvalue".  Rational pencils are decided
-    exactly: B is invertible, so this is a Sturm count of zero roots in
-    (-root_bound, 0) of the half-degree factor h of its charpoly.
-    """
-    return _analyse(a0, a1).ray_nondegenerate()
 
 
 # -- simultaneous reduction -------------------------------------------------------
@@ -913,18 +890,14 @@ def _construct(p: _Pencil, eps: float) -> ComplexStructure:
 # -- Cayley transform for complex structures ---------------------------------------
 
 
-def cayley_map(j0: ComplexStructure, j: ComplexStructure) -> np.ndarray:
-    """A = (J + J0)^{-1} (J - J0); anticommutes with J0, A - I invertible.
+def _cayley_map(j0: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """A = (J + J0)^{-1} (J - J0), of one pair or of each pair of two
+    stacks; A anticommutes with J0 and A - I is invertible.
 
     The raw solve leaves anticommutator noise of order cond * eps; after the
     sanity gate the result is projected onto the exactly anticommuting
     subspace so downstream convex combinations stay inside the chart.
     """
-    return _cayley_map(j0.matrix, j.matrix)
-
-
-def _cayley_map(j0: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """cayley_map of one pair, or of each pair of two stacks."""
     s = j + j0
     if np.any(np.abs(np.linalg.det(s)) < 1e-12):
         raise ValueError("J + J0 is singular (J = -J0 boundary)")
@@ -935,15 +908,10 @@ def _cayley_map(j0: np.ndarray, j: np.ndarray) -> np.ndarray:
     return (a + j0 @ a @ j0) / 2
 
 
-def cayley_inverse(j0: ComplexStructure, a: np.ndarray) -> ComplexStructure:
-    """Inverse transform A -> (A - I) J0 (A - I)^{-1}."""
-    return ComplexStructure(
-        _cayley_inverse(j0.matrix, np.asarray(a, dtype=float)))
-
-
 def _cayley_inverse(j0: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """cayley_inverse of one pair, or of each pair of two stacks, with the
-    J^2 = -I gate of ComplexStructure."""
+    """The inverse transform A -> (A - I) J0 (A - I)^{-1}, of one pair or
+    of each pair of two stacks, with the J^2 = -I gate of
+    ComplexStructure."""
     anti = a @ j0 + j0 @ a
     if np.any(_amax(anti) > 1e-10 * np.fmax(1.0, _amax(a))):
         raise ValueError("A does not anticommute with J0")
@@ -955,33 +923,22 @@ def _cayley_inverse(j0: np.ndarray, a: np.ndarray) -> np.ndarray:
     return j
 
 
-def interpolate_tamed(j0: ComplexStructure, j1: ComplexStructure,
-                      j2: ComplexStructure, ts) -> list:
-    """Convex interpolation through the Cayley chart at J0, one J per t.
+def _interpolate(j0, j1, j2, ts) -> list:
+    """Convex interpolation through the Cayley chart at J0, of one triple
+    or of each triple of three stacks: one matrix or stack per t.
 
     J1 and J2 are mapped into the chart once.  A form that tames J0, J1
     and J2 tames every result as well (convexity of the chart image).
     """
-    return [ComplexStructure(j) for j in
-            _interpolate(j0.matrix, j1.matrix, j2.matrix, ts)]
-
-
-def _interpolate(j0, j1, j2, ts) -> list:
-    """interpolate_tamed of one triple or of each triple of three stacks:
-    one matrix or stack per t."""
     a1 = _cayley_map(j0, j1)
     a2 = _cayley_map(j0, j2)
     return [_cayley_inverse(j0, (1 - t) * a1 + t * a2) for t in ts]
 
 
-def compatible_j(a: SkewForm) -> ComplexStructure:
-    """The canonical w-compatible structure J = -(-A^2)^{-1/2} A."""
-    return ComplexStructure(_compatible(a.to_array()))
-
-
 def _compatible(arr: np.ndarray) -> np.ndarray:
-    """compatible_j of one float skew matrix, or of each matrix of a stack,
-    with the J^2 = -I gate of ComplexStructure."""
+    """The canonical w-compatible structure J = -(-A^2)^{-1/2} A of one
+    float skew matrix, or of each matrix of a stack, with the J^2 = -I gate
+    of ComplexStructure."""
     m = -(arr @ arr)
     vals, vecs = np.linalg.eigh((m + _t(m)) / 2)
     if np.any(vals.min(axis=-1) <= 0):
@@ -1017,24 +974,6 @@ def _polish_square_root(j: np.ndarray) -> np.ndarray:
         best_err[idx[better]] = cand_err[better]
         live[idx] = better & ~(cand_err <= 1e-14)
     return best.reshape(j.shape)
-
-
-def taming_threshold(omega: SkewForm, d: SkewForm,
-                     j: ComplexStructure) -> float:
-    """The infimum t* >= 0 of the t with omega + t d taming J.
-
-    Requires d to tame J.  With S0 = sym(A_omega J) and S1 = sym(A_d J) > 0,
-    omega + t d tames J exactly when S0 + t S1 > 0, that is when t exceeds
-    -lam for every eigenvalue lam of L^-1 S0 L^-T (L the Cholesky factor of
-    S1).  So t* = max(0, -lam_min), and every t > t* tames J.
-    """
-    if not tames(d, j):
-        raise ValueError("direction form must tame J")
-    s0 = _taming_spectrum(omega.to_array(), j.matrix)[0]
-    s1 = _taming_spectrum(d.to_array(), j.matrix)[0]
-    linv = np.linalg.inv(np.linalg.cholesky(s1))
-    lam_min = np.linalg.eigvalsh(linv @ s0 @ linv.T)[0]
-    return max(0.0, -float(lam_min))
 
 
 # -- randomized suites ------------------------------------------------------------
@@ -1148,18 +1087,9 @@ def _seed_state_type():
     return SeedState
 
 
-def random_skew(rng: np.random.Generator, dim: int) -> SkewForm:
-    return SkewForm(_skew_draw(rng, dim))
-
-
 def _skew_draw(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.standard_normal((dim, dim))
     return m - m.T
-
-
-def random_nondegenerate_pair(rng, dim):
-    a0, a1 = _nondegenerate_draws([rng], dim, 2)[0]
-    return SkewForm(a0), SkewForm(a1)
 
 
 def _nondegenerate_draws(rngs, dim: int, count: int) -> np.ndarray:
@@ -1183,22 +1113,16 @@ def _nondegenerate_draws(rngs, dim: int, count: int) -> np.ndarray:
     return forms
 
 
-def random_tamed_j(rng, a: SkewForm, j0: ComplexStructure) -> ComplexStructure:
-    """Random J tamed by a: a Cayley perturbation of j0 = compatible_j(a).
+def _tamed_draws(rngs, arr: np.ndarray, j0: np.ndarray) -> np.ndarray:
+    """A random J tamed by each form of an (N, n, n) stack: a Cayley
+    perturbation of its J0 = _compatible(form), the i-th drawing a standard
+    normal n x n matrix and then its g-norm from rngs[i].
 
     In the Cayley chart at J0 every A anticommuting with J0 whose operator
     norm in g = w(., J0 .) is below 1 gives a tamed J (McDuff-Salamon,
     Introduction to Symplectic Topology), so one draw, scaled to a g-norm
     from U(0.1, 0.95), always lands in the taming cone.
     """
-    return ComplexStructure(
-        _tamed_draws([rng], a.to_array()[None], j0.matrix[None])[0])
-
-
-def _tamed_draws(rngs, arr: np.ndarray, j0: np.ndarray) -> np.ndarray:
-    """random_tamed_j for each form of an (N, n, n) stack and its J0, the
-    i-th drawing a standard normal n x n matrix and then its g-norm from
-    rngs[i]."""
     n = arr.shape[-1]
     x = np.array([rng.standard_normal((n, n)) for rng in rngs]).reshape(
         len(rngs), n, n)
@@ -1373,31 +1297,29 @@ def _cayley_trials(seed: int, stack: range) -> np.ndarray:
     return _amax(_cayley_inverse(j0, _cayley_map(j0, j)) - j)
 
 
-def interpolation_suite(trials: int, seed: int = 0,
-                        ts=(0.25, 0.5, 0.75)) -> SuiteReport:
+def interpolation_suite(trials: int, seed: int = 0) -> SuiteReport:
     mismatches = 0
     worst = math.inf
-    for margins in _stacked(partial(_interpolation_trials, seed, ts),
-                            trials):
+    for margins in _stacked(partial(_interpolation_trials, seed), trials):
         worst = min([worst, *margins.tolist()])
         mismatches += int(np.count_nonzero(margins <= 0))
     return SuiteReport(
-        "interpolation-convexity", trials * len(ts), mismatches,
-        worst if worst < math.inf else 0.0, [seed],
+        "interpolation-convexity", trials * len(INTERPOLATION_TS),
+        mismatches, worst if worst < math.inf else 0.0, [seed],
     )
 
 
-def _interpolation_trials(seed: int, ts, stack: range) -> np.ndarray:
+def _interpolation_trials(seed: int, stack: range) -> np.ndarray:
     """The taming margin of each interpolated J, trial by trial and t by t
-    within a trial, trial t drawing the stream of default_rng(seed + 31 t)
-    (_trial_rngs)."""
+    (INTERPOLATION_TS) within a trial, trial t drawing the stream of
+    default_rng(seed + 31 t) (_trial_rngs)."""
     rngs = list(_trial_rngs(seed + 31 * t for t in stack))
     a = _nondegenerate_draws(rngs, SUITE_DIM, 1)[:, 0]
     j0 = _compatible(a)
     j1 = _tamed_draws(rngs, a, j0)
     j2 = _tamed_draws(rngs, a, j0)
     margins = [_taming_spectrum(a, j)[1][:, 0]
-               for j in _interpolate(j0, j1, j2, ts)]
+               for j in _interpolate(j0, j1, j2, INTERPOLATION_TS)]
     return np.array(margins).T.ravel()
 
 
@@ -1467,7 +1389,7 @@ def _cocompatible_trials(a0: SkewForm, a1: SkewForm, seeds: range):
     c = np.array([rng.standard_normal((4, 4)) for rng in _trial_rngs(seeds)])
     ham = np.linalg.solve(m0, (c + _t(c)) / 2)
     s = _expm(ham * 0.5)
-    j = s @ compatible_j(a0).matrix @ np.linalg.inv(s)
+    j = s @ _compatible(m0) @ np.linalg.inv(s)
     _require_square_minus_identity(j)
     m = m1 @ j
     vals, vecs = np.linalg.eigh((m + _t(m)) / 2)

@@ -24,7 +24,15 @@ def test_criterion_01_sqrt2_pipeline():
     grp = numfield.find_units(field, 40)
     pos = numfield.positive_units(grp, field)
     lat = numfield.gamma_lattice(field, pos, grp)
+    # the continued-fraction Pell oracle finds the box search's unit
+    pell = {}
+    for coeffs in ([-2, 0, 1], [-3, 0, 1], [-1, -1, 1]):
+        quad = numfield.field_from_poly(coeffs)
+        box = numfield.positive_units(numfield.find_units(quad, 40), quad)
+        pell[tuple(coeffs)] = (numfield.pell_fundamental_unit(quad).coords,
+                               box[0].coords)
     elapsed = time.perf_counter() - t0
+    assert all(oracle == found for oracle, found in pell.values()), pell
     assert pos[0].coords == (3, 2)
     assert lat.monodromy == [[[3, 4], [2, 3]]]
     vec = lat.gamma_basis[0]
@@ -32,7 +40,8 @@ def test_criterion_01_sqrt2_pipeline():
     assert abs(vec[1] - math.log(3 - 2 * math.sqrt(2))) <= 1e-10
     assert elapsed < 1.0
     _report(1, f"Q[sqrt2] pipeline: unit 3+2X, monodromy [[3,4],[2,3]], "
-               f"gamma generator to 1e-10 ({elapsed:.3f} s)")
+               f"gamma generator to 1e-10; Pell oracle = box search on "
+               f"x^2-2, x^2-3, x^2-x-1 ({elapsed:.3f} s)")
 
 
 def test_criterion_02_gauss_pipeline():
@@ -157,7 +166,7 @@ def test_criterion_07_cayley_and_convexity():
     rep = symplin.cayley_roundtrip_suite(500, seed=0)
     assert rep.mismatches == 0
     assert rep.worst_margin <= 1e-10
-    rep2 = symplin.interpolation_suite(167, seed=0, ts=(0.25, 0.5, 0.75))
+    rep2 = symplin.interpolation_suite(167, seed=0)
     assert rep2.trials >= 500
     assert rep2.mismatches == 0
     _report(7, f"Cayley round trip worst error {rep.worst_margin:.2e} over "

@@ -511,3 +511,14 @@ def test_sturm_counts_match_numpy_roots(roots, complex_pairs, lead, a, b):
     inside = sum(1 for x in real if a < x < b)
     assert poly.count_roots(p, a, b) == inside
     assert poly.count_roots_above(p, a) == sum(1 for x in real if x > a)
+
+
+def test_rational_roots_beside_a_close_irrational_root():
+    # 1/3 and sqrt(1/9 + 10^-12) lie in one interval of width 1/(2 lead):
+    # the bisection stops there and tests its one candidate k/lead
+    for sign in (1, -1):
+        p = poly.mul(poly.poly([-sign, 3]),
+                     poly.poly([-(Q(1, 9) + Q(1, 10 ** 12)), 0, 1]))
+        p = poly.mul(p, poly.poly([-sign, 3]))
+        assert poly.rational_roots(p) == [(Q(sign, 3), 2)]
+        assert poly.rational_roots(p) == fraction_rational_roots(p)
