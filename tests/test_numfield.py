@@ -107,6 +107,15 @@ def test_positive_units_square_mixed_signs():
     assert nf.norm(SQRT2, sq) == 1
 
 
+def test_pell_oracle_agrees_with_box_search():
+    for coeffs in ([-2, 0, 1], [-3, 0, 1], [-1, -1, 1]):
+        field = nf.field_from_poly(coeffs)
+        grp = nf.find_units(field, 40)
+        pos = nf.positive_units(grp, field)[0]
+        pell = nf.pell_fundamental_unit(field)
+        assert pell.coords == pos.coords
+
+
 def test_gamma_lattice_sqrt2():
     grp = nf.find_units(SQRT2, 40)
     pos = nf.positive_units(grp, SQRT2)
