@@ -251,6 +251,10 @@ GOLDEN_REPORTS = [
      "6d670c2e4d38bb4316898c61dfecb45daa49068279dd37c7fb40ce89ce469c61"),
     ("verify-contact aff_c liouville",
      "199f2c0a95f48bc089c002d01c4f2d663e8513908bf901ed6d5a9ceab0252f1c"),
+    ("verify-contact totreal:4 alpha_plus",
+     "e761c781eebf097469fdbeee2e32b2c04efde3075e2db9b6b1d032dd896032da"),
+    ("verify-contact geiges:5 alpha_plus",
+     "e915c8c677f44b6e48b869ce42ee1cac33fbf49914e349b4595e5e181182ba06"),
 ]
 
 
@@ -258,6 +262,27 @@ GOLDEN_REPORTS = [
 def test_exact_reports_match_golden_bytes(capture, case, digest):
     command, preset, *form = case.split()
     argv = [command, "--preset", preset, "--json"]
+    code, out = capture(argv + (["--form", *form] if form else []))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of default (text) reports of exact commands, pinned before the
+# exterior kernel moved to Python ints with Fraction only at the report
+GOLDEN_TEXT_REPORTS = [
+    ("verify-pair totreal:1",
+     "c50fa1bfa93aead87d3435be3f65af188c48383560c2d5d5146e7da1251d15b1"),
+    ("verify-contact totreal:4 alpha_plus",
+     "304e55476bf9a20c3de0b0702f7cda5dcf928b017be502a336f4860d97011218"),
+    ("verify-contact geiges:5 alpha_plus",
+     "e54e538cabf2810c92df9d0060fb66730fd512dfc483eb23bf03319f3a4329d9"),
+]
+
+
+@pytest.mark.parametrize("case, digest", GOLDEN_TEXT_REPORTS)
+def test_exact_text_reports_match_golden_bytes(capture, case, digest):
+    command, preset, *form = case.split()
+    argv = [command, "--preset", preset]
     code, out = capture(argv + (["--form", *form] if form else []))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -307,6 +332,16 @@ GOLDEN_NUMFIELD_GEIGES_REPORTS = [
      "7fdb31f3c99a86deea7df645912501171c1685934445409ebb337af5228d52de"),
     ("geiges --n 5 --json",
      "d16f4d2e053006ebb1459be9d61676550ba7c88b0e9a42bf947a72fd6176f9d7"),
+    # n = 6 and 7 were pinned later, before the exterior kernel moved to
+    # Python ints; they too hold for one LAPACK build
+    ("geiges --n 6",
+     "dfc87088e675443841621c98ce0383d6198872eac76ddf33f694929e0059c4c9"),
+    ("geiges --n 6 --json",
+     "b1aab01a29916e9e985d7f4fe54f3050467c8036cb705cffcfb757d3c894f526"),
+    ("geiges --n 7",
+     "46d705b92a2da8247f345afe26cac4f0f6f3dfc86749d5e9d14514b87efa1c6f"),
+    ("geiges --n 7 --json",
+     "aa6244bfe7b12dc0fcd7feec4616fa1dbed7fbd904e369390ba6a265efdb2ecd"),
 ]
 
 
