@@ -215,7 +215,8 @@ def _cmd_verify_contact(args):
     g = preset.algebra
     if g.dim % 2 == 0:
         # even dimension: certify the Liouville volume sign of d(form)^n
-        top = g.ce_differential(form).power(g.dim // 2).top_coefficient()
+        da = g.ce_differential(form)
+        top = da.top_pairing(da.power(g.dim // 2 - 1))
         verdict = "positive" if top > 0 else \
             ("negative" if top < 0 else "indefinite")
         return _report(

@@ -2,12 +2,15 @@
 
 A form is a sparse sum of coefficient * blade, where a blade is a strictly
 increasing tuple of coframe indices stored as a bitmask (dims up to 16).
-Coefficients live in one of two scalar rings: exact rationals (`Fraction`),
-where a zero coefficient is dropped, or float64, where a coefficient may also
-be an array over a sample axis and none is dropped.
+Coefficients live in one of two scalar rings: exact rationals, where a zero
+coefficient is dropped, or float64, where a coefficient may also be an array
+over a sample axis and none is dropped.  An exact coefficient is a Python
+int, and a `Fraction` only where the value is not integral, so the products
+that certificates spend their time in are integer products; the values leave
+the ring as `Fraction` at `top_coefficient` and `top_pairing`.
 The listed coframe order fixes the orientation: the wedge of all covectors
 in listed order is the positive volume form, and every sign reported by
-`top_coefficient` is relative to that order.
+`top_coefficient` or `top_pairing` is relative to that order.
 """
 
 from __future__ import annotations
@@ -31,8 +34,16 @@ class ScalarRing:
         return self.kind == "exact-rational"
 
     def coerce(self, x):
+        """An int for an integral value, else a `Fraction`."""
+        if type(x) is int:
+            return x
         if isinstance(x, float):
             raise TypeError("float coefficient in exact-rational ring")
+        x = Fraction(x)
+        return int(x.numerator) if x.denominator == 1 else x
+
+    def report(self, x):
+        """A coefficient as it leaves the ring: exact values as `Fraction`."""
         return Fraction(x)
 
     def is_zero(self, x) -> bool:
@@ -56,6 +67,8 @@ class _Float64Ring(ScalarRing):
         if isinstance(x, np.ndarray):
             return x.astype(float, copy=False)
         return float(x)
+
+    report = coerce
 
     def is_zero(self, x) -> bool:
         return False
@@ -127,11 +140,12 @@ class Form:
         self.coframe = coframe
         self.degree = degree
         self.ring = ring
+        dim = coframe.dim
         clean = {}
         for mask, c in (terms or {}).items():
             if mask.bit_count() != degree:
                 raise ValueError("blade length does not match degree")
-            if mask >> coframe.dim:
+            if mask >> dim:
                 raise ValueError("blade index out of coframe range")
             c = ring.coerce(c)
             if not ring.is_zero(c):
@@ -226,25 +240,49 @@ class Form:
                 terms[m] = terms.get(m, 0) + c
         return Form(self.coframe, deg, terms, self.ring)
 
-    def power(self, k: int) -> "Form":
+    def powers(self, k: int) -> list:
+        """The ladder [1, a, a^2, ..., a^k], one wedge per step."""
         if k < 0:
             raise ValueError("negative wedge power")
         if k and self.degree % 2:
             raise ValueError("wedge power requires even degree")
         if k * self.degree > self.coframe.dim:
             raise ValueError("degree overflow in power")
-        out = Form.scalar(self.coframe, 1, self.ring)
+        out = [Form.scalar(self.coframe, 1, self.ring)]
         for _ in range(k):
-            out = out.wedge(self)
+            out.append(out[-1].wedge(self))
         return out
+
+    def power(self, k: int) -> "Form":
+        return self.powers(k)[k]
 
     # -- extraction -----------------------------------------------------------
 
     def top_coefficient(self):
         if self.degree != self.coframe.dim:
             raise ValueError("top_coefficient requires a top-degree form")
-        zero = Fraction(0) if self.ring.exact else 0.0
-        return self.terms.get(self.coframe.volume_mask, zero)
+        return self.ring.report(self.terms.get(self.coframe.volume_mask, 0))
+
+    def top_pairing(self, other):
+        """The top coefficient of self ^ other, without building the product.
+
+        Each blade of self meets only its complement in other; the pairs
+        are summed in the order `wedge` sums them into the volume blade.
+        """
+        self._check_compatible(other)
+        if self.degree + other.degree != self.coframe.dim:
+            raise ValueError("top_pairing requires complementary degrees")
+        vol = self.coframe.volume_mask
+        found = other.terms
+        total = 0
+        for ma, ca in self.terms.items():
+            mb = vol ^ ma
+            if mb in found:
+                c = ca * found[mb]
+                if _wedge_sign(ma, mb) < 0:
+                    c = -c
+                total = total + c
+        return self.ring.report(total)
 
     def shifted(self, coframe: Coframe, offset: int) -> "Form":
         """The same form on `coframe`, covector i moved to slot i + offset."""

@@ -6,7 +6,9 @@ left-invariant forms as an antiderivation: d of a blade is a signed sum
 over its bits.  With antisymmetric brackets d(d(e^k)) = 0 is the Jacobi
 identity, so Jacobi is verified exactly as d^2 = 0.  Certificates
 (contact sign, Liouville-pair positivity over the coefficient simplex,
-Geiges identities) are computed exactly; only the Geiges-group
+Geiges identities) are computed exactly, each as the top coefficient of a
+wedge read by `Form.top_pairing` against a wedge-power ladder built once,
+so the top-degree product itself is never formed; only the Geiges-group
 normal-form isomorphism, which involves rotation angles, runs in floats.
 """
 
@@ -49,11 +51,12 @@ class LieAlgebra:
             if row:
                 clean[(i, j)] = row
         self.brackets = clean
-        # d(e^k) = -sum_{i<j} c^k_{ij} e^i ^ e^j as (mask, coeff) pairs
+        # d(e^k) = -sum_{i<j} c^k_{ij} e^i ^ e^j as (mask, coeff) pairs,
+        # the coefficients already in the exact ring
         self._d1 = [[] for _ in range(self.dim)]
         for (i, j), row in clean.items():
             for k, c in row.items():
-                self._d1[k].append(((1 << i) | (1 << j), -c))
+                self._d1[k].append(((1 << i) | (1 << j), EXACT.coerce(-c)))
         if check and not self.d_squared_check():
             raise StructureConstantError("Jacobi identity fails")
 
@@ -87,12 +90,13 @@ class LieAlgebra:
 
         The linear extension of `_d_blade`, summed pair by pair in `ring`;
         in the exact ring a blade whose sum cancels is dropped and re-enters
-        at the end, while the float ring drops nothing.
+        at the end, while the float ring drops nothing.  A float
+        coefficient times an exact table entry is the float product.
         """
         out = {}
         for mask, c in terms.items():
             for m, dc in self._d_blade(mask):
-                term = c * ring.coerce(dc)
+                term = c * dc
                 if ring.is_zero(term):
                     continue
                 total = out.get(m, 0) + term
@@ -215,8 +219,7 @@ def contact_check(g: LieAlgebra, a: Form) -> PositivityCertificate:
     if a.degree != 1:
         raise ValueError("contact_check requires a 1-form")
     m = (g.dim - 1) // 2
-    vol = a.wedge(g.ce_differential(a).power(m))
-    top = vol.top_coefficient()
+    top = a.top_pairing(g.ce_differential(a).power(m))
     s = (top > 0) - (top < 0)
     verdict = {1: "positive", -1: "negative", 0: "indefinite"}[s]
     return PositivityCertificate(
@@ -234,16 +237,16 @@ def pair_polynomial(g: LieAlgebra, a_plus: Form, a_minus: Form):
     (C+ a+ - C- a-) ^ (C+ da+ + C- da-)^(n-1), homogeneous of degree n.
     """
     n = (g.dim + 1) // 2
-    dap = g.ce_differential(a_plus)
-    dam = g.ce_differential(a_minus)
+    pp = g.ce_differential(a_plus).powers(n - 1)
+    pm = g.ce_differential(a_minus).powers(n - 1)
     x = _poly.poly([0, 1])
     one_minus_x = _poly.poly([1, -1])
     p = []
     for j in range(n):
         binom = Q(math.comb(n - 1, j))
-        block = dap.power(j).wedge(dam.power(n - 1 - j))
-        t_plus = a_plus.wedge(block).top_coefficient()
-        t_minus = a_minus.wedge(block).top_coefficient()
+        rest = pm[n - 1 - j]
+        t_plus = a_plus.wedge(pp[j]).top_pairing(rest)
+        t_minus = a_minus.wedge(pp[j]).top_pairing(rest)
         if t_plus:
             mono = _poly.mul(_poly.pow_(x, j + 1), _poly.pow_(one_minus_x, n - 1 - j))
             p = _poly.add(p, _poly.scale(mono, binom * t_plus))
@@ -297,16 +300,14 @@ def geiges_pair_check(g: LieAlgebra, a_plus: Form, a_minus: Form) -> bool:
     if g.dim % 2 == 0:
         raise ValueError("geiges_pair_check requires odd dimension")
     n = (g.dim - 1) // 2
-    dap = g.ce_differential(a_plus)
-    dam = g.ce_differential(a_minus)
-    vol_plus = a_plus.wedge(dap.power(n))
-    vol_minus = a_minus.wedge(dam.power(n))
-    if vol_plus.is_zero() or not (vol_plus + vol_minus).is_zero():
+    pp = g.ce_differential(a_plus).powers(n)
+    pm = g.ce_differential(a_minus).powers(n)
+    vol_plus = a_plus.top_pairing(pp[n])
+    if vol_plus == 0 or vol_plus + a_minus.top_pairing(pm[n]) != 0:
         return False
     for k in range(n):
-        mixed_p = a_plus.wedge(dap.power(k)).wedge(dam.power(n - k))
-        mixed_m = a_minus.wedge(dam.power(k)).wedge(dap.power(n - k))
-        if not mixed_p.is_zero() or not mixed_m.is_zero():
+        if (a_plus.wedge(pp[k]).top_pairing(pm[n - k])
+                or a_minus.wedge(pm[k]).top_pairing(pp[n - k])):
             return False
     return True
 

@@ -1356,7 +1356,7 @@ def cocompatible_counterexample_suite(trials: int, seed: int = 0) -> SuiteReport
     definite and w1 does not tame J.  The samples cross-check this.
     """
     a0, a1 = remark_pair()
-    wedge_top = a0.to_form().wedge(a1.to_form()).top_coefficient()
+    wedge_top = a0.to_form().top_pairing(a1.to_form())
     if wedge_top != 0:
         raise ArithmeticError("w0 ^ w1 is not exactly zero")
     survivors = 0

@@ -238,3 +238,79 @@ def test_coframe_validation():
         Coframe(("dx", "dx"))
     with pytest.raises(ValueError, match="dimension"):
         Coframe(tuple(f"e{i}" for i in range(17)))
+
+
+def _float_bits(x):
+    if isinstance(x, np.ndarray):
+        return ("array", x.dtype.str, x.tobytes())
+    return ("float", type(x).__name__, x.hex())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=8), data=st.data())
+def test_top_pairing_reads_the_top_coefficient_of_the_wedge(dim, data):
+    # exactly on exact forms; bit for bit on float forms whose coefficients
+    # are floats, float64 arrays or a mix, with an empty sum read as +0.0
+    p = data.draw(st.integers(min_value=0, max_value=dim), label="p")
+    seed = data.draw(st.integers(min_value=0, max_value=10 ** 6), label="seed")
+    rng = random.Random(seed)
+    cf = Coframe(tuple(f"e{i}" for i in range(dim)))
+
+    def blades(degree, meet=()):
+        # mostly the complements of the blades of the form to be met, so
+        # that several pairs reach the volume blade
+        pool = [m for m in range(1 << dim) if m.bit_count() == degree]
+        picked = [cf.volume_mask ^ m for m in meet if rng.random() < 0.8]
+        return picked + [m for m in rng.sample(pool, min(len(pool), 5))
+                         if m not in picked][:rng.randint(0, 3)]
+
+    def exact(degree, meet=()):
+        return Form(cf, degree, {m: Q(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+                                 for m in blades(degree, meet)})
+
+    floats = [0.0, -0.0, 1.0, -1.0, 0.1, 1 / 3, -2.5e5, 3.0000000000000004]
+
+    def real(degree, arrays, meet=()):
+        def coeff():
+            if arrays and rng.random() < 0.6:
+                return np.array([rng.choice(floats) for _ in range(3)])
+            return rng.choice(floats)
+        return Form(cf, degree, {m: coeff() for m in blades(degree, meet)},
+                    FLOAT64)
+
+    a = exact(p)
+    b = exact(dim - p, a.terms)
+    got = a.top_pairing(b)
+    assert type(got) is Q and got == a.wedge(b).top_coefficient()
+    for arrays in (False, True):
+        fa = real(p, arrays)
+        fb = real(dim - p, arrays, fa.terms)
+        assert (_float_bits(fa.top_pairing(fb))
+                == _float_bits(fa.wedge(fb).top_coefficient()))
+    empty = Form.zero(cf, p, FLOAT64).top_pairing(Form.zero(cf, dim - p, FLOAT64))
+    assert _float_bits(empty) == _float_bits(0.0)
+
+
+def test_top_pairing_rejects_non_complementary_degrees():
+    dx, dy = Form.covector(CF4, 0), Form.covector(CF4, 1)
+    with pytest.raises(ValueError, match="complementary"):
+        dx.top_pairing(dy)
+    with pytest.raises(ValueError, match="complementary"):
+        dx.wedge(dy).top_pairing(dx)
+    with pytest.raises(ValueError, match="ring"):
+        dx.top_pairing(Form(CF4, 3, {0b1110: 1.0}, FLOAT64))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(dim=st.integers(min_value=2, max_value=8),
+       seed=st.integers(min_value=0, max_value=10 ** 6))
+def test_powers_ladder_matches_power(dim, seed):
+    rng = random.Random(seed)
+    cf = Coframe(tuple(f"e{i}" for i in range(dim)))
+    omega = random_form(rng, cf, 2, nterms=rng.randint(1, 6))
+    k = dim // 2
+    ladder = omega.powers(k)
+    assert len(ladder) == k + 1 and ladder[0] == Form.scalar(cf, 1)
+    for j in range(k + 1):
+        assert ladder[j] == omega.power(j)
+        assert list(ladder[j].terms) == list(omega.power(j).terms)
