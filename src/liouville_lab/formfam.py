@@ -819,9 +819,10 @@ def weak_domination_ray_check(alpha: Form, omega: Form,
         raise ValueError("weak domination lives on odd dimensions")
     npow = (dim - 1) // 2
     orientation = "volume = " + "∧".join(alpha.coframe.names)
+    dpow = dalpha.powers(npow)
+    opow = omega.powers(npow)
     p = _poly.trim([
-        Q(math.comb(npow, j)) * alpha.wedge(
-            dalpha.power(j).wedge(omega.power(npow - j))).top_coefficient()
+        Q(math.comb(npow, j)) * alpha.wedge(dpow[j]).top_pairing(opow[npow - j])
         for j in range(npow + 1)
     ])
     symplectic_ok = _poly.evaluate(p, 0) > 0 if p else False
