@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction as Q
 
 import numpy as np
 import pytest
@@ -551,6 +552,14 @@ def test_sol_ray_fixture_exact():
         assert cert.kind == "exact-sturm"
 
 
+def test_sol_ray_fixture_pinned():
+    assert ff.sol_weak_filling_ray_fixture(Q(1, 100)) == \
+        ff.WeakFillingCertificate(
+            "positive", True, True, "exact-sturm",
+            [Q(198, 25), Q(398, 25), Q(8)], None,
+            "volume = dθ∧ds∧T*∧X*∧Y*")
+
+
 def test_sol_fixture_wedge_and_grid():
     res = ff.sol_weak_filling_fixture(0.01, grid_n=48)
     assert res.wedge_plus_zero and res.wedge_minus_zero
@@ -631,7 +640,6 @@ def test_gt_reparam_identity():
 
 def test_beta_grid_agrees_with_exact_certificate():
     rng = random.Random(1)
-    from fractions import Fraction as Q
     presets = [liealg.totally_real(2), liealg.totally_real(3),
                liealg.sol_from_sl2([[2, 1], [1, 1]]), liealg.geiges(2)]
     fixtures = []

@@ -299,6 +299,29 @@ def test_exact_sign_certificates_replay_their_sign():
             assert not cert.replay()
 
 
+def test_pair_certificates_no_report_shows():
+    # recombined pairs, pinned in full: an indefinite verdict with a
+    # root-interval witness, and a negative one with a point witness at 0
+    pre = liealg.preset("totreal:3")
+    ap = pre.alpha_plus
+    cert = liealg.liouville_pair_check(pre.algebra, 3 * ap, -ap)
+    assert cert.verdict == "indefinite"
+    assert cert.polynomial == [6, -36, 0, 192]
+    assert all(type(c) is Q for c in cert.polynomial)
+    assert cert.root_count == 1
+    assert cert.witness == ("root-interval", Q(274877906943, 2 ** 40),
+                            Q(1, 4))
+    pre = liealg.preset("totreal:1")
+    ap, am = pre.alpha_plus, pre.alpha_minus
+    cert = liealg.liouville_pair_check(pre.algebra, -ap + 2 * am,
+                                       3 * ap - 2 * am)
+    assert cert.verdict == "negative"
+    assert cert.polynomial == [-5, 2]
+    assert cert.root_count == 0
+    assert cert.witness == ("point", 0, -5)
+    assert type(cert.witness[1]) is Q and type(cert.witness[2]) is Q
+
+
 def test_liouville_pair_check_requires_exact_forms():
     p = liealg.totally_real(2)
     for ap, am in ((p.alpha_plus.to_float(), p.alpha_minus),

@@ -95,6 +95,12 @@ def test_positive_on_open_ray_witnesses():
     assert poly.count_roots(p, a, b) == 1
 
 
+def test_positive_on_open_ray_witness_pinned():
+    p = poly.poly([Q(3, 16), -1, 1])  # (x - 1/4)(x - 3/4)
+    assert poly.positive_on_open_ray(p) == (
+        False, ("root-interval", Q(274877906943, 2 ** 40), Q(1, 4)))
+
+
 def test_isolate_root_brackets():
     p = poly.poly([-2, 0, 1])   # root at sqrt(2)
     a, b = poly.isolate_root(p, 1, 2)
