@@ -1,14 +1,16 @@
 """Exact polynomials and exact linear algebra over the rationals.
 
-Polynomials are lists of Fractions in ascending order, trimmed so the last
-entry is nonzero (the zero polynomial is the empty list).  Matrices are
-lists of rows.  This module holds the package's one exact path: polynomial
-arithmetic, square roots, Sturm chains (of integer polynomials, whose signs
-at a/b are integer sums), root counting and isolation, rational roots, the
-matrix product, the division-free charpoly and one fraction-free
-elimination on integer rows, behind every exact determinant, solve and
-null space.  It backs every Sturm-style positivity certificate; nothing
-here is allowed to touch floating point.
+Polynomials arrive as lists of Fractions in ascending order, trimmed so the
+last entry is nonzero (the zero polynomial is the empty list).  Matrices
+are lists of rows.  This module holds the package's one exact path:
+evaluation, products and square roots of polynomials; one Sturm path in
+Python ints (a signed remainder sequence by pseudo-division, whose signs at
+a/b are integer sums, and one bisection over integer numerators) behind
+root counting, root witnesses and rational roots; the matrix product, the
+division-free charpoly and one fraction-free elimination on integer rows,
+behind every exact determinant, solve and null space.  It backs every
+Sturm-style positivity certificate; nothing here is allowed to touch
+floating point.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from fractions import Fraction
 
 Q = Fraction
-_ISOLATION_WIDTH = Q(1, 2**40)  # isolate_root bisects below this width
+_WITNESS_BITS = 40  # a root witness interval is at most 2^-40 wide
 
 
 def poly(coeffs) -> list[Fraction]:
@@ -34,31 +36,6 @@ def degree(p) -> int:
     return len(p) - 1
 
 
-def add(p, q):
-    n = max(len(p), len(q))
-    out = [Q(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return trim(out)
-
-
-def neg(p):
-    return [-c for c in p]
-
-
-def sub(p, q):
-    return add(p, neg(q))
-
-
-def scale(p, c):
-    c = Q(c)
-    if c == 0:
-        return []
-    return [c * a for a in p]
-
-
 def mul(p, q):
     if not p or not q:
         return []
@@ -71,13 +48,6 @@ def mul(p, q):
     return trim(out)
 
 
-def pow_(p, k: int):
-    out = [Q(1)]
-    for _ in range(k):
-        out = mul(out, p)
-    return out
-
-
 def evaluate(p, x) -> Fraction:
     x = Q(x)
     acc = Q(0)
@@ -87,40 +57,7 @@ def evaluate(p, x) -> Fraction:
 
 
 def derivative(p):
-    return trim([Q(i) * c for i, c in enumerate(p)][1:])
-
-
-def divmod_poly(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(p)
-    quot = [Q(0)] * max(len(p) - len(q) + 1, 0)
-    dq = degree(q)
-    lc = q[-1]
-    while len(r) - 1 >= dq and r:
-        k = len(r) - 1 - dq
-        c = r[-1] / lc
-        quot[k] = c
-        for i, b in enumerate(q):
-            r[k + i] -= c * b
-        trim(r)
-    return trim(quot), r
-
-
-def gcd_poly(p, q):
-    a, b = list(p), list(q)
-    while b:
-        a, b = b, divmod_poly(a, b)[1]
-    return [c / a[-1] for c in a]
-
-
-def squarefree_part(p):
-    if degree(p) <= 1:
-        return list(p)
-    g = gcd_poly(p, derivative(p))
-    if degree(g) < 1:
-        return list(p)
-    return divmod_poly(p, g)[0]
+    return trim([i * c for i, c in enumerate(p)][1:])
 
 
 def square_root(p):
@@ -143,15 +80,64 @@ def _sign(x) -> int:
 
 def sturm_chain(p):
     """Sturm sequence of the squarefree part of p, each member content
-    cleared to integers (a positive multiple, so every sign is kept)."""
-    p = squarefree_part(p)
-    chain = [p, derivative(p)]
-    while chain[-1]:
-        rem = divmod_poly(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(neg(rem))
-    return [content_cleared(c) for c in chain if c]
+    cleared to integers (a positive multiple, so every sign is kept).
+
+    The signed remainder sequence of P = content_cleared(p) and P' ends in
+    gcd(P, P'); when that has positive degree the sequence restarts from
+    the squarefree part P / gcd, an exact division in Z[x].
+    """
+    chain = _remainders(content_cleared(p))
+    if chain and len(chain[-1]) > 1:
+        g = chain[-1] if chain[-1][-1] > 0 else [-c for c in chain[-1]]
+        chain = _remainders(_divide_exact(chain[0], g))
+    return chain
+
+
+def _remainders(top):
+    """The signed remainder sequence of a primitive integer polynomial top
+    and its derivative, in Python ints (Basu, Pollack and Roy, Algorithms in
+    Real Algebraic Geometry, 8.3): each remainder comes from a
+    pseudo-division scaled by |lc| > 0, so it is a positive multiple of the
+    one over Q, and is cut to its primitive part."""
+    chain = [top] if top else []
+    r = _primitive(derivative(top))
+    while r:
+        chain.append(r)
+        r = [-c for c in _primitive(_pseudo_remainder(chain[-2], r))]
+    return chain
+
+
+def _pseudo_remainder(a, b):
+    """|lc(b)|^k times the remainder of a by b in Z[x], for the k steps of
+    the long division."""
+    r = list(a)
+    lc, n = b[-1], len(b) - 1
+    m = abs(lc)
+    while len(r) > n:
+        c = r.pop() if lc > 0 else -r.pop()
+        k = len(r) - n
+        r = [m * x for x in r]
+        for i, y in enumerate(b[:-1]):
+            r[k + i] -= c * y
+        trim(r)
+    return r
+
+
+def _divide_exact(a, b):
+    """The quotient a / b in Z[x], for a b that divides a there."""
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + len(b) - 1] // b[-1]
+        for i, y in enumerate(b):
+            r[k + i] -= q[k] * y
+    return q
+
+
+def _primitive(c) -> list[int]:
+    """An integer polynomial divided by the gcd of its coefficients."""
+    g = math.gcd(*c)
+    return [x // g for x in c] if g > 1 else c
 
 
 def sign_variations(signs) -> int:
@@ -191,25 +177,31 @@ def count_roots(p, a, b, chain=None) -> int:
     return variations_at(chain, a) - variations_at(chain, b)
 
 
-def count_roots_above(p, a) -> int:
-    """Number of distinct real roots of p in (a, +inf), all below
-    root_bound(p)."""
-    return count_roots(p, a, root_bound(p))
+def _bisect(chain, a, b, den, width):
+    """The intervals (a/den, b/den] that hold a root of chain[0] and at
+    which a Sturm bisection of (a/den, b/den] stops, from left to right.
+
+    a, b and every midpoint are integer numerators over den; an interval
+    is halved while it holds a root and b - a > width.
+    """
+    powers = _powers(chain, den)
+    todo = [(a, _variations(chain, a, powers),
+             b, _variations(chain, b, powers))]
+    while todo:
+        a, va, b, vb = todo.pop()
+        if va == vb:
+            continue
+        if b - a > width:
+            m = (a + b) >> 1
+            vm = _variations(chain, m, powers)
+            todo += [(m, vm, b, vb), (a, va, m, vm)]
+        else:
+            yield a, b
 
 
-def isolate_root(p, a, b):
-    """Shrink (a, b], known to contain at least one root, below
-    _ISOLATION_WIDTH."""
-    chain = sturm_chain(p)
-    a, b = Q(a), Q(b)
-    while b - a > _ISOLATION_WIDTH:
-        m = (a + b) / 2
-        a, b = (a, m) if count_roots(p, a, m, chain) >= 1 else (m, b)
-    return a, b
-
-
-def positive_on_01(p):
-    """Exact test for p > 0 on [0, 1].
+def positive_on_01(p, chain=None):
+    """Exact test for p > 0 on [0, 1]; chain, when given, is
+    sturm_chain(p).
 
     Returns (True, None) or (False, witness) where the witness is either a
     rational x in [0, 1] with p(x) <= 0 or an isolating interval of a root.
@@ -220,9 +212,11 @@ def positive_on_01(p):
     v1 = evaluate(p, 1)
     if v1 <= 0:
         return False, ("point", Q(1), v1)
-    if count_roots(p, 0, 1) == 0:
+    if chain is None:
+        chain = sturm_chain(p)
+    if count_roots(p, 0, 1, chain) == 0:
         return True, None
-    return False, _root_witness(p, Q(1))
+    return False, _root_witness(p, chain, Q(1))
 
 
 def positive_on_open_ray(p):
@@ -231,19 +225,31 @@ def positive_on_open_ray(p):
         return False, ("point", Q(1), Q(0))
     if _sign(p[-1]) <= 0:
         return False, ("leading", _sign(p[-1]))
-    if count_roots_above(p, 0) == 0:
+    chain = sturm_chain(p)
+    bound = root_bound(p)
+    if count_roots(p, 0, bound, chain) == 0:
         # no root in (0, inf) and a positive leading coefficient: p > 0 there
         return True, None
-    return False, _root_witness(p, root_bound(p))
+    return False, _root_witness(p, chain, bound)
 
 
-def _root_witness(p, b):
-    """A point of (0, b) where p <= 0, or an isolating interval of a root
-    of p in (0, b]."""
-    a, b = isolate_root(p, Q(0), b)
-    m = (a + b) / 2
+def _root_witness(p, chain, bound):
+    """A point of (0, bound) where p <= 0, or an interval (a, b] of width
+    at most 2^-40 around the least root of p in (0, bound].
+
+    The bisection runs over den = den(bound) 2^shift: an interval it halves
+    is num(bound) 2^(shift - j) / den wide after j halvings and wider than
+    2^-40, so j < 40 + log2(bound) < shift and its midpoint is an integer.
+    """
+    shift = _WITNESS_BITS + bound.numerator.bit_length()
+    den = bound.denominator << shift
+    a, b = next(_bisect(chain, 0, bound.numerator << shift, den,
+                        den >> _WITNESS_BITS))
+    m = Q(a + b, 2 * den)
     vm = evaluate(p, m)
-    return ("point", m, vm) if vm <= 0 else ("root-interval", a, b)
+    if vm <= 0:
+        return "point", m, vm
+    return "root-interval", Q(a, den), Q(b, den)
 
 
 def root_bound(p) -> Fraction:
@@ -279,26 +285,14 @@ def rational_roots(p, chain=None):
     # and wider than 2^shift / (2 lead), so j <= shift: its midpoint is an
     # integer
     shift = (2 * bound * lead).bit_length()
-    powers = _powers(chain, 1 << shift)
-    a = -bound << shift
-    found = []
-    todo = [(a, _variations(chain, a, powers),
-             -a, _variations(chain, -a, powers))]
-    while todo:
-        a, va, b, vb = todo.pop()
-        if va == vb:
-            continue
-        if 2 * lead * (b - a) > 1 << shift:
-            m = (a + b) >> 1
-            vm = _variations(chain, m, powers)
-            todo += [(a, va, m, vm), (m, vm, b, vb)]
-            continue
-        u = b * lead >> shift  # floor(b lead / 2^shift): the last k/lead <= b
-        if u << shift > a * lead:
-            g = math.gcd(u, lead)
-            found.append((b, u // g, lead // g))
     roots = []
-    for _, u, v in sorted(found):
+    for a, b in _bisect(chain, -bound << shift, bound << shift, 1 << shift,
+                        (1 << shift) // (2 * lead)):
+        u = b * lead >> shift  # floor(b lead / 2^shift): the last k/lead <= b
+        if u << shift <= a * lead:
+            continue
+        g = math.gcd(u, lead)
+        u, v = u // g, lead // g
         mult = 0
         while (q := _divide_linear(ints, u, v)) is not None:
             ints, mult = q, mult + 1
@@ -443,6 +437,4 @@ def content_cleared(p) -> list[int]:
     """Integer coefficient list with the common denominator cleared."""
     if not p:
         return []
-    ints = int_matrix([p])[0][0]
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
+    return _primitive(int_matrix([p])[0][0])

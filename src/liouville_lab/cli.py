@@ -217,11 +217,9 @@ def _cmd_verify_contact(args):
         # even dimension: certify the Liouville volume sign of d(form)^n
         da = g.ce_differential(form)
         top = da.top_pairing(da.power(g.dim // 2 - 1))
-        verdict = "positive" if top > 0 else \
-            ("negative" if top < 0 else "indefinite")
         return _report(
             "verify-contact", {"preset": args.preset, "form": args.form},
-            verdict, "exact-sign",
+            liealg.sign_verdict(top), "exact-sign",
             {"top_coefficient": top, "checked": "liouville-volume"},
             {}, preset.orientation,
         )

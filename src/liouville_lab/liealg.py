@@ -168,14 +168,13 @@ def semidirect_sum(action, base_names, fiber_names) -> LieAlgebra:
     exactly or the construction raises.  For this bracket the Jacobi
     identity, checked by the constructor as d^2 = 0, says exactly that.
     """
-    mats = [[[Q(x) for x in row] for row in m] for m in action]
     p, q = len(base_names), len(fiber_names)
-    for m in mats:
+    for m in action:
         if len(m) != q or any(len(r) != q for r in m):
             raise ValueError("action matrix size does not match fiber dimension")
     names = tuple(base_names) + tuple(fiber_names)
     brackets = {}
-    for i, m in enumerate(mats):
+    for i, m in enumerate(action):
         for j in range(q):
             row = {p + k: m[k][j] for k in range(q) if m[k][j] != 0}
             if row:
@@ -189,6 +188,23 @@ def semidirect_sum(action, base_names, fiber_names) -> LieAlgebra:
 # -- certificates --------------------------------------------------------------
 
 
+def sign_verdict(x) -> str:
+    """The verdict of an exact sign: positive, negative, or indefinite
+    for 0."""
+    return "positive" if x > 0 else "negative" if x < 0 else "indefinite"
+
+
+def _simplex_verdict(p, chain):
+    """(verdict, number of roots in (0, 1]) of p on [0, 1]: the sign of p
+    when no root lies in (0, 1] and p(0), p(1) share it, else
+    indefinite."""
+    roots = _poly.count_roots(p, 0, 1, chain)
+    verdict = sign_verdict(_poly.evaluate(p, 0))
+    if roots or sign_verdict(_poly.evaluate(p, 1)) != verdict:
+        verdict = "indefinite"
+    return verdict, roots
+
+
 @dataclass
 class PositivityCertificate:
     """Replayable record of an exactness-backed sign verdict."""
@@ -198,18 +214,16 @@ class PositivityCertificate:
     orientation: str
     value: Fraction | None = None   # exact-sign: the top coefficient
     polynomial: list | None = None  # exact-sturm: simplex polynomial coeffs
-    endpoint_values: tuple | None = None
     root_count: int | None = None
     witness: tuple | None = None
 
     def replay(self) -> bool:
-        """Re-verify the verdict from the stored data alone."""
+        """Re-derive the verdict (and root count) from the stored data."""
         if self.kind == "exact-sign":
-            s = (self.value > 0) - (self.value < 0)
-            want = {1: "positive", -1: "negative", 0: "indefinite"}[s]
-            return want == self.verdict
-        ok, _ = _poly.positive_on_01(self.polynomial)
-        return (self.verdict == "positive") == ok
+            return sign_verdict(self.value) == self.verdict
+        p = self.polynomial
+        return _simplex_verdict(p, _poly.sturm_chain(p)) == (
+            self.verdict, self.root_count)
 
 
 def contact_check(g: LieAlgebra, a: Form) -> PositivityCertificate:
@@ -220,10 +234,8 @@ def contact_check(g: LieAlgebra, a: Form) -> PositivityCertificate:
         raise ValueError("contact_check requires a 1-form")
     m = (g.dim - 1) // 2
     top = a.top_pairing(g.ce_differential(a).power(m))
-    s = (top > 0) - (top < 0)
-    verdict = {1: "positive", -1: "negative", 0: "indefinite"}[s]
     return PositivityCertificate(
-        verdict=verdict,
+        verdict=sign_verdict(top),
         kind="exact-sign",
         orientation=_orientation_str(g),
         value=top,
@@ -239,21 +251,17 @@ def pair_polynomial(g: LieAlgebra, a_plus: Form, a_minus: Form):
     n = (g.dim + 1) // 2
     pp = g.ce_differential(a_plus).powers(n - 1)
     pm = g.ce_differential(a_minus).powers(n - 1)
-    x = _poly.poly([0, 1])
-    one_minus_x = _poly.poly([1, -1])
-    p = []
+    c = [0] * (n + 1)  # p = sum_i c_i x^i (1 - x)^(n - i)
     for j in range(n):
-        binom = Q(math.comb(n - 1, j))
+        binom = math.comb(n - 1, j)
         rest = pm[n - 1 - j]
-        t_plus = a_plus.wedge(pp[j]).top_pairing(rest)
-        t_minus = a_minus.wedge(pp[j]).top_pairing(rest)
-        if t_plus:
-            mono = _poly.mul(_poly.pow_(x, j + 1), _poly.pow_(one_minus_x, n - 1 - j))
-            p = _poly.add(p, _poly.scale(mono, binom * t_plus))
-        if t_minus:
-            mono = _poly.mul(_poly.pow_(x, j), _poly.pow_(one_minus_x, n - j))
-            p = _poly.sub(p, _poly.scale(mono, binom * t_minus))
-    return p
+        c[j + 1] += binom * EXACT.coerce(a_plus.wedge(pp[j]).top_pairing(rest))
+        c[j] -= binom * EXACT.coerce(a_minus.wedge(pp[j]).top_pairing(rest))
+    # x^i (1 - x)^(n - i) = sum_k (-1)^k C(n - i, k) x^(i + k)
+    return _poly.poly(
+        sum((-1) ** (m - i) * math.comb(n - i, m - i) * c[i]
+            for i in range(m + 1))
+        for m in range(n + 1))
 
 
 def liouville_pair_check(g: LieAlgebra, a_plus: Form,
@@ -272,23 +280,16 @@ def liouville_pair_check(g: LieAlgebra, a_plus: Form,
     if not (a_plus.ring.exact and a_minus.ring.exact):
         raise ValueError("liouville_pair_check requires exact forms")
     p = pair_polynomial(g, a_plus, a_minus)
-    ok, witness = _poly.positive_on_01(p)
-    verdict = "positive" if ok else _classify_failure(p)
+    chain = _poly.sturm_chain(p)
+    verdict, root_count = _simplex_verdict(p, chain)
     return PositivityCertificate(
         verdict=verdict,
         kind="exact-sturm",
         orientation=_orientation_str(g),
         polynomial=p,
-        endpoint_values=(_poly.evaluate(p, 0), _poly.evaluate(p, 1)),
-        root_count=_poly.count_roots(p, 0, 1) if p else 0,
-        witness=witness,
+        root_count=root_count,
+        witness=_poly.positive_on_01(p, chain)[1],
     )
-
-
-def _classify_failure(p):
-    # negative if p <= 0 on all of [0,1]; otherwise mixed signs
-    neg, _ = _poly.positive_on_01(_poly.neg(p))
-    return "negative" if neg else "indefinite"
 
 
 def geiges_pair_check(g: LieAlgebra, a_plus: Form, a_minus: Form) -> bool:
@@ -368,7 +369,6 @@ def geiges_isomorphism(n: int) -> GeigesIsomorphism:
         for _ in range(1, n):
             traces.append(sum(power[i][i] for i in range(n)))
             power = _poly.mat_mul(power, a_int)
-        traces = traces[: n - 1]
     if n == 1:
         eye = np.eye(1)
         return GeigesIsomorphism(1, 1, 0, a_int, eye, eye, 0.0, [])
@@ -659,7 +659,7 @@ def geiges(n: int) -> Preset:
     power = [row[:] for row in a]
     action = []
     for _ in range(n - 1):
-        action.append([[Q(x) for x in row] for row in power])
+        action.append(power)
         power = _poly.mat_mul(power, a)
     base_names = [f"Y{i}*" for i in range(1, n)]
     fiber_names = [f"E{i}*" for i in range(1, n + 1)]

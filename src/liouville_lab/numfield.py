@@ -46,10 +46,10 @@ class Poly:
             raise FieldError("degree must be between 1 and 4")
         if cs[-1] != 1:
             raise FieldError("polynomial must be monic")
-        rational = _poly.poly(cs)
-        if _poly.degree(_poly.gcd_poly(rational, _poly.derivative(rational))) > 0:
+        chain = _poly.sturm_chain(cs)
+        if len(chain[0]) < len(cs):  # the chain starts at the squarefree part
             raise FieldError("polynomial must be squarefree")
-        if n >= 2 and _poly.rational_roots(rational):
+        if n >= 2 and _poly.rational_roots(cs, chain):
             raise FieldError("polynomial has a rational root")
         if n == 4 and self._has_quadratic_factor(cs):
             raise FieldError("degree-4 polynomial splits into two quadratics")

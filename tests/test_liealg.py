@@ -1,11 +1,13 @@
+import math
 import random
 from fractions import Fraction as Q
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liouville_lab import liealg
+from liouville_lab import _poly, liealg
 from liouville_lab.exterior import EXACT, FLOAT64, Form, blade_mask, mask_blade
 
 
@@ -320,6 +322,88 @@ def test_pair_certificates_no_report_shows():
     assert cert.root_count == 0
     assert cert.witness == ("point", 0, -5)
     assert type(cert.witness[1]) is Q and type(cert.witness[2]) is Q
+
+
+def test_tampered_pair_certificates_do_not_replay():
+    pre = liealg.preset("totreal:1")
+    ap, am = pre.alpha_plus, pre.alpha_minus
+    cert = liealg.liouville_pair_check(pre.algebra, -ap + 2 * am,
+                                       3 * ap - 2 * am)
+    assert cert.verdict == "negative" and cert.replay()
+    cert.verdict = "indefinite"
+    assert not cert.replay()
+    pre = liealg.preset("totreal:3")
+    cert = liealg.liouville_pair_check(pre.algebra, 3 * pre.alpha_plus,
+                                       -pre.alpha_plus)
+    assert cert.verdict == "indefinite" and cert.replay()
+    cert.root_count = 2
+    assert not cert.replay()
+    cert.root_count, cert.verdict = 1, "negative"
+    assert not cert.replay()
+
+
+def poly_add(p, q):
+    """p + q of two ascending Fraction lists, trimmed."""
+    return _poly.trim([a + b for a, b in zip_longest(p, q, fillvalue=0)])
+
+
+def poly_pow(p, k):
+    out = [Q(1)]
+    for _ in range(k):
+        out = _poly.mul(out, p)
+    return out
+
+
+def monomial_pair_polynomial(g, a_plus, a_minus):
+    """pair_polynomial by its definition: each top coefficient from the full
+    wedge product, each x^i (1 - x)^(n - i) a product of Fraction
+    polynomials."""
+    n = (g.dim + 1) // 2
+    dap, dam = g.ce_differential(a_plus), g.ce_differential(a_minus)
+    x, one_minus_x = [Q(0), Q(1)], [Q(1), Q(-1)]
+    p = []
+    for j in range(n):
+        binom = math.comb(n - 1, j)
+        rest = dap.power(j).wedge(dam.power(n - 1 - j))
+        t_plus = a_plus.wedge(rest).top_coefficient()
+        t_minus = a_minus.wedge(rest).top_coefficient()
+        mono = _poly.mul(poly_pow(x, j + 1), poly_pow(one_minus_x, n - 1 - j))
+        p = poly_add(p, [binom * t_plus * c for c in mono])
+        mono = _poly.mul(poly_pow(x, j), poly_pow(one_minus_x, n - j))
+        p = poly_add(p, [-binom * t_minus * c for c in mono])
+    return p
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    key=st.sampled_from(["totreal:1", "totreal:2", "totreal:3", "grs1:2,0",
+                         "sol:2,1,1,1", "geiges:2", "geiges:3"]),
+    coeffs=st.lists(st.builds(Q, st.integers(-6, 6), st.integers(1, 5)),
+                    min_size=4, max_size=4),
+)
+def test_pair_polynomial_matches_monomial_reference(key, coeffs):
+    # presets recombined with rational, mostly non-integral coefficients;
+    # the verdict is the old one: positive when p > 0 on [0, 1], negative
+    # when -p > 0 there, indefinite otherwise
+    pre = liealg.preset(key)
+    g, ap, am = pre.algebra, pre.alpha_plus, pre.alpha_minus
+    a, b, c, d = coeffs
+    plus, minus = a * ap + b * am, c * ap + d * am
+    p = liealg.pair_polynomial(g, plus, minus)
+    assert p == monomial_pair_polynomial(g, plus, minus)
+    assert all(type(x) is Q for x in p)
+    cert = liealg.liouville_pair_check(g, plus, minus)
+    assert cert.polynomial == p
+    if _poly.positive_on_01(p)[0]:
+        verdict = "positive"
+    elif _poly.positive_on_01([-x for x in p])[0]:
+        verdict = "negative"
+    else:
+        verdict = "indefinite"
+    assert cert.verdict == verdict
+    assert cert.root_count == _poly.count_roots(p, 0, 1)
+    assert cert.witness == _poly.positive_on_01(p)[1]
+    assert cert.replay()
 
 
 def test_liouville_pair_check_requires_exact_forms():

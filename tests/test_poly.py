@@ -10,14 +10,111 @@ from hypothesis import strategies as st
 
 import liouville_lab._poly as poly
 
+# -- Fraction references: the routines the integer Sturm path replaced ---------
+
+
+def add(p, q):
+    n = max(len(p), len(q))
+    out = [Q(0)] * n
+    for i, c in enumerate(p):
+        out[i] += c
+    for i, c in enumerate(q):
+        out[i] += c
+    return poly.trim(out)
+
+
+def neg(p):
+    return [-c for c in p]
+
+
+def pow_(p, k):
+    out = [Q(1)]
+    for _ in range(k):
+        out = poly.mul(out, p)
+    return out
+
+
+def divmod_poly(p, q):
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(p)
+    quot = [Q(0)] * max(len(p) - len(q) + 1, 0)
+    dq = poly.degree(q)
+    lc = q[-1]
+    while len(r) - 1 >= dq and r:
+        k = len(r) - 1 - dq
+        c = r[-1] / lc
+        quot[k] = c
+        for i, b in enumerate(q):
+            r[k + i] -= c * b
+        poly.trim(r)
+    return poly.trim(quot), r
+
+
+def gcd_poly(p, q):
+    a, b = list(p), list(q)
+    while b:
+        a, b = b, divmod_poly(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def squarefree_part(p):
+    if poly.degree(p) <= 1:
+        return list(p)
+    g = gcd_poly(p, poly.derivative(p))
+    if poly.degree(g) < 1:
+        return list(p)
+    return divmod_poly(p, g)[0]
+
+
+def isolate_root(p, a, b):
+    """Shrink (a, b], known to contain at least one root, below 2^-40 by a
+    Sturm bisection in Fractions, every sign from a Fraction evaluation."""
+    chain = fraction_sturm_chain(p)
+    a, b = Q(a), Q(b)
+    while b - a > Q(1, 2 ** 40):
+        m = (a + b) / 2
+        a, b = (a, m) if fraction_count_roots(chain, a, m) >= 1 else (m, b)
+    return a, b
+
+
+def reference_root_witness(p, b):
+    a, b = isolate_root(p, 0, b)
+    m = (a + b) / 2
+    vm = poly.evaluate(p, m)
+    return ("point", m, vm) if vm <= 0 else ("root-interval", a, b)
+
+
+def reference_positive_on_01(p):
+    v0 = poly.evaluate(p, 0)
+    if v0 <= 0:
+        return False, ("point", Q(0), v0)
+    v1 = poly.evaluate(p, 1)
+    if v1 <= 0:
+        return False, ("point", Q(1), v1)
+    if fraction_count_roots(fraction_sturm_chain(p), 0, 1) == 0:
+        return True, None
+    return False, reference_root_witness(p, Q(1))
+
+
+def reference_positive_on_open_ray(p):
+    if not p:
+        return False, ("point", Q(1), Q(0))
+    if p[-1] < 0:
+        return False, ("leading", -1)
+    bound = poly.root_bound(p)
+    if fraction_count_roots(fraction_sturm_chain(p), 0, bound) == 0:
+        return True, None
+    return False, reference_root_witness(p, bound)
+
 
 def test_arithmetic_basics():
     p = poly.poly([1, 2, 3])          # 1 + 2x + 3x^2
     q = poly.poly([-1, 1])            # x - 1
     assert poly.evaluate(p, 2) == 17
     assert poly.mul(p, q) == poly.poly([-1, -1, -1, 3])
-    quot, rem = poly.divmod_poly(p, q)
-    assert poly.add(poly.mul(quot, q), rem) == p
+    quot, rem = divmod_poly(p, q)
+    assert add(poly.mul(quot, q), rem) == p
     assert poly.derivative(p) == poly.poly([2, 6])
     assert poly.trim([Q(0), Q(0)]) == []
 
@@ -26,7 +123,7 @@ def test_gcd_and_squarefree():
     # (x-1)^2 (x+2)
     p = poly.mul(poly.mul(poly.poly([-1, 1]), poly.poly([-1, 1])),
                  poly.poly([2, 1]))
-    sf = poly.squarefree_part(p)
+    sf = squarefree_part(p)
     assert poly.degree(sf) == 2
     assert poly.evaluate(sf, 1) == 0
     assert poly.evaluate(sf, -2) == 0
@@ -39,8 +136,8 @@ def test_count_roots_known_cubic():
     assert poly.count_roots(p, 0, 4) == 3
     assert poly.count_roots(p, Q(3, 2), Q(5, 2)) == 1
     assert poly.count_roots(p, 4, 10) == 0
-    assert poly.count_roots_above(p, 0) == 3
-    assert poly.count_roots_above(p, Q(5, 2)) == 1
+    assert poly.count_roots(p, 0, poly.root_bound(p)) == 3
+    assert poly.count_roots(p, Q(5, 2), poly.root_bound(p)) == 1
 
 
 def test_count_roots_with_multiplicity():
@@ -103,7 +200,7 @@ def test_positive_on_open_ray_witness_pinned():
 
 def test_isolate_root_brackets():
     p = poly.poly([-2, 0, 1])   # root at sqrt(2)
-    a, b = poly.isolate_root(p, 1, 2)
+    a, b = isolate_root(p, 1, 2)
     assert b - a <= Q(1, 2 ** 40)
     assert poly.count_roots(p, a, b) == 1
     assert poly.evaluate(p, a) < 0 < poly.evaluate(p, b)
@@ -344,7 +441,7 @@ def divisor_search_roots(p):
     for r in sorted(candidates):
         m, q = 0, list(p)
         while poly.evaluate(q, r) == 0:
-            q = poly.divmod_poly(q, poly.poly([-r, 1]))[0]
+            q = divmod_poly(q, poly.poly([-r, 1]))[0]
             m += 1
         if m:
             roots.append((r, m))
@@ -374,7 +471,7 @@ def test_rational_roots_match_divisor_search(roots, zeros, quadratic, scale):
         p = poly.mul(p, poly.poly(quadratic))
     rest = divisor_search_roots(p)
     if zeros:
-        p = poly.mul(p, poly.pow_(poly.poly([0, 1]), zeros))
+        p = poly.mul(p, pow_(poly.poly([0, 1]), zeros))
         rest = sorted(rest + [(Q(0), zeros)])
     assert poly.rational_roots(p) == rest
     assert sum(m for _, m in rest) >= len(roots) + zeros
@@ -383,13 +480,13 @@ def test_rational_roots_match_divisor_search(roots, zeros, quadratic, scale):
 def fraction_sturm_chain(p):
     """The Sturm chain in Fractions, as it was before its members were
     content cleared to integers."""
-    p = poly.squarefree_part(p)
+    p = squarefree_part(p)
     chain = [p, poly.derivative(p)]
     while chain[-1]:
-        rem = poly.divmod_poly(chain[-2], chain[-1])[1]
+        rem = divmod_poly(chain[-2], chain[-1])[1]
         if not rem:
             break
-        chain.append(poly.neg(rem))
+        chain.append(neg(rem))
     return [c for c in chain if c]
 
 
@@ -397,6 +494,11 @@ def fraction_variations_at(chain, x):
     """Sign variations from Fraction evaluations of the chain at x."""
     values = [poly.evaluate(c, x) for c in chain]
     return poly.sign_variations([(v > 0) - (v < 0) for v in values])
+
+
+def fraction_count_roots(chain, a, b):
+    """Distinct roots in (a, b] from a Fraction chain."""
+    return fraction_variations_at(chain, a) - fraction_variations_at(chain, b)
 
 
 def fraction_rational_roots(p):
@@ -426,7 +528,7 @@ def fraction_rational_roots(p):
     for r in sorted(found):
         mult, q = 0, list(p)
         while poly.evaluate(q, r) == 0:
-            q = poly.divmod_poly(q, poly.poly([-r, 1]))[0]
+            q = divmod_poly(q, poly.poly([-r, 1]))[0]
             mult += 1
         roots.append((r, mult))
     return roots
@@ -448,7 +550,7 @@ def test_integer_sturm_signs_match_fraction_evaluation(roots, extra, scale,
     # the points include the rational roots, where a chain member is 0
     p = poly.poly([scale])
     for r, mult in roots:
-        p = poly.mul(p, poly.pow_(poly.poly([-r, 1]), mult))
+        p = poly.mul(p, pow_(poly.poly([-r, 1]), mult))
     p = poly.mul(p, poly.poly(extra + [1]))
     if poly.degree(p) < 1:
         return
@@ -469,6 +571,34 @@ def test_integer_sturm_signs_match_fraction_evaluation(roots, extra, scale,
     assert poly.rational_roots(p) == fraction_rational_roots(p)
 
 
+witness_roots = st.one_of(st.sampled_from([Q(0), Q(1), Q(1, 4)]),
+                          st.builds(Q, st.integers(-8, 16), st.integers(1, 8)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    roots=st.lists(st.tuples(witness_roots, st.integers(1, 3)), max_size=4),
+    quadratic=st.lists(rationals_to_7, min_size=2, max_size=2),
+    scale=rationals_to_7.filter(bool),
+)
+def test_root_witnesses_match_fraction_bisection(roots, quadratic, scale):
+    # repeated roots, roots at 0 and 1, a factor x^2 + b x + c with
+    # irrational, rational or complex roots, and either sign of the leading
+    # coefficient: the integer bisection finds the same witness as the
+    # Fraction one, endpoint for endpoint
+    p = poly.poly([scale])
+    for r, mult in roots:
+        p = poly.mul(p, pow_(poly.poly([-r, 1]), mult))
+    p = poly.mul(p, poly.poly(quadratic + [1]))
+    for got, want in ((poly.positive_on_01(p), reference_positive_on_01(p)),
+                      (poly.positive_on_open_ray(p),
+                       reference_positive_on_open_ray(p))):
+        assert got == want
+        witness = got[1]
+        if witness and witness[0] != "leading":
+            assert all(type(x) is Q for x in witness[1:])
+
+
 def test_square_root_of_a_square_only():
     h = poly.mul(poly.poly([-1, 1]), poly.poly([Q(2, 3), 0, 1]))
     assert poly.square_root(poly.mul(h, h)) == h
@@ -480,7 +610,7 @@ def test_square_root_of_a_square_only():
 
 def test_rational_roots_of_large_prime_roots():
     for prime in (1000003, 1000000000039):
-        p = poly.pow_(poly.poly([-prime, 1]), 2)
+        p = pow_(poly.poly([-prime, 1]), 2)
         assert poly.rational_roots(p) == [(Q(prime), 2)]
         q = poly.mul(poly.poly([-1, 3 * prime]), poly.poly([2, 0, 1]))
         assert poly.rational_roots(q) == [(Q(1, 3 * prime), 1)]
@@ -516,7 +646,8 @@ def test_sturm_counts_match_numpy_roots(roots, complex_pairs, lead, a, b):
     assert len(real) == len(roots)
     inside = sum(1 for x in real if a < x < b)
     assert poly.count_roots(p, a, b) == inside
-    assert poly.count_roots_above(p, a) == sum(1 for x in real if x > a)
+    assert poly.count_roots(p, a, poly.root_bound(p)) == sum(
+        1 for x in real if x > a)
 
 
 def test_rational_roots_beside_a_close_irrational_root():
