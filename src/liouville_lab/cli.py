@@ -354,7 +354,7 @@ def _cmd_geiges(args):
     preset = liealg.geiges(n)
     pair_ok = liealg.geiges_pair_check(
         preset.algebra, preset.alpha_plus, preset.alpha_minus)
-    iso = liealg.geiges_isomorphism(n)
+    iso = liealg.geiges_isomorphism(preset)
     verdict = "pass" if (pair_ok and iso.residual <= GEIGES_RESIDUAL_TOL
                          and iso.traces_vanish) else "negative"
     return _report(

@@ -155,10 +155,6 @@ class Form:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, coframe, degree, ring=EXACT):
-        return cls(coframe, degree, {}, ring)
-
-    @classmethod
     def scalar(cls, coframe, value, ring=EXACT):
         return cls(coframe, 0, {0: value}, ring)
 

@@ -37,11 +37,7 @@ Q = Fraction
 
 
 class CapExceededError(RuntimeError):
-    """A bounded search hit its cap; carries the violating sample if any."""
-
-    def __init__(self, message, violating_s=None):
-        super().__init__(message)
-        self.violating_s = violating_s
+    """A bounded search hit its cap."""
 
 
 _LUTZ_EPS = 1.0  # the Lutz family lives on s in (-eps, eps)
@@ -969,10 +965,7 @@ def min_c_search(pair: Preset, psi: ProfileFn, grid_n: int = 256,
     if passes(0.0):
         return 0.0
     if not passes(cap):
-        worst = cutoff_positive_on_grid(pair, cap, psi, grid_n)
-        raise CapExceededError(
-            f"no positive cutoff constant below {cap}", worst[1]
-        )
+        raise CapExceededError(f"no positive cutoff constant below {cap}")
     lo, hi = 0.0, cap
     while hi - lo > BISECTION_TOL:
         mid = (lo + hi) / 2

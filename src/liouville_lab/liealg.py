@@ -282,13 +282,16 @@ def liouville_pair_check(g: LieAlgebra, a_plus: Form,
     p = pair_polynomial(g, a_plus, a_minus)
     chain = _poly.sturm_chain(p)
     verdict, root_count = _simplex_verdict(p, chain)
+    witness = None
+    if verdict != "positive":
+        witness = _poly.positive_on_01(p, chain)[1]
     return PositivityCertificate(
         verdict=verdict,
         kind="exact-sturm",
         orientation=_orientation_str(g),
         polynomial=p,
         root_count=root_count,
-        witness=_poly.positive_on_01(p, chain)[1],
+        witness=witness,
     )
 
 
@@ -320,28 +323,10 @@ def _orientation_str(g: LieAlgebra) -> str:
 # -- Geiges groups and the block-rotation normal form ---------------------------
 
 
-def geiges_action_matrix(n: int):
-    """The n x n integer matrix whose powers define the Geiges group action."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    if n == 1:
-        return [[1]]
-    a = [[0] * n for _ in range(n)]
-    a[0][1] = -1
-    for i in range(1, n - 1):
-        a[i][i + 1] = 1
-    a[n - 1][0] = -1
-    return a
-
-
 @dataclass
 class GeigesIsomorphism:
-    n: int
     r: int
     s: int
-    action: list
-    block_matrix: np.ndarray
-    conjugation: np.ndarray
     residual: float
     traces: list
 
@@ -350,29 +335,26 @@ class GeigesIsomorphism:
         return all(t == 0 for t in self.traces)
 
 
-def geiges_isomorphism(n: int) -> GeigesIsomorphism:
+def geiges_isomorphism(preset: Preset) -> GeigesIsomorphism:
     """Conjugate the Geiges action to the rotation block normal form.
 
-    Builds B = diag(1, R_theta, ..., R_{s theta}) (with an extra -1 block for
-    even n, theta = 2 pi / n), finds real P with A = P^-1 B P, and returns the
-    worst structure-constant mismatch between the pushed-forward semidirect
-    algebra and the block-form one, i.e. max_i |P A^i P^-1 - B^i|.  The exact
-    integer traces tr(A^j), j = 1..n-1, are returned alongside (they vanish,
-    which is what places the image inside the unimodular subgroup).
+    Reads the exact powers A, ..., A^(n-1) of the action that `geiges(n)`
+    keeps in its preset's meta.  Builds B = diag(1, R_theta, ...,
+    R_{s theta}) (with an extra -1 block for even n, theta = 2 pi / n),
+    finds real P with A = P^-1 B P, and returns the worst structure-constant
+    mismatch between the pushed-forward semidirect algebra and the
+    block-form one, i.e. max_i |P A^i P^-1 - B^i|.  The exact integer
+    traces tr(A^j), j = 1..n-1, are returned alongside (they vanish, which
+    is what places the image inside the unimodular subgroup).
     """
+    powers = preset.meta["powers"]
+    n = len(powers) + 1
     r = 1 if n % 2 else 2
     s = (n - r) // 2
-    a_int = geiges_action_matrix(n)
-    traces = []
-    if n > 1:
-        power = [row[:] for row in a_int]
-        for _ in range(1, n):
-            traces.append(sum(power[i][i] for i in range(n)))
-            power = _poly.mat_mul(power, a_int)
+    traces = [sum(power[i][i] for i in range(n)) for power in powers]
     if n == 1:
-        eye = np.eye(1)
-        return GeigesIsomorphism(1, 1, 0, a_int, eye, eye, 0.0, [])
-    A = np.array(a_int, dtype=float)
+        return GeigesIsomorphism(1, 0, 0.0, traces)
+    A = np.array(powers[0], dtype=float)
     theta = 2 * math.pi / n
     blocks = [np.array([[1.0]])]
     if r == 2:
@@ -396,12 +378,11 @@ def geiges_isomorphism(n: int) -> GeigesIsomorphism:
     P = np.linalg.inv(Qm)
     residual = 0.0
     Bp = np.eye(n)
-    Ap = np.eye(n)
-    for _ in range(1, n):
+    for power in powers:
         Bp = Bp @ B
-        Ap = Ap @ A
+        Ap = np.array(power, dtype=float)
         residual = max(residual, float(np.max(np.abs(P @ Ap @ Qm - Bp))))
-    return GeigesIsomorphism(n, r, s, a_int, B, P, residual, traces)
+    return GeigesIsomorphism(r, s, residual, traces)
 
 
 def _block_diag(blocks):
@@ -611,8 +592,7 @@ def sol_from_sl2(a) -> Preset:
     """Sol-type pair ±e^t dx + e^{-t} dy with a hyperbolic SL(2,Z) monodromy.
 
     The algebra does not depend on the matrix; `a` certifies that the pair
-    descends to the mapping torus (det = 1, |trace| > 2) and is kept in the
-    preset metadata for the number-theory pipeline.
+    descends to the mapping torus (det = 1, |trace| > 2).
     """
     rows = [list(map(int, r)) for r in a]
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
@@ -632,7 +612,7 @@ def sol_from_sl2(a) -> Preset:
     am = Form(cf, 1, {1 << 1: Q(-1), 1 << 2: Q(1)})
     key = "sol:" + ",".join(str(x) for r in rows for x in r)
     preset = Preset(key, g, alpha_plus=ap, alpha_minus=am,
-                    orientation=_orientation_str(g), meta={"matrix": rows})
+                    orientation=_orientation_str(g))
     _fix_pair_orientation(preset)
     return preset
 
@@ -640,9 +620,11 @@ def sol_from_sl2(a) -> Preset:
 def geiges(n: int) -> Preset:
     """Geiges group algebra R^{n-1} ⋉ R^n with its left-invariant pair.
 
-    The j-th base generator acts by the j-th power of the cyclic-type matrix;
-    the distinguished pair is (E2*, E1*) in the fiber coframe, verified to be
-    a Geiges pair exactly in dimensions 3 and 5.
+    The j-th base generator acts by the j-th power of the cyclic-type
+    integer matrix A; meta["powers"] keeps A, ..., A^(n-1) for
+    `geiges_isomorphism`.  The distinguished pair is (E2*, E1*) in the
+    fiber coframe, verified to be a Geiges pair exactly in dimensions 3
+    and 5.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
@@ -654,21 +636,24 @@ def geiges(n: int) -> Preset:
             alpha_plus=Form.covector(cf, 0),
             alpha_minus=-Form.covector(cf, 0),
             orientation=_orientation_str(g),
+            meta={"powers": []},
         )
-    a = geiges_action_matrix(n)
-    power = [row[:] for row in a]
-    action = []
-    for _ in range(n - 1):
-        action.append(power)
-        power = _poly.mat_mul(power, a)
+    a = [[0] * n for _ in range(n)]
+    a[0][1] = -1
+    for i in range(1, n - 1):
+        a[i][i + 1] = 1
+    a[n - 1][0] = -1
+    powers = [a]
+    for _ in range(n - 2):
+        powers.append(_poly.mat_mul(powers[-1], a))
     base_names = [f"Y{i}*" for i in range(1, n)]
     fiber_names = [f"E{i}*" for i in range(1, n + 1)]
-    g = semidirect_sum(action, base_names, fiber_names)
+    g = semidirect_sum(powers, base_names, fiber_names)
     cf = g.coframe()
     ap = Form.covector(cf, "E2*")
     am = Form.covector(cf, "E1*")
     preset = Preset(f"geiges:{n}", g, alpha_plus=ap, alpha_minus=am,
-                    orientation=_orientation_str(g), meta={"matrix": a})
+                    orientation=_orientation_str(g), meta={"powers": powers})
     _fix_pair_orientation(preset)
     return preset
 

@@ -1,11 +1,12 @@
 """Number fields, unit lattices and torus-bundle monodromies.
 
 The working order is Z[X]/(f) for a monic integer polynomial f of degree at
-most 4.  Norms are exact integers (determinant of the multiplication
-matrix, which equals the resultant Res(f, g) for monic f); unit discovery
-is a bounded coordinate-box search whose norm filter is one exact batched
-determinant per slice of the box (int64 within an overflow bound, Python
-ints beyond it).  For real quadratic fields a continued-fraction Pell
+most 4.  The norm of an element g is the determinant of its
+multiplication matrix, an exact integer (the resultant Res(f, g) for monic
+f), which the unit search and the discriminant take directly.  Unit
+discovery is a bounded coordinate-box search whose norm filter is one
+exact batched determinant per slice of the box (int64 within an overflow
+bound, Python ints beyond it).  For real quadratic fields a continued-fraction Pell
 oracle (pell_fundamental_unit) gives the fundamental unit independently;
 find_units does not call it, and acceptance criterion 1 compares the two.
 The log-embedding vectors of the positive units, together with the
@@ -124,12 +125,8 @@ class NumberField:
         resultant is the norm of f'(theta), the determinant of its
         multiplication matrix."""
         n = self.degree
-        fp = OrderElement(_derivative_coeffs(self.poly.coeffs))
+        fp = OrderElement(_poly.derivative(self.poly.coeffs))
         return (-1) ** (n * (n - 1) // 2) * _poly.int_det(mult_matrix(self, fp))
-
-
-def _derivative_coeffs(coeffs) -> tuple:
-    return tuple(i * c for i, c in enumerate(coeffs))[1:]
 
 
 def _eval_int_poly(coords, x):
@@ -150,7 +147,7 @@ def field_from_poly(coeffs) -> NumberField:
         comp[1:, :-1] = np.eye(n - 1)
         comp[:, -1] = [-c for c in p.coeffs[:-1]]
         roots = [complex(z) for z in np.linalg.eigvals(comp)]
-    dcoeffs = _derivative_coeffs(p.coeffs)
+    dcoeffs = _poly.derivative(p.coeffs)
     polished = []
     for z in roots:
         for _ in range(10):
@@ -224,22 +221,6 @@ def mult_matrix(field: NumberField, x: OrderElement):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def norm(field: NumberField, x: OrderElement) -> int:
-    """Exact field norm: det of the multiplication matrix (= Res(f, x))."""
-    value = _poly.int_det(mult_matrix(field, x))
-    reals, cplx = field.embed(x)
-    approx = 1.0
-    for v in reals:
-        approx *= v
-    for z in cplx:
-        approx *= abs(z) ** 2
-    if abs(approx - value) > 1e-6 * max(1.0, abs(value)):
-        raise ArithmeticError(
-            f"embedding product {approx} disagrees with exact norm {value}"
-        )
-    return value
-
-
 def invert_unit(field: NumberField, u: OrderElement) -> OrderElement:
     """Inverse of a unit, exactly: the x with M(u) x = e_0, which is
     integral exactly when u is a unit of the order."""
@@ -281,13 +262,9 @@ def find_units(field: NumberField, box_bound: int) -> UnitGroup:
     units = _box_units(field, box_bound)
     torsion, free_candidates = [], []
     for u in units:
-        lv = log_vector(field, u)
-        size = math.sqrt(sum(v * v for v in lv))
-        if size <= 1e-9:
-            if _element_order(field, u):
-                torsion.append(u)
-            else:  # pragma: no cover - log-null non-torsion cannot happen
-                free_candidates.append((size, u))
+        size = math.sqrt(sum(v * v for v in log_vector(field, u)))
+        if size <= 1e-9:  # all |embeddings| 1: a root of unity (Kronecker)
+            torsion.append(u)
         else:
             free_candidates.append((size, u))
     tor_gen, tor_order = _torsion_generator(field, torsion)
@@ -439,7 +416,6 @@ class LatticeData:
 
     gamma_basis: list         # vectors: r real entries then s complex entries
     monodromy: list           # integer matrices, one per generator used
-    generators: list          # OrderElements matching `monodromy`
     rank: int
 
 
@@ -497,7 +473,7 @@ def gamma_lattice(field: NumberField, gens, units: UnitGroup) -> LatticeData:
     if rank != n - 1:
         raise ArithmeticError(f"lattice rank {rank} != n - 1 = {n - 1}")
     mats = monodromy_matrices(field, monodromy_gens)
-    return LatticeData(basis, mats, monodromy_gens, rank)
+    return LatticeData(basis, mats, rank)
 
 
 def _full_log_vector(field, u):
@@ -638,7 +614,6 @@ def _floor_surd(P: int, D: int, Qd: int) -> int:
 
 @dataclass
 class PairReport:
-    field: NumberField
     units: UnitGroup
     positive_generators: list
     lattice: LatticeData
@@ -666,7 +641,7 @@ def build_liealg_pair(field: NumberField, box_bound: int | None = None) -> PairR
         cert = liealg.liouville_pair_check(
             preset.algebra, preset.alpha_plus, preset.alpha_minus
         )
-    return PairReport(field, units, pos, lattice, preset, cert)
+    return PairReport(units, pos, lattice, preset, cert)
 
 
 def _default_box(field: NumberField) -> int:

@@ -28,9 +28,11 @@ it together; a stack of more than one pencil has no larger eigenspace.
 The tamed-J sampler draws once: every Cayley perturbation of g-norm below 1
 is tamed.
 
-Each question has one decision.  A rational form is nondegenerate when the
-Bareiss determinant of _poly.frac_det is nonzero (no Pfaffian), and the
-segment (1-t) w0 + t w1 stays symplectic exactly when the ray does
+Each question has one decision.  _analyse decides that a rational pencil
+is nondegenerate: w0 is when the exact solve finds a full set of pivots,
+and w1 is when the charpoly's constant term is nonzero (no Pfaffian);
+_poly.frac_det serves only a rational form in a mixed pencil.  The segment
+(1-t) w0 + t w1 stays symplectic exactly when the ray does
 (_Pencil.ray_nondegenerate; nothing is sampled).
 
 The dense primitives of the randomized suites (the nondegeneracy det gate,

@@ -234,7 +234,7 @@ def test_criterion_10_geiges():
         assert liealg.geiges_pair_check(p.algebra, p.alpha_plus,
                                         p.alpha_minus)
     for n in range(1, 6):
-        iso = liealg.geiges_isomorphism(n)
+        iso = liealg.geiges_isomorphism(liealg.geiges(n))
         assert iso.residual <= 1e-10
         assert all(t == 0 for t in iso.traces)
     _report(10, "Geiges pairs exact in dims 3 and 5; normal-form residual "

@@ -184,6 +184,23 @@ def test_geiges(capture):
     assert rep["detail"]["traces"] == [0, 0, 0]
 
 
+def test_geiges_builds_its_action_powers_once(capture, counted_calls):
+    # A^2, ..., A^6 for n = 7, which the preset keeps for the normal form
+    calls = {}
+    counted_calls(_poly, "mat_mul", calls)
+    assert capture(["geiges", "--n", "7"])[0] == 0
+    assert calls == {"mat_mul": 5}
+
+
+def test_positive_pair_counts_its_roots_once(capture, counted_calls):
+    # a positive verdict has no witness to look for
+    calls = {}
+    counted_calls(_poly, "count_roots", calls)
+    code, out = capture(["verify-pair", "--preset", "totreal:2", "--json"])
+    assert (code, json.loads(out)["verdict"]) == (0, "positive")
+    assert calls == {"count_roots": 1}
+
+
 def test_suite_subcommand(capture):
     code, out = capture(["suite", "--name", "cayley", "--trials", "10",
                          "--json"])
@@ -1166,7 +1183,7 @@ def test_negative_seed_is_a_usage_error(capsys, argv, seed):
 def test_numfield_names_only_the_tolerance_it_applies(capture):
     code, out = capture(["numfield", "--poly", "-2,0,1", "--json"])
     assert code == 0
-    # numfield.norm and its 1e-6 embedding check are not on this path
+    # no float check of a norm is on this path
     assert list(json.loads(out)["tolerances"]) == ["hyperplane"]
 
 

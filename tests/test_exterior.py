@@ -32,7 +32,7 @@ def pfaffian_expansion(rows):
 
 
 def random_form(rng, coframe, degree, nterms=3):
-    f = Form.zero(coframe, degree)
+    f = Form(coframe, degree, {})
     names = list(range(coframe.dim))
     for _ in range(nterms):
         blade = tuple(sorted(rng.sample(names, degree)))
@@ -104,7 +104,7 @@ def test_pfaffian_top_coefficient_identity(n2):
             for j in range(i + 1, n2):
                 rows[i][j] = Q(rng.randint(-4, 4), rng.randint(1, 3))
                 rows[j][i] = -rows[i][j]
-        omega = Form.zero(cf, 2)
+        omega = Form(cf, 2, {})
         for i in range(n2):
             for j in range(i + 1, n2):
                 if rows[i][j]:
@@ -287,7 +287,7 @@ def test_top_pairing_reads_the_top_coefficient_of_the_wedge(dim, data):
         fb = real(dim - p, arrays, fa.terms)
         assert (_float_bits(fa.top_pairing(fb))
                 == _float_bits(fa.wedge(fb).top_coefficient()))
-    empty = Form.zero(cf, p, FLOAT64).top_pairing(Form.zero(cf, dim - p, FLOAT64))
+    empty = Form(cf, p, {}, FLOAT64).top_pairing(Form(cf, dim - p, {}, FLOAT64))
     assert _float_bits(empty) == _float_bits(0.0)
 
 

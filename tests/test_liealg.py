@@ -3,12 +3,14 @@ import random
 from fractions import Fraction as Q
 from itertools import zip_longest
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liouville_lab import _poly, liealg
-from liouville_lab.exterior import EXACT, FLOAT64, Form, blade_mask, mask_blade
+from liouville_lab.exterior import (EXACT, FLOAT64, MAX_DIM, Form, blade_mask,
+                                    mask_blade)
 
 
 def dense_jacobi(g):
@@ -41,13 +43,13 @@ def wedge_ce_differential(g, a):
     reference for `LieAlgebra.ce_differential`."""
     cf = g.coframe()
     if a.degree == 0:
-        return Form.zero(cf, min(1, g.dim), a.ring)
+        return Form(cf, min(1, g.dim), {}, a.ring)
     if a.degree == g.dim:
-        return Form.zero(cf, g.dim, a.ring)
+        return Form(cf, g.dim, {}, a.ring)
     d1 = [Form(cf, 2, {(1 << i) | (1 << j): -row[k]
                        for (i, j), row in g.brackets.items() if k in row})
           for k in range(g.dim)]
-    out = Form.zero(cf, a.degree + 1, a.ring)
+    out = Form(cf, a.degree + 1, {}, a.ring)
     for mask, c in a.terms.items():
         idxs = mask_blade(mask)
         for pos, i in enumerate(idxs):
@@ -453,12 +455,80 @@ def test_geiges_group_pairs_dim3_dim5():
 
 def test_geiges_isomorphism_residuals():
     for n in range(1, 6):
-        iso = liealg.geiges_isomorphism(n)
+        iso = liealg.geiges_isomorphism(liealg.geiges(n))
         assert iso.residual <= 1e-10
         assert iso.traces_vanish
         assert iso.r == (1 if n % 2 else 2)
         assert iso.s == (n - iso.r) // 2
-    assert liealg.geiges_isomorphism(1).residual == 0.0
+    assert liealg.geiges_isomorphism(liealg.geiges(1)).residual == 0.0
+
+
+def reference_geiges_isomorphism(n):
+    """The normal form by the loops that built its own action matrix: the
+    exact powers A, ..., A^(n-1) with their traces, then the float powers
+    Ap @ A of the residual, kept as a reference for `geiges_isomorphism`.
+    Returns (exact powers, float powers, traces, residual)."""
+    if n == 1:
+        return [], [], [], 0.0
+    a = [[0] * n for _ in range(n)]
+    a[0][1] = -1
+    for i in range(1, n - 1):
+        a[i][i + 1] = 1
+    a[n - 1][0] = -1
+    powers, traces = [], []
+    power = [row[:] for row in a]
+    for _ in range(1, n):
+        powers.append(power)
+        traces.append(sum(power[i][i] for i in range(n)))
+        power = _poly.mat_mul(power, a)
+    r = 1 if n % 2 else 2
+    s = (n - r) // 2
+    A = np.array(a, dtype=float)
+    theta = 2 * math.pi / n
+    blocks = [np.array([[1.0]])]
+    if r == 2:
+        blocks.append(np.array([[-1.0]]))
+    for j in range(1, s + 1):
+        c, sn = math.cos(j * theta), math.sin(j * theta)
+        blocks.append(np.array([[c, -sn], [sn, c]]))
+    B = liealg._block_diag(blocks)
+    vals, vecs = np.linalg.eig(A)
+    cols = [liealg._real_eigvec(vals, vecs, 1.0)]
+    if r == 2:
+        cols.append(liealg._real_eigvec(vals, vecs, -1.0))
+    for j in range(1, s + 1):
+        lam = complex(math.cos(j * theta), math.sin(j * theta))
+        v = liealg._complex_eigvec(vals, vecs, lam)
+        cols.append(np.imag(v))
+        cols.append(np.real(v))
+    Qm = np.column_stack(cols)
+    P = np.linalg.inv(Qm)
+    residual = 0.0
+    Bp = np.eye(n)
+    Ap = np.eye(n)
+    float_powers = []
+    for _ in range(1, n):
+        Bp = Bp @ B
+        Ap = Ap @ A
+        float_powers.append(Ap)
+        residual = max(residual, float(np.max(np.abs(P @ Ap @ Qm - Bp))))
+    return powers, float_powers, traces, residual
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_geiges_isomorphism_matches_the_old_power_loops(n):
+    powers, float_powers, traces, residual = reference_geiges_isomorphism(n)
+    # float(A^i) is the float product Ap @ A bit for bit, zeros' signs too
+    assert [np.array(p, dtype=float).tobytes() for p in powers] == [
+        p.tobytes() for p in float_powers]
+    if 2 * n - 1 <= MAX_DIM:
+        preset = liealg.geiges(n)
+        assert preset.meta["powers"] == powers
+    else:  # past the coframe limit there is no algebra, only its action
+        preset = liealg.Preset(f"geiges:{n}", None, meta={"powers": powers})
+    iso = liealg.geiges_isomorphism(preset)
+    assert iso.residual.hex() == residual.hex()
+    assert iso.traces == traces
 
 
 def test_grs1_1_0_is_circle_pair():

@@ -17,6 +17,11 @@ RAT = nf.field_from_poly([-1, 1])
 CUBIC = nf.field_from_poly([-1, -3, 0, 1])
 
 
+def norm(field, x):
+    """The field norm of x: the determinant of its multiplication matrix."""
+    return _poly.int_det(nf.mult_matrix(field, x))
+
+
 def test_signatures_and_roots():
     assert RAT.signature == (1, 0)
     assert GAUSS.signature == (0, 1)
@@ -44,17 +49,17 @@ def test_rejects_degenerate_polynomials():
 def test_norm_closed_forms():
     # quadratic norms a^2 - 2 b^2 and a^2 + b^2
     for a, b in [(3, 2), (1, 1), (7, -5), (0, 3)]:
-        assert nf.norm(SQRT2, nf.OrderElement((a, b))) == a * a - 2 * b * b
-        assert nf.norm(GAUSS, nf.OrderElement((a, b))) == a * a + b * b
-    assert nf.norm(SQRT2, nf.one(SQRT2)) == 1
-    assert nf.norm(CUBIC, nf.OrderElement((0, 1, 0))) == 1
+        assert norm(SQRT2, nf.OrderElement((a, b))) == a * a - 2 * b * b
+        assert norm(GAUSS, nf.OrderElement((a, b))) == a * a + b * b
+    assert norm(SQRT2, nf.one(SQRT2)) == 1
+    assert norm(CUBIC, nf.OrderElement((0, 1, 0))) == 1
 
 
 def test_norm_multiplicativity():
     x = nf.OrderElement((2, 1))
     y = nf.OrderElement((-1, 3))
     xy = nf.multiply(SQRT2, x, y)
-    assert nf.norm(SQRT2, xy) == nf.norm(SQRT2, x) * nf.norm(SQRT2, y)
+    assert norm(SQRT2, xy) == norm(SQRT2, x) * norm(SQRT2, y)
 
 
 def test_find_units_rational():
@@ -79,9 +84,19 @@ def test_find_units_sqrt2():
     assert grp.rank == 1
     gen = grp.free_generators[0]
     assert gen.coords == (1, 1)          # fundamental unit 1 + X, norm -1
-    assert nf.norm(SQRT2, gen) == -1
+    assert norm(SQRT2, gen) == -1
     pos = nf.positive_units(grp, SQRT2)
     assert pos[0].coords == (3, 2)       # squares to the positive generator
+
+
+@pytest.mark.parametrize("field", [SQRT2, GAUSS,
+                                   nf.field_from_poly([1, 1, 1])])
+def test_find_units_orders_each_torsion_unit_once(counted_calls, field):
+    calls = {}
+    counted_calls(nf, "_element_order", calls)
+    grp = nf.find_units(field, 4)
+    assert calls == {"_element_order": len(grp.torsion)}
+    assert len(grp.torsion) == grp.torsion_order
 
 
 def test_find_units_rank_failure_reported():
@@ -104,7 +119,7 @@ def test_positive_units_square_mixed_signs():
     sq = nf.positive_units(grp, SQRT2)[0]
     reals, _ = SQRT2.embed(sq)
     assert all(v > 0 for v in reals)
-    assert nf.norm(SQRT2, sq) == 1
+    assert norm(SQRT2, sq) == 1
 
 
 def test_pell_oracle_agrees_with_box_search():
@@ -175,7 +190,7 @@ def test_embedding_cross_check_on_norms():
             approx *= v
         for z in cplx:
             approx *= abs(z) ** 2
-        exact = nf.norm(CUBIC, u)
+        exact = norm(CUBIC, u)
         assert abs(approx - exact) <= 1e-6 * max(1, abs(exact))
 
 
@@ -285,8 +300,8 @@ def test_quartic_mixed_signature_pipeline():
     # X - 1 and X^2 + 1 are units with single-digit coordinates
     field = nf.field_from_poly([-2, 0, 0, 0, 1])
     assert field.signature == (2, 1)
-    assert nf.norm(field, nf.OrderElement((-1, 1, 0, 0))) == -1
-    assert nf.norm(field, nf.OrderElement((1, 0, 1, 0))) == 1
+    assert norm(field, nf.OrderElement((-1, 1, 0, 0))) == -1
+    assert norm(field, nf.OrderElement((1, 0, 1, 0))) == 1
     rep = nf.build_liealg_pair(field, box_bound=2)
     assert rep.units.rank == 2
     assert rep.lattice.rank == 3          # r + s - 1 + s = n - 1

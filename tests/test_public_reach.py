@@ -2,20 +2,22 @@
 definition.
 
 A top-level public function or class of `src/liouville_lab`, and a public
-method of such a class, must occur as a Python name token somewhere other
-than its own definition: in the library, a benchmark script or the
-acceptance criteria.  Names in strings, docstrings and comments do not
-count, and neither does the README.  Code that only its own unit tests call
-serves no command, bench op or paper claim, and is deleted or promoted to an
-acceptance criterion instead.
+method of such a class, must be referenced somewhere other than its own
+definition: in the library, a benchmark script or the acceptance criteria.
+A top-level def counts only for a reference that resolves to its module: a
+bare name in that module that no enclosing function binds, a name imported
+from it, or an attribute of the imported module.  A method counts for any
+attribute of its name.  Names in strings, docstrings, comments and keyword
+arguments do not count, and neither does the README.  Code that only its
+own unit tests call serves no command, bench op or paper claim, and is
+deleted or promoted to an acceptance criterion instead.
 """
 
 import ast
-import io
-import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = "liouville_lab"
 
 
 def public_definitions(path):
@@ -41,29 +43,97 @@ def _span(label, node):
     return label, node.name, first, node.end_lineno
 
 
-def code_names(text):
-    """(name, line) of each NAME token of Python source, outside strings
-    and comments."""
-    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-        if tok.type == tokenize.NAME:
-            yield tok.string, tok.start[0]
+def references(tree, own=None):
+    """(module, name, line) of each load of a library module's top-level
+    name in a parsed file, and (attribute, line) of each attribute load.
+    own is the file's module when it is one of the library's."""
+    modules, imported = {}, {}  # local name -> module, -> (module, name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, mod = alias.name.partition(".")
+                if top == PACKAGE:
+                    modules[alias.asname or top] = (
+                        mod if alias.asname else PACKAGE)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # a relative import, inside the package
+                base = f"{PACKAGE}.{base}".rstrip(".")
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if base == PACKAGE:
+                    modules[local] = alias.name
+                elif base.startswith(PACKAGE + "."):
+                    imported[local] = (base[len(PACKAGE) + 1:], alias.name)
+    names, attrs = [], []
+    for node, bound in _loads(tree, frozenset()):
+        if isinstance(node, ast.Attribute):
+            attrs.append((node.attr, node.lineno))
+            mod = _module_of(node.value, modules)
+            if mod not in (None, PACKAGE):
+                names.append((mod, node.attr, node.lineno))
+        elif node.id in imported:
+            names.append((*imported[node.id], node.lineno))
+        elif own and node.id not in bound and node.id not in modules:
+            names.append((own, node.id, node.lineno))
+    return names, attrs
+
+
+def _module_of(node, modules):
+    """The library module (or the package) an expression names, else None."""
+    if isinstance(node, ast.Name):
+        return modules.get(node.id)
+    if (isinstance(node, ast.Attribute)
+            and _module_of(node.value, modules) == PACKAGE):
+        return node.attr
+    return None
+
+
+def _loads(node, bound):
+    """(Name or Attribute node, names bound by its enclosing functions) of
+    each load below node."""
+    for child in ast.iter_child_nodes(node):
+        inner = bound
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.Lambda)):
+            inner = bound | _bound_names(child)
+        elif (isinstance(child, (ast.Name, ast.Attribute))
+              and isinstance(child.ctx, ast.Load)):
+            yield child, bound
+        yield from _loads(child, inner)
+
+
+def _bound_names(fn):
+    """The parameters of a function and the names its body stores."""
+    args = fn.args
+    params = args.posonlyargs + args.args + args.kwonlyargs + [
+        a for a in (args.vararg, args.kwarg) if a]
+    stores = {node.id for node in ast.walk(fn)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    return stores | {a.arg for a in params}
 
 
 def unreached(root):
-    """The public definitions of root/src/liouville_lab that no code token
-    of the library (outside the definition itself), of root/bench/*.py or
-    of root/tests/test_acceptance.py names, as "file:label"."""
+    """The public definitions of root/src/liouville_lab that no code of the
+    library (outside the definition itself), of root/bench/*.py or of
+    root/tests/test_acceptance.py references, as "file:label"."""
     sources = sorted((root / "src" / "liouville_lab").glob("*.py"))
     readers = sorted((root / "bench").glob("*.py")) + [
         root / "tests" / "test_acceptance.py"]
-    tokens = {path: list(code_names(path.read_text()))
-              for path in sources + readers}
+    names, attrs = [], []
+    for path in sources + readers:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = references(tree, path.stem if path in sources else None)
+        names += [(path, *ref) for ref in found[0]]
+        attrs += [(path, *ref) for ref in found[1]]
     out = []
     for path in sources:
         for label, name, first, last in public_definitions(path):
-            if not any(word == name
-                       and (p != path or not first <= line <= last)
-                       for p, found in tokens.items() for word, line in found):
+            refs = (attrs if "." in label else
+                    [(p, n, line) for p, mod, n, line in names
+                     if mod == path.stem])
+            if not any(n == name and (p != path or not first <= line <= last)
+                       for p, n, line in refs):
                 out.append(f"{path.name}:{label}")
     return out
 
@@ -139,3 +209,59 @@ class Node:
 '''
     assert unreached(_tree(tmp_path, module)) == [
         "mod.py:recurse", "mod.py:Node", "mod.py:Node.walk"]
+
+
+def test_a_same_named_attribute_or_keyword_does_not_reach(tmp_path):
+    module = '''\
+def norm(v):
+    pass
+
+
+class Form:
+    @classmethod
+    def zero(cls):
+        pass
+'''
+    acceptance = ("import numpy as np\n\n"
+                  "np.linalg.norm([3.0, 4.0])\n"
+                  "dict(zero=True)\n")
+    assert unreached(_tree(tmp_path, module, acceptance)) == [
+        "mod.py:norm", "mod.py:Form", "mod.py:Form.zero"]
+
+
+def test_a_local_of_the_same_name_does_not_reach(tmp_path):
+    module = '''\
+def preset():
+    pass
+
+
+def take(preset):
+    return preset
+
+
+def assign():
+    preset = 1
+    return preset
+'''
+    acceptance = "from liouville_lab import mod\n\nmod.take(0)\nmod.assign()\n"
+    assert unreached(_tree(tmp_path, module, acceptance)) == ["mod.py:preset"]
+
+
+def test_each_import_form_reaches(tmp_path):
+    module = '''\
+def by_name():
+    pass
+
+
+def by_alias():
+    pass
+
+
+def by_package():
+    pass
+'''
+    acceptance = ("import liouville_lab\n"
+                  "import liouville_lab.mod as m\n"
+                  "from liouville_lab.mod import by_name\n\n"
+                  "by_name()\nm.by_alias()\nliouville_lab.mod.by_package()\n")
+    assert unreached(_tree(tmp_path, module, acceptance)) == []

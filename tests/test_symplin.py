@@ -1044,14 +1044,14 @@ def test_ill_conditioned_trials_count_alike_in_stacks(monkeypatch):
                           np.array(want[2]).view(np.int64))
 
 
-def test_appendix_suite_splits_no_two_dimensional_eigenspace(monkeypatch):
+def test_appendix_suite_splits_no_two_dimensional_eigenspace(counted_calls):
     # at the bench suite seed every built trial has clusters of size 2
     # only: no _nilpotency_index call (238 when each trial was built
     # alone), and one construction per block layout, 8 over the four
     # dimensions; the refused trials are not built
     calls = {}
-    counted_calls(monkeypatch, sl, "_nilpotency_index", calls)
-    counted_calls(monkeypatch, sl, "_construct", calls)
+    counted_calls(sl, "_nilpotency_index", calls)
+    counted_calls(sl, "_construct", calls)
     rep = sl.appendix_equivalence_suite(100, dims=(4, 6, 8, 10), seed=331)
     assert (rep.mismatches, rep.detail["ill_conditioned_reported"]) == (0, 0)
     assert calls == {"_construct": 8}
@@ -1625,6 +1625,7 @@ def float_reductions(monkeypatch):
 
 
 def test_failing_float_chain_pencil_is_reduced_once(monkeypatch,
+                                                   counted_calls,
                                                    exact_reductions,
                                                    float_reductions):
     # with every taming check failing, a float pencil with a Jordan chain is
@@ -1632,7 +1633,7 @@ def test_failing_float_chain_pencil_is_reduced_once(monkeypatch,
     # so are a chain-free float pencil and an exact one
     seen = float_reductions
     calls = {}
-    counted_calls(monkeypatch, sl, "_cluster_eigenvalues", calls)
+    counted_calls(sl, "_cluster_eigenvalues", calls)
     monkeypatch.setattr(sl, "tames", lambda a, j, tol=1e-10: False)
     with pytest.raises(sl.RetryExhaustedError, match="taming verification"):
         sl.construct_cotamed(*chain_pencil(3), eps=2e-3)
@@ -1701,24 +1702,14 @@ def test_exact_pencil_names_the_degenerate_form():
                 call(*pair)
 
 
-def counted_calls(monkeypatch, owner, name, calls):
-    real = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls[name] = calls.get(name, 0) + 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-
-
-def test_cotame_analyses_its_pencil_once(monkeypatch):
+def test_cotame_analyses_its_pencil_once(counted_calls):
     # B and its spectrum do not depend on eps: existence, the reduction and
     # the construction all read one analysis
     calls = {}
-    counted_calls(monkeypatch, sl, "_float_endomorphism", calls)
-    counted_calls(monkeypatch, _poly, "charpoly", calls)
-    counted_calls(monkeypatch, np.linalg, "eigvals", calls)
-    counted_calls(monkeypatch, np.linalg, "det", calls)
+    counted_calls(sl, "_float_endomorphism", calls)
+    counted_calls(_poly, "charpoly", calls)
+    counted_calls(np.linalg, "eigvals", calls)
+    counted_calls(np.linalg, "det", calls)
     a0, a1 = congruent_rational_pencil([Q(1, 2), 3], P4)
     fa0, fa1 = sl.SkewForm(a0.to_array()), sl.SkewForm(a1.to_array())
     for argv, want in (
@@ -1730,10 +1721,10 @@ def test_cotame_analyses_its_pencil_once(monkeypatch):
         assert calls == want
 
 
-def test_rational_cotame_builds_one_sturm_chain_of_h(monkeypatch):
+def test_rational_cotame_builds_one_sturm_chain_of_h(counted_calls):
     # the ray test and the rational roots of the exact reduction share it
     calls = {}
-    counted_calls(monkeypatch, _poly, "sturm_chain", calls)
+    counted_calls(_poly, "sturm_chain", calls)
     a0, a1 = congruent_rational_pencil([Q(1, 2), 3], P4)
     j = sl.construct_cotamed(a0, a1)
     assert sl.tames(a0, j) and sl.tames(a1, j)
@@ -1751,7 +1742,7 @@ def test_skew_form_keeps_its_fraction_entries():
     assert sl.SkewForm([[0, "1/3"], [Q(-1, 3), 0]]).matrix == rows
 
 
-def test_rational_fallback_solves_in_float_once(monkeypatch):
+def test_rational_fallback_solves_in_float_once(monkeypatch, counted_calls):
     # the remark pair's B has no rational eigenvalue, so its exact analysis
     # gives way to the float reduction; its spectrum has no Jordan chain,
     # so even with every taming check failing the exact attempt, the
@@ -1759,9 +1750,9 @@ def test_rational_fallback_solves_in_float_once(monkeypatch):
     calls = {}
     for name in ("_float_endomorphism", "_try_exact_reduce",
                  "_cluster_eigenvalues", "_float_reduce"):
-        counted_calls(monkeypatch, sl, name, calls)
-    counted_calls(monkeypatch, _poly, "charpoly", calls)
-    counted_calls(monkeypatch, np.linalg, "eigvals", calls)
+        counted_calls(sl, name, calls)
+    counted_calls(_poly, "charpoly", calls)
+    counted_calls(np.linalg, "eigvals", calls)
     monkeypatch.setattr(sl, "tames", lambda a, j, tol=1e-10: False)
     with pytest.raises(sl.RetryExhaustedError, match="taming verification"):
         sl.construct_cotamed(*sl.remark_pair())
