@@ -199,28 +199,13 @@ def _bisect(chain, a, b, den, width):
             yield a, b
 
 
-def positive_on_01(p, chain=None):
-    """Exact test for p > 0 on [0, 1]; chain, when given, is
-    sturm_chain(p).
-
-    Returns (True, None) or (False, witness) where the witness is either a
-    rational x in [0, 1] with p(x) <= 0 or an isolating interval of a root.
-    """
-    v0 = evaluate(p, 0)
-    if v0 <= 0:
-        return False, ("point", Q(0), v0)
-    v1 = evaluate(p, 1)
-    if v1 <= 0:
-        return False, ("point", Q(1), v1)
-    if chain is None:
-        chain = sturm_chain(p)
-    if count_roots(p, 0, 1, chain) == 0:
-        return True, None
-    return False, _root_witness(p, chain, Q(1))
-
-
 def positive_on_open_ray(p):
-    """Exact test for p > 0 on (0, +inf); same witness shape as above."""
+    """Exact test for p > 0 on (0, +inf).
+
+    Returns (True, None) or (False, witness): ("point", 1, 0) for the
+    zero polynomial, ("leading", sign) for a leading coefficient <= 0,
+    else the `root_witness` of the bound root_bound(p).
+    """
     if not p:
         return False, ("point", Q(1), Q(0))
     if _sign(p[-1]) <= 0:
@@ -230,12 +215,14 @@ def positive_on_open_ray(p):
     if count_roots(p, 0, bound, chain) == 0:
         # no root in (0, inf) and a positive leading coefficient: p > 0 there
         return True, None
-    return False, _root_witness(p, chain, bound)
+    return False, root_witness(p, chain, bound)
 
 
-def _root_witness(p, chain, bound):
-    """A point of (0, bound) where p <= 0, or an interval (a, b] of width
-    at most 2^-40 around the least root of p in (0, bound].
+def root_witness(p, chain, bound):
+    """A point ("point", x, p(x)) of (0, bound) where p <= 0, or an
+    interval ("root-interval", a, b) of width at most 2^-40 around the
+    least root of p in (0, bound]; chain is sturm_chain(p), and p has a
+    root in (0, bound].
 
     The bisection runs over den = den(bound) 2^shift: an interval it halves
     is num(bound) 2^(shift - j) / den wide after j halvings and wider than

@@ -15,6 +15,10 @@ arrays, `ParamForm.at` takes arrays of sample points, and the float64 ring
 of the exterior engine carries one array per blade, so `wedge` and `power`
 run once per grid.  That ring drops no blade, so each sample keeps the
 value, to the bit, that its own scalar evaluation gives (see `_grid_tops`).
+Within one `ParamForm.at` call every profile node, its function and its
+derivative, runs at most once per sample array: the blades of a form wrap
+shared profiles in their own products and sums, and each wrapper reuses
+the shared node's array instead of evaluating it again.
 """
 
 from __future__ import annotations
@@ -45,18 +49,22 @@ _SOL_S_MAX = 2.0  # the weak-filling fixture samples s in [-max, max]
 BISECTION_TOL = 1e-3  # the width at which min_c_search stops bisecting
 
 
-# the `_libm` array results of the open `_libm_scope`; None outside one
+# the array results of `_libm` and of the profile nodes in the open
+# `_libm_scope`; None outside one
 _libm_memo = ContextVar("libm_memo", default=None)
 
 
 @contextmanager
 def _libm_scope():
-    """Share `_libm` array results until the outermost scope closes.
+    """Share array results until the outermost scope closes.
 
-    The composite profiles of one form apply the same leaf to the same
-    sample array many times (each term of a pair form has its own wrapper,
-    and the product rule evaluates both factors); within the scope each is
-    computed once.  A nested scope shares the table of the outer one.
+    The composite profiles of one form apply the same profile to the same
+    sample array many times (each blade of a pair form has its own
+    wrapper, and the product rule evaluates both factors); within the
+    scope each profile node runs once per sample array (`_node`), and each
+    `_libm` leaf once per input bits, which also shares exp(s) and cos(s)
+    between leaves that are distinct objects.  A nested scope shares the
+    table of the outer one.
     """
     if _libm_memo.get() is not None:
         yield
@@ -94,6 +102,37 @@ def _libm(fn, x, *args):
     return out
 
 
+def _node(fn):
+    """fn, with its array results shared inside `_libm_scope`.
+
+    The table is keyed on fn and the identity of the sample array, not its
+    bytes (no array is written while the scope is open), and the entry
+    holds that array, so its id names no other array meanwhile.  The
+    result is stored read-only; a result that is the argument itself is
+    stored as a read-only view, so the caller's array stays writable.  A
+    scalar argument, or a call outside any scope, runs fn as it is.
+    """
+    def node(s):
+        if not isinstance(s, np.ndarray):
+            return fn(s)
+        memo = _libm_memo.get()
+        if memo is None:
+            return fn(s)
+        key = (fn, id(s))
+        hit = memo.get(key)
+        if hit is not None:
+            return hit[1]
+        out = fn(s)
+        if isinstance(out, np.ndarray):
+            if out is s:
+                out = s.view()
+            out.flags.writeable = False
+        memo[key] = (s, out)
+        return out
+
+    return node
+
+
 def _split(s, at, left, right):
     """left(s) where s < at, right(s) elsewhere."""
     if isinstance(s, np.ndarray):
@@ -121,15 +160,16 @@ class ProfileFn:
     arithmetic.
 
     It takes a float or, element by element, a float64 array of samples
-    (a constant may come back as a scalar).  `constant` marks the profiles
-    of `const`, whose derivative ParamCoeff leaves out.
+    (a constant may come back as a scalar); fn and dfn run through `_node`,
+    so inside `_libm_scope` each runs once per sample array.  `constant`
+    marks the profiles of `const`, whose derivative ParamCoeff leaves out.
     """
 
     constant = False
 
     def __init__(self, fn, dfn, label="f"):
-        self.fn = fn
-        self.dfn = dfn
+        self.fn = _node(fn)
+        self.dfn = _node(dfn)
         self.label = label
 
     def __call__(self, s):
@@ -363,8 +403,8 @@ class ParamForm:
         """The form at (u, v); for arrays of sample points, at all of them.
 
         With arrays every coefficient is a float64 array over the samples,
-        element for element the value the scalar call gives; each libm
-        profile is computed once per sample array (`_libm_scope`).  A
+        element for element the value the scalar call gives; each profile
+        node runs at most once per sample array (`_libm_scope`).  A
         coefficient without terms is left out.
         """
         with _libm_scope():

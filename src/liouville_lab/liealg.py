@@ -195,14 +195,27 @@ def sign_verdict(x) -> str:
 
 
 def _simplex_verdict(p, chain):
-    """(verdict, number of roots in (0, 1]) of p on [0, 1]: the sign of p
-    when no root lies in (0, 1] and p(0), p(1) share it, else
-    indefinite."""
+    """(verdict, number of roots in (0, 1], witness) of p on [0, 1].
+
+    The verdict is the sign of p when no root lies in (0, 1] and p(0),
+    p(1) share it, else indefinite.  Unless it is positive, the witness is
+    ("point", x, p(x)) for the first x of 0, 1 with p(x) <= 0, else the
+    `_poly.root_witness` of the least root in (0, 1].
+    """
     roots = _poly.count_roots(p, 0, 1, chain)
-    verdict = sign_verdict(_poly.evaluate(p, 0))
-    if roots or sign_verdict(_poly.evaluate(p, 1)) != verdict:
+    v0, v1 = _poly.evaluate(p, 0), _poly.evaluate(p, 1)
+    verdict = sign_verdict(v0)
+    if roots or sign_verdict(v1) != verdict:
         verdict = "indefinite"
-    return verdict, roots
+    if verdict == "positive":
+        witness = None
+    elif v0 <= 0:
+        witness = ("point", Q(0), v0)
+    elif v1 <= 0:
+        witness = ("point", Q(1), v1)
+    else:
+        witness = _poly.root_witness(p, chain, Q(1))
+    return verdict, roots, witness
 
 
 @dataclass
@@ -218,12 +231,13 @@ class PositivityCertificate:
     witness: tuple | None = None
 
     def replay(self) -> bool:
-        """Re-derive the verdict (and root count) from the stored data."""
+        """Re-derive the verdict (with root count and witness) from the
+        stored data."""
         if self.kind == "exact-sign":
             return sign_verdict(self.value) == self.verdict
         p = self.polynomial
         return _simplex_verdict(p, _poly.sturm_chain(p)) == (
-            self.verdict, self.root_count)
+            self.verdict, self.root_count, self.witness)
 
 
 def contact_check(g: LieAlgebra, a: Form) -> PositivityCertificate:
@@ -280,11 +294,7 @@ def liouville_pair_check(g: LieAlgebra, a_plus: Form,
     if not (a_plus.ring.exact and a_minus.ring.exact):
         raise ValueError("liouville_pair_check requires exact forms")
     p = pair_polynomial(g, a_plus, a_minus)
-    chain = _poly.sturm_chain(p)
-    verdict, root_count = _simplex_verdict(p, chain)
-    witness = None
-    if verdict != "positive":
-        witness = _poly.positive_on_01(p, chain)[1]
+    verdict, root_count, witness = _simplex_verdict(p, _poly.sturm_chain(p))
     return PositivityCertificate(
         verdict=verdict,
         kind="exact-sturm",

@@ -617,7 +617,6 @@ class PairReport:
     units: UnitGroup
     positive_generators: list
     lattice: LatticeData
-    preset: liealg.Preset | None
     certificate: liealg.PositivityCertificate | None
 
 
@@ -634,14 +633,13 @@ def build_liealg_pair(field: NumberField, box_bound: int | None = None) -> PairR
     units = find_units(field, box_bound)
     pos = positive_units(units, field)
     lattice = gamma_lattice(field, pos, units)
-    preset = None
     cert = None
     if field.is_totally_real:
         preset = liealg.totally_real(field.degree)
         cert = liealg.liouville_pair_check(
             preset.algebra, preset.alpha_plus, preset.alpha_minus
         )
-    return PairReport(units, pos, lattice, preset, cert)
+    return PairReport(units, pos, lattice, cert)
 
 
 def _default_box(field: NumberField) -> int:

@@ -1,12 +1,14 @@
-"""The float grid evaluator: the libm memo of `ParamForm.at`, the single
-pass of `_grid_tops` over forms that keep their zero coefficients and the
-array grid of `_grid_points`.
+"""The float grid evaluator: the libm and profile-node memo of
+`ParamForm.at`, the single pass of `_grid_tops` over forms that keep their
+zero coefficients and the array grid of `_grid_points`.
 
 Each is checked against a per-sample or set-based reference, bit for bit.
 """
 
 import math
 import types
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ def bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
-# -- the per-call libm memo -------------------------------------------------------
+# -- the per-call memo -------------------------------------------------------------
 
 
 def _shared_leaf(draw):
@@ -146,6 +148,100 @@ def test_memo_arrays_are_read_only_and_the_scope_closes():
     with pytest.raises(ZeroDivisionError):
         pf.at(x)
     assert ff._libm_memo.get() is None
+
+    # profile nodes: the same array gives the same read-only result
+    shared = ff.exp_fn(1.0) * 2.0
+    ident = ff.ProfileFn(lambda s: s, lambda s: 1.0)
+    with ff._libm_scope():
+        first = shared(x)
+        assert shared(x) is first and not first.flags.writeable
+        # keyed on identity: equal bytes in another array run again
+        other = shared(x.copy())
+        assert other is not first
+        np.testing.assert_array_equal(bits(other), bits(first))
+        # a result that is the argument is a read-only view of it
+        view = ident(x)
+        assert ident(x) is view and view is not x
+        assert np.shares_memory(view, x) and not view.flags.writeable
+        assert x.flags.writeable
+        # a scalar runs as it is
+        assert shared(0.0) == 2.0
+    assert shared(x) is not shared(x)
+
+    # the table holds each sample array only while the scope is open, also
+    # when a profile raises
+    pf = ff.ParamForm(("ds",), (), liealg.preset("sol:2,1,1,1").algebra,
+                      1, {})
+    pf.terms[2] = ff.ParamCoeff.of(shared)
+    pf.terms[4] = ff.ParamCoeff.of(shared * 3.0)
+    y = np.linspace(0.0, 1.0, 5)
+    alive = weakref.ref(y)
+    pf.at(y)
+    assert y.flags.writeable
+    del y
+    assert alive() is None
+    pf.terms[8] = ff.ParamCoeff.of(ff.ProfileFn(lambda s: 1 / 0,
+                                                lambda s: 0.0))
+    y = np.linspace(0.0, 1.0, 5)
+    alive = weakref.ref(y)
+    try:
+        pf.at(y)
+    except ZeroDivisionError:
+        pass
+    assert ff._libm_memo.get() is None
+    del y
+    assert alive() is None
+
+
+def test_one_cutoff_at_steps_each_profile_once(counted_calls):
+    # psi and psi' at c + s and at c - s: one `_unit_step` each, where each
+    # blade's wrapper evaluated them again (16 calls)
+    form = ff.cutoff_liouville(liealg.preset("sol:2,1,1,1"), 1.5,
+                               ff.cutoff_step("quintic")).d()
+    calls = {}
+    counted_calls(ff, "_unit_step", calls)
+    form.at(np.linspace(-2.5, 2.5, 257))
+    assert calls == {"_unit_step": 4}
+
+
+@st.composite
+def family_forms(draw):
+    """A cutoff (quintic or cubic), Lutz or torsion form of a preset pair,
+    or its d."""
+    pair = liealg.preset(draw(st.sampled_from(
+        ["sol:2,1,1,1", "totreal:2", "geiges:2"])))
+    family = draw(st.sampled_from(["cutoff", "lutz", "torsion"]))
+    kind = draw(st.sampled_from(["quintic", "cubic"]))
+    if family == "cutoff":
+        c = draw(st.floats(0.0, 3.0))
+        pf = ff.cutoff_liouville(pair, c, ff.cutoff_step(kind))
+    elif family == "lutz":
+        pf = ff.lutz_lambda_k(pair, draw(st.integers(1, 3)), kind)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pf = ff.gt_form(pair, draw(st.integers(1, 3))).to_param_form()
+    return pf.d() if draw(st.booleans()) else pf
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(pf=family_forms(),
+       grid=st.lists(st.floats(-7.0, 7.0, allow_nan=False), min_size=1,
+                     max_size=40),
+       v=st.floats(-7.0, 7.0, allow_nan=False))
+def test_family_coefficients_keep_their_bits_in_the_scope(pf, grid, v):
+    # every coefficient of one `at` call against its evaluation outside any
+    # scope, where no node and no leaf is shared
+    u = np.array(grid)
+    vs = np.full(u.shape, v)
+    form = pf.at(u, vs)
+    assert ff._libm_memo.get() is None
+    for m, coeff in pf.terms.items():
+        want = np.broadcast_to(coeff(u, vs), u.shape)
+        if m in form.terms:
+            np.testing.assert_array_equal(bits(form.terms[m]), bits(want))
+        else:
+            assert not coeff.terms
 
 
 # -- one pass over wide zero patterns ------------------------------------------------

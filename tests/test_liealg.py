@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from liouville_lab import _poly, liealg
 from liouville_lab.exterior import (EXACT, FLOAT64, MAX_DIM, Form, blade_mask,
                                     mask_blade)
+from test_poly import positive_on_01
 
 
 def dense_jacobi(g):
@@ -326,6 +327,20 @@ def test_pair_certificates_no_report_shows():
     assert type(cert.witness[1]) is Q and type(cert.witness[2]) is Q
 
 
+def test_a_non_positive_pair_is_decided_once(counted_calls):
+    # one root count; p(0), p(1) for the verdict and the witness's
+    # midpoint, where the witness took a second count and p(0), p(1) again
+    pre = liealg.preset("totreal:3")
+    calls = {}
+    counted_calls(_poly, "count_roots", calls)
+    counted_calls(_poly, "evaluate", calls)
+    cert = liealg.liouville_pair_check(pre.algebra, 3 * pre.alpha_plus,
+                                       -pre.alpha_plus)
+    assert cert.verdict == "indefinite"
+    assert cert.witness[0] == "root-interval"
+    assert calls == {"count_roots": 1, "evaluate": 3}
+
+
 def test_tampered_pair_certificates_do_not_replay():
     pre = liealg.preset("totreal:1")
     ap, am = pre.alpha_plus, pre.alpha_minus
@@ -341,6 +356,10 @@ def test_tampered_pair_certificates_do_not_replay():
     cert.root_count = 2
     assert not cert.replay()
     cert.root_count, cert.verdict = 1, "negative"
+    assert not cert.replay()
+    cert.verdict = "indefinite"
+    assert cert.replay()
+    cert.witness = ("point", Q(0), Q(6))
     assert not cert.replay()
 
 
@@ -396,15 +415,15 @@ def test_pair_polynomial_matches_monomial_reference(key, coeffs):
     assert all(type(x) is Q for x in p)
     cert = liealg.liouville_pair_check(g, plus, minus)
     assert cert.polynomial == p
-    if _poly.positive_on_01(p)[0]:
+    if positive_on_01(p)[0]:
         verdict = "positive"
-    elif _poly.positive_on_01([-x for x in p])[0]:
+    elif positive_on_01([-x for x in p])[0]:
         verdict = "negative"
     else:
         verdict = "indefinite"
     assert cert.verdict == verdict
     assert cert.root_count == _poly.count_roots(p, 0, 1)
-    assert cert.witness == _poly.positive_on_01(p)[1]
+    assert cert.witness == positive_on_01(p)[1]
     assert cert.replay()
 
 

