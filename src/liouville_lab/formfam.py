@@ -15,10 +15,13 @@ arrays, `ParamForm.at` takes arrays of sample points, and the float64 ring
 of the exterior engine carries one array per blade, so `wedge` and `power`
 run once per grid.  That ring drops no blade, so each sample keeps the
 value, to the bit, that its own scalar evaluation gives (see `_grid_tops`).
-Within one `ParamForm.at` call every profile node, its function and its
+Within one `_libm_scope` every profile node, its function and its
 derivative, runs at most once per sample array: the blades of a form wrap
-shared profiles in their own products and sums, and each wrapper reuses
-the shared node's array instead of evaluating it again.
+shared profiles in their own products and sums, a derivative reads the
+nodes of the profiles it is built from, and each reuses the shared node's
+array instead of evaluating it again.  `ParamForm.at` opens the scope, and
+a grid check opens one around all its forms, so lambda and d lambda share
+their profiles.
 """
 
 from __future__ import annotations
@@ -49,22 +52,23 @@ _SOL_S_MAX = 2.0  # the weak-filling fixture samples s in [-max, max]
 BISECTION_TOL = 1e-3  # the width at which min_c_search stops bisecting
 
 
-# the array results of `_libm` and of the profile nodes in the open
-# `_libm_scope`; None outside one
+# the array results of the profile nodes in the open `_libm_scope`; None
+# outside one
 _libm_memo = ContextVar("libm_memo", default=None)
 
 
 @contextmanager
 def _libm_scope():
-    """Share array results until the outermost scope closes.
+    """Share the array results of profile nodes until the outermost scope
+    closes.
 
     The composite profiles of one form apply the same profile to the same
     sample array many times (each blade of a pair form has its own
-    wrapper, and the product rule evaluates both factors); within the
-    scope each profile node runs once per sample array (`_node`), and each
-    `_libm` leaf once per input bits, which also shares exp(s) and cos(s)
-    between leaves that are distinct objects.  A nested scope shares the
-    table of the outer one.
+    wrapper, the product rule evaluates both factors, and d lambda reuses
+    the profiles of lambda); within the scope each profile node runs once
+    per sample array (`_node`).  A value used twice is shared only when it
+    is read from one node.  A nested scope shares the table of the outer
+    one.
     """
     if _libm_memo.get() is not None:
         yield
@@ -82,28 +86,17 @@ def _libm(fn, x, *args):
     Each element goes through the same scalar call (libm exp/sin/cos, float
     pow), so a batched sample carries exactly the bits of the scalar path;
     numpy's vectorized exp and power round differently on a few percent of
-    inputs.  Inside `_libm_scope` an array result is keyed on the input
-    bits and shared, read-only: the same call on the same bits gives the
-    same bits.
+    inputs.  It keeps no table: the profile node that calls it is shared.
     """
     if not isinstance(x, np.ndarray):
         return fn(x, *args)
-    memo = _libm_memo.get()
-    if memo is not None:
-        key = (fn, args, x.dtype.str, x.shape, x.tobytes())
-        out = memo.get(key)
-        if out is not None:
-            return out
     vals = map(fn, x.tolist(), *(repeat(a) for a in args))
-    out = np.fromiter(vals, float, x.size).reshape(x.shape)
-    if memo is not None:
-        out.flags.writeable = False
-        memo[key] = out
-    return out
+    return np.fromiter(vals, float, x.size).reshape(x.shape)
 
 
 def _node(fn):
-    """fn, with its array results shared inside `_libm_scope`.
+    """fn, with its array results shared inside `_libm_scope`: the one memo
+    of the grid evaluator.
 
     The table is keyed on fn and the identity of the sample array, not its
     bytes (no array is written while the scope is open), and the entry
@@ -161,8 +154,10 @@ class ProfileFn:
 
     It takes a float or, element by element, a float64 array of samples
     (a constant may come back as a scalar); fn and dfn run through `_node`,
-    so inside `_libm_scope` each runs once per sample array.  `constant`
-    marks the profiles of `const`, whose derivative ParamCoeff leaves out.
+    so inside `_libm_scope` each runs once per sample array, and a dfn
+    that reads fn's node (or, for sine and cosine, the other profile's)
+    evaluates no libm leaf of its own.  `constant` marks the profiles of
+    `const`, whose derivative ParamCoeff leaves out.
     """
 
     constant = False
@@ -243,29 +238,20 @@ def linear(a, b=0.0) -> ProfileFn:
 
 def exp_fn(a=1.0, b=0.0) -> ProfileFn:
     a, b = float(a), float(b)
-    return ProfileFn(
-        lambda s: _libm(math.exp, a * s + b),
-        lambda s: a * _libm(math.exp, a * s + b),
-        f"exp({a}s+{b})",
-    )
+    e = ProfileFn(lambda s: _libm(math.exp, a * s + b),
+                  lambda s: a * e(s), f"exp({a}s+{b})")
+    return e
 
 
-def sin_fn(a=1.0, b=0.0) -> ProfileFn:
+def sin_cos(a=1.0, b=0.0) -> tuple[ProfileFn, ProfileFn]:
+    """The profiles sin(a s + b) and cos(a s + b); each derivative reads
+    the other's node."""
     a, b = float(a), float(b)
-    return ProfileFn(
-        lambda s: _libm(math.sin, a * s + b),
-        lambda s: a * _libm(math.cos, a * s + b),
-        f"sin({a}s+{b})",
-    )
-
-
-def cos_fn(a=1.0, b=0.0) -> ProfileFn:
-    a, b = float(a), float(b)
-    return ProfileFn(
-        lambda s: _libm(math.cos, a * s + b),
-        lambda s: -a * _libm(math.sin, a * s + b),
-        f"cos({a}s+{b})",
-    )
+    sn = ProfileFn(lambda s: _libm(math.sin, a * s + b),
+                   lambda s: a * cs(s), f"sin({a}s+{b})")
+    cs = ProfileFn(lambda s: _libm(math.cos, a * s + b),
+                   lambda s: -a * sn(s), f"cos({a}s+{b})")
+    return sn, cs
 
 
 def smoothstep5() -> ProfileFn:
@@ -404,7 +390,8 @@ class ParamForm:
 
         With arrays every coefficient is a float64 array over the samples,
         element for element the value the scalar call gives; each profile
-        node runs at most once per sample array (`_libm_scope`).  A
+        node runs at most once per sample array (`_libm_scope`), also
+        across the calls of a caller that holds one scope around them.  A
         coefficient without terms is left out.
         """
         with _libm_scope():
@@ -502,9 +489,9 @@ def gt_form(pair: Preset, k: int) -> ProfileTriple:
             "the torsion family may fail its grid check",
             stacklevel=2,
         )
-    f = 0.5 * (cos_fn() + 1.0)
-    g = 0.5 * (const(1.0) - cos_fn())
-    h = sin_fn()
+    h, c = sin_cos()
+    f = 0.5 * (c + 1.0)
+    g = 0.5 * (const(1.0) - c)
     return ProfileTriple(f, g, h, pair, (0.0, 2 * math.pi * k))
 
 
@@ -578,8 +565,10 @@ def contact_grid_check(triple: ProfileTriple,
         raise ValueError("contact check needs odd total dimension")
     npow = (dim - 1) // 2
     s = _grid_points(triple.interval, grid_n)
+    with _libm_scope():
+        forms = [pf.at(s), pf.d().at(s)]
     values = _grid_tops(lambda lam, dlam: lam.wedge(dlam.power(npow)),
-                   [pf.at(s), pf.d().at(s)], len(s))
+                        forms, len(s))
     min_value, argmin = _grid_min(values, s)
     return GridCheck(min_value, argmin, min_value > 0, len(s),
                      "volume = " + "∧".join(pf.coframe.names))
@@ -686,11 +675,9 @@ def lutz_lambda_k(pair: Preset, k: int, kind="quintic") -> ParamForm:
     """lambda_k with the twist profile phi_k substituted into the family."""
     phi = lutz_twist_profile(k, _LUTZ_EPS, kind)
     cphi = ProfileFn(lambda s: _libm(math.cos, phi(s)),
-                     lambda s: -_libm(math.sin, phi(s)) * phi.deriv(s),
-                     f"cos(phi_{k})")
+                     lambda s: -sphi(s) * phi.deriv(s), f"cos(phi_{k})")
     sphi = ProfileFn(lambda s: _libm(math.sin, phi(s)),
-                     lambda s: _libm(math.cos, phi(s)) * phi.deriv(s),
-                     f"sin(phi_{k})")
+                     lambda s: cphi(s) * phi.deriv(s), f"sin(phi_{k})")
     f = 0.5 * (cphi + 1.0)
     g = 0.5 * (const(1.0) - cphi)
     return ProfileTriple(f, g, sphi, pair,
@@ -729,8 +716,9 @@ def lutz_family_check(pair: Preset, k: int, tau: float, grid_n: int = 512,
         return _grid_tops(lambda a, da: a.wedge(da.power(npow - 1)),
                      [lam.at(s), lam.d().at(s)], len(s))
 
-    lhs = top(lam_tau)
-    rhs = _libm(pow, 1.0 - tau * psi(s), npow) * top(lam_k)
+    with _libm_scope():
+        lhs = top(lam_tau)
+        rhs = _libm(pow, 1.0 - tau * psi(s), npow) * top(lam_k)
     return _grid_sup(_relative_error(lhs, rhs))
 
 
@@ -797,8 +785,9 @@ def linear_model_pair_check(g: LieAlgebra, alpha: Form, mu: float, nu: float,
     if contact_check(g, alpha).verdict != "positive":
         raise ValueError("base form must be positive contact")
     q = (g.dim - 1) // 2
-    a_prof = exp_fn(1.0) + exp_fn(-1.0)
-    b_prof = exp_fn(1.0) - exp_fn(-1.0)
+    e_plus, e_minus = exp_fn(1.0), exp_fn(-1.0)
+    a_prof = e_plus + e_minus
+    b_prof = e_plus - e_minus
     pf = ParamForm(("ds", "dt"), ("dθ",), g, 1, {})
     pf.add_form(alpha, a_prof, exp_fn(nu))
     pf.add_term(("dθ",), ParamCoeff.of(b_prof, exp_fn(mu)))

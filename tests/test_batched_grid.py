@@ -69,13 +69,13 @@ def _leaf(draw):
     if kind == "exp":
         return ff.exp_fn(a / 2, b)
     if kind == "sin":
-        return ff.sin_fn(a, b)
+        return ff.sin_cos(a, b)[0]
     if kind == "cos":
-        return ff.cos_fn(a, b)
+        return ff.sin_cos(a, b)[1]
     if kind == "torsion_f":
-        return 0.5 * (ff.cos_fn() + 1.0)
+        return 0.5 * (ff.sin_cos()[1] + 1.0)
     if kind == "torsion_g":
-        return 0.5 * (ff.const(1.0) - ff.cos_fn())
+        return 0.5 * (ff.const(1.0) - ff.sin_cos()[1])
     if kind == "step5":
         return ff.smoothstep5().precompose_affine(a, b)
     if kind == "step3":
@@ -148,10 +148,10 @@ def test_vanishing_coefficient_keeps_the_per_sample_sum_order():
     # terms of (d lambda)^3 in one order (an engine that dropped it at that
     # sample alone would add them in another and round otherwise)
     pf = ff.ParamForm(("du",), (), ALGEBRAS["geiges:3"].algebra, 1, {})
-    pf.terms[1 << 3] = ff.ParamCoeff.of(ff.sin_fn() * 2.5)
-    pf.terms[1 << 4] = ff.ParamCoeff.of(ff.sin_fn() * 2.5)
+    pf.terms[1 << 3] = ff.ParamCoeff.of(ff.sin_cos()[0] * 2.5)
+    pf.terms[1 << 4] = ff.ParamCoeff.of(ff.sin_cos()[0] * 2.5)
     pf.terms[1 << 5] = ff.ParamCoeff.of(
-        0.5 * (ff.const(1.0) - ff.cos_fn()) * -0.75)
+        0.5 * (ff.const(1.0) - ff.sin_cos()[1]) * -0.75)
     dpf = pf.d()
     build = lambda w: w.power(3)  # noqa: E731
     assert_same_bits(batched(build, [dpf], np.array(SPECIAL)),

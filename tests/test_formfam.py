@@ -101,7 +101,7 @@ def test_profile_check_skips_knots():
 
 def test_steep_constructors_build_with_closed_form_derivatives():
     s = samples(-3.0, 3.0) / 300.0
-    f, g = ff.sin_fn(300.0), ff.exp_fn(250.0)
+    f, g = ff.sin_cos(300.0)[0], ff.exp_fn(250.0)
     for x in s.tolist():
         assert f(x) == math.sin(300.0 * x + 0.0)
         assert f.deriv(x) == 300.0 * math.cos(300.0 * x + 0.0)
@@ -121,10 +121,10 @@ def library_profiles():
     out = []
     for i, (a, b) in enumerate((a, b) for a in RATES for b in SHIFTS):
         s = samples(-3.0, 3.0, seed=i) / max(1.0, abs(a))
-        for ctor in (ff.linear, ff.exp_fn, ff.sin_fn, ff.cos_fn):
-            out.append((ctor(a, b), s, ()))
-        out.append((ff.sin_fn(a, b) * ff.exp_fn(-b, a / 4)
-                    - ff.cos_fn(a, b) * ff.linear(b, 1.0), s, ()))
+        for p in (ff.linear(a, b), ff.exp_fn(a, b), *ff.sin_cos(a, b)):
+            out.append((p, s, ()))
+        out.append((ff.sin_cos(a, b)[0] * ff.exp_fn(-b, a / 4)
+                    - ff.sin_cos(a, b)[1] * ff.linear(b, 1.0), s, ()))
     s = samples(-1.0, 2.0, 256)
     for kind in ("quintic", "cubic"):
         step = ff.cutoff_step(kind)
@@ -150,7 +150,7 @@ def test_library_constructors_pass_the_fd_reference():
 
 
 def test_derivative_profile_has_no_second_derivative():
-    f = ff.sin_fn(2.0)
+    f = ff.sin_cos(2.0)[0]
     fp = f.derivative()
     assert fp(0.3) == f.deriv(0.3)
     for p in (fp, 3.0 * fp, fp * ff.exp_fn(1.0)):
@@ -205,7 +205,7 @@ def test_profile_library_and_arithmetic():
     f = ff.exp_fn(2.0, 1.0)
     assert abs(f(0.3) - math.exp(1.6)) < 1e-12
     assert abs(f.deriv(0.3) - 2 * math.exp(1.6)) < 1e-12
-    g = ff.sin_fn() * ff.cos_fn() + ff.linear(3.0, -1.0)
+    g = ff.sin_cos()[0] * ff.sin_cos()[1] + ff.linear(3.0, -1.0)
     s = 0.4
     assert abs(g(s) - (math.sin(s) * math.cos(s) + 3 * s - 1)) < 1e-12
     assert abs(g.deriv(s) - (math.cos(2 * s) + 3)) < 1e-10
@@ -245,7 +245,7 @@ def test_plateau_bump_shape():
 
 def test_d_param_trivials():
     pf = ff.ParamForm(("ds", "dt"), (), None, 1, {})
-    pf.add_term(("dt",), ff.ParamCoeff.of(ff.sin_fn()))
+    pf.add_term(("dt",), ff.ParamCoeff.of(ff.sin_cos()[0]))
     d = pf.d()
     val = d.at(0.3)
     assert abs(val.terms[0b11] - math.cos(0.3)) < 1e-12
@@ -331,9 +331,9 @@ def test_contact_grid_check_t3_constant():
 def test_frequency_k_torus_family_constant_volume(k):
     # cos(ks) dθ + sin(ks) dt over the circle pair: the volume is the
     # constant k, independent of s
-    f = 0.5 * (ff.cos_fn(k) + 1.0)
-    g = 0.5 * (ff.const(1.0) - ff.cos_fn(k))
-    h = ff.sin_fn(k)
+    f = 0.5 * (ff.sin_cos(k)[1] + 1.0)
+    g = 0.5 * (ff.const(1.0) - ff.sin_cos(k)[1])
+    h = ff.sin_cos(k)[0]
     triple = ff.ProfileTriple(f, g, h, S1, (0.0, 2 * math.pi))
     pf = triple.to_param_form()
     dpf = pf.d()

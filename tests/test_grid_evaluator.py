@@ -1,6 +1,6 @@
-"""The float grid evaluator: the libm and profile-node memo of
-`ParamForm.at`, the single pass of `_grid_tops` over forms that keep their
-zero coefficients and the array grid of `_grid_points`.
+"""The float grid evaluator: the profile-node memo of `_libm_scope`, the
+single pass of `_grid_tops` over forms that keep their zero coefficients
+and the array grid of `_grid_points`.
 
 Each is checked against a per-sample or set-based reference, bit for bit.
 """
@@ -35,8 +35,9 @@ def _shared_leaf(draw):
     a = draw(st.sampled_from([1.0, -1.0, 0.5, 2.0]))
     b = draw(st.sampled_from([0.0, 0.25]))
     return draw(st.sampled_from([
-        ff.exp_fn(a / 2, b), ff.sin_fn(a, b), ff.cos_fn(a, b),
-        0.5 * (ff.cos_fn() + 1.0), ff.smoothstep5().precompose_affine(a, b),
+        ff.exp_fn(a / 2, b), ff.sin_cos(a, b)[0], ff.sin_cos(a, b)[1],
+        0.5 * (ff.sin_cos()[1] + 1.0),
+        ff.smoothstep5().precompose_affine(a, b),
         ff.plateau_bump(1.0, "quintic"), ff.lutz_twist_profile(1, 1.0),
     ]))
 
@@ -95,49 +96,54 @@ def test_shared_leaf_forms_match_scalar_evaluation(pf, extra, v):
     assert_at_matches_per_sample(pf.d(), u, vs if pf.nparams == 2 else 0.0)
 
 
-def test_each_leaf_is_computed_once_per_at_call(monkeypatch):
-    calls = []
+def counting_math(monkeypatch):
+    """Patch formfam's math so each sin, cos and exp call is counted."""
+    calls = {}
 
-    def counting_exp(x):
-        calls.append(x)
-        return math.exp(x)
+    def counted(name):
+        real = getattr(math, name)
+
+        def fn(x):
+            calls[name] = calls.get(name, 0) + 1
+            return real(x)
+        return fn
 
     monkeypatch.setattr(ff, "math", types.SimpleNamespace(
-        **{**vars(math), "exp": counting_exp}))
+        **{**vars(math), **{n: counted(n) for n in ("sin", "cos", "exp")}}))
+    return calls
+
+
+def test_each_leaf_is_computed_once_per_at_call(monkeypatch):
+    calls = counting_math(monkeypatch)
     pf = ff.ParamForm(("ds",), (), liealg.preset("sol:2,1,1,1").algebra,
                       1, {})
+    e = ff.exp_fn(1.0)
     for i in (1, 2, 3):
-        pf.terms[1 << i] = ff.ParamCoeff.of(ff.exp_fn(1.0) * float(i))
+        pf.terms[1 << i] = ff.ParamCoeff.of(e * float(i))
     s = np.linspace(-1.0, 1.0, 7)
+    # the three blades share e, and its derivative reads e's node
     for form in (pf, pf.d()):
         calls.clear()
         form.at(s)
-        assert len(calls) == s.size
+        assert calls == {"exp": s.size}
     # outside a call there is no memo: each evaluation runs again
     calls.clear()
-    ff.exp_fn(1.0)(s)
-    ff.exp_fn(1.0)(s)
-    assert len(calls) == 2 * s.size
+    e(s)
+    e(s)
+    assert calls == {"exp": 2 * s.size}
 
 
 def test_memo_arrays_are_read_only_and_the_scope_closes():
     x = np.linspace(0.0, 1.0, 5)
-    with ff._libm_scope():
-        first = ff._libm(math.sin, x)
-        with ff._libm_scope():
-            assert ff._libm(math.sin, x.copy()) is first
-        assert ff._libm(math.sin, x) is first
-        assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0] = 1.0
-        # same value, other bits: -0.0 is its own key
-        assert bits(ff._libm(math.sin, -x)[0]) != bits(first[0])
-        # the extra arguments are part of the key
-        assert ff._libm(pow, x + 2, 3)[0] == 8.0
-        assert ff._libm(pow, x + 2, 2)[0] == 4.0
     assert ff._libm_memo.get() is None
     fresh = ff._libm(math.sin, x)
     assert fresh is not ff._libm(math.sin, x) and fresh.flags.writeable
+    # `_libm` keeps no table, inside a scope either
+    with ff._libm_scope():
+        first = ff._libm(math.sin, x)
+        again = ff._libm(math.sin, x)
+        assert again is not first
+        assert first.flags.writeable and again.flags.writeable
 
     pf = ff.ParamForm(("ds",), (), liealg.preset("totreal:1").algebra, 1, {})
     pf.terms[2] = ff.ParamCoeff.of(ff.exp_fn(1.0))
@@ -204,6 +210,35 @@ def test_one_cutoff_at_steps_each_profile_once(counted_calls):
     assert calls == {"_unit_step": 4}
 
 
+def test_one_check_runs_each_shared_profile_once(monkeypatch):
+    # lambda and d lambda are evaluated in one scope, so each profile they
+    # share runs once per sample
+    sol = liealg.preset("sol:2,1,1,1")
+    triple = ff.gt_form(sol, 1)
+    calls = counting_math(monkeypatch)
+    check = ff.contact_grid_check(triple, 1024)
+    assert check.samples == 1025
+    assert calls == {"cos": 1025, "sin": 1025}
+    # the Lutz check: one grid of 513 samples for both forms and psi, plus
+    # the two 257-sample validations of f and g that `ProfileTriple` runs
+    calls.clear()
+    ff.lutz_family_check(sol, 2, 0.5, grid_n=512)
+    assert calls == {"cos": 513 + 2 * 257, "sin": 513}
+
+
+def test_library_grid_checks_keep_their_bits():
+    # bits of the grid checks that no CLI report covers
+    assert ff.sol_weak_filling_fixture(0.005, 128).min_top.hex() \
+        == "0x1.8030c34e3a030p+4"
+    p = liealg.totally_real(2)
+    res = ff.linear_model_pair_check(p.algebra, p.alpha_plus, -0.5, 0.75,
+                                     grid_n=12)
+    assert res.min_top.hex() == "0x1.4ea36fe2f456cp+3"
+    assert res.factor_error.hex() == "0x1.7ed94c914fbf9p-51"
+    assert ff.gt_reparam_check(liealg.preset("sol:2,1,1,1"), 512).hex() \
+        == "0x1.d828000000000p-40"
+
+
 @st.composite
 def family_forms(draw):
     """A cutoff (quintic or cubic), Lutz or torsion form of a preset pair,
@@ -244,12 +279,13 @@ def test_family_coefficients_keep_their_bits_in_the_scope(pf, grid, v):
             assert not coeff.terms
 
 
-# -- one pass over wide zero patterns ------------------------------------------------
+# -- scattered zeros over many coefficient columns ----------------------------------
 
 
-def test_grid_tops_groups_wide_zero_patterns():
-    # 81 coefficient columns, so each packed row spans 11 bytes; patterns 0
-    # and 1 differ only in column 70, past the first 8 bytes
+def test_grid_tops_keep_scalar_bits_over_scattered_zeros():
+    # 81 coefficient columns, each sample zeroed on one of six patterns
+    # (patterns 0 and 1 differ only in column 70, pattern 5 zeroes none):
+    # every sample keeps the bits of its own scalar evaluation
     cf = Coframe(tuple(f"e{i}" for i in range(9)))
     rng = np.random.default_rng(15)
     n = 48
