@@ -22,6 +22,17 @@ nodes of the profiles it is built from, and each reuses the shared node's
 array instead of evaluating it again.  `ParamForm.at` opens the scope, and
 a grid check opens one around all its forms, so lambda and d lambda share
 their profiles.
+
+The cutoff search (`min_c_search`) bisects on c, and most of its probes are
+known in advance: on every pair tried, c = 0 fails and every c > 0 passes,
+so the walk always goes left.  Those probes (c = 0, the cap and each next
+midpoint) run as one batch: their grids are the rows of one sample array,
+the cutoff form takes the constants as a column beside them, and one pass
+of `ParamForm.at` and `_grid_tops` gives every probe's verdict.  The
+bisection walk then reads its verdicts from the batch; a probe outside it,
+once the walk turns right, runs alone, and if the batch raises, the walk
+runs every probe alone, so that the same probe raises the same error.  A
+one-probe check (`cutoff_positive_on_grid`) is a batch of one.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import repeat
 
@@ -90,7 +102,7 @@ def _libm(fn, x, *args):
     """
     if not isinstance(x, np.ndarray):
         return fn(x, *args)
-    vals = map(fn, x.tolist(), *(repeat(a) for a in args))
+    vals = map(fn, x.ravel().tolist(), *(repeat(a) for a in args))
     return np.fromiter(vals, float, x.size).reshape(x.shape)
 
 
@@ -210,12 +222,22 @@ class ProfileFn:
     __rmul__ = __mul__
 
     def precompose_affine(self, a, b) -> "ProfileFn":
-        """The profile s -> f(a s + b)."""
-        a, b = float(a), float(b)
+        """The profile s -> f(a s + b).
+
+        The offset b is a float or a float64 array that broadcasts
+        against the sample arrays, such as a column of one offset per row
+        of samples (the cutoff batch of `_cutoff_minima`); a s + b is
+        element-wise either way.
+        """
+        a = float(a)
+        if isinstance(b, np.ndarray):
+            shown = "b"
+        else:
+            b = shown = float(b)
         return ProfileFn(
             lambda s: self.fn(a * s + b),
             lambda s: a * self.dfn(a * s + b),
-            f"{self.label}({a}s+{b})")
+            f"{self.label}({a}s+{shown})")
 
 
 def as_profile(x) -> ProfileFn:
@@ -454,8 +476,9 @@ class ProfileTriple:
     def __post_init__(self):
         s0, s1 = self.interval
         s = s0 + (s1 - s0) * np.arange(257.0) / 256
-        fv = np.broadcast_to(self.f(s), s.shape)
-        gv = np.broadcast_to(self.g(s), s.shape)
+        with _libm_scope():
+            fv = np.broadcast_to(self.f(s), s.shape)
+            gv = np.broadcast_to(self.g(s), s.shape)
         bad = np.flatnonzero((fv < -1e-12) | (gv < -1e-12)
                              | ((abs(fv) < 1e-12) & (abs(gv) < 1e-12)))
         if bad.size:
@@ -463,13 +486,19 @@ class ProfileTriple:
             raise ValueError(f"profile triple invalid at s={float(s[i])}:"
                              f" f={float(fv[i])}, g={float(gv[i])}")
 
-    def to_param_form(self) -> ParamForm:
-        g = self.pair.algebra
-        pf = ParamForm(("ds", "dt"), (), g, 1, {})
+    @cached_property
+    def form(self) -> ParamForm:
+        """lambda as a ParamForm, built once; callers only read it."""
+        pf = ParamForm(("ds", "dt"), (), self.pair.algebra, 1, {})
         pf.add_form(self.pair.alpha_plus, self.f)
         pf.add_form(self.pair.alpha_minus, self.g)
         pf.add_term(("dt",), ParamCoeff.of(self.h))
         return pf
+
+    @cached_property
+    def dform(self) -> ParamForm:
+        """d lambda, built once from `form`."""
+        return self.form.d()
 
 
 def gt_form(pair: Preset, k: int) -> ProfileTriple:
@@ -522,15 +551,16 @@ def _grid_points(interval, grid_n):
     return pts[np.unique(pts, return_index=True)[1]]
 
 
-def _grid_tops(build, forms, n):
-    """Top coefficients of build(*forms) at each of n samples, in one pass.
+def _grid_tops(build, forms, shape):
+    """Top coefficients of build(*forms) at each sample of an array of the
+    given shape (or length), in one pass.
 
     The forms carry float64 arrays over the samples.  The float ring keeps
     every blade, zero or not, so the engine runs the same sums in the same
-    order at every sample: element i is the top coefficient of build at
-    sample i alone, bit for bit (a zero as +0.0).
+    order at every sample: each element is the top coefficient of build at
+    its sample alone, bit for bit (a zero as +0.0).
     """
-    return np.broadcast_to(build(*forms).top_coefficient(), (n,)) + 0.0
+    return np.broadcast_to(build(*forms).top_coefficient(), shape) + 0.0
 
 
 def _grid_min(values, points):
@@ -559,14 +589,14 @@ def contact_grid_check(triple: ProfileTriple,
                        grid_n: int = 1024) -> GridCheck:
     """Sampled positivity of lambda ^ dlambda^(n-1) over the triple's
     interval."""
-    pf = triple.to_param_form()
+    pf = triple.form
     dim = pf.coframe.dim
     if dim % 2 == 0:
         raise ValueError("contact check needs odd total dimension")
     npow = (dim - 1) // 2
     s = _grid_points(triple.interval, grid_n)
     with _libm_scope():
-        forms = [pf.at(s), pf.d().at(s)]
+        forms = [pf.at(s), triple.dform.at(s)]
     values = _grid_tops(lambda lam, dlam: lam.wedge(dlam.power(npow)),
                         forms, len(s))
     min_value, argmin = _grid_min(values, s)
@@ -634,9 +664,8 @@ def reeb_field(triple: ProfileTriple, s: float, tol: float = 1e-8) -> ReebResult
         branch = "h-prime"
     else:
         raise ArithmeticError("h and h' both vanish: invalid profile triple")
-    pf = triple.to_param_form()
-    lam = pf.at(s)
-    dlam = pf.d().at(s)
+    lam = triple.form.at(s)
+    dlam = triple.dform.at(s)
     coords = (0.0, u) + tuple(float(v) for v in x)
     rvec = VectorElem(lam.coframe, coords)
     pairing = abs(sum(lam.terms.get(1 << i, 0.0) * coords[i]
@@ -680,8 +709,7 @@ def lutz_lambda_k(pair: Preset, k: int, kind="quintic") -> ParamForm:
                      lambda s: cphi(s) * phi.deriv(s), f"sin(phi_{k})")
     f = 0.5 * (cphi + 1.0)
     g = 0.5 * (const(1.0) - cphi)
-    return ProfileTriple(f, g, sphi, pair,
-                         (-_LUTZ_EPS, _LUTZ_EPS)).to_param_form()
+    return ProfileTriple(f, g, sphi, pair, (-_LUTZ_EPS, _LUTZ_EPS)).form
 
 
 def lutz_family_check(pair: Preset, k: int, tau: float, grid_n: int = 512,
@@ -798,10 +826,12 @@ def linear_model_pair_check(g: LieAlgebra, alpha: Form, mu: float, nu: float,
     base_vol = alpha_dalpha.top_coefficient()
     grid = np.linspace(-2.0, 2.0, grid_n)
     s, t = (x.ravel() for x in np.meshgrid(grid, grid, indexing="ij"))
-    a_v, b_v = a_prof(s), b_prof(s)
+    with _libm_scope():
+        a_v, b_v = a_prof(s), b_prof(s)
+        dbeta = dpf.at(s, t)
     # declared orientation is ds^dθ^dt^(algebra); storage order is
     # (ds, dt, dθ, algebra), one transposition away
-    top = -_grid_tops(lambda w: w.power(q + 2), [dpf.at(s, t)], len(s))
+    top = -_grid_tops(lambda w: w.power(q + 2), [dbeta], len(s))
     predicted = (
         (q + 1) * (q + 2) * _libm(pow, a_v, q)
         * _libm(math.exp, (mu + (q + 1) * nu) * t)
@@ -948,8 +978,12 @@ def sol_weak_filling_fixture(eps: float,
 # -- cutoff Liouville forms ---------------------------------------------------------
 
 
-def cutoff_liouville(pair: Preset, c: float, psi: ProfileFn) -> ParamForm:
-    """beta = psi(c+s) e^s a+ + psi(c-s) e^-s a- over (ds, algebra)."""
+def cutoff_liouville(pair: Preset, c, psi: ProfileFn) -> ParamForm:
+    """beta = psi(c+s) e^s a+ + psi(c-s) e^-s a- over (ds, algebra).
+
+    c is a float or a float64 array that broadcasts against the sample
+    arrays, such as a column of one constant per row (`_cutoff_minima`).
+    """
     if psi(0.0) != 0.0 or psi(1.0) != 1.0 or psi(-1.0) != 0.0 or psi(2.0) != 1.0:
         raise ValueError("psi must vanish on (-inf,0] and equal 1 on [1,inf)")
     g = pair.algebra
@@ -964,16 +998,34 @@ def cutoff_positive_on_grid(pair: Preset, c: float, psi: ProfileFn,
                             grid_n: int = 256):
     """(min top of dbeta^n, argmin) over s in [-c-1, c+1], for a finite c
     whose grid stays inside the float64 range."""
-    if not math.isfinite(c):
-        raise ValueError(f"cutoff constant must be finite, got {c}")
-    pf = cutoff_liouville(pair, c, psi)
+    return _cutoff_minima(pair, [c], psi, grid_n)[0]
+
+
+def _cutoff_minima(pair: Preset, cs, psi: ProfileFn, grid_n: int):
+    """[(min top of dbeta_c^n, argmin) for c in cs], each over the grid
+    linspace(-c-1, c+1, grid_n+1), from one pass over all the grids.
+
+    The grids are the rows of one sample array and the constants a column
+    beside them, so one cutoff form serves every c.  Each step is
+    element-wise (`_grid_tops`), so each c gets, bit for bit, the minimum
+    and argmin of a pass over its grid alone.  A non-finite c raises
+    ValueError, the first in cs; so does a grid that overflows float64,
+    naming the c of largest magnitude.
+    """
+    for c in cs:
+        if not math.isfinite(c):
+            raise ValueError(f"cutoff constant must be finite, got {c}")
+    pf = cutoff_liouville(pair, np.asarray(cs, float)[:, None], psi)
+    p = pf.coframe.dim // 2
     try:
         with np.errstate(over="raise"):
-            return _min_top_power(
-                pf, np.linspace(-c - 1.0, c + 1.0, grid_n + 1))
+            s = np.stack([np.linspace(-c - 1.0, c + 1.0, grid_n + 1)
+                          for c in cs])
+            tops = _grid_tops(lambda w: w.power(p), [pf.d().at(s)], s.shape)
     except (OverflowError, FloatingPointError) as err:
-        raise ValueError(f"cutoff constant {c} overflows float64 on the "
-                         f"grid: {err}") from err
+        raise ValueError(f"cutoff constant {max(cs, key=abs)} overflows "
+                         f"float64 on the grid: {err}") from err
+    return [_grid_min(row, pts) for row, pts in zip(tops, s)]
 
 
 def _min_top_power(pf: ParamForm, s):
@@ -986,10 +1038,31 @@ def _min_top_power(pf: ParamForm, s):
 def min_c_search(pair: Preset, psi: ProfileFn, grid_n: int = 256,
                  cap: float = 64.0) -> float:
     """Smallest c (within BISECTION_TOL) whose cutoff form is positive on
-    the grid."""
+    the grid, by bisection on [0, cap].
+
+    The probes of the walk that passes at every c > 0 (c = 0, the cap and
+    each next midpoint (0 + hi) / 2, down to the tolerance) run first, as
+    one batch of `_cutoff_minima`; the walk then reads its verdicts there,
+    and a probe outside the batch, once the walk turns right, runs alone.
+    If the batch raises, the walk runs every probe alone, so that it
+    raises the error of its own first failing probe, or none.
+    """
+    known = {}
+    try:
+        probes, lo, hi = [0.0, cap], 0.0, cap
+        while math.isfinite(hi) and hi - lo > BISECTION_TOL:
+            hi = (lo + hi) / 2
+            probes.append(hi)
+        known = {float(c).hex(): top > 0 for c, (top, _) in
+                 zip(probes, _cutoff_minima(pair, probes, psi, grid_n))}
+    except Exception:
+        pass  # whatever the batch raised, the walk below meets it again
 
     def passes(c):
-        return cutoff_positive_on_grid(pair, c, psi, grid_n)[0] > 0
+        verdict = known.get(float(c).hex())
+        if verdict is None:
+            verdict = cutoff_positive_on_grid(pair, c, psi, grid_n)[0] > 0
+        return verdict
 
     if passes(0.0):
         return 0.0
@@ -1018,10 +1091,11 @@ def gt_reparam_check(pair: Preset, grid_n: int = 512) -> float:
     s = np.pi * np.arange(1, grid_n) / grid_n
     sin_s = np.sin(s)
     u = np.log((1 + np.cos(s)) / sin_s)
-    return _grid_sup(np.abs(np.concatenate([
-        sin_s * np.exp(u) / 2 - triple.f(s),
-        sin_s * np.exp(-u) / 2 - triple.g(s),
-        sin_s - triple.h(s)])))
+    with _libm_scope():
+        diffs = [sin_s * np.exp(u) / 2 - triple.f(s),
+                 sin_s * np.exp(-u) / 2 - triple.g(s),
+                 sin_s - triple.h(s)]
+    return _grid_sup(np.abs(np.concatenate(diffs)))
 
 
 # -- agreement between the exact pair certificate and the direct grid ---------------

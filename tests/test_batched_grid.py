@@ -172,7 +172,7 @@ def test_batched_d_squared_sup_matches_per_sample(pf, extra):
 
 
 def _reference_contact(triple, grid_n):
-    pf = triple.to_param_form()
+    pf = triple.form
     dpf = pf.d()
     npow = (pf.coframe.dim - 1) // 2
     pts = ff._grid_points(triple.interval, grid_n)
@@ -307,14 +307,15 @@ def test_families_workload_grids_match_the_dropping_ring(monkeypatch, capsys):
     grid_tops = ff._grid_tops
     seen = []
 
-    def checked(build, forms, n):
-        got = grid_tops(build, forms, n)
+    def checked(build, forms, shape):
+        got = grid_tops(build, forms, shape)
+        n = got.size
         want = [build(*[
             ff.Form(f.coframe, f.degree,
-                    {m: float(np.broadcast_to(c, (n,))[i])
+                    {m: float(np.broadcast_to(c, got.shape).flat[i])
                      for m, c in f.terms.items()}, DROPPING)
             for f in forms]).top_coefficient() + 0.0 for i in range(n)]
-        assert_same_bits(got, want)
+        assert_same_bits(got.ravel(), want)
         seen.append(n)
         return got
 
@@ -331,4 +332,7 @@ def test_families_workload_grids_match_the_dropping_ring(monkeypatch, capsys):
         assert cli.run(argv.split() + ["--json"]) == 0
     capsys.readouterr()
     assert ff.sol_weak_filling_fixture(0.0042, 128).passed
-    assert len(seen) > 40 and seen[-1] == 128 * 128
+    # 3 torsion grids, 2 per Lutz check, 2 per cutoff search (the batch
+    # of its 18 probes and the refined check), the fixture
+    assert len(seen) == 12 and seen[-1] == 128 * 128
+    assert seen.count(18 * 257) == 2

@@ -165,7 +165,7 @@ def cli_forms(key):
     build for a pair: the torsion family (giroux-torsion, reeb), lambda_k
     (lutz-check) and the cutoff form for both profiles (cutoff)."""
     p = liealg.preset(key)
-    out = [(ff.gt_form(p, k).to_param_form(), (0.0, 2 * math.pi * k), ())
+    out = [(ff.gt_form(p, k).form, (0.0, 2 * math.pi * k), ())
            for k in (1, 2)]
     for kind in ("quintic", "cubic"):
         for k in (1, 2):
@@ -278,8 +278,8 @@ def test_d_param_leibniz_on_exponential():
 def test_d_param_squares_to_zero_on_families():
     samples = [0.1, 1.0, 2.5, 4.0]
     fixtures = [
-        ff.gt_form(SOL, 1).to_param_form(),
-        ff.gt_form(TR3, 1).to_param_form(),
+        ff.gt_form(SOL, 1).form,
+        ff.gt_form(TR3, 1).form,
         ff.cutoff_liouville(SOL, 2.0, ff.cutoff_step("quintic")),
         ff.lutz_lambda_k(SOL, 2),
     ]
@@ -296,11 +296,11 @@ def test_d_param_squares_to_zero_on_families():
 
 def test_gt_form_endpoints():
     triple = ff.gt_form(SOL, 1)
-    lam0 = triple.to_param_form().at(0.0)
+    lam0 = triple.form.at(0.0)
     off = 2
     for m, c in SOL.alpha_plus.terms.items():
         assert abs(lam0.terms.get(m << off, 0.0) - float(c)) < 1e-12
-    lam_pi = triple.to_param_form().at(math.pi)
+    lam_pi = triple.form.at(math.pi)
     for m, c in SOL.alpha_minus.terms.items():
         assert abs(lam_pi.terms.get(m << off, 0.0) - float(c)) < 1e-12
     assert abs(lam_pi.terms.get(0b10, 0.0)) < 1e-12
@@ -310,7 +310,7 @@ def test_gt_form_collapses_to_circle_family():
     # over the pair ±dθ the family is cos s dθ + sin s dt
     triple = ff.gt_form(S1, 1)
     for s in (0.3, 1.2, 2.9):
-        lam = triple.to_param_form().at(s)
+        lam = triple.form.at(s)
         assert abs(lam.terms.get(0b100, 0.0) - math.cos(s)) < 1e-12
         assert abs(lam.terms.get(0b010, 0.0) - math.sin(s)) < 1e-12
 
@@ -335,7 +335,7 @@ def test_frequency_k_torus_family_constant_volume(k):
     g = 0.5 * (ff.const(1.0) - ff.sin_cos(k)[1])
     h = ff.sin_cos(k)[0]
     triple = ff.ProfileTriple(f, g, h, S1, (0.0, 2 * math.pi))
-    pf = triple.to_param_form()
+    pf = triple.form
     dpf = pf.d()
     for s in np.linspace(0.0, 2 * math.pi, 37):
         top = pf.at(s).wedge(dpf.at(s)).top_coefficient()
@@ -419,7 +419,7 @@ def test_reeb_invalid_profile():
 
 def test_gt_top_coefficient_periodicity():
     triple = ff.gt_form(SOL, 2)
-    pf = triple.to_param_form()
+    pf = triple.form
     dpf = pf.d()
     for s in (0.3, 1.1, 2.0):
         a = pf.at(s).wedge(dpf.at(s).power(2)).top_coefficient()

@@ -220,10 +220,29 @@ def test_one_check_runs_each_shared_profile_once(monkeypatch):
     assert check.samples == 1025
     assert calls == {"cos": 1025, "sin": 1025}
     # the Lutz check: one grid of 513 samples for both forms and psi, plus
-    # the two 257-sample validations of f and g that `ProfileTriple` runs
+    # the 257-sample validation of f and g that `ProfileTriple` runs
     calls.clear()
     ff.lutz_family_check(sol, 2, 0.5, grid_n=512)
-    assert calls == {"cos": 513 + 2 * 257, "sin": 513}
+    assert calls == {"cos": 513 + 257, "sin": 513}
+
+
+def test_validation_and_library_checks_run_each_shared_profile_once(
+        monkeypatch):
+    # f and g of the torsion family read one cosine, and so do the
+    # validation of `ProfileTriple` and `gt_reparam_check`; the linear model
+    # shares exp(s) and exp(-s) between a, b and the form
+    sol = liealg.preset("sol:2,1,1,1")
+    calls = counting_math(monkeypatch)
+    ff.gt_form(sol, 1)
+    assert calls == {"cos": 257}
+    calls.clear()
+    ff.gt_reparam_check(sol, 512)
+    assert calls == {"cos": 257 + 511, "sin": 511}
+    p = liealg.totally_real(2)
+    calls.clear()
+    ff.linear_model_pair_check(p.algebra, p.alpha_plus, -0.5, 0.75,
+                               grid_n=12)
+    assert calls == {"exp": 5 * 144}
 
 
 def test_library_grid_checks_keep_their_bits():
@@ -255,7 +274,7 @@ def family_forms(draw):
     else:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            pf = ff.gt_form(pair, draw(st.integers(1, 3))).to_param_form()
+            pf = ff.gt_form(pair, draw(st.integers(1, 3))).form
     return pf.d() if draw(st.booleans()) else pf
 
 
